@@ -1,0 +1,1153 @@
+"""Exact linear algebra over the integers.
+
+Everything downstream (group modules, Tate cohomology, regulator constants)
+reduces to four primitives implemented here:
+
+* canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
+  unique representative, so lattice equality is list equality),
+* integer kernels and preimages of lattices under integer matrices,
+* Smith normal form with unimodular transforms,
+* finitely presented abelian groups, maps between them, and the q-index
+  |cokernel| / |kernel| of such a map.
+
+No floating point, no modular shortcuts; all arithmetic is on Python ints
+and fractions.Fraction.
+"""
+
+from __future__ import annotations
+
+import os
+from fractions import Fraction
+from math import gcd
+
+from .arith import xgcd
+from .errors import ConsistencyError, InputError, ResourceLimitError
+
+DEFAULT_COL_LIMIT = 4000
+
+
+def column_limit() -> int:
+    """Width cap for worker matrices, from REGLAB_LIMIT_COLS (default 4000)."""
+    raw = os.environ.get("REGLAB_LIMIT_COLS")
+    if raw is None:
+        return DEFAULT_COL_LIMIT
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"REGLAB_LIMIT_COLS is not an integer: {raw!r}")
+    if value <= 0:
+        raise InputError("REGLAB_LIMIT_COLS must be positive")
+    return value
+
+
+def _check_width(width: int) -> None:
+    limit = column_limit()
+    if width > limit:
+        raise ResourceLimitError(
+            f"matrix width {width} exceeds REGLAB_LIMIT_COLS={limit}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
+
+
+class IntMatrix:
+    """Immutable dense integer matrix, entries stored row-major."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries, cols: int | None = None):
+        data = tuple(tuple(int(x) for x in row) for row in entries)
+        if data:
+            width = len(data[0])
+            for row in data:
+                if len(row) != width:
+                    raise ValueError("ragged matrix")
+        else:
+            if cols is None:
+                cols = 0
+            width = cols
+        if cols is not None and cols != width and data:
+            raise ValueError("cols disagrees with row length")
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "entries", data)
+
+    def __setattr__(self, *args):
+        raise AttributeError("IntMatrix is immutable")
+
+    # -- constructors
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
+
+    @classmethod
+    def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
+        diag = list(diag)
+        r = rows if rows is not None else len(diag)
+        c = cols if cols is not None else len(diag)
+        m = [[0] * c for _ in range(r)]
+        for i, d in enumerate(diag):
+            m[i][i] = int(d)
+        return cls(m, cols=c)
+
+    @classmethod
+    def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
+        columns = [list(c) for c in columns]
+        if columns:
+            r = len(columns[0])
+        else:
+            if rows is None:
+                raise ValueError("need row count for empty column list")
+            r = rows
+        return cls([[col[i] for col in columns] for i in range(r)], cols=len(columns))
+
+    # -- access
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.entries[i]
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return tuple(row[j] for row in self.entries)
+
+    def columns(self) -> list[list[int]]:
+        return [list(self.column(j)) for j in range(self.cols)]
+
+    def to_lists(self) -> list[list[int]]:
+        return [list(row) for row in self.entries]
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and self.entries == other.entries \
+            and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows}x{self.cols})"
+
+    # -- arithmetic
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        ocols = other.cols
+        out = []
+        other_rows = other.entries
+        for arow in self.entries:
+            acc = [0] * ocols
+            for k, a in enumerate(arow):
+                if a:
+                    brow = other_rows[k]
+                    if a == 1:
+                        for j in range(ocols):
+                            acc[j] += brow[j]
+                    elif a == -1:
+                        for j in range(ocols):
+                            acc[j] -= brow[j]
+                    else:
+                        for j in range(ocols):
+                            acc[j] += a * brow[j]
+            out.append(acc)
+        return IntMatrix(out, cols=ocols)
+
+    def apply(self, vec) -> list[int]:
+        """Matrix times column vector, returned as a list."""
+        vec = list(vec)
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        return [sum(a * v for a, v in zip(row, vec) if a) for row in self.entries]
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+            cols=self.cols,
+        )
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+            cols=self.cols,
+        )
+
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix([[-a for a in row] for row in self.entries], cols=self.cols)
+
+    def scale(self, k: int) -> "IntMatrix":
+        return IntMatrix([[k * a for a in row] for row in self.entries], cols=self.cols)
+
+    def transpose(self) -> "IntMatrix":
+        return IntMatrix(
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            cols=self.rows,
+        )
+
+    def hstack(self, other: "IntMatrix") -> "IntMatrix":
+        if self.rows != other.rows:
+            raise ValueError("row count mismatch")
+        return IntMatrix(
+            [list(r1) + list(r2) for r1, r2 in zip(self.entries, other.entries)],
+            cols=self.cols + other.cols,
+        )
+
+    def vstack(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch")
+        return IntMatrix(list(self.entries) + list(other.entries), cols=self.cols)
+
+    def kron(self, other: "IntMatrix") -> "IntMatrix":
+        """Kronecker product; block (i,j) is self[i][j] * other."""
+        out = []
+        for arow in self.entries:
+            for brow in other.entries:
+                out.append([a * b for a in arow for b in brow])
+        return IntMatrix(out, cols=self.cols * other.cols)
+
+    def is_zero(self) -> bool:
+        return all(all(a == 0 for a in row) for row in self.entries)
+
+    def determinant(self) -> int:
+        """Bareiss fraction-free determinant. Square matrices only."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.rows
+        if n == 0:
+            return 1
+        m = self.to_lists()
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                for i in range(k + 1, n):
+                    if m[i][k] != 0:
+                        m[k], m[i] = m[i], m[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            pivot = m[k][k]
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+                m[i][k] = 0
+            prev = pivot
+        return sign * m[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# echelon accumulator (internal work-horse behind every lattice computation)
+# ---------------------------------------------------------------------------
+
+
+class _Echelon:
+    """Mutable integral row echelon form.
+
+    Rows are kept with strictly increasing pivot columns and positive pivots;
+    the integer row span is preserved exactly by every operation. Calling
+    canonical() additionally reduces entries above each pivot, which makes the
+    row list the unique Hermite representative of the span.
+    """
+
+    __slots__ = ("width", "rows", "pivots")
+
+    def __init__(self, width: int):
+        _check_width(width)
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def add(self, vec) -> None:
+        v = list(vec)
+        if len(v) != self.width:
+            raise ValueError("vector width mismatch")
+        lead = 0
+        while True:
+            while lead < self.width and v[lead] == 0:
+                lead += 1
+            if lead == self.width:
+                return
+            # insertion point: first existing row with pivot >= lead
+            lo, hi = 0, len(self.pivots)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self.pivots[mid] < lead:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo == len(self.pivots) or self.pivots[lo] > lead:
+                if v[lead] < 0:
+                    v = [-t for t in v]
+                self.rows.insert(lo, v)
+                self.pivots.insert(lo, lead)
+                self._reduce_tail(lo)
+                self._reduce_above(lo)
+                return
+            r = self.rows[lo]
+            a, b = r[lead], v[lead]
+            if b % a == 0:
+                q = b // a
+                for k in range(lead, self.width):
+                    if r[k]:
+                        v[k] -= q * r[k]
+            elif a % b == 0:
+                # incoming pivot divides the stored one: swap, reduce old row
+                if b < 0:
+                    v = [-t for t in v]
+                self.rows[lo] = v
+                stored = v
+                q = a // stored[lead]
+                v = list(r)
+                for k in range(lead, self.width):
+                    if stored[k]:
+                        v[k] -= q * stored[k]
+                self._reduce_tail(lo)
+                self._reduce_above(lo)
+            else:
+                g, x, y = xgcd(a, b)
+                ca, cb = a // g, b // g
+                new_r = [x * rk + y * vk for rk, vk in zip(r, v)]
+                v = [ca * vk - cb * rk for rk, vk in zip(r, v)]
+                if new_r[lead] < 0:
+                    new_r = [-t for t in new_r]
+                self.rows[lo] = new_r
+                self._reduce_tail(lo)
+                self._reduce_above(lo)
+            # v[lead] is now 0; continue scanning for its next pivot
+
+    def _reduce_tail(self, idx: int) -> None:
+        """Reduce row idx at the pivot columns of every lower row.
+
+        Keeps stored entries small; without this, repeated gcd combinations
+        blow entry sizes up exponentially in the number of additions.
+        """
+        ri = self.rows[idx]
+        for j in range(idx + 1, len(self.rows)):
+            p = self.pivots[j]
+            rj = self.rows[j]
+            q = ri[p] // rj[p]
+            if q:
+                for k in range(p, self.width):
+                    if rj[k]:
+                        ri[k] -= q * rj[k]
+
+    def _reduce_above(self, idx: int) -> None:
+        """Reduce every upper row at the pivot column of row idx."""
+        p = self.pivots[idx]
+        ri = self.rows[idx]
+        piv = ri[p]
+        for i2 in range(idx):
+            r2 = self.rows[i2]
+            q = r2[p] // piv
+            if q:
+                for k in range(p, self.width):
+                    if ri[k]:
+                        r2[k] -= q * ri[k]
+
+    def extend(self, vectors) -> None:
+        for v in vectors:
+            self.add(v)
+
+    def canonical(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        rows = [list(r) for r in self.rows]
+        for i in range(len(rows)):
+            p = self.pivots[i]
+            piv = rows[i][p]
+            for i2 in range(i):
+                q = rows[i2][p] // piv
+                if q:
+                    ri, r2 = rows[i], rows[i2]
+                    for k in range(p, self.width):
+                        if ri[k]:
+                            r2[k] -= q * ri[k]
+        return tuple(tuple(r) for r in rows), tuple(self.pivots)
+
+
+# ---------------------------------------------------------------------------
+# lattices
+# ---------------------------------------------------------------------------
+
+
+class Lattice:
+    """A sublattice of Z^n in canonical Hermite form.
+
+    basis_rows holds one generator per row, rows in echelon position with
+    positive pivots and reduced entries above pivots; two lattices are equal
+    as subgroups of Z^n iff their basis_rows tuples are equal. The column
+    oriented view (generators as columns of an IntMatrix) is available as
+    .basis for callers that think in terms of matrices acting on coordinates.
+    """
+
+    __slots__ = ("ambient_rank", "basis_rows", "_pivots")
+
+    def __init__(self, ambient_rank: int, basis_rows, pivots=None):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "basis_rows", tuple(tuple(r) for r in basis_rows))
+        if pivots is None:
+            pivots = []
+            for row in self.basis_rows:
+                for j, a in enumerate(row):
+                    if a:
+                        pivots.append(j)
+                        break
+        object.__setattr__(self, "_pivots", tuple(pivots))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Lattice is immutable")
+
+    @classmethod
+    def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
+        ech = _Echelon(ambient_rank)
+        ech.extend(rows)
+        canon, pivots = ech.canonical()
+        return cls(ambient_rank, canon, pivots)
+
+    @classmethod
+    def from_columns(cls, matrix_or_cols, ambient_rank: int | None = None) -> "Lattice":
+        if isinstance(matrix_or_cols, IntMatrix):
+            cols = matrix_or_cols.columns()
+            ambient = matrix_or_cols.rows
+        else:
+            cols = [list(c) for c in matrix_or_cols]
+            ambient = ambient_rank if ambient_rank is not None else (len(cols[0]) if cols else 0)
+        return cls.from_rows(ambient, cols)
+
+    @classmethod
+    def zero(cls, ambient_rank: int) -> "Lattice":
+        return cls(ambient_rank, ())
+
+    @classmethod
+    def full(cls, ambient_rank: int) -> "Lattice":
+        return cls.from_rows(ambient_rank, [[1 if i == j else 0 for j in range(ambient_rank)]
+                                            for i in range(ambient_rank)])
+
+    @classmethod
+    def scaled(cls, ambient_rank: int, k: int) -> "Lattice":
+        """k * Z^n."""
+        return cls.from_rows(ambient_rank, [[k if i == j else 0 for j in range(ambient_rank)]
+                                            for i in range(ambient_rank)])
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis_rows)
+
+    @property
+    def basis(self) -> IntMatrix:
+        return IntMatrix.from_columns([list(r) for r in self.basis_rows],
+                                      rows=self.ambient_rank)
+
+    def is_zero(self) -> bool:
+        return not self.basis_rows
+
+    def _reduce(self, vec) -> tuple[list[int], list[int]]:
+        """Reduce vec by the basis; returns (remainder, coefficients)."""
+        v = list(vec)
+        coeffs = [0] * len(self.basis_rows)
+        for i, row in enumerate(self.basis_rows):
+            p = self._pivots[i]
+            if v[p] == 0:
+                continue
+            q = v[p] // row[p]
+            if q:
+                coeffs[i] = q
+                for k in range(p, self.ambient_rank):
+                    if row[k]:
+                        v[k] -= q * row[k]
+        return v, coeffs
+
+    def contains(self, vec) -> bool:
+        v, _ = self._reduce(vec)
+        return all(a == 0 for a in v)
+
+    def coordinates(self, vec) -> list[int] | None:
+        """Coefficients of vec in basis_rows order, or None if not a member."""
+        v, coeffs = self._reduce(vec)
+        if any(a != 0 for a in v):
+            return None
+        return coeffs
+
+    def contains_lattice(self, other: "Lattice") -> bool:
+        return all(self.contains(r) for r in other.basis_rows)
+
+    def __add__(self, other: "Lattice") -> "Lattice":
+        if self.ambient_rank != other.ambient_rank:
+            raise ValueError("ambient rank mismatch")
+        ech = _Echelon(self.ambient_rank)
+        ech.extend(self.basis_rows)
+        ech.extend(other.basis_rows)
+        canon, pivots = ech.canonical()
+        return Lattice(self.ambient_rank, canon, pivots)
+
+    def __eq__(self, other):
+        return (isinstance(other, Lattice)
+                and self.ambient_rank == other.ambient_rank
+                and self.basis_rows == other.basis_rows)
+
+    def __hash__(self):
+        return hash((self.ambient_rank, self.basis_rows))
+
+    def __repr__(self):
+        return f"Lattice(rank {self.rank} in Z^{self.ambient_rank})"
+
+    def saturate(self) -> "Lattice":
+        return saturate(self)
+
+
+def lattice_sum(ambient_rank: int, lattices) -> Lattice:
+    ech = _Echelon(ambient_rank)
+    for lat in lattices:
+        ech.extend(lat.basis_rows)
+    canon, pivots = ech.canonical()
+    return Lattice(ambient_rank, canon, pivots)
+
+
+def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
+    """Direct sum of lattices placed on consecutive coordinate blocks."""
+    total = sum(p.ambient_rank for p in parts)
+    rows = []
+    offset = 0
+    for p in parts:
+        for r in p.basis_rows:
+            rows.append([0] * offset + list(r) + [0] * (total - offset - p.ambient_rank))
+        offset += p.ambient_rank
+    return Lattice.from_rows(total, rows)
+
+
+def integer_kernel(A: IntMatrix) -> Lattice:
+    """The full lattice {x in Z^cols : A x = 0}; always saturated."""
+    r, c = A.rows, A.cols
+    ech = _Echelon(r + c)
+    # rows of [A^T | I]; integer row span contains (0, x) exactly for kernel x
+    for i in range(c):
+        ech.add([A.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(c)])
+    canon, _ = ech.canonical()
+    kernel_rows = [row[r:] for row in canon if all(a == 0 for a in row[:r])]
+    return Lattice.from_rows(c, kernel_rows)
+
+
+def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
+    """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
+    if L.ambient_rank != C.rows:
+        raise ValueError("lattice ambient rank must equal matrix row count")
+    n = C.cols
+    gens = list(L.basis_rows)
+    aug = IntMatrix(
+        [list(C.entries[i]) + [-g[i] for g in gens] for i in range(C.rows)],
+        cols=n + len(gens),
+    )
+    ker = integer_kernel(aug)
+    return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
+
+
+def saturate(L: Lattice) -> Lattice:
+    """Smallest saturated overlattice: (L tensor Q) intersect Z^n."""
+    n = L.ambient_rank
+    if L.rank == 0:
+        return L
+    B = IntMatrix([list(r) for r in L.basis_rows], cols=n)
+    orth = integer_kernel(B)
+    if orth.rank == 0:
+        return Lattice.full(n)
+    K = IntMatrix([list(r) for r in orth.basis_rows], cols=n)
+    return integer_kernel(K)
+
+
+def intersect_lattices(A: Lattice, B: Lattice) -> Lattice:
+    """A intersect B inside the shared ambient Z^n."""
+    if A.ambient_rank != B.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    # x in A cap B  <=>  x = A u = B v; kernel of [A_basis | -B_basis]
+    n = A.ambient_rank
+    acols = list(A.basis_rows)
+    bcols = list(B.basis_rows)
+    aug = IntMatrix(
+        [[a[i] for a in acols] + [-b[i] for b in bcols] for i in range(n)],
+        cols=len(acols) + len(bcols),
+    )
+    ker = integer_kernel(aug)
+    rows = []
+    for krow in ker.basis_rows:
+        u = krow[: len(acols)]
+        vec = [0] * n
+        for coeff, gen in zip(u, acols):
+            if coeff:
+                for i in range(n):
+                    vec[i] += coeff * gen[i]
+        rows.append(vec)
+    return Lattice.from_rows(n, rows)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+# ---------------------------------------------------------------------------
+
+
+class SmithForm:
+    """U @ A @ V == S with U, V unimodular and S diagonal with divisor chain."""
+
+    __slots__ = ("S", "U", "V", "divisors")
+
+    def __init__(self, S: IntMatrix, U: IntMatrix, V: IntMatrix, divisors: tuple[int, ...]):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "divisors", divisors)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SmithForm is immutable")
+
+
+def _pivot_search(m, t, rows, cols):
+    """Smallest |entry| among m[t:, t:], ties by lowest row then column."""
+    best = None
+    for i in range(t, rows):
+        mi = m[i]
+        for j in range(t, cols):
+            a = mi[j]
+            if a:
+                a = -a if a < 0 else a
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        return best
+    return best
+
+
+def smith_normal_form(A: IntMatrix) -> SmithForm:
+    """Smith normal form with transforms.
+
+    Pivot choice: smallest absolute value in the working submatrix, ties broken
+    by lowest row index then lowest column index. Divisors are positive and
+    each divides the next.
+    """
+    rows, cols = A.rows, A.cols
+    _check_width(max(rows, cols, 1))
+    m = A.to_lists()
+    u = IntMatrix.identity(rows).to_lists()
+    v = IntMatrix.identity(cols).to_lists()
+
+    def row_axpy(dst, src, q):
+        # row dst -= q * row src, mirrored on U
+        mr, ur = m[dst], m[src]
+        for k in range(cols):
+            if ur[k]:
+                mr[k] -= q * ur[k]
+        ud, us = u[dst], u[src]
+        for k in range(rows):
+            if us[k]:
+                ud[k] -= q * us[k]
+
+    def col_axpy(dst, src, q):
+        for i in range(rows):
+            s = m[i][src]
+            if s:
+                m[i][dst] -= q * s
+        for i in range(cols):
+            s = v[i][src]
+            if s:
+                v[i][dst] -= q * s
+
+    def row_swap(i, j):
+        if i != j:
+            m[i], m[j] = m[j], m[i]
+            u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        if i != j:
+            for r in m:
+                r[i], r[j] = r[j], r[i]
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+
+    def row_negate(i):
+        m[i] = [-a for a in m[i]]
+        u[i] = [-a for a in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        found = _pivot_search(m, t, rows, cols)
+        if found is None:
+            break
+        _, pi, pj = found
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if m[t][t] < 0:
+            row_negate(t)
+        # alternate row/column clearing until the cross is zero; every gcd
+        # step strictly shrinks |m[t][t]|, so this terminates
+        while True:
+            for i in range(rows):
+                if i != t and m[i][t]:
+                    a, b = m[t][t], m[i][t]
+                    if b % a == 0:
+                        row_axpy(i, t, b // a)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        ca, cb = a // g, b // g
+                        mt, mi_ = m[t], m[i]
+                        m[t] = [x * p + y * q for p, q in zip(mt, mi_)]
+                        m[i] = [ca * q - cb * p for p, q in zip(mt, mi_)]
+                        ut, ui = u[t], u[i]
+                        u[t] = [x * p + y * q for p, q in zip(ut, ui)]
+                        u[i] = [ca * q - cb * p for p, q in zip(ut, ui)]
+            for j in range(cols):
+                if j != t and m[t][j]:
+                    a, b = m[t][t], m[t][j]
+                    if b % a == 0:
+                        col_axpy(j, t, b // a)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        ca, cb = a // g, b // g
+                        for i in range(rows):
+                            p, q = m[i][t], m[i][j]
+                            m[i][t] = x * p + y * q
+                            m[i][j] = ca * q - cb * p
+                        for i in range(cols):
+                            p, q = v[i][t], v[i][j]
+                            v[i][t] = x * p + y * q
+                            v[i][j] = ca * q - cb * p
+            if not any(m[i][t] for i in range(rows) if i != t) and \
+               not any(m[t][j] for j in range(cols) if j != t):
+                break
+        if m[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    # enforce the divisor chain d_i | d_{i+1}
+    k = 0
+    while k < limit and m[k][k] != 0:
+        k += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            a, b = m[i][i], m[i + 1][i + 1]
+            if b % a != 0:
+                changed = True
+                # col i += col i+1, then re-clear the 2x2 block
+                col_axpy(i, i + 1, -1)
+                g, x, y = xgcd(a, b)
+                # row ops on rows i, i+1 (entries only in cols i, i+1)
+                mt, mi_ = m[i], m[i + 1]
+                new_t = [x * p + y * q for p, q in zip(mt, mi_)]
+                new_i = [(a // g) * q - (b // g) * p for p, q in zip(mt, mi_)]
+                m[i], m[i + 1] = new_t, new_i
+                ut, ui = u[i], u[i + 1]
+                u[i] = [x * p + y * q for p, q in zip(ut, ui)]
+                u[i + 1] = [(a // g) * q - (b // g) * p for p, q in zip(ut, ui)]
+                # clear the off-diagonal remainder; gcd(a,b) divides both
+                # entries of the new row i, so the division below is exact
+                if m[i][i] < 0:
+                    row_negate(i)
+                piv = m[i][i]
+                if m[i][i + 1]:
+                    col_axpy(i + 1, i, m[i][i + 1] // piv)
+                if m[i + 1][i]:
+                    row_axpy(i + 1, i, m[i + 1][i] // piv)
+                if m[i + 1][i + 1] < 0:
+                    row_negate(i + 1)
+
+    divisors = tuple(m[i][i] for i in range(limit) if m[i][i] != 0)
+    return SmithForm(IntMatrix(m, cols=cols), IntMatrix(u, cols=rows),
+                     IntMatrix(v, cols=cols), divisors)
+
+
+def invert_unimodular(M: IntMatrix) -> IntMatrix:
+    """Exact inverse of a unimodular integer matrix."""
+    n = M.rows
+    if n != M.cols:
+        raise ValueError("not square")
+    ech = _Echelon(2 * n)
+    for i in range(n):
+        ech.add(list(M.column(i)) + [1 if j == i else 0 for j in range(n)])
+    canon, _ = ech.canonical()
+    left = [list(row[:n]) for row in canon]
+    if left != [[1 if j == i else 0 for j in range(n)] for i in range(n)]:
+        raise ValueError("matrix is not unimodular")
+    # canon rows: (M^T | I) reduced, so right block is (M^T)^{-1} = (M^{-1})^T
+    return IntMatrix([list(row[n:]) for row in canon], cols=n).transpose()
+
+
+# ---------------------------------------------------------------------------
+# finitely presented abelian groups
+# ---------------------------------------------------------------------------
+
+
+def _symmetric_residue(x: int, n: int) -> int:
+    x %= n
+    return x - n if 2 * x > n else x
+
+
+def _chain_fix(divisors: list[int]) -> list[int]:
+    """Make each entry divide the next; diag(a, b) ~ diag(gcd, lcm)."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(divisors) - 1):
+            a, b = divisors[i], divisors[i + 1]
+            if b % a != 0:
+                g = gcd(a, b)
+                divisors[i], divisors[i + 1] = g, a // g * b
+                changed = True
+    return divisors
+
+
+def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
+    """Invariant factors of Z^r modulo the row span of a nonsingular r x r
+    matrix whose quotient has order `annihilator`.
+
+    Since annihilator * Z^r lies inside the row span (adjugate identity),
+    reducing any entry into the symmetric residue system is a lattice-
+    preserving row operation, so every intermediate entry stays below the
+    annihilator in absolute value and the elimination runs in polynomial
+    time regardless of how badly a fraction-free pass would blow up.
+    """
+    r = len(m)
+    n = annihilator
+    if n == 1:
+        return [1] * r
+    m = [[_symmetric_residue(x, n) for x in row] for row in m]
+    raw = []
+    for t in range(r):
+        best = None
+        for i in range(t, r):
+            mi = m[i]
+            for j in range(t, r):
+                a = mi[j]
+                if a:
+                    a = -a if a < 0 else a
+                    if best is None or a < best[0]:
+                        best = (a, i, j)
+                        if a == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            # submatrix vanished mod n: each remaining factor is n itself
+            raw.extend([n] * (r - t))
+            break
+        _, pi, pj = best
+        m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, r):
+                b = m[i][t]
+                if not b:
+                    continue
+                a = m[t][t]
+                if b % a == 0:
+                    q = b // a
+                    mt, mi = m[t], m[i]
+                    for k in range(t, r):
+                        if mt[k]:
+                            mi[k] = _symmetric_residue(mi[k] - q * mt[k], n)
+                else:
+                    g, x, y = xgcd(a, b)
+                    ca, cb = a // g, b // g
+                    mt, mi = m[t], m[i]
+                    m[t] = [_symmetric_residue(x * p + y * s, n)
+                            for p, s in zip(mt, mi)]
+                    m[i] = [_symmetric_residue(ca * s - cb * p, n)
+                            for p, s in zip(mt, mi)]
+            for j in range(t + 1, r):
+                b = m[t][j]
+                if not b:
+                    continue
+                a = m[t][t]
+                if b % a == 0:
+                    q = b // a
+                    for i in range(t, r):
+                        s = m[i][t]
+                        if s:
+                            m[i][j] = _symmetric_residue(m[i][j] - q * s, n)
+                else:
+                    g, x, y = xgcd(a, b)
+                    ca, cb = a // g, b // g
+                    for i in range(t, r):
+                        p, s = m[i][t], m[i][j]
+                        m[i][t] = _symmetric_residue(x * p + y * s, n)
+                        m[i][j] = _symmetric_residue(ca * s - cb * p, n)
+            if all(not m[i][t] for i in range(t + 1, r)) and \
+               all(not m[t][j] for j in range(t + 1, r)):
+                break
+        raw.append(gcd(m[t][t], n))
+    out = _chain_fix(raw)
+    product = 1
+    for d in out:
+        product *= d
+    if product != n:
+        raise ConsistencyError(
+            f"invariant factor product {product} does not match the lattice "
+            f"index {n}"
+        )
+    return out
+
+
+class PresentedAbelianGroup:
+    """Z^k modulo the column span of a relation matrix."""
+
+    __slots__ = ("generator_count", "relations", "_snf")
+
+    def __init__(self, generator_count: int, relations: IntMatrix | None = None):
+        if relations is None:
+            relations = IntMatrix.zeros(generator_count, 0)
+        if relations.rows != generator_count:
+            raise ValueError("relation matrix must have one row per generator")
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "_snf", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PresentedAbelianGroup is immutable")
+
+    @classmethod
+    def free(cls, rank: int) -> "PresentedAbelianGroup":
+        return cls(rank)
+
+    @classmethod
+    def from_divisors(cls, divisors, free_rank: int = 0) -> "PresentedAbelianGroup":
+        divisors = [int(d) for d in divisors]
+        k = len(divisors) + free_rank
+        rel = IntMatrix.diagonal(divisors, rows=k, cols=len(divisors))
+        return cls(k, rel)
+
+    def _compute_invariant_factors(self) -> tuple[int, ...]:
+        # The torsion part is S/L for L the relation lattice and S its
+        # saturation, so the invariant factors come from the coordinate
+        # matrix of L inside S, eliminated modulo the index [S : L]. That
+        # keeps every intermediate entry bounded by the index, where a
+        # fraction-free elimination can blow up exponentially.
+        L = Lattice.from_columns(self.relations)
+        r = L.rank
+        if r == 0:
+            return ()
+        S = saturate(L)
+        coords = []
+        for row in L.basis_rows:
+            c = S.coordinates(row)
+            if c is None:
+                raise ConsistencyError("saturation lost a relation generator")
+            coords.append(c)
+        C = Lattice.from_rows(r, coords)
+        index = 1
+        for brow in C.basis_rows:
+            index *= next(x for x in brow if x)
+        if index == 1:
+            return (1,) * r
+        return tuple(_modular_divisors([list(b) for b in C.basis_rows],
+                                       index))
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        if self._snf is None:
+            object.__setattr__(self, "_snf",
+                               self._compute_invariant_factors())
+        return self._snf
+
+    @property
+    def torsion_divisors(self) -> tuple[int, ...]:
+        """Nontrivial invariant factors, each dividing the next."""
+        return tuple(d for d in self.invariant_factors if d != 1)
+
+    @property
+    def free_rank(self) -> int:
+        return self.generator_count - len(self.invariant_factors)
+
+    def order(self) -> int | None:
+        """Group order, or None when infinite."""
+        if self.free_rank > 0:
+            return None
+        out = 1
+        for d in self.torsion_divisors:
+            out *= d
+        return out
+
+    def torsion_order(self) -> int:
+        out = 1
+        for d in self.torsion_divisors:
+            out *= d
+        return out
+
+    def invariants(self) -> tuple[int, tuple[int, ...]]:
+        """(free rank, torsion divisors); equal iff the groups are isomorphic."""
+        return (self.free_rank, self.torsion_divisors)
+
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.torsion_divisors
+
+    def relation_lattice(self) -> Lattice:
+        return Lattice.from_columns(self.relations)
+
+    def __repr__(self):
+        parts = [f"Z/{d}" for d in self.torsion_divisors]
+        if self.free_rank:
+            parts.append(f"Z^{self.free_rank}")
+        return " + ".join(parts) if parts else "0"
+
+
+def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
+    """U/V for nested lattices V <= U <= Z^n, presented on U's basis."""
+    if U.ambient_rank != V.ambient_rank:
+        raise ValueError("not a subquotient: ambient ranks differ")
+    rel_cols = []
+    for gen in V.basis_rows:
+        coords = U.coordinates(gen)
+        if coords is None:
+            raise ValueError(f"not a subquotient: generator {list(gen)} lies outside the numerator lattice")
+        rel_cols.append(coords)
+    return PresentedAbelianGroup(
+        U.rank, IntMatrix.from_columns(rel_cols, rows=U.rank)
+    )
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms and the q-index
+# ---------------------------------------------------------------------------
+
+
+class GroupHom:
+    """A homomorphism of presented abelian groups, given on generators.
+
+    matrix has shape (target generators) x (source generators) and must carry
+    source relations into the target relation lattice.
+    """
+
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: PresentedAbelianGroup, target: PresentedAbelianGroup,
+                 matrix: IntMatrix, check: bool = True):
+        if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
+            raise ValueError("hom matrix shape mismatch")
+        if check:
+            tlat = target.relation_lattice()
+            for j in range(source.relations.cols):
+                image = matrix.apply(source.relations.column(j))
+                if not tlat.contains(image):
+                    raise ValueError(
+                        f"not a homomorphism: relation column {j} maps outside the target relations"
+                    )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, *args):
+        raise AttributeError("GroupHom is immutable")
+
+    def kernel_group(self) -> PresentedAbelianGroup:
+        K = preimage_lattice(self.matrix, self.target.relation_lattice())
+        return subquotient_group(K, self.source.relation_lattice())
+
+    def cokernel_group(self) -> PresentedAbelianGroup:
+        rel = self.matrix.hstack(self.target.relations)
+        return PresentedAbelianGroup(self.target.generator_count, rel)
+
+    def __repr__(self):
+        return f"GroupHom({self.source!r} -> {self.target!r})"
+
+
+def compose(g: GroupHom, f: GroupHom) -> GroupHom:
+    if g.source is not f.target and g.source.relations != f.target.relations:
+        raise ValueError("homs not composable")
+    return GroupHom(f.source, g.target, g.matrix @ f.matrix, check=False)
+
+
+def qindex(f: GroupHom) -> Fraction | None:
+    """|cokernel| / |kernel|, or None when either side is infinite."""
+    cok = f.cokernel_group().order()
+    ker = f.kernel_group().order()
+    if cok is None or ker is None:
+        return None
+    return Fraction(cok, ker)
+
+
+def _torsion_presentation(A: PresentedAbelianGroup) -> tuple[PresentedAbelianGroup, Lattice]:
+    """(tors A presented on a basis of sat(R), that saturation)."""
+    satR = saturate(A.relation_lattice())
+    rel_cols = [satR.coordinates(c) for c in A.relation_lattice().basis_rows]
+    rel = IntMatrix.from_columns([c for c in rel_cols if c is not None], rows=satR.rank)
+    return PresentedAbelianGroup(satR.rank, rel), satR
+
+
+def tors_hom(f: GroupHom) -> GroupHom:
+    """Induced map on torsion subgroups."""
+    src, sat_s = _torsion_presentation(f.source)
+    tgt, sat_t = _torsion_presentation(f.target)
+    cols = []
+    for gen in sat_s.basis_rows:
+        image = f.matrix.apply(gen)
+        coords = sat_t.coordinates(image)
+        if coords is None:
+            raise ValueError("map does not carry torsion into torsion")
+        cols.append(coords)
+    return GroupHom(src, tgt, IntMatrix.from_columns(cols, rows=sat_t.rank), check=False)
+
+
+def _free_quotient_data(A: PresentedAbelianGroup) -> tuple[IntMatrix, IntMatrix]:
+    """(projection, section) for mt(A) = A / tors A on a free basis.
+
+    projection is r x k, section is k x r, projection @ section = identity.
+    """
+    satR = saturate(A.relation_lattice())
+    k = A.generator_count
+    if satR.rank == 0:
+        ident = IntMatrix.identity(k)
+        return ident, ident
+    B = IntMatrix.from_columns([list(r) for r in satR.basis_rows], rows=k)
+    sf = smith_normal_form(B)
+    # all invariant factors of a saturated lattice's basis are 1
+    rho = len(sf.divisors)
+    Uinv = invert_unimodular(sf.U)
+    proj = IntMatrix([list(sf.U.entries[i]) for i in range(rho, k)], cols=k)
+    section_cols = [list(Uinv.column(j)) for j in range(rho, k)]
+    section = IntMatrix.from_columns(section_cols, rows=k)
+    return proj, section
+
+
+def mt_hom(f: GroupHom) -> GroupHom:
+    """Induced map on maximal torsion-free quotients, on free presentations."""
+    proj_s, sect_s = _free_quotient_data(f.source)
+    proj_t, _ = _free_quotient_data(f.target)
+    mat = proj_t @ f.matrix @ sect_s
+    return GroupHom(PresentedAbelianGroup.free(mat.cols),
+                    PresentedAbelianGroup.free(mat.rows), mat, check=False)
+
+
+def dual_hom(f: GroupHom) -> GroupHom:
+    """Hom(-, Z) dual; a map target* -> source* between free groups."""
+
+    def dual_basis(A: PresentedAbelianGroup) -> Lattice:
+        if A.relations.cols == 0:
+            return Lattice.full(A.generator_count)
+        rows = [list(A.relations.column(j)) for j in range(A.relations.cols)]
+        return integer_kernel(IntMatrix(rows, cols=A.generator_count))
+
+    src_dual = dual_basis(f.source)
+    tgt_dual = dual_basis(f.target)
+    Ft = f.matrix.transpose()
+    cols = []
+    for y in tgt_dual.basis_rows:
+        w = Ft.apply(y)
+        coords = src_dual.coordinates(w)
+        if coords is None:
+            raise ValueError("transpose does not preserve the dual lattices")
+        cols.append(coords)
+    return GroupHom(PresentedAbelianGroup.free(tgt_dual.rank),
+                    PresentedAbelianGroup.free(src_dual.rank),
+                    IntMatrix.from_columns(cols, rows=src_dual.rank), check=False)

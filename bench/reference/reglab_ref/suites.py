@@ -1,0 +1,500 @@
+"""Deterministic verification suites.
+
+Each suite draws seeded random inputs, runs a fixed set of exact checks and
+returns one report dict per check. Reports are plain JSON-ready data:
+{"check", "status", "lhs", "rhs", "factorization", "seed", "module_digest",
+"details"}. Given the same (suite, params, seed) the output is byte-for-byte
+reproducible. An internal disagreement between the two regulator routes
+raises ConsistencyError out of the suite, on purpose: that failure mode means
+the library itself is inconsistent and must abort loudly rather than count as
+an ordinary failed check.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from .arith import factorize, factorize_fraction, valuation
+from .brauer import (
+    BrauerRelation,
+    brauer_relation_lattice,
+    dihedral_relation,
+    is_brauer_relation,
+    relation_from_vector,
+)
+from .cohomology import herbrand, rosen_valuation, tate
+from .errors import InputError
+from .exactla import (
+    GroupHom,
+    IntMatrix,
+    Lattice,
+    PresentedAbelianGroup,
+    dual_hom,
+    mt_hom,
+    qindex,
+    tors_hom,
+)
+from .gmodules import (
+    GModule,
+    compress,
+    direct_sum,
+    finite_dual,
+    norm_matrix,
+    permutation_module,
+    random_module,
+    random_module_hom,
+    torsion_decomposition,
+    trivial_module,
+)
+from .groups import FiniteGroup, Subgroup, subgroup_class_representatives
+from .jsonio import module_digest
+from .regulator import regulator_constant, verify_identity
+
+SUITE_NAMES = ("dihedral", "duality", "finite", "bounds",
+               "cohomology-oracles", "brauer", "qindex")
+
+_MIX = 0x9E3779B97F4A7C15
+_PROFILES = ("torsion_free", "finite", "mixed")
+
+
+def _derive(seed: int, *salts: int) -> int:
+    x = seed & (2**64 - 1)
+    for s in salts:
+        x = (x * _MIX + s + 1) & (2**64 - 1)
+    return x
+
+
+def _fr(x) -> str:
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def _report(check, passed, lhs, rhs, seed, digest, details):
+    factorization = {}
+    if lhs is not None and Fraction(lhs) > 0:
+        factorization = {str(p): e
+                         for p, e in factorize_fraction(Fraction(lhs)).items()}
+    return {
+        "check": check,
+        "status": "pass" if passed else "fail",
+        "lhs": None if lhs is None else _fr(lhs),
+        "rhs": None if rhs is None else _fr(rhs),
+        "factorization": factorization,
+        "seed": seed,
+        "module_digest": digest,
+        "details": details,
+    }
+
+
+def _from_identity(report: dict, digest, extra: dict) -> dict:
+    details = dict(report["details"])
+    details.update(extra)
+    return {
+        "check": report["identity"],
+        "status": report["status"],
+        "lhs": report["lhs"],
+        "rhs": report["rhs"],
+        "factorization": report["factorization"],
+        "seed": report["seed"],
+        "module_digest": digest,
+        "details": details,
+    }
+
+
+def _groups_with_relations() -> list[tuple[str, FiniteGroup, BrauerRelation]]:
+    out = []
+    v4 = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
+    lat = brauer_relation_lattice(v4)
+    out.append(("V4", v4, relation_from_vector(v4, lat.basis_rows[0])))
+    for q in (3, 5):
+        rel = dihedral_relation(q)
+        out.append((f"D{q}", rel.group, rel))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the suites
+# ---------------------------------------------------------------------------
+
+
+def _suite_dihedral(q_list, trials, seed):
+    trials = 200 if trials is None else trials
+    q_list = (3, 5) if not q_list else q_list
+    reports = []
+    for q in q_list:
+        rel = dihedral_relation(q)
+        G = rel.group
+        for t in range(trials):
+            mseed = _derive(seed, 1, q, t)
+            profile = _PROFILES[t % 3]
+            M = random_module(G, profile, seed=mseed)
+            digest = module_digest(M)
+            extra = {"q": q, "trial": t, "profile": profile}
+            for rep in (
+                verify_identity("DIHEDRAL_MAIN", q=q, module=M, seed=mseed),
+                verify_identity("DCF", q=q, module=M, seed=mseed),
+                verify_identity("BOUNDS", q=q, module=M, seed=mseed),
+            ):
+                reports.append(_from_identity(rep, digest, extra))
+            if t % 4 == 0:
+                if t % 8 == 0:
+                    other = M
+                else:
+                    other = random_module(G, _PROFILES[(t + 1) % 3],
+                                          seed=_derive(mseed, 11))
+                f = random_module_hom(M, other, seed=mseed)
+                rep = verify_identity("DCF", q=q, hom=f, seed=mseed)
+                reports.append(_from_identity(
+                    rep, digest, dict(extra, hom_target=module_digest(other))))
+            tors = torsion_decomposition(compress(M).module).torsion
+            if tors.abelian_group().order() > 1:
+                rep = verify_identity("FINITE_DIHEDRAL", q=q, module=tors,
+                                      seed=mseed)
+                reports.append(_from_identity(rep, module_digest(tors), extra))
+    return reports
+
+
+def _suite_duality(q_list, trials, seed):
+    trials = 100 if trials is None else trials
+    reports = []
+    for name, G, rel in _groups_with_relations():
+        for t in range(trials):
+            mseed = _derive(seed, 2, G.order, t)
+            M = random_module(G, "torsion_free", seed=mseed)
+            rep = verify_identity("DUAL1", module=M, relation=rel, seed=mseed)
+            reports.append(_from_identity(rep, module_digest(M),
+                                          {"group": name, "trial": t}))
+    return reports
+
+
+def _suite_finite(q_list, trials, seed):
+    trials = 100 if trials is None else trials
+    reports = []
+    for name, G, rel in _groups_with_relations():
+        dihedral_q = G.order // 2 if name.startswith("D") else None
+        for t in range(trials):
+            mseed = _derive(seed, 3, G.order, t)
+            M = random_module(G, "finite", seed=mseed)
+            digest = module_digest(M)
+            extra = {"group": name, "trial": t}
+            rep = verify_identity("FINITE_DUAL", module=M, relation=rel,
+                                  seed=mseed)
+            reports.append(_from_identity(rep, digest, extra))
+            if dihedral_q is not None:
+                rep = verify_identity("FINITE_DIHEDRAL", q=dihedral_q,
+                                      module=M, seed=mseed)
+                reports.append(_from_identity(rep, digest, extra))
+            if t % 10 == 0:
+                N = direct_sum(M, finite_dual(M))
+                dual_rep = verify_identity("FINITE_DUAL", module=N,
+                                           relation=rel, seed=mseed)
+                c_value = regulator_constant(N, rel, seed=mseed).value
+                passed = (dual_rep["status"] == "pass"
+                          and dual_rep["lhs"] == "1"
+                          and (dihedral_q is None or c_value == 1))
+                reports.append(_report(
+                    "FINITE_SELF_DUAL", passed, c_value, Fraction(1), mseed,
+                    module_digest(N),
+                    {"group": name, "trial": t,
+                     "dual_lhs": dual_rep["lhs"]},
+                ))
+    return reports
+
+
+def _suite_bounds(q_list, trials, seed):
+    trials = 100 if trials is None else trials
+    q_list = (3, 5) if not q_list else q_list
+    reports = []
+    for q in q_list:
+        G = dihedral_relation(q).group
+        for t in range(trials):
+            mseed = _derive(seed, 4, q, t)
+            M = random_module(G, _PROFILES[t % 3], seed=mseed)
+            rep = verify_identity("BOUNDS", q=q, module=M, seed=mseed)
+            reports.append(_from_identity(
+                rep, module_digest(M),
+                {"q": q, "trial": t, "profile": _PROFILES[t % 3]}))
+    return reports
+
+
+def _gf_rank(rows, p: int) -> int:
+    """Rank of an integer matrix over the field with p elements."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], p - 2, p)
+        mat[rank] = [(x * inv) % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c]:
+                f = mat[r][c]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def _mod_p_tate_orders(M: GModule, H: Subgroup, p: int) -> tuple[int, int]:
+    """(|H^0|, |H^-1|) of an elementary abelian p-module by rank counting.
+
+    Works on a minimal presentation, where the relations are p times the
+    identity, so the module is literally a vector space over F_p and both
+    orders come out of Gaussian elimination.
+    """
+    Mc = compress(M).module
+    k = Mc.ambient_rank
+    if k == 0:
+        return 1, 1
+    gens = H.generators()
+    stacked = []
+    hcols = [[] for _ in range(k)]
+    for g in gens:
+        A = Mc.action[g].entries
+        for i in range(k):
+            stacked.append([A[i][j] - (1 if i == j else 0) for j in range(k)])
+    for h in H.elements:
+        A = Mc.action[h].entries
+        for i in range(k):
+            hcols[i].extend(A[i][j] - (1 if i == j else 0) for j in range(k))
+    norm = norm_matrix(Mc, H).entries
+    dim_fixed = k - _gf_rank(stacked, p) if gens else k
+    rank_norm = _gf_rank(list(norm), p)
+    dim_aug = _gf_rank(hcols, p)
+    h0 = p ** (dim_fixed - rank_norm)
+    hm1 = p ** (k - rank_norm - dim_aug)
+    return h0, hm1
+
+
+def _suite_cohomology_oracles(q_list, trials, seed):
+    trials = 100 if trials is None else trials
+    reports = []
+    v4 = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
+    zoo = [("D3", dihedral_relation(3).group), ("C6", FiniteGroup.cyclic(6)),
+           ("V4", v4), ("D5", dihedral_relation(5).group)]
+
+    # Shapiro: H^i(G, Z[G/H]) has the elementary divisors of H^i(H, Z)
+    def inv_json(t):
+        return [t[0], list(t[1])]
+
+    for name, G in zoo:
+        Z = trivial_module(G)
+        for H in subgroup_class_representatives(G):
+            P = permutation_module(G, H)
+            for i in range(-1, 3):
+                left = tate(P, G.full_subgroup(), i)
+                right = tate(Z, H, i)
+                reports.append(_report(
+                    "SHAPIRO", left.invariants() == right.invariants(),
+                    left.order(), right.order(), seed, None,
+                    {"group": name, "subgroup": list(H.elements), "degree": i,
+                     "left": inv_json(left.invariants()),
+                     "right": inv_json(right.invariants())}))
+
+    # free module vanishing: every Tate group of Z[G] is trivial
+    for name, G in zoo:
+        R = permutation_module(G, G.trivial_subgroup())
+        for H in subgroup_class_representatives(G):
+            for i in range(-1, 3):
+                order = tate(R, H, i).order()
+                reports.append(_report(
+                    "FREE_VANISHING", order == 1, order, 1, seed, None,
+                    {"group": name, "subgroup": list(H.elements),
+                     "degree": i}))
+
+    # cyclic periodicity on random modules
+    cyclics = [FiniteGroup.cyclic(4), FiniteGroup.cyclic(6),
+               FiniteGroup.cyclic(9)]
+    for t in range(trials):
+        G = cyclics[t % len(cyclics)]
+        mseed = _derive(seed, 5, G.order, t)
+        M = random_module(G, _PROFILES[t % 3], seed=mseed)
+        digest = module_digest(M)
+        for i in (-1, 0):
+            a = tate(M, G.full_subgroup(), i)
+            b = tate(M, G.full_subgroup(), i + 2)
+            reports.append(_report(
+                "CYCLIC_PERIOD", a.invariants() == b.invariants(),
+                a.order(), b.order(), mseed, digest,
+                {"order": G.order, "degree": i, "trial": t}))
+
+    # mod-p rank oracle on elementary abelian quotients
+    hosts = [("D3", dihedral_relation(3).group), ("V4", v4),
+             ("C6", FiniteGroup.cyclic(6))]
+    for t in range(trials):
+        name, G = hosts[t % len(hosts)]
+        p = (2, 3)[t % 2]
+        mseed = _derive(seed, 6, G.order, t)
+        M = random_module(G, "finite", seed=mseed)
+        Me = GModule(G, M.ambient_rank,
+                     M.relations + Lattice.scaled(M.ambient_rank, p),
+                     M.action)
+        if Me.abelian_group().order() == 1:
+            continue
+        digest = module_digest(Me)
+        for H in subgroup_class_representatives(G):
+            want0, wantm1 = _mod_p_tate_orders(Me, H, p)
+            got0 = tate(Me, H, 0).order()
+            gotm1 = tate(Me, H, -1).order()
+            reports.append(_report(
+                "MODP_RANK", (got0, gotm1) == (want0, wantm1),
+                Fraction(got0 * gotm1), Fraction(want0 * wantm1), mseed,
+                digest,
+                {"group": name, "p": p, "subgroup": list(H.elements),
+                 "h0": [got0, want0], "hm1": [gotm1, wantm1], "trial": t}))
+
+    # Rosen's rank formula against the Herbrand quotient, dihedral rotations
+    for q in (9, 15):
+        G = FiniteGroup.dihedral(q)
+        rotations = Subgroup(G, tuple(range(q)), validate=False)
+        ells = sorted(factorize(q)) + [2]
+        for t in range(trials):
+            mseed = _derive(seed, 7, q, t)
+            M = random_module(G, _PROFILES[t % 3], seed=mseed)
+            digest = module_digest(M)
+            h = herbrand(M, rotations)
+            for ell in ells:
+                got = rosen_valuation(M, rotations, ell)
+                want = valuation(h, ell)
+                reports.append(_report(
+                    "ROSEN_DUAL_PATH", got == want, Fraction(got),
+                    Fraction(want), mseed, digest,
+                    {"q": q, "ell": ell, "trial": t}))
+    return reports
+
+
+def _suite_brauer(q_list, trials, seed):
+    reports = []
+    v4 = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
+    lat = brauer_relation_lattice(v4)
+    reports.append(_report(
+        "BRAUER_V4", lat.basis_rows == ((1, -1, -1, -1, 2),),
+        Fraction(lat.rank), Fraction(1), seed, None,
+        {"basis": [list(r) for r in lat.basis_rows]}))
+    for p in (2, 3, 5):
+        lat = brauer_relation_lattice(FiniteGroup.cyclic(p))
+        reports.append(_report(
+            "BRAUER_CYCLIC", lat.rank == 0, Fraction(lat.rank), Fraction(0),
+            seed, None, {"p": p}))
+    for q in (3, 5):
+        G = FiniteGroup.dihedral(q)
+        lat = brauer_relation_lattice(G)
+        canonical = dihedral_relation(q).coefficient_vector()
+        found = (lat.rank == 1
+                 and (lat.basis_rows[0] == canonical
+                      or tuple(-x for x in lat.basis_rows[0]) == canonical))
+        reports.append(_report(
+            "BRAUER_DIHEDRAL", found, Fraction(lat.rank), Fraction(1), seed,
+            None, {"q": q, "basis": [list(r) for r in lat.basis_rows],
+                   "canonical": list(canonical)}))
+    zoo = [("V4", v4), ("D3", FiniteGroup.dihedral(3)),
+           ("D5", FiniteGroup.dihedral(5)), ("D9", FiniteGroup.dihedral(9)),
+           ("C6", FiniteGroup.cyclic(6)),
+           ("C2xC4", FiniteGroup.product([FiniteGroup.cyclic(2),
+                                          FiniteGroup.cyclic(4)])),
+           ("C2xC2xC2", FiniteGroup.product([FiniteGroup.cyclic(2)] * 3))]
+    for name, G in zoo:
+        lat = brauer_relation_lattice(G)
+        subs = subgroup_class_representatives(G)
+        all_valid = True
+        witness = None
+        for row in lat.basis_rows:
+            ok, bad = is_brauer_relation(G, list(zip(subs, row)))
+            if not ok:
+                all_valid = False
+                witness = {"vector": list(row), "element": bad}
+                break
+        reports.append(_report(
+            "BRAUER_BASIS_VALID", all_valid, Fraction(lat.rank),
+            Fraction(lat.rank), seed, None,
+            {"group": name, "rank": lat.rank, "witness": witness}))
+    return reports
+
+
+def _random_finite_index_hom(rng) -> GroupHom:
+    """Random hom between small presented groups, finite q-index by design."""
+    k = rng.randrange(1, 4)
+    m = rng.randrange(1, 4)
+    F = IntMatrix([[rng.randrange(-4, 5) for _ in range(k)] for _ in range(m)])
+    src_rel = [[rng.randrange(-4, 5) for _ in range(k)]
+               for _ in range(rng.randrange(0, k + 1))]
+    tgt_rows = [F.apply(r) for r in src_rel]
+    tgt_rows += [[rng.randrange(-4, 5) for _ in range(m)]
+                 for _ in range(rng.randrange(0, m + 1))]
+    src = PresentedAbelianGroup(k, IntMatrix.from_columns(src_rel, rows=k))
+    tgt = PresentedAbelianGroup(m, IntMatrix.from_columns(tgt_rows, rows=m))
+    return GroupHom(src, tgt, F)
+
+
+def _suite_qindex(q_list, trials, seed):
+    trials = 200 if trials is None else trials
+    reports = []
+    rng = random.Random(_derive(seed, 8))
+    done = 0
+    attempts = 0
+    while done < trials and attempts < 100 * trials:
+        attempts += 1
+        f = _random_finite_index_hom(rng)
+        q = qindex(f)
+        if q is None:
+            continue
+        qt = qindex(tors_hom(f))
+        qm = qindex(mt_hom(f))
+        qd = qindex(dual_hom(f))
+
+        def fr_or_inf(x):
+            return "inf" if x is None else _fr(x)
+
+        reports.append(_report(
+            "QINDEX_TORS_SPLIT",
+            qt is not None and qm is not None and q == qt * qm,
+            q, 0 if qt is None or qm is None else qt * qm, seed, None,
+            {"trial": done, "q": _fr(q), "q_tors": fr_or_inf(qt),
+             "q_free": fr_or_inf(qm)}))
+        reports.append(_report(
+            "QINDEX_DUAL_SPLIT",
+            qd is not None and qt is not None and q == qd * qt,
+            q, 0 if qd is None or qt is None else qd * qt, seed, None,
+            {"trial": done, "q": _fr(q), "q_dual": fr_or_inf(qd),
+             "q_tors": fr_or_inf(qt)}))
+        done += 1
+    return reports
+
+
+_SUITES = {
+    "dihedral": _suite_dihedral,
+    "duality": _suite_duality,
+    "finite": _suite_finite,
+    "bounds": _suite_bounds,
+    "cohomology-oracles": _suite_cohomology_oracles,
+    "brauer": _suite_brauer,
+    "qindex": _suite_qindex,
+}
+
+
+def run_suite(name: str, q_list=None, trials: int | None = None,
+              seed: int = 0) -> dict:
+    """Run a named suite; returns {"suite", "params", "reports", "summary"}."""
+    if name not in _SUITES:
+        raise InputError(
+            f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}"
+        )
+    q_list = tuple(q_list) if q_list else ()
+    for q in q_list:
+        if q < 2 or q % 2 == 0:
+            raise InputError("suite q values must be odd and greater than 1")
+    reports = _SUITES[name](q_list, trials, seed)
+    summary = {"pass": 0, "fail": 0, "error": 0, "checks": len(reports)}
+    for rep in reports:
+        summary[rep["status"]] += 1
+    return {
+        "suite": name,
+        "params": {"q": list(q_list), "trials": trials, "seed": seed},
+        "reports": reports,
+        "summary": summary,
+    }
