@@ -133,3 +133,21 @@ def factorize_fraction(x: Fraction) -> dict[int, int]:
     for p, e in factorize(x.denominator).items():
         out[p] = out.get(p, 0) - e
     return {p: e for p, e in sorted(out.items()) if e != 0}
+
+
+# --- seeds -----------------------------------------------------------------
+
+_MIX = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
+
+
+def mix_seed(seed: int, *salts: int) -> int:
+    """A 64-bit seed derived from seed and salts, one multiply-add per salt.
+
+    Every seeded draw in the package derives its seed here, so distinct salts
+    give independent-looking streams from one user seed.
+    """
+    x = seed & _MASK
+    for s in salts:
+        x = (x * _MIX + s + 1) & _MASK
+    return x

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .arith import mix_seed
 from .errors import ConsistencyError, InputError, ValidationError
 from .exactla import (
     IntMatrix,
@@ -584,7 +585,7 @@ def random_module_hom(Ms: GModule, Mt: GModule, seed: int = 0) -> ModuleHom:
     T = compress(Mt).module
     lat = module_hom_lattice(S, T)
     ns, nt = S.ambient_rank, T.ambient_rank
-    rng = _rng(seed, 0x68D2, Ms.group.order)
+    rng = random.Random(mix_seed(seed, 0x68D2, Ms.group.order))
 
     def to_matrix(vec):
         return IntMatrix([list(vec[i * ns:(i + 1) * ns]) for i in range(nt)],
@@ -612,15 +613,6 @@ def random_module_hom(Ms: GModule, Mt: GModule, seed: int = 0) -> ModuleHom:
 # seeded random modules
 # ---------------------------------------------------------------------------
 
-_MIX = 0x9E3779B97F4A7C15
-
-
-def _rng(seed: int, *salts: int) -> random.Random:
-    x = seed & (2**64 - 1)
-    for s in salts:
-        x = (x * _MIX + s + 1) & (2**64 - 1)
-    return random.Random(x)
-
 
 def _orbit_lattice_rows(action, vec, scale: int = 1):
     return [[scale * c for c in A.apply(vec)] for A in action]
@@ -641,7 +633,7 @@ def random_module(G: FiniteGroup, profile: str, seed: int,
     if profile not in profiles:
         raise InputError(f"unknown profile {profile!r}; expected one of {profiles}")
     salt = profiles.index(profile)
-    rng = _rng(seed, salt, G.order)
+    rng = random.Random(mix_seed(seed, salt, G.order))
     reps = [cls[0] for cls in enumerate_subgroups(G)]
     for _attempt in range(64):
         # base: direct sum of one or two permutation modules within the budget

@@ -8,7 +8,9 @@ Two independent computations are kept side by side and must agree:
   * the q-index route: any injective equivariant map phi between the
     permutation modules built from the positive and negative parts of the
     relation computes the same constant as a ratio of two q-indices on
-    G-fixed points, with phi-hat realized by the transpose matrix.
+    G-fixed points, with phi-hat realized by the transpose matrix. By
+    Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so the maps are taken
+    between sums of fixed points M^{H_s} -> M^{H_t}, never on P (x) M.
 
 regulator_constant runs both and raises if they ever differ, which turns
 every caller into a cross-check of the whole stack.
@@ -20,11 +22,20 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, factorize_fraction, valuation
+from .arith import factorize, factorize_fraction, mix_seed, valuation
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
-from .exactla import GroupHom, IntMatrix, Lattice, integer_kernel, qindex
+from .exactla import (
+    GroupHom,
+    IntMatrix,
+    Lattice,
+    PresentedAbelianGroup,
+    block_diagonal_lattice,
+    integer_kernel,
+    qindex,
+    subquotient_group,
+)
 from .gmodules import (
     GModule,
     ModuleHom,
@@ -35,7 +46,6 @@ from .gmodules import (
     finite_dual,
     fixed_points,
     permutation_module,
-    tensor_product,
     torsion_decomposition,
     trivial_module,
 )
@@ -175,6 +185,15 @@ def _relation_sides(relation: BrauerRelation):
     return pos, neg
 
 
+def _side_offsets(G: FiniteGroup, subgroups) -> list[int]:
+    """Where each summand Z[G/H] starts in the coordinates of its side."""
+    offsets, off = [], 0
+    for H in subgroups:
+        offsets.append(off)
+        off += coset_space(G, H).points
+    return offsets
+
+
 _PHI_REDRAWS = 64
 
 
@@ -198,15 +217,9 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     if p1.ambient_rank != p2.ambient_rank:
         raise ConsistencyError("relation sides have different ranks")
     bases = [[equivariant_hom_basis(G, Hs, Ht) for Hs in pos] for Ht in neg]
-    row_offsets, off = [], 0
-    for Ht in neg:
-        row_offsets.append(off)
-        off += coset_space(G, Ht).points
-    col_offsets, off = [], 0
-    for Hs in pos:
-        col_offsets.append(off)
-        off += coset_space(G, Hs).points
-    rng = random.Random((seed * 0x9E3779B97F4A7C15 + 1) & (2**64 - 1))
+    row_offsets = _side_offsets(G, neg)
+    col_offsets = _side_offsets(G, pos)
+    rng = random.Random(mix_seed(seed, 0))
     for _ in range(_PHI_REDRAWS):
         rows = [[0] * p1.ambient_rank for _ in range(p2.ambient_rank)]
         for ti in range(len(neg)):
@@ -235,33 +248,78 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     )
 
 
-def _fixed_hom(Ms: GModule, Mt: GModule, W: IntMatrix) -> GroupHom:
-    full = Ms.group.full_subgroup()
-    src = fixed_points(Ms, full)
-    tgt = fixed_points(Mt, Mt.group.full_subgroup())
+def _fixed_sum(Mc: GModule, subgroups) -> tuple[Lattice, PresentedAbelianGroup]:
+    """sum_s M^{H_s}: its lattice in Z^(n*k) and the group that lattice presents."""
+    F = block_diagonal_lattice([fixed_points(Mc, H).lattice for H in subgroups])
+    rel = block_diagonal_lattice([Mc.relations] * len(subgroups))
+    return F, subquotient_group(F, rel)
+
+
+def _fixed_sum_hom(W: IntMatrix, src, tgt) -> GroupHom:
+    """The map between two fixed-point sums induced by the ambient matrix W."""
+    (F_src, A_src), (F_tgt, A_tgt) = src, tgt
     cols = []
-    for u in src.lattice.basis_rows:
-        coords = tgt.lattice.coordinates(W.apply(u))
+    for u in F_src.basis_rows:
+        coords = F_tgt.coordinates(W.apply(u))
         if coords is None:
             raise ConsistencyError("map does not preserve fixed points")
         cols.append(coords)
-    mat = IntMatrix.from_columns(cols, rows=tgt.lattice.rank)
-    return GroupHom(src.group, tgt.group, mat)
+    return GroupHom(A_src, A_tgt, IntMatrix.from_columns(cols, rows=F_tgt.rank))
+
+
+def _coset_sum(Mc: GModule, H: Subgroup, coeffs) -> list[list[int]]:
+    """sum_p coeffs[p] A_{r_p}, r_p the representative of coset p of G/H."""
+    n = Mc.ambient_rank
+    out = [[0] * n for _ in range(n)]
+    for rep, c in zip(coset_space(Mc.group, H).representatives, coeffs):
+        if c:
+            for orow, arow in zip(out, Mc.action[rep].entries):
+                for j in range(n):
+                    orow[j] += c * arow[j]
+    return out
+
+
+def _qindex_homs(Mc: GModule, phi: PhiMap) -> tuple[GroupHom, GroupHom]:
+    """(phi (x) id)^G and (phi-hat (x) id)^G, read on sums of M^H.
+
+    v in M^H corresponds to sum_p e_p (x) r_p v in (Z[G/H] (x) M)^G, and a
+    fixed vector is determined by its identity-coset component. The (t, s)
+    block of phi (x) id is therefore sum_p phi[t0][s_p] A_{r_p} over G/H_s,
+    and the (s, t) block of the transpose is sum_p phi[t_p][s0] A_{r_p} over
+    G/H_t, where t0, s0 are the identity cosets of each summand.
+    """
+    G, n = Mc.group, Mc.ambient_rank
+    pos, neg = phi.p1_summands, phi.p2_summands
+    row_offsets = _side_offsets(G, neg)
+    col_offsets = _side_offsets(G, pos)
+
+    def assemble(blocks) -> IntMatrix:
+        return IntMatrix([[x for B in band for x in B[i]]
+                          for band in blocks for i in range(n)],
+                         cols=n * len(blocks[0]))
+
+    forward = assemble([[_coset_sum(Mc, Hs, phi.matrix.row(r)[c:])
+                         for Hs, c in zip(pos, col_offsets)]
+                        for r in row_offsets])
+    backward = assemble([[_coset_sum(Mc, Ht, phi.matrix.column(c)[r:])
+                          for Ht, r in zip(neg, row_offsets)]
+                         for c in col_offsets])
+    P1, P2 = _fixed_sum(Mc, pos), _fixed_sum(Mc, neg)
+    return _fixed_sum_hom(forward, P1, P2), _fixed_sum_hom(backward, P2, P1)
 
 
 def rc_qindex(M: GModule, relation: BrauerRelation, phi: PhiMap) -> Fraction:
-    """Regulator constant as q((phi (x) id)^G) / q((phi-hat (x) id)^G)."""
+    """Regulator constant as q((phi (x) id)^G) / q((phi-hat (x) id)^G).
+
+    By Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so both q-indices are
+    taken between sums of fixed points M^{H_s} of the compressed module, in
+    ambient rank n times the number of summands.
+    """
     if relation.group != M.group:
         raise InputError("module and relation live over different groups")
     if phi.relation.terms != relation.terms:
         raise InputError("phi was built for a different relation")
-    Mc = compress(M).module
-    n = Mc.ambient_rank
-    T1 = tensor_product(phi.p1, Mc)
-    T2 = tensor_product(phi.p2, Mc)
-    ident = IntMatrix.identity(n)
-    forward = _fixed_hom(T1, T2, phi.matrix.kron(ident))
-    backward = _fixed_hom(T2, T1, phi.matrix.transpose().kron(ident))
+    forward, backward = _qindex_homs(compress(M).module, phi)
     qf = qindex(forward)
     qb = qindex(backward)
     if qf is None or qb is None:
@@ -408,7 +466,7 @@ def verify_identity(identity: str, *, q: int | None = None,
         rel, G, full, rotations, _ = _dihedral_parts(q)
         from .groups import subgroup_class_representatives
         reps = subgroup_class_representatives(G)
-        rng = random.Random((seed * 0x9E3779B97F4A7C15 + 5) & (2**64 - 1))
+        rng = random.Random(mix_seed(seed, 4))
         family = [reps[rng.randrange(len(reps))] for _ in range(rng.randrange(1, 4))]
         M = permutation_module(G, family[0])
         for H in family[1:]:

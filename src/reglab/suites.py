@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import factorize, factorize_fraction, valuation
+from .arith import factorize, factorize_fraction, mix_seed, valuation
 from .brauer import (
     BrauerRelation,
     brauer_relation_lattice,
@@ -54,15 +54,7 @@ from .regulator import regulator_constant, verify_identity
 SUITE_NAMES = ("dihedral", "duality", "finite", "bounds",
                "cohomology-oracles", "brauer", "qindex")
 
-_MIX = 0x9E3779B97F4A7C15
 _PROFILES = ("torsion_free", "finite", "mixed")
-
-
-def _derive(seed: int, *salts: int) -> int:
-    x = seed & (2**64 - 1)
-    for s in salts:
-        x = (x * _MIX + s + 1) & (2**64 - 1)
-    return x
 
 
 def _fr(x) -> str:
@@ -126,7 +118,7 @@ def _suite_dihedral(q_list, trials, seed):
         rel = dihedral_relation(q)
         G = rel.group
         for t in range(trials):
-            mseed = _derive(seed, 1, q, t)
+            mseed = mix_seed(seed, 1, q, t)
             profile = _PROFILES[t % 3]
             M = random_module(G, profile, seed=mseed)
             digest = module_digest(M)
@@ -142,7 +134,7 @@ def _suite_dihedral(q_list, trials, seed):
                     other = M
                 else:
                     other = random_module(G, _PROFILES[(t + 1) % 3],
-                                          seed=_derive(mseed, 11))
+                                          seed=mix_seed(mseed, 11))
                 f = random_module_hom(M, other, seed=mseed)
                 rep = verify_identity("DCF", q=q, hom=f, seed=mseed)
                 reports.append(_from_identity(
@@ -160,7 +152,7 @@ def _suite_duality(q_list, trials, seed):
     reports = []
     for name, G, rel in _groups_with_relations():
         for t in range(trials):
-            mseed = _derive(seed, 2, G.order, t)
+            mseed = mix_seed(seed, 2, G.order, t)
             M = random_module(G, "torsion_free", seed=mseed)
             rep = verify_identity("DUAL1", module=M, relation=rel, seed=mseed)
             reports.append(_from_identity(rep, module_digest(M),
@@ -174,7 +166,7 @@ def _suite_finite(q_list, trials, seed):
     for name, G, rel in _groups_with_relations():
         dihedral_q = G.order // 2 if name.startswith("D") else None
         for t in range(trials):
-            mseed = _derive(seed, 3, G.order, t)
+            mseed = mix_seed(seed, 3, G.order, t)
             M = random_module(G, "finite", seed=mseed)
             digest = module_digest(M)
             extra = {"group": name, "trial": t}
@@ -209,7 +201,7 @@ def _suite_bounds(q_list, trials, seed):
     for q in q_list:
         G = dihedral_relation(q).group
         for t in range(trials):
-            mseed = _derive(seed, 4, q, t)
+            mseed = mix_seed(seed, 4, q, t)
             M = random_module(G, _PROFILES[t % 3], seed=mseed)
             rep = verify_identity("BOUNDS", q=q, module=M, seed=mseed)
             reports.append(_from_identity(
@@ -312,7 +304,7 @@ def _suite_cohomology_oracles(q_list, trials, seed):
                FiniteGroup.cyclic(9)]
     for t in range(trials):
         G = cyclics[t % len(cyclics)]
-        mseed = _derive(seed, 5, G.order, t)
+        mseed = mix_seed(seed, 5, G.order, t)
         M = random_module(G, _PROFILES[t % 3], seed=mseed)
         digest = module_digest(M)
         for i in (-1, 0):
@@ -329,7 +321,7 @@ def _suite_cohomology_oracles(q_list, trials, seed):
     for t in range(trials):
         name, G = hosts[t % len(hosts)]
         p = (2, 3)[t % 2]
-        mseed = _derive(seed, 6, G.order, t)
+        mseed = mix_seed(seed, 6, G.order, t)
         M = random_module(G, "finite", seed=mseed)
         Me = GModule(G, M.ambient_rank,
                      M.relations + Lattice.scaled(M.ambient_rank, p),
@@ -354,7 +346,7 @@ def _suite_cohomology_oracles(q_list, trials, seed):
         rotations = Subgroup(G, tuple(range(q)), validate=False)
         ells = sorted(factorize(q)) + [2]
         for t in range(trials):
-            mseed = _derive(seed, 7, q, t)
+            mseed = mix_seed(seed, 7, q, t)
             M = random_module(G, _PROFILES[t % 3], seed=mseed)
             digest = module_digest(M)
             h = herbrand(M, rotations)
@@ -434,7 +426,7 @@ def _random_finite_index_hom(rng) -> GroupHom:
 def _suite_qindex(q_list, trials, seed):
     trials = 200 if trials is None else trials
     reports = []
-    rng = random.Random(_derive(seed, 8))
+    rng = random.Random(mix_seed(seed, 8))
     done = 0
     attempts = 0
     while done < trials and attempts < 100 * trials:

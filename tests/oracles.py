@@ -1,13 +1,25 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately naive (enumeration, field arithmetic, sympy)
-and shares no code with the production implementations it checks.
+Almost everything here is deliberately naive (enumeration, field arithmetic,
+sympy) and shares no code with the production implementations it checks.
+The exception is the Kronecker q-index oracle at the end: it reuses the
+production linear algebra, fixed points and tensor products, and differs from
+the production q-index route only in working on P (x) M instead of M^H.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from reglab import (
+    GroupHom,
+    IntMatrix,
+    compress,
+    fixed_points,
+    qindex,
+    tensor_product,
+)
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -132,3 +144,36 @@ def fixed_and_norm_bruteforce(group_elems, action_tables, divisors):
             total = tuple((a + b) % d for a, b, d in zip(total, y, divisors))
         norms.add(total)
     return len(fixed), len(elements) // len(norms)
+
+
+def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:
+    """The map Ms^G -> Mt^G induced by the ambient matrix W."""
+    src = fixed_points(Ms, Ms.group.full_subgroup())
+    tgt = fixed_points(Mt, Mt.group.full_subgroup())
+    cols = []
+    for u in src.lattice.basis_rows:
+        coords = tgt.lattice.coordinates(W.apply(u))
+        assert coords is not None, "map does not preserve fixed points"
+        cols.append(coords)
+    mat = IntMatrix.from_columns(cols, rows=tgt.lattice.rank)
+    return GroupHom(src.group, tgt.group, mat)
+
+
+def kronecker_qindex_homs(M, phi) -> tuple[GroupHom, GroupHom]:
+    """(phi (x) id)^G and (phi-hat (x) id)^G taken on P1 (x) M and P2 (x) M.
+
+    Ambient rank (rank P)·n with Kronecker-product maps, so only usable for
+    small cases.
+    """
+    Mc = compress(M).module
+    ident = IntMatrix.identity(Mc.ambient_rank)
+    T1 = tensor_product(phi.p1, Mc)
+    T2 = tensor_product(phi.p2, Mc)
+    return (_kronecker_fixed_hom(T1, T2, phi.matrix.kron(ident)),
+            _kronecker_fixed_hom(T2, T1, phi.matrix.transpose().kron(ident)))
+
+
+def rc_qindex_kronecker(M, phi) -> Fraction:
+    """Regulator constant as q((phi (x) id)^G) / q((phi-hat (x) id)^G)."""
+    forward, backward = kronecker_qindex_homs(M, phi)
+    return qindex(forward) / qindex(backward)

@@ -29,6 +29,7 @@ from reglab import (
     trivial_module,
     validate_module,
 )
+from reglab.arith import mix_seed
 from reglab.errors import InputError
 
 from oracles import fixed_and_norm_bruteforce
@@ -359,6 +360,16 @@ def test_random_modules_vary_with_seed():
     G = FiniteGroup.dihedral(3)
     draws = {random_module(G, "mixed", seed).action for seed in range(10)}
     assert len(draws) > 1
+
+
+def test_seed_mix_keeps_the_historical_streams():
+    # every seeded draw goes through mix_seed; a change here changes reports
+    mix, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    assert mix_seed(7) == 7
+    assert mix_seed(7, 0) == (7 * mix + 1) & mask
+    assert mix_seed(7, 4) == (7 * mix + 5) & mask
+    assert mix_seed(-3, 2, 9) == ((((-3 & mask) * mix + 3) & mask) * mix + 10) & mask
+    assert mix_seed(2**64 + 5, 1) == mix_seed(5, 1)
 
 
 def test_random_module_unknown_profile():

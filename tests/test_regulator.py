@@ -1,5 +1,6 @@
 """Regulator constants: both computation routes, bounds, identity checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from reglab import (
     ConsistencyError,
     InputError,
     IntMatrix,
+    ResourceLimitError,
     ModuleHom,
     Subgroup,
     bounds_report,
@@ -22,6 +24,7 @@ from reglab import (
     compress,
     invariant_pairing,
     permutation_module,
+    qindex,
     random_module,
     rc_pairing,
     rc_qindex,
@@ -32,12 +35,36 @@ from reglab import (
     verify_identity,
 )
 from reglab.groups import FiniteGroup
+from reglab.regulator import _qindex_homs
+
+from oracles import kronecker_qindex_homs, rc_qindex_kronecker
 
 
 def v4_relation():
     G = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
     lat = brauer_relation_lattice(G)
     return relation_from_vector(G, lat.basis_rows[0])
+
+
+def c2xc4():
+    return FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)])
+
+
+def c2_cubed():
+    return FiniteGroup.product([FiniteGroup.cyclic(2)] * 3)
+
+
+def a4():
+    """A4 as a table group: even permutations of 0..3 in lexicographic order,
+    (a.b)(k) = a(b(k))."""
+    perms = sorted(
+        p for p in itertools.permutations(range(4))
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup.from_table(
+        [[index[tuple(a[b[k]] for k in range(4))] for b in perms] for a in perms]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +216,66 @@ def test_qindex_rejects_mismatched_inputs():
         rc_qindex(M5, rel5, phi3)
     with pytest.raises(InputError):
         rc_pairing(M5, rel3)
+
+
+_ORACLE_RELATIONS = {
+    "D3": lambda: dihedral_relation(3),
+    "D5": lambda: dihedral_relation(5),
+    "V4": v4_relation,
+    "C2xC4": lambda: relation_from_vector(
+        c2xc4(), brauer_relation_lattice(c2xc4()).basis_rows[0]),
+}
+
+
+@pytest.mark.parametrize("phi_seed", [0, 3])
+@pytest.mark.parametrize("profile", ["torsion_free", "finite", "mixed"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_RELATIONS))
+def test_qindex_homs_match_kronecker_oracle(name, profile, phi_seed):
+    # each q-index on sums of M^H equals the one on P (x) M, not only the ratio
+    rel = _ORACLE_RELATIONS[name]()
+    M = random_module(rel.group, profile, seed=5, max_rank=8)
+    phi = build_phi(rel, phi_seed)
+    forward, backward = _qindex_homs(compress(M).module, phi)
+    oracle_forward, oracle_backward = kronecker_qindex_homs(M, phi)
+    assert qindex(forward) == qindex(oracle_forward)
+    assert qindex(backward) == qindex(oracle_backward)
+    assert rc_qindex(M, rel, phi) == rc_pairing(M, rel)
+
+
+def test_qindex_route_stays_narrow(monkeypatch):
+    # P (x) M needs 636 columns here; sums of M^H need 96
+    rel = dihedral_relation(5)
+    M = random_module(rel.group, "mixed", seed=7)
+    phi = build_phi(rel, 0)
+    expected = rc_pairing(M, rel)
+    monkeypatch.setenv("REGLAB_LIMIT_COLS", "200")
+    assert rc_qindex(M, rel, phi) == expected
+    with pytest.raises(ResourceLimitError):
+        rc_qindex_kronecker(M, phi)
+
+
+def _wide_coverage_cases():
+    cases = []
+    for name, G in (("C2xC4", c2xc4()), ("C2^3", c2_cubed()), ("A4", a4())):
+        for i, vec in enumerate(brauer_relation_lattice(G).basis_rows):
+            cases.append(pytest.param(G, vec, id=f"{name}-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("profile", ["torsion_free", "finite", "mixed"])
+@pytest.mark.parametrize("G, vec", _wide_coverage_cases())
+def test_routes_agree_on_relation_lattice_bases(G, vec, profile):
+    rel = relation_from_vector(G, vec)
+    M = random_module(G, profile, seed=3)
+    regulator_constant(M, rel)  # raises on disagreement
+
+
+@pytest.mark.parametrize("profile", ["torsion_free", "finite", "mixed"])
+def test_routes_agree_over_d9(profile):
+    rel = dihedral_relation(9)
+    for seed in range(2):
+        regulator_constant(random_module(rel.group, profile, seed=seed), rel,
+                           seed=seed)
 
 
 # ---------------------------------------------------------------------------
