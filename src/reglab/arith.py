@@ -135,6 +135,12 @@ def factorize_fraction(x: Fraction) -> dict[int, int]:
     return {p: e for p, e in sorted(out.items()) if e != 0}
 
 
+def fraction_str(x) -> str:
+    """A rational as "n/d", or "n" when it is an integer."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
 # --- seeds -----------------------------------------------------------------
 
 _MIX = 0x9E3779B97F4A7C15

@@ -161,10 +161,9 @@ def _cmd_regulator(args) -> int:
         value = rc_qindex(M, rel, build_phi(rel, args.seed))
     else:
         value = regulator_constant(M, rel, seed=args.seed).value
-    from .arith import factorize_fraction
+    from .arith import factorize_fraction, fraction_str
     _emit({
-        "value": f"{value.numerator}/{value.denominator}"
-        if value.denominator != 1 else str(value.numerator),
+        "value": fraction_str(value),
         "factorization": {str(p): e
                           for p, e in factorize_fraction(value).items()},
         "method": args.method,

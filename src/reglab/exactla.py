@@ -5,7 +5,8 @@ reduces to four primitives implemented here:
 
 * canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
   unique representative, so lattice equality is list equality),
-* integer kernels and preimages of lattices under integer matrices,
+* integer kernels, preimages of lattices under integer matrices and
+  intersections, each read off a single echelon pass by one shared reader,
 * Smith normal form with unimodular transforms,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map.
@@ -17,6 +18,7 @@ and fractions.Fraction.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -218,9 +220,6 @@ class IntMatrix:
                 out.append([a * b for a in arow for b in brow])
         return IntMatrix(out, cols=self.cols * other.cols)
 
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.entries)
-
     def determinant(self) -> int:
         """Bareiss fraction-free determinant. Square matrices only."""
         if self.rows != self.cols:
@@ -362,10 +361,12 @@ class _Echelon:
         for v in vectors:
             self.add(v)
 
-    def canonical(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        rows = [list(r) for r in self.rows]
+    def canonical(self, start: int = 0) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Hermite form of the span of the rows from index start on."""
+        rows = [list(r) for r in self.rows[start:]]
+        pivots = self.pivots[start:]
         for i in range(len(rows)):
-            p = self.pivots[i]
+            p = pivots[i]
             piv = rows[i][p]
             for i2 in range(i):
                 q = rows[i2][p] // piv
@@ -374,7 +375,7 @@ class _Echelon:
                     for k in range(p, self.width):
                         if ri[k]:
                             r2[k] -= q * ri[k]
-        return tuple(tuple(r) for r in rows), tuple(self.pivots)
+        return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +451,6 @@ class Lattice:
         return IntMatrix.from_columns([list(r) for r in self.basis_rows],
                                       rows=self.ambient_rank)
 
-    def is_zero(self) -> bool:
-        return not self.basis_rows
-
     def _reduce(self, vec) -> tuple[list[int], list[int]]:
         """Reduce vec by the basis; returns (remainder, coefficients)."""
         v = list(vec)
@@ -486,11 +484,7 @@ class Lattice:
     def __add__(self, other: "Lattice") -> "Lattice":
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        ech = _Echelon(self.ambient_rank)
-        ech.extend(self.basis_rows)
-        ech.extend(other.basis_rows)
-        canon, pivots = ech.canonical()
-        return Lattice(self.ambient_rank, canon, pivots)
+        return Lattice.from_rows(self.ambient_rank, self.basis_rows + other.basis_rows)
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
@@ -507,14 +501,6 @@ class Lattice:
         return saturate(self)
 
 
-def lattice_sum(ambient_rank: int, lattices) -> Lattice:
-    ech = _Echelon(ambient_rank)
-    for lat in lattices:
-        ech.extend(lat.basis_rows)
-    canon, pivots = ech.canonical()
-    return Lattice(ambient_rank, canon, pivots)
-
-
 def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
     """Direct sum of lattices placed on consecutive coordinate blocks."""
     total = sum(p.ambient_rank for p in parts)
@@ -527,6 +513,20 @@ def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
     return Lattice.from_rows(total, rows)
 
 
+def _kernel_part(ech: _Echelon, r: int) -> Lattice:
+    """The canonical rows of ech with pivot at column r or later, cut to the
+    columns from r on.
+
+    Those rows span the meet of the row span with 0^r x Z^(width - r) and
+    are already the Hermite form of what they span, so no second pass runs.
+    The canonical pass changes a row only by rows below it, so the rows
+    above them are left out of it.
+    """
+    canon, pivots = ech.canonical(bisect_left(ech.pivots, r))
+    return Lattice(ech.width - r, [row[r:] for row in canon],
+                   [p - r for p in pivots])
+
+
 def integer_kernel(A: IntMatrix) -> Lattice:
     """The full lattice {x in Z^cols : A x = 0}; always saturated."""
     r, c = A.rows, A.cols
@@ -534,23 +534,25 @@ def integer_kernel(A: IntMatrix) -> Lattice:
     # rows of [A^T | I]; integer row span contains (0, x) exactly for kernel x
     for i in range(c):
         ech.add([A.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(c)])
-    canon, _ = ech.canonical()
-    kernel_rows = [row[r:] for row in canon if all(a == 0 for a in row[:r])]
-    return Lattice.from_rows(c, kernel_rows)
+    return _kernel_part(ech, r)
 
 
 def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
     if L.ambient_rank != C.rows:
         raise ValueError("lattice ambient rank must equal matrix row count")
-    n = C.cols
-    gens = list(L.basis_rows)
-    aug = IntMatrix(
-        [list(C.entries[i]) + [-g[i] for g in gens] for i in range(C.rows)],
-        cols=n + len(gens),
-    )
-    ker = integer_kernel(aug)
-    return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
+    r, n = C.rows, C.cols
+    # the width of a kernel of [C | -L], so the cap reaches as far as that
+    _check_width(r + n + L.rank)
+    ech = _Echelon(r + n)
+    # rows (C e_i | e_i) and (g | 0): the span meets 0^r x Z^n in exactly
+    # the (0 | x) with C x in L
+    for i in range(n):
+        ech.add([C.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(n)])
+    zeros = [0] * n
+    for g in L.basis_rows:
+        ech.add(list(g) + zeros)
+    return _kernel_part(ech, r)
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -570,25 +572,10 @@ def intersect_lattices(A: Lattice, B: Lattice) -> Lattice:
     """A intersect B inside the shared ambient Z^n."""
     if A.ambient_rank != B.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    # x in A cap B  <=>  x = A u = B v; kernel of [A_basis | -B_basis]
-    n = A.ambient_rank
-    acols = list(A.basis_rows)
-    bcols = list(B.basis_rows)
-    aug = IntMatrix(
-        [[a[i] for a in acols] + [-b[i] for b in bcols] for i in range(n)],
-        cols=len(acols) + len(bcols),
-    )
-    ker = integer_kernel(aug)
-    rows = []
-    for krow in ker.basis_rows:
-        u = krow[: len(acols)]
-        vec = [0] * n
-        for coeff, gen in zip(u, acols):
-            if coeff:
-                for i in range(n):
-                    vec[i] += coeff * gen[i]
-        rows.append(vec)
-    return Lattice.from_rows(n, rows)
+    # A cap B is the image under A's basis of {u : A u in B}
+    basis = A.basis
+    return Lattice.from_rows(A.ambient_rank, [basis.apply(u) for u in
+                                              preimage_lattice(basis, B).basis_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -824,19 +811,7 @@ def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
     m = [[_symmetric_residue(x, n) for x in row] for row in m]
     raw = []
     for t in range(r):
-        best = None
-        for i in range(t, r):
-            mi = m[i]
-            for j in range(t, r):
-                a = mi[j]
-                if a:
-                    a = -a if a < 0 else a
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
+        best = _pivot_search(m, t, r, r)
         if best is None:
             # submatrix vanished mod n: each remaining factor is n itself
             raw.extend([n] * (r - t))
@@ -972,12 +947,7 @@ class PresentedAbelianGroup:
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank > 0:
-            return None
-        out = 1
-        for d in self.torsion_divisors:
-            out *= d
-        return out
+        return None if self.free_rank else self.torsion_order()
 
     def torsion_order(self) -> int:
         out = 1

@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, factorize_fraction, mix_seed, valuation
+from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
@@ -414,17 +414,12 @@ def bounds_report(M: GModule, q: int, ell: int,
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _report(identity, passed, lhs, rhs, seed, details):
     return {
         "identity": identity,
         "status": "pass" if passed else "fail",
-        "lhs": _fraction_str(lhs),
-        "rhs": _fraction_str(rhs),
+        "lhs": fraction_str(lhs),
+        "rhs": fraction_str(rhs),
         "factorization": {str(p): e
                           for p, e in factorize_fraction(Fraction(lhs)).items()},
         "seed": seed,
@@ -491,8 +486,8 @@ def verify_identity(identity: str, *, q: int | None = None,
         h0 = theta_product(module, relation, 0)
         lhs = C * Cd * h0 * h0
         return _report("DUAL1", lhs == 1, lhs, Fraction(1), seed, {
-            "C": _fraction_str(C), "C_dual": _fraction_str(Cd),
-            "h0": _fraction_str(h0),
+            "C": fraction_str(C), "C_dual": fraction_str(Cd),
+            "h0": fraction_str(h0),
         })
 
     if identity == "FINITE_DUAL":
@@ -507,8 +502,8 @@ def verify_identity(identity: str, *, q: int | None = None,
         lhs = C / Cd
         rhs = (hm1 / h0) ** 2
         return _report("FINITE_DUAL", lhs == rhs, lhs, rhs, seed, {
-            "C": _fraction_str(C), "C_dual": _fraction_str(Cd),
-            "hm1": _fraction_str(hm1), "h0": _fraction_str(h0),
+            "C": fraction_str(C), "C_dual": fraction_str(Cd),
+            "hm1": fraction_str(hm1), "h0": fraction_str(h0),
         })
 
     if identity == "FINITE_DIHEDRAL":
@@ -530,7 +525,7 @@ def verify_identity(identity: str, *, q: int | None = None,
         h0 = theta_product(module, rel, 0)
         second = C == hm1 / h0
         return _report("FINITE_DIHEDRAL", lhs == rhs and second, lhs, rhs, seed, {
-            "C": _fraction_str(C), "hm1_over_h0": _fraction_str(hm1 / h0),
+            "C": fraction_str(C), "hm1_over_h0": fraction_str(hm1 / h0),
             "fixed_orders": sizes,
         })
 
@@ -544,14 +539,14 @@ def verify_identity(identity: str, *, q: int | None = None,
         if module is not None:
             for i in (-1, 0):
                 prod = theta_product(module, rel, i) * theta_product(module, rel, i + 2)
-                details[f"degree_{i}"] = _fraction_str(prod)
+                details[f"degree_{i}"] = fraction_str(prod)
                 passed = passed and prod == 1
                 lhs = prod if lhs is None else lhs
         if hom is not None:
             for i in (-1, 0):
                 prod = (theta_kernel_product(hom, rel, i)
                         * theta_kernel_product(hom, rel, i + 2))
-                details[f"kernel_degree_{i}"] = _fraction_str(prod)
+                details[f"kernel_degree_{i}"] = fraction_str(prod)
                 passed = passed and prod == 1
                 lhs = prod if lhs is None else lhs
         return _report("DCF", passed, lhs, Fraction(1), seed, details)
@@ -569,8 +564,8 @@ def verify_identity(identity: str, *, q: int | None = None,
         rhs = 1 / (h0 * h1)
         passed = C == rhs and C == hm1 / h0
         return _report("DIHEDRAL_MAIN", passed, C, rhs, seed, {
-            "h0": _fraction_str(h0), "h1": _fraction_str(h1),
-            "hm1": _fraction_str(hm1),
+            "h0": fraction_str(h0), "h1": fraction_str(h1),
+            "hm1": fraction_str(hm1),
         })
 
     if identity == "BOUNDS":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import factorize, factorize_fraction, mix_seed, valuation
+from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
 from .brauer import (
     BrauerRelation,
     brauer_relation_lattice,
@@ -57,11 +57,6 @@ SUITE_NAMES = ("dihedral", "duality", "finite", "bounds",
 _PROFILES = ("torsion_free", "finite", "mixed")
 
 
-def _fr(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _report(check, passed, lhs, rhs, seed, digest, details):
     factorization = {}
     if lhs is not None and Fraction(lhs) > 0:
@@ -70,8 +65,8 @@ def _report(check, passed, lhs, rhs, seed, digest, details):
     return {
         "check": check,
         "status": "pass" if passed else "fail",
-        "lhs": None if lhs is None else _fr(lhs),
-        "rhs": None if rhs is None else _fr(rhs),
+        "lhs": None if lhs is None else fraction_str(lhs),
+        "rhs": None if rhs is None else fraction_str(rhs),
         "factorization": factorization,
         "seed": seed,
         "module_digest": digest,
@@ -440,19 +435,19 @@ def _suite_qindex(q_list, trials, seed):
         qd = qindex(dual_hom(f))
 
         def fr_or_inf(x):
-            return "inf" if x is None else _fr(x)
+            return "inf" if x is None else fraction_str(x)
 
         reports.append(_report(
             "QINDEX_TORS_SPLIT",
             qt is not None and qm is not None and q == qt * qm,
             q, 0 if qt is None or qm is None else qt * qm, seed, None,
-            {"trial": done, "q": _fr(q), "q_tors": fr_or_inf(qt),
+            {"trial": done, "q": fraction_str(q), "q_tors": fr_or_inf(qt),
              "q_free": fr_or_inf(qm)}))
         reports.append(_report(
             "QINDEX_DUAL_SPLIT",
             qd is not None and qt is not None and q == qd * qt,
             q, 0 if qd is None or qt is None else qd * qt, seed, None,
-            {"trial": done, "q": _fr(q), "q_dual": fr_or_inf(qd),
+            {"trial": done, "q": fraction_str(q), "q_dual": fr_or_inf(qd),
              "q_tors": fr_or_inf(qt)}))
         done += 1
     return reports

@@ -2,9 +2,12 @@
 
 Almost everything here is deliberately naive (enumeration, field arithmetic,
 sympy) and shares no code with the production implementations it checks.
-The exception is the Kronecker q-index oracle at the end: it reuses the
-production linear algebra, fixed points and tensor products, and differs from
-the production q-index route only in working on P (x) M instead of M^H.
+Two exceptions reuse the production linear algebra. The preimage and
+intersection oracles take a kernel of [C | -L], project it and put it in
+Hermite form again, where production reads the answer off one echelon pass.
+The Kronecker q-index oracle at the end also reuses fixed points and tensor
+products, and differs from the production q-index route only in working on
+P (x) M instead of M^H.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from fractions import Fraction
 from reglab import (
     GroupHom,
     IntMatrix,
+    Lattice,
     compress,
     fixed_points,
+    integer_kernel,
     qindex,
     tensor_product,
 )
@@ -144,6 +149,27 @@ def fixed_and_norm_bruteforce(group_elems, action_tables, divisors):
             total = tuple((a + b) % d for a, b, d in zip(total, y, divisors))
         norms.add(total)
     return len(fixed), len(elements) // len(norms)
+
+
+def preimage_lattice_oracle(C, L) -> Lattice:
+    """{x : C x in L} as the kernel of [C | -L], projected to its first
+    C.cols coordinates and put in Hermite form again."""
+    n = C.cols
+    gens = list(L.basis_rows)
+    aug = IntMatrix(
+        [list(C.entries[i]) + [-g[i] for g in gens] for i in range(C.rows)],
+        cols=n + len(gens),
+    )
+    ker = integer_kernel(aug)
+    return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
+
+
+def intersect_lattices_oracle(A, B) -> Lattice:
+    """A cap B as the image under A's basis of the oracle preimage of B."""
+    basis = A.basis
+    return Lattice.from_rows(A.ambient_rank, [
+        basis.apply(u) for u in preimage_lattice_oracle(basis, B).basis_rows
+    ])
 
 
 def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:

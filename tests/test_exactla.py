@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab.exactla import (
     GroupHom,
@@ -24,7 +26,7 @@ from reglab.exactla import (
 )
 from reglab.errors import ResourceLimitError
 
-from oracles import qindex_bruteforce
+from oracles import intersect_lattices_oracle, preimage_lattice_oracle, qindex_bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,53 @@ def test_preimage_lattice_contains_relations_and_maps_in():
             assert L.contains(C.apply(row)) or all(v == 0 for v in C.apply(row))
         # kernel of C always sits inside the preimage
         assert P.contains_lattice(integer_kernel(C))
+
+
+def _small_matrix(rows, cols):
+    return st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _map_and_lattice(draw):
+    """(C, L): a small integer matrix C and a lattice L in Z^(C.rows)."""
+    r = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    C = IntMatrix(draw(_small_matrix(r, n)), cols=n)
+    gens = draw(st.integers(0, 4))
+    L = Lattice.from_rows(r, draw(_small_matrix(gens, r)))
+    return C, L
+
+
+def _same_lattice(a, b):
+    # pivots too: a lattice built straight from echelon rows must carry the
+    # pivots that from_rows would find
+    return a == b and a._pivots == b._pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_lattice())
+def test_kernel_preimage_and_intersection_match_oracles(case):
+    C, L = case
+    assert _same_lattice(preimage_lattice(C, L), preimage_lattice_oracle(C, L))
+    K = integer_kernel(C)
+    assert _same_lattice(K, Lattice.from_rows(C.cols, K.basis_rows))
+    for row in K.basis_rows:
+        assert not any(C.apply(row))
+    # L met with the column span of C
+    A = Lattice.from_columns(C)
+    assert _same_lattice(intersect_lattices(A, L), intersect_lattices_oracle(A, L))
+
+
+def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):
+    # r + n = 5 fits, but a kernel of [C | -L] is r + n + L.rank = 7 wide
+    C = IntMatrix([[1, 2, 3], [0, 4, 5]])
+    L = Lattice.from_rows(2, [[2, 0], [0, 3]])
+    monkeypatch.setenv("REGLAB_LIMIT_COLS", "6")
+    with pytest.raises(ResourceLimitError):
+        preimage_lattice(C, L)
+    monkeypatch.setenv("REGLAB_LIMIT_COLS", "7")
+    assert preimage_lattice(C, L) == preimage_lattice_oracle(C, L)
 
 
 def test_saturate_properties():
