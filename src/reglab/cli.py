@@ -39,9 +39,8 @@ from .jsonio import (
     relation_from_json,
 )
 from .regulator import (
-    _IDENTITIES,
-    bounds_report,
     build_phi,
+    find_identity,
     rc_pairing,
     rc_qindex,
     regulator_constant,
@@ -195,31 +194,18 @@ def _cmd_relations(args) -> int:
 
 def _cmd_check(args) -> int:
     M = _load_module_arg(args.module)
-    identity = args.identity
-    if identity not in _IDENTITIES:
-        raise InputError(
-            f"unknown identity {identity!r}; expected one of "
-            + ", ".join(_IDENTITIES)
-        )
-    kwargs = {"seed": args.seed}
-    if identity in ("DUAL1", "FINITE_DUAL"):
+    fields = find_identity(args.identity).fields()
+    inputs = {"prime": args.prime, "seed": args.seed}
+    if "q" in fields:
+        inputs["q"] = _dihedral_q(M.group)
+    if "module" in fields:
+        inputs["module"] = M
+    if "relation" in fields:
         if not args.relation:
-            raise InputError(f"{identity} needs --relation")
-        kwargs["relation"] = relation_from_json(load_json_file(args.relation))
-        kwargs["module"] = M
-    elif identity in ("RCZ", "RCZS"):
-        kwargs["q"] = _dihedral_q(M.group)
-    else:
-        kwargs["q"] = _dihedral_q(M.group)
-        kwargs["module"] = M
-    report = verify_identity(identity, **kwargs)
+            raise InputError(f"{args.identity} needs --relation")
+        inputs["relation"] = relation_from_json(load_json_file(args.relation))
+    report = verify_identity(args.identity, **inputs)
     report["module_digest"] = module_digest(M)
-    if identity == "BOUNDS" and args.prime is not None:
-        rep = bounds_report(M, kwargs["q"], args.prime)
-        report["status"] = "pass" if rep.ok else "fail"
-        report["details"] = {"bounds": [
-            {"ell": rep.ell, "v": rep.v, "L": rep.L, "U": rep.U, "ok": rep.ok}
-        ]}
     _emit(report)
     return 0 if report["status"] == "pass" else 1
 

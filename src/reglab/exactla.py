@@ -5,9 +5,10 @@ reduces to four primitives implemented here:
 
 * canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
   unique representative, so lattice equality is list equality),
-* integer kernels, preimages of lattices under integer matrices and
-  intersections, each read off a single echelon pass by one shared reader,
-* Smith normal form with unimodular transforms,
+* integer kernels and preimages of lattices under integer matrices, each
+  read off a single echelon pass by one shared reader,
+* Smith normal form with its row transform, and the coordinates of Z^n / L
+  that drop the generators a unit divisor kills,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map.
 
@@ -478,9 +479,6 @@ class Lattice:
             return None
         return coeffs
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(r) for r in other.basis_rows)
-
     def __add__(self, other: "Lattice") -> "Lattice":
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
@@ -568,30 +566,23 @@ def saturate(L: Lattice) -> Lattice:
     return integer_kernel(K)
 
 
-def intersect_lattices(A: Lattice, B: Lattice) -> Lattice:
-    """A intersect B inside the shared ambient Z^n."""
-    if A.ambient_rank != B.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    # A cap B is the image under A's basis of {u : A u in B}
-    basis = A.basis
-    return Lattice.from_rows(A.ambient_rank, [basis.apply(u) for u in
-                                              preimage_lattice(basis, B).basis_rows])
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
 
 class SmithForm:
-    """U @ A @ V == S with U, V unimodular and S diagonal with divisor chain."""
+    """The row transform and divisor chain of a Smith normal form.
 
-    __slots__ = ("S", "U", "V", "divisors")
+    U is unimodular and U @ A @ V is diagonal with the divisors for some
+    unimodular V, which is not kept: the columns of U @ A span the lattice
+    of diag(divisors).
+    """
 
-    def __init__(self, S: IntMatrix, U: IntMatrix, V: IntMatrix, divisors: tuple[int, ...]):
-        object.__setattr__(self, "S", S)
+    __slots__ = ("U", "divisors")
+
+    def __init__(self, U: IntMatrix, divisors: tuple[int, ...]):
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
         object.__setattr__(self, "divisors", divisors)
 
     def __setattr__(self, *args):
@@ -615,7 +606,7 @@ def _pivot_search(m, t, rows, cols):
 
 
 def smith_normal_form(A: IntMatrix) -> SmithForm:
-    """Smith normal form with transforms.
+    """Smith normal form with its row transform.
 
     Pivot choice: smallest absolute value in the working submatrix, ties broken
     by lowest row index then lowest column index. Divisors are positive and
@@ -625,7 +616,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     _check_width(max(rows, cols, 1))
     m = A.to_lists()
     u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
 
     def row_axpy(dst, src, q):
         # row dst -= q * row src, mirrored on U
@@ -639,14 +629,11 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                 ud[k] -= q * us[k]
 
     def col_axpy(dst, src, q):
+        # column operations act on m alone: they never touch U
         for i in range(rows):
             s = m[i][src]
             if s:
                 m[i][dst] -= q * s
-        for i in range(cols):
-            s = v[i][src]
-            if s:
-                v[i][dst] -= q * s
 
     def row_swap(i, j):
         if i != j:
@@ -656,8 +643,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     def col_swap(i, j):
         if i != j:
             for r in m:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
                 r[i], r[j] = r[j], r[i]
 
     def row_negate(i):
@@ -704,10 +689,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                             p, q = m[i][t], m[i][j]
                             m[i][t] = x * p + y * q
                             m[i][j] = ca * q - cb * p
-                        for i in range(cols):
-                            p, q = v[i][t], v[i][j]
-                            v[i][t] = x * p + y * q
-                            v[i][j] = ca * q - cb * p
             if not any(m[i][t] for i in range(rows) if i != t) and \
                not any(m[t][j] for j in range(cols) if j != t):
                 break
@@ -750,8 +731,26 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                     row_negate(i + 1)
 
     divisors = tuple(m[i][i] for i in range(limit) if m[i][i] != 0)
-    return SmithForm(IntMatrix(m, cols=cols), IntMatrix(u, cols=rows),
-                     IntMatrix(v, cols=cols), divisors)
+    return SmithForm(IntMatrix(u, cols=rows), divisors)
+
+
+def smith_coordinates(L: Lattice) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]]:
+    """Coordinates of Z^n / L without the generators a unit divisor kills.
+
+    Returns (project, embed, divisors). project is the k x n block of rows of
+    the Smith row transform U whose divisor is not 1, and embed the matching
+    n x k block of columns of U^-1, so project @ embed is the identity.
+    divisors are the divisors other than 1; they belong to the first kept
+    coordinates in order, and the coordinates after them are free.
+    """
+    n = L.ambient_rank
+    sf = smith_normal_form(L.basis)
+    units = sf.divisors.count(1)
+    Uinv = invert_unimodular(sf.U)
+    project = IntMatrix([list(sf.U.entries[i]) for i in range(units, n)], cols=n)
+    embed = IntMatrix.from_columns([list(Uinv.column(i)) for i in range(units, n)],
+                                   rows=n)
+    return project, embed, sf.divisors[units:]
 
 
 def invert_unimodular(M: IntMatrix) -> IntMatrix:
@@ -1032,12 +1031,6 @@ class GroupHom:
         return f"GroupHom({self.source!r} -> {self.target!r})"
 
 
-def compose(g: GroupHom, f: GroupHom) -> GroupHom:
-    if g.source is not f.target and g.source.relations != f.target.relations:
-        raise ValueError("homs not composable")
-    return GroupHom(f.source, g.target, g.matrix @ f.matrix, check=False)
-
-
 def qindex(f: GroupHom) -> Fraction | None:
     """|cokernel| / |kernel|, or None when either side is infinite."""
     cok = f.cokernel_group().order()
@@ -1069,31 +1062,11 @@ def tors_hom(f: GroupHom) -> GroupHom:
     return GroupHom(src, tgt, IntMatrix.from_columns(cols, rows=sat_t.rank), check=False)
 
 
-def _free_quotient_data(A: PresentedAbelianGroup) -> tuple[IntMatrix, IntMatrix]:
-    """(projection, section) for mt(A) = A / tors A on a free basis.
-
-    projection is r x k, section is k x r, projection @ section = identity.
-    """
-    satR = saturate(A.relation_lattice())
-    k = A.generator_count
-    if satR.rank == 0:
-        ident = IntMatrix.identity(k)
-        return ident, ident
-    B = IntMatrix.from_columns([list(r) for r in satR.basis_rows], rows=k)
-    sf = smith_normal_form(B)
-    # all invariant factors of a saturated lattice's basis are 1
-    rho = len(sf.divisors)
-    Uinv = invert_unimodular(sf.U)
-    proj = IntMatrix([list(sf.U.entries[i]) for i in range(rho, k)], cols=k)
-    section_cols = [list(Uinv.column(j)) for j in range(rho, k)]
-    section = IntMatrix.from_columns(section_cols, rows=k)
-    return proj, section
-
-
 def mt_hom(f: GroupHom) -> GroupHom:
     """Induced map on maximal torsion-free quotients, on free presentations."""
-    proj_s, sect_s = _free_quotient_data(f.source)
-    proj_t, _ = _free_quotient_data(f.target)
+    # sat(R) has only unit divisors, so smith_coordinates keeps the free part
+    _, sect_s, _ = smith_coordinates(saturate(f.source.relation_lattice()))
+    proj_t, _, _ = smith_coordinates(saturate(f.target.relation_lattice()))
     mat = proj_t @ f.matrix @ sect_s
     return GroupHom(PresentedAbelianGroup.free(mat.cols),
                     PresentedAbelianGroup.free(mat.rows), mat, check=False)

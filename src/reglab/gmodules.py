@@ -19,9 +19,8 @@ from .exactla import (
     Lattice,
     PresentedAbelianGroup,
     block_diagonal_lattice,
-    invert_unimodular,
     preimage_lattice,
-    smith_normal_form,
+    smith_coordinates,
     subquotient_group,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup, coset_space, enumerate_subgroups
@@ -312,28 +311,15 @@ def compress(M: GModule) -> Presentation:
     if "compress" in M._cache:
         return M._cache["compress"]
     n = M.ambient_rank
-    L = M.relations
-    if L.rank == 0:
+    if M.relations.rank == 0:
         pres = Presentation(M, IntMatrix.identity(n), IntMatrix.identity(n))
         M._cache["compress"] = pres
         return pres
-    B = L.basis
-    sf = smith_normal_form(B)
-    divisors = sf.divisors
-    kept = [i for i in range(n) if i >= len(divisors) or divisors[i] != 1]
-    U = sf.U
-    Uinv = invert_unimodular(U)
-    project = IntMatrix([list(U.entries[i]) for i in kept], cols=n)
-    embed = IntMatrix.from_columns([list(Uinv.column(i)) for i in kept], rows=n)
-    new_rank = len(kept)
-    rel_rows = []
-    for pos, i in enumerate(kept):
-        if i < len(divisors):
-            row = [0] * new_rank
-            row[pos] = divisors[i]
-            rel_rows.append(row)
+    project, embed, divisors = smith_coordinates(M.relations)
+    k = project.rows
+    rel_rows = [[d if j == i else 0 for j in range(k)] for i, d in enumerate(divisors)]
     action = [project @ A @ embed for A in M.action]
-    small = GModule(M.group, new_rank, Lattice.from_rows(new_rank, rel_rows), action)
+    small = GModule(M.group, k, Lattice.from_rows(k, rel_rows), action)
     pres = Presentation(small, project, embed)
     M._cache["compress"] = pres
     return pres

@@ -204,12 +204,6 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)), validate=False)
 
-    def dihedral_generators(self) -> tuple[int, int]:
-        """(rotation, reflection) for groups built by the dihedral family."""
-        if self.descriptor.get("kind") != "dihedral":
-            raise InputError("group was not built as a dihedral family member")
-        return 1, self.descriptor["q"]
-
 
 def _validate_table(table) -> None:
     n = len(table)
@@ -287,9 +281,6 @@ class Subgroup:
         return Subgroup(G, (G.conjugate_element(x, g) for x in self.elements),
                         validate=False)
 
-    def is_normal(self) -> bool:
-        return all(self.conjugate(g) == self for g in range(self.group.order))
-
     def generators(self) -> tuple[int, ...]:
         """A small generating set, greedily grown by largest element order."""
         G = self.group
@@ -307,9 +298,6 @@ class Subgroup:
             if len(span) == self.order:
                 return tuple(gens)
         raise ValidationError("generator search failed; subgroup not closed?")
-
-    def is_cyclic(self) -> bool:
-        return any(self.group.element_order(x) == self.order for x in self.elements)
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
@@ -49,7 +50,7 @@ from .gmodules import (
     torsion_decomposition,
     trivial_module,
 )
-from .groups import FiniteGroup, Subgroup, coset_space
+from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_representatives
 
 
 class RegulatorConstant:
@@ -154,18 +155,16 @@ def rc_pairing(M: GModule, relation: BrauerRelation,
 class PhiMap:
     """An injective equivariant map between the two sides of a relation.
 
-    P1 collects Z[G/H] for positive coefficients (with multiplicity), P2 for
+    P1 is the sum of Z[G/H] over p1_summands, the subgroups of positive
+    coefficients with multiplicity, and P2 over p2_summands, those of
     negative ones. The matrix has full column rank; the transpose is the
     dual map under the standard self-duality of permutation modules.
     """
 
-    __slots__ = ("relation", "p1", "p2", "p1_summands", "p2_summands",
-                 "matrix", "seed")
+    __slots__ = ("relation", "p1_summands", "p2_summands", "matrix", "seed")
 
-    def __init__(self, relation, p1, p2, p1_summands, p2_summands, matrix, seed):
+    def __init__(self, relation, p1_summands, p2_summands, matrix, seed):
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "p1_summands", tuple(p1_summands))
         object.__setattr__(self, "p2_summands", tuple(p2_summands))
         object.__setattr__(self, "matrix", matrix)
@@ -194,6 +193,32 @@ def _side_offsets(G: FiniteGroup, subgroups) -> list[int]:
     return offsets
 
 
+def _side_action(G: FiniteGroup, subgroups, offsets, g: int) -> list[int]:
+    """The permutation g induces on the points of one side of a relation."""
+    perm = []
+    for H, off in zip(subgroups, offsets):
+        perm.extend(off + p for p in coset_space(G, H).action[g])
+    return perm
+
+
+def _check_equivariant(G: FiniteGroup, matrix: IntMatrix, pos, col_offsets,
+                       neg, row_offsets) -> None:
+    """Raise unless matrix: P1 -> P2 commutes with every generator of G.
+
+    On permutation modules matrix @ A1(g) == A2(g) @ matrix says
+    matrix[pi2(i)][pi1(j)] == matrix[i][j], where pi1 and pi2 are the
+    permutations g induces on the points of P1 and P2.
+    """
+    rows = matrix.entries
+    for g in G.full_subgroup().generators():
+        pi1 = _side_action(G, pos, col_offsets, g)
+        pi2 = _side_action(G, neg, row_offsets, g)
+        for i, row in enumerate(rows):
+            image = rows[pi2[i]]
+            if any(image[pi1[j]] != a for j, a in enumerate(row)):
+                raise ConsistencyError(f"phi is not equivariant at generator {g}")
+
+
 _PHI_REDRAWS = 64
 
 
@@ -208,20 +233,15 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     pos, neg = _relation_sides(relation)
     if not pos or not neg:
         raise InputError("relation has no positive or no negative part")
-    p1 = permutation_module(G, pos[0])
-    for H in pos[1:]:
-        p1 = direct_sum(p1, permutation_module(G, H))
-    p2 = permutation_module(G, neg[0])
-    for H in neg[1:]:
-        p2 = direct_sum(p2, permutation_module(G, H))
-    if p1.ambient_rank != p2.ambient_rank:
+    n = sum(coset_space(G, H).points for H in pos)
+    if n != sum(coset_space(G, H).points for H in neg):
         raise ConsistencyError("relation sides have different ranks")
     bases = [[equivariant_hom_basis(G, Hs, Ht) for Hs in pos] for Ht in neg]
     row_offsets = _side_offsets(G, neg)
     col_offsets = _side_offsets(G, pos)
     rng = random.Random(mix_seed(seed, 0))
     for _ in range(_PHI_REDRAWS):
-        rows = [[0] * p1.ambient_rank for _ in range(p2.ambient_rank)]
+        rows = [[0] * n for _ in range(n)]
         for ti in range(len(neg)):
             for si in range(len(pos)):
                 block = None
@@ -238,10 +258,10 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
                     src = block.entries[i]
                     for j in range(block.cols):
                         target[c0 + j] += src[j]
-        matrix = IntMatrix(rows, cols=p1.ambient_rank)
+        matrix = IntMatrix(rows, cols=n)
         if integer_kernel(matrix).rank == 0:
-            ModuleHom(p1, p2, matrix)  # equivariance self-check
-            return PhiMap(relation, p1, p2, pos, neg, matrix, seed)
+            _check_equivariant(G, matrix, pos, col_offsets, neg, row_offsets)
+            return PhiMap(relation, pos, neg, matrix, seed)
     raise ConsistencyError(
         f"no injective equivariant map found in {_PHI_REDRAWS} draws; "
         "the relation data must be inconsistent"
@@ -393,6 +413,8 @@ def bounds_report(M: GModule, q: int, ell: int,
     G = M.group
     if G.order != 2 * q:
         raise InputError("module does not live over the order-2q dihedral group")
+    if ell < 2:
+        raise InputError(f"bounds need a prime ell >= 2, not {ell}")
     if value is None:
         value = regulator_constant(M, dihedral_relation(q)).value
     full = G.full_subgroup()
@@ -414,179 +436,232 @@ def bounds_report(M: GModule, q: int, ell: int,
 # ---------------------------------------------------------------------------
 
 
-def _report(identity, passed, lhs, rhs, seed, details):
+def check_report(passed: bool, lhs, rhs, details: dict, *, seed: int,
+                 **head) -> dict:
+    """The report dict of one check: identities, `reglab check` and suites.
+
+    head names the check (identity= or check=) and may add module_digest.
+    lhs and rhs are rationals or None; the factorization is that of a
+    positive lhs and empty otherwise.
+    """
+    factorization = {}
+    if lhs is not None and Fraction(lhs) > 0:
+        factorization = {str(p): e for p, e in factorize_fraction(Fraction(lhs)).items()}
     return {
-        "identity": identity,
+        **head,
         "status": "pass" if passed else "fail",
-        "lhs": fraction_str(lhs),
-        "rhs": fraction_str(rhs),
-        "factorization": {str(p): e
-                          for p, e in factorize_fraction(Fraction(lhs)).items()},
+        "lhs": None if lhs is None else fraction_str(lhs),
+        "rhs": None if rhs is None else fraction_str(rhs),
+        "factorization": factorization,
         "seed": seed,
         "details": details,
     }
 
 
-def _dihedral_parts(q: int):
-    rel = dihedral_relation(q)
+class _Inputs(NamedTuple):
+    q: int | None
+    module: GModule | None
+    relation: BrauerRelation | None
+    hom: ModuleHom | None
+    prime: int | None
+    seed: int
+    dihedral: BrauerRelation | None  # dihedral_relation(q), built once
+
+
+def _rcz(x: _Inputs):
+    rel = x.dihedral
+    C = regulator_constant(trivial_module(rel.group), rel, seed=x.seed).value
+    rhs = Fraction(1, x.q)
+    return C == rhs, C, rhs, {"q": x.q}
+
+
+def _rczs(x: _Inputs):
+    rel = x.dihedral
+    G = rel.group
+    reps = subgroup_class_representatives(G)
+    rng = random.Random(mix_seed(x.seed, 4))
+    family = [reps[rng.randrange(len(reps))] for _ in range(rng.randrange(1, 4))]
+    M = permutation_module(G, family[0])
+    for H in family[1:]:
+        M = direct_sum(M, permutation_module(G, H))
+    C = regulator_constant(M, rel, seed=x.seed).value
+    rhs = Fraction(1)
+    inside = frozenset(range(x.q))
+    for H in family:
+        if not set(H.elements) <= inside:
+            rhs *= Fraction(2, H.order)
+    return C == rhs, C, rhs, {"q": x.q, "family": [list(H.elements) for H in family]}
+
+
+def _dual1(x: _Inputs):
+    C = regulator_constant(x.module, x.relation, seed=x.seed).value
+    Cd = regulator_constant(dual_module(x.module), x.relation, seed=x.seed).value
+    h0 = theta_product(x.module, x.relation, 0)
+    lhs = C * Cd * h0 * h0
+    return lhs == 1, lhs, Fraction(1), {
+        "C": fraction_str(C), "C_dual": fraction_str(Cd), "h0": fraction_str(h0),
+    }
+
+
+def _finite_dual(x: _Inputs):
+    C = regulator_constant(x.module, x.relation, seed=x.seed).value
+    Cd = regulator_constant(finite_dual(x.module), x.relation, seed=x.seed).value
+    hm1 = theta_product(x.module, x.relation, -1)
+    h0 = theta_product(x.module, x.relation, 0)
+    lhs = C / Cd
+    rhs = (hm1 / h0) ** 2
+    return lhs == rhs, lhs, rhs, {
+        "C": fraction_str(C), "C_dual": fraction_str(Cd),
+        "hm1": fraction_str(hm1), "h0": fraction_str(h0),
+    }
+
+
+def _finite_dihedral(x: _Inputs):
+    rel = x.dihedral
     G = rel.group
     full = G.full_subgroup()
-    rotations = Subgroup(G, tuple(range(q)), validate=False)
-    reflection = Subgroup(G, (0, q), validate=False)
-    return rel, G, full, rotations, reflection
+    Mc = compress(x.module).module
+    sizes = {name: fixed_points(Mc, H).group.order()
+             for name, H in (("1", G.trivial_subgroup()), ("D", full),
+                             ("R", Subgroup(G, tuple(range(x.q)), validate=False)),
+                             ("S", Subgroup(G, (0, x.q), validate=False)))}
+    lhs = Fraction(sizes["1"] * sizes["D"] ** 2, sizes["R"] * sizes["S"] ** 2)
+    rhs = Fraction(tate(x.module, full, 0).order(), tate(x.module, full, -1).order())
+    C = regulator_constant(x.module, rel, seed=x.seed).value
+    hm1 = theta_product(x.module, rel, -1)
+    h0 = theta_product(x.module, rel, 0)
+    return lhs == rhs and C == hm1 / h0, lhs, rhs, {
+        "C": fraction_str(C), "hm1_over_h0": fraction_str(hm1 / h0),
+        "fixed_orders": sizes,
+    }
+
+
+def _dcf(x: _Inputs):
+    rel = x.dihedral
+    details, products = {}, []
+    for key, obj, theta in (("degree", x.module, theta_product),
+                            ("kernel_degree", x.hom, theta_kernel_product)):
+        if obj is not None:
+            for i in (-1, 0):
+                prod = theta(obj, rel, i) * theta(obj, rel, i + 2)
+                details[f"{key}_{i}"] = fraction_str(prod)
+                products.append(prod)
+    return all(p == 1 for p in products), products[0], Fraction(1), details
+
+
+def _dihedral_main(x: _Inputs):
+    rel = x.dihedral
+    C = regulator_constant(x.module, rel, seed=x.seed).value
+    h0 = theta_product(x.module, rel, 0)
+    h1 = theta_product(x.module, rel, 1)
+    hm1 = theta_product(x.module, rel, -1)
+    rhs = 1 / (h0 * h1)
+    return C == rhs and C == hm1 / h0, C, rhs, {
+        "h0": fraction_str(h0), "h1": fraction_str(h1), "hm1": fraction_str(hm1),
+    }
+
+
+def _bounds(x: _Inputs):
+    """Bounds at every prime of q, or at the given prime alone; without a
+    prime, every prime of C must also divide q."""
+    C = regulator_constant(x.module, x.dihedral, seed=x.seed).value
+    ells = sorted(factorize(x.q)) if x.prime is None else [x.prime]
+    reps = [bounds_report(x.module, x.q, ell, value=C) for ell in ells]
+    passed = all(rep.ok for rep in reps)
+    if x.prime is None:
+        passed = passed and all(x.q % p == 0 for p in factorize_fraction(C))
+    return passed, C, C, {"bounds": [
+        {"ell": rep.ell, "v": rep.v, "L": rep.L, "U": rep.U, "ok": rep.ok}
+        for rep in reps
+    ]}
+
+
+class Identity(NamedTuple):
+    """One entry of IDENTITIES.
+
+    needs lists the input kinds the identity takes: "q", "module",
+    "dihedral module" (a module over the order-2q dihedral group),
+    "relation" and "hom"; "a|b" means either one will do. module_is names
+    the modules the identity is about ("finite" or "torsion-free"), if it
+    is about some only. check maps the inputs to (passed, lhs, rhs, details).
+    """
+
+    needs: tuple[str, ...]
+    check: Callable[[_Inputs], tuple]
+    module_is: str | None = None
+
+    def fields(self) -> set[str]:
+        """The verify_identity arguments among the needs: q, module,
+        relation, hom."""
+        return {_KINDS[k][0] for need in self.needs for k in need.split("|")}
+
+
+# input kind -> (the verify_identity argument it arrives in, its name in errors)
+_KINDS = {
+    "q": ("q", "q"),
+    "module": ("module", "a module"),
+    "dihedral module": ("module", "a module"),
+    "relation": ("relation", "a relation"),
+    "hom": ("hom", "a hom"),
+}
+_MODULE_IS = {"finite": GModule.is_finite, "torsion-free": GModule.is_torsion_free}
+
+IDENTITIES = {
+    "RCZ": Identity(("q",), _rcz),
+    "RCZS": Identity(("q",), _rczs),
+    "DUAL1": Identity(("module", "relation"), _dual1, "torsion-free"),
+    "FINITE_DUAL": Identity(("module", "relation"), _finite_dual, "finite"),
+    "FINITE_DIHEDRAL": Identity(("q", "dihedral module"), _finite_dihedral, "finite"),
+    "DCF": Identity(("q", "dihedral module|hom"), _dcf),
+    "DIHEDRAL_MAIN": Identity(("q", "dihedral module"), _dihedral_main),
+    "BOUNDS": Identity(("q", "dihedral module"), _bounds),
+}
+
+
+def find_identity(identity: str) -> Identity:
+    """The IDENTITIES entry of identity; an InputError names the known ones."""
+    if identity not in IDENTITIES:
+        raise InputError(f"unknown identity {identity!r}; expected one of "
+                         + ", ".join(IDENTITIES))
+    return IDENTITIES[identity]
+
+
+def run_identity(identity: str, *, q: int | None = None,
+                 module: GModule | None = None,
+                 relation: BrauerRelation | None = None,
+                 hom: ModuleHom | None = None, prime: int | None = None,
+                 seed: int = 0) -> tuple:
+    """Check the inputs against the identity's IDENTITIES entry and run its
+    checker; returns (passed, lhs, rhs, details)."""
+    spec = find_identity(identity)
+    given = {"q": q, "module": module, "relation": relation, "hom": hom}
+    for need in spec.needs:
+        if all(given[_KINDS[k][0]] is None for k in need.split("|")):
+            wanted = (" or ".join(_KINDS[k][1] for k in n.split("|")) for n in spec.needs)
+            raise InputError(f"{identity} needs {' and '.join(wanted)}")
+    if spec.module_is and not _MODULE_IS[spec.module_is](module):
+        raise InputError(f"{identity} is about {spec.module_is} modules")
+    dihedral = dihedral_relation(q) if "q" in spec.fields() else None
+    if (module is not None and any("dihedral module" in n for n in spec.needs)
+            and module.group != dihedral.group):
+        raise InputError("module does not live over the dihedral group")
+    return spec.check(_Inputs(q, module, relation, hom, prime, seed, dihedral))
 
 
 def verify_identity(identity: str, *, q: int | None = None,
                     module: GModule | None = None,
                     relation: BrauerRelation | None = None,
-                    hom: ModuleHom | None = None,
+                    hom: ModuleHom | None = None, prime: int | None = None,
                     seed: int = 0) -> dict:
-    """Check one of the supported exact identities and return a report dict.
+    """Check one exact identity of IDENTITIES and return its report dict.
 
-    Identities: RCZ, RCZS, DUAL1, FINITE_DUAL, FINITE_DIHEDRAL, DCF,
-    DIHEDRAL_MAIN, BOUNDS. Dihedral identities take q (odd, > 1); the others
-    need an explicit module and relation. RCZS draws its summands from seed.
+    RCZ and RCZS take q (odd, > 1); RCZS draws its summands from seed.
+    DUAL1 (torsion-free) and FINITE_DUAL (finite) take a module and a
+    relation. FINITE_DIHEDRAL (finite), DIHEDRAL_MAIN and BOUNDS take q and a
+    module over the order-2q dihedral group, and DCF takes q and such a
+    module or a hom. BOUNDS reports every prime of q, or only prime when it
+    is given; the other identities ignore prime.
     """
-    if identity == "RCZ":
-        if q is None:
-            raise InputError("RCZ needs q")
-        rel, G, *_ = _dihedral_parts(q)
-        C = regulator_constant(trivial_module(G), rel, seed=seed).value
-        rhs = Fraction(1, q)
-        return _report("RCZ", C == rhs, C, rhs, seed, {"q": q})
-
-    if identity == "RCZS":
-        if q is None:
-            raise InputError("RCZS needs q")
-        rel, G, full, rotations, _ = _dihedral_parts(q)
-        from .groups import subgroup_class_representatives
-        reps = subgroup_class_representatives(G)
-        rng = random.Random(mix_seed(seed, 4))
-        family = [reps[rng.randrange(len(reps))] for _ in range(rng.randrange(1, 4))]
-        M = permutation_module(G, family[0])
-        for H in family[1:]:
-            M = direct_sum(M, permutation_module(G, H))
-        C = regulator_constant(M, rel, seed=seed).value
-        rhs = Fraction(1)
-        inside = frozenset(range(q))
-        for H in family:
-            if not set(H.elements) <= inside:
-                rhs *= Fraction(2, H.order)
-        return _report("RCZS", C == rhs, C, rhs, seed, {
-            "q": q, "family": [list(H.elements) for H in family],
-        })
-
-    if identity == "DUAL1":
-        if module is None or relation is None:
-            raise InputError("DUAL1 needs a module and a relation")
-        if not module.is_torsion_free():
-            raise InputError("DUAL1 is about torsion-free modules")
-        C = regulator_constant(module, relation, seed=seed).value
-        Cd = regulator_constant(dual_module(module), relation, seed=seed).value
-        h0 = theta_product(module, relation, 0)
-        lhs = C * Cd * h0 * h0
-        return _report("DUAL1", lhs == 1, lhs, Fraction(1), seed, {
-            "C": fraction_str(C), "C_dual": fraction_str(Cd),
-            "h0": fraction_str(h0),
-        })
-
-    if identity == "FINITE_DUAL":
-        if module is None or relation is None:
-            raise InputError("FINITE_DUAL needs a module and a relation")
-        if not module.is_finite():
-            raise InputError("FINITE_DUAL is about finite modules")
-        C = regulator_constant(module, relation, seed=seed).value
-        Cd = regulator_constant(finite_dual(module), relation, seed=seed).value
-        hm1 = theta_product(module, relation, -1)
-        h0 = theta_product(module, relation, 0)
-        lhs = C / Cd
-        rhs = (hm1 / h0) ** 2
-        return _report("FINITE_DUAL", lhs == rhs, lhs, rhs, seed, {
-            "C": fraction_str(C), "C_dual": fraction_str(Cd),
-            "hm1": fraction_str(hm1), "h0": fraction_str(h0),
-        })
-
-    if identity == "FINITE_DIHEDRAL":
-        if q is None or module is None:
-            raise InputError("FINITE_DIHEDRAL needs q and a module")
-        if not module.is_finite():
-            raise InputError("FINITE_DIHEDRAL is about finite modules")
-        rel, G, full, rotations, reflection = _dihedral_parts(q)
-        if module.group != G:
-            raise InputError("module does not live over the dihedral group")
-        sizes = {}
-        for name, H in (("1", G.trivial_subgroup()), ("D", full),
-                        ("R", rotations), ("S", reflection)):
-            sizes[name] = fixed_points(compress(module).module, H).group.order()
-        lhs = Fraction(sizes["1"] * sizes["D"] ** 2, sizes["R"] * sizes["S"] ** 2)
-        rhs = Fraction(tate(module, full, 0).order(), tate(module, full, -1).order())
-        C = regulator_constant(module, rel, seed=seed).value
-        hm1 = theta_product(module, rel, -1)
-        h0 = theta_product(module, rel, 0)
-        second = C == hm1 / h0
-        return _report("FINITE_DIHEDRAL", lhs == rhs and second, lhs, rhs, seed, {
-            "C": fraction_str(C), "hm1_over_h0": fraction_str(hm1 / h0),
-            "fixed_orders": sizes,
-        })
-
-    if identity == "DCF":
-        if q is None or (module is None and hom is None):
-            raise InputError("DCF needs q and a module or a hom")
-        rel, G, *_ = _dihedral_parts(q)
-        details = {}
-        passed = True
-        lhs = None
-        if module is not None:
-            for i in (-1, 0):
-                prod = theta_product(module, rel, i) * theta_product(module, rel, i + 2)
-                details[f"degree_{i}"] = fraction_str(prod)
-                passed = passed and prod == 1
-                lhs = prod if lhs is None else lhs
-        if hom is not None:
-            for i in (-1, 0):
-                prod = (theta_kernel_product(hom, rel, i)
-                        * theta_kernel_product(hom, rel, i + 2))
-                details[f"kernel_degree_{i}"] = fraction_str(prod)
-                passed = passed and prod == 1
-                lhs = prod if lhs is None else lhs
-        return _report("DCF", passed, lhs, Fraction(1), seed, details)
-
-    if identity == "DIHEDRAL_MAIN":
-        if q is None or module is None:
-            raise InputError("DIHEDRAL_MAIN needs q and a module")
-        rel, G, *_ = _dihedral_parts(q)
-        if module.group != G:
-            raise InputError("module does not live over the dihedral group")
-        C = regulator_constant(module, rel, seed=seed).value
-        h0 = theta_product(module, rel, 0)
-        h1 = theta_product(module, rel, 1)
-        hm1 = theta_product(module, rel, -1)
-        rhs = 1 / (h0 * h1)
-        passed = C == rhs and C == hm1 / h0
-        return _report("DIHEDRAL_MAIN", passed, C, rhs, seed, {
-            "h0": fraction_str(h0), "h1": fraction_str(h1),
-            "hm1": fraction_str(hm1),
-        })
-
-    if identity == "BOUNDS":
-        if q is None or module is None:
-            raise InputError("BOUNDS needs q and a module")
-        rel, G, *_ = _dihedral_parts(q)
-        if module.group != G:
-            raise InputError("module does not live over the dihedral group")
-        C = regulator_constant(module, rel, seed=seed).value
-        fac = factorize_fraction(C)
-        passed = all(q % p == 0 for p in fac)
-        rows = []
-        for ell in sorted(factorize(q)):
-            rep = bounds_report(module, q, ell, value=C)
-            rows.append({"ell": ell, "v": rep.v, "L": rep.L, "U": rep.U,
-                         "ok": rep.ok})
-            passed = passed and rep.ok
-        return _report("BOUNDS", passed, C, C, seed, {"bounds": rows})
-
-    raise InputError(f"unknown identity {identity!r}")
-
-
-_IDENTITIES = ("RCZ", "RCZS", "DUAL1", "FINITE_DUAL", "FINITE_DIHEDRAL",
-               "DCF", "DIHEDRAL_MAIN", "BOUNDS")
+    result = run_identity(identity, q=q, module=module, relation=relation,
+                          hom=hom, prime=prime, seed=seed)
+    return check_report(*result, seed=seed, identity=identity)

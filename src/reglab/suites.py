@@ -1,9 +1,9 @@
 """Deterministic verification suites.
 
 Each suite draws seeded random inputs, runs a fixed set of exact checks and
-returns one report dict per check. Reports are plain JSON-ready data:
-{"check", "status", "lhs", "rhs", "factorization", "seed", "module_digest",
-"details"}. Given the same (suite, params, seed) the output is byte-for-byte
+returns one report dict per check, built by regulator.check_report. Reports
+are plain JSON-ready data: {"check", "status", "lhs", "rhs",
+"factorization", "seed", "module_digest", "details"}. Given the same (suite, params, seed) the output is byte-for-byte
 reproducible. An internal disagreement between the two regulator routes
 raises ConsistencyError out of the suite, on purpose: that failure mode means
 the library itself is inconsistent and must abort loudly rather than count as
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
+from .arith import factorize, fraction_str, mix_seed, valuation
 from .brauer import (
     BrauerRelation,
     brauer_relation_lattice,
@@ -49,44 +49,16 @@ from .gmodules import (
 )
 from .groups import FiniteGroup, Subgroup, subgroup_class_representatives
 from .jsonio import module_digest
-from .regulator import regulator_constant, verify_identity
-
-SUITE_NAMES = ("dihedral", "duality", "finite", "bounds",
-               "cohomology-oracles", "brauer", "qindex")
+from .regulator import check_report, regulator_constant, run_identity
 
 _PROFILES = ("torsion_free", "finite", "mixed")
 
 
-def _report(check, passed, lhs, rhs, seed, digest, details):
-    factorization = {}
-    if lhs is not None and Fraction(lhs) > 0:
-        factorization = {str(p): e
-                         for p, e in factorize_fraction(Fraction(lhs)).items()}
-    return {
-        "check": check,
-        "status": "pass" if passed else "fail",
-        "lhs": None if lhs is None else fraction_str(lhs),
-        "rhs": None if rhs is None else fraction_str(rhs),
-        "factorization": factorization,
-        "seed": seed,
-        "module_digest": digest,
-        "details": details,
-    }
-
-
-def _from_identity(report: dict, digest, extra: dict) -> dict:
-    details = dict(report["details"])
-    details.update(extra)
-    return {
-        "check": report["identity"],
-        "status": report["status"],
-        "lhs": report["lhs"],
-        "rhs": report["rhs"],
-        "factorization": report["factorization"],
-        "seed": report["seed"],
-        "module_digest": digest,
-        "details": details,
-    }
+def _identity_report(identity: str, digest, extra: dict, **inputs) -> dict:
+    """An identity check as a suite report, its details extended by extra."""
+    passed, lhs, rhs, details = run_identity(identity, **inputs)
+    return check_report(passed, lhs, rhs, {**details, **extra},
+                        seed=inputs["seed"], check=identity, module_digest=digest)
 
 
 def _groups_with_relations() -> list[tuple[str, FiniteGroup, BrauerRelation]]:
@@ -118,12 +90,9 @@ def _suite_dihedral(q_list, trials, seed):
             M = random_module(G, profile, seed=mseed)
             digest = module_digest(M)
             extra = {"q": q, "trial": t, "profile": profile}
-            for rep in (
-                verify_identity("DIHEDRAL_MAIN", q=q, module=M, seed=mseed),
-                verify_identity("DCF", q=q, module=M, seed=mseed),
-                verify_identity("BOUNDS", q=q, module=M, seed=mseed),
-            ):
-                reports.append(_from_identity(rep, digest, extra))
+            for identity in ("DIHEDRAL_MAIN", "DCF", "BOUNDS"):
+                reports.append(_identity_report(identity, digest, extra,
+                                                q=q, module=M, seed=mseed))
             if t % 4 == 0:
                 if t % 8 == 0:
                     other = M
@@ -131,14 +100,14 @@ def _suite_dihedral(q_list, trials, seed):
                     other = random_module(G, _PROFILES[(t + 1) % 3],
                                           seed=mix_seed(mseed, 11))
                 f = random_module_hom(M, other, seed=mseed)
-                rep = verify_identity("DCF", q=q, hom=f, seed=mseed)
-                reports.append(_from_identity(
-                    rep, digest, dict(extra, hom_target=module_digest(other))))
+                reports.append(_identity_report(
+                    "DCF", digest, dict(extra, hom_target=module_digest(other)),
+                    q=q, hom=f, seed=mseed))
             tors = torsion_decomposition(compress(M).module).torsion
             if tors.abelian_group().order() > 1:
-                rep = verify_identity("FINITE_DIHEDRAL", q=q, module=tors,
-                                      seed=mseed)
-                reports.append(_from_identity(rep, module_digest(tors), extra))
+                reports.append(_identity_report(
+                    "FINITE_DIHEDRAL", module_digest(tors), extra,
+                    q=q, module=tors, seed=mseed))
     return reports
 
 
@@ -149,9 +118,9 @@ def _suite_duality(q_list, trials, seed):
         for t in range(trials):
             mseed = mix_seed(seed, 2, G.order, t)
             M = random_module(G, "torsion_free", seed=mseed)
-            rep = verify_identity("DUAL1", module=M, relation=rel, seed=mseed)
-            reports.append(_from_identity(rep, module_digest(M),
-                                          {"group": name, "trial": t}))
+            reports.append(_identity_report(
+                "DUAL1", module_digest(M), {"group": name, "trial": t},
+                module=M, relation=rel, seed=mseed))
     return reports
 
 
@@ -165,27 +134,23 @@ def _suite_finite(q_list, trials, seed):
             M = random_module(G, "finite", seed=mseed)
             digest = module_digest(M)
             extra = {"group": name, "trial": t}
-            rep = verify_identity("FINITE_DUAL", module=M, relation=rel,
-                                  seed=mseed)
-            reports.append(_from_identity(rep, digest, extra))
+            reports.append(_identity_report("FINITE_DUAL", digest, extra,
+                                            module=M, relation=rel, seed=mseed))
             if dihedral_q is not None:
-                rep = verify_identity("FINITE_DIHEDRAL", q=dihedral_q,
-                                      module=M, seed=mseed)
-                reports.append(_from_identity(rep, digest, extra))
+                reports.append(_identity_report("FINITE_DIHEDRAL", digest, extra,
+                                                q=dihedral_q, module=M, seed=mseed))
             if t % 10 == 0:
                 N = direct_sum(M, finite_dual(M))
-                dual_rep = verify_identity("FINITE_DUAL", module=N,
-                                           relation=rel, seed=mseed)
+                dual_passed, dual_lhs, _, _ = run_identity(
+                    "FINITE_DUAL", module=N, relation=rel, seed=mseed)
                 c_value = regulator_constant(N, rel, seed=mseed).value
-                passed = (dual_rep["status"] == "pass"
-                          and dual_rep["lhs"] == "1"
+                passed = (dual_passed and dual_lhs == 1
                           and (dihedral_q is None or c_value == 1))
-                reports.append(_report(
-                    "FINITE_SELF_DUAL", passed, c_value, Fraction(1), mseed,
-                    module_digest(N),
-                    {"group": name, "trial": t,
-                     "dual_lhs": dual_rep["lhs"]},
-                ))
+                reports.append(check_report(
+                    passed, c_value, Fraction(1),
+                    {"group": name, "trial": t, "dual_lhs": fraction_str(dual_lhs)},
+                    seed=mseed, check="FINITE_SELF_DUAL",
+                    module_digest=module_digest(N)))
     return reports
 
 
@@ -198,10 +163,10 @@ def _suite_bounds(q_list, trials, seed):
         for t in range(trials):
             mseed = mix_seed(seed, 4, q, t)
             M = random_module(G, _PROFILES[t % 3], seed=mseed)
-            rep = verify_identity("BOUNDS", q=q, module=M, seed=mseed)
-            reports.append(_from_identity(
-                rep, module_digest(M),
-                {"q": q, "trial": t, "profile": _PROFILES[t % 3]}))
+            reports.append(_identity_report(
+                "BOUNDS", module_digest(M),
+                {"q": q, "trial": t, "profile": _PROFILES[t % 3]},
+                q=q, module=M, seed=mseed))
     return reports
 
 
@@ -276,12 +241,13 @@ def _suite_cohomology_oracles(q_list, trials, seed):
             for i in range(-1, 3):
                 left = tate(P, G.full_subgroup(), i)
                 right = tate(Z, H, i)
-                reports.append(_report(
-                    "SHAPIRO", left.invariants() == right.invariants(),
-                    left.order(), right.order(), seed, None,
+                reports.append(check_report(
+                    left.invariants() == right.invariants(),
+                    left.order(), right.order(),
                     {"group": name, "subgroup": list(H.elements), "degree": i,
                      "left": inv_json(left.invariants()),
-                     "right": inv_json(right.invariants())}))
+                     "right": inv_json(right.invariants())},
+                    seed=seed, check="SHAPIRO", module_digest=None))
 
     # free module vanishing: every Tate group of Z[G] is trivial
     for name, G in zoo:
@@ -289,10 +255,10 @@ def _suite_cohomology_oracles(q_list, trials, seed):
         for H in subgroup_class_representatives(G):
             for i in range(-1, 3):
                 order = tate(R, H, i).order()
-                reports.append(_report(
-                    "FREE_VANISHING", order == 1, order, 1, seed, None,
-                    {"group": name, "subgroup": list(H.elements),
-                     "degree": i}))
+                reports.append(check_report(
+                    order == 1, order, 1,
+                    {"group": name, "subgroup": list(H.elements), "degree": i},
+                    seed=seed, check="FREE_VANISHING", module_digest=None))
 
     # cyclic periodicity on random modules
     cyclics = [FiniteGroup.cyclic(4), FiniteGroup.cyclic(6),
@@ -305,10 +271,10 @@ def _suite_cohomology_oracles(q_list, trials, seed):
         for i in (-1, 0):
             a = tate(M, G.full_subgroup(), i)
             b = tate(M, G.full_subgroup(), i + 2)
-            reports.append(_report(
-                "CYCLIC_PERIOD", a.invariants() == b.invariants(),
-                a.order(), b.order(), mseed, digest,
-                {"order": G.order, "degree": i, "trial": t}))
+            reports.append(check_report(
+                a.invariants() == b.invariants(), a.order(), b.order(),
+                {"order": G.order, "degree": i, "trial": t},
+                seed=mseed, check="CYCLIC_PERIOD", module_digest=digest))
 
     # mod-p rank oracle on elementary abelian quotients
     hosts = [("D3", dihedral_relation(3).group), ("V4", v4),
@@ -328,12 +294,12 @@ def _suite_cohomology_oracles(q_list, trials, seed):
             want0, wantm1 = _mod_p_tate_orders(Me, H, p)
             got0 = tate(Me, H, 0).order()
             gotm1 = tate(Me, H, -1).order()
-            reports.append(_report(
-                "MODP_RANK", (got0, gotm1) == (want0, wantm1),
-                Fraction(got0 * gotm1), Fraction(want0 * wantm1), mseed,
-                digest,
+            reports.append(check_report(
+                (got0, gotm1) == (want0, wantm1),
+                Fraction(got0 * gotm1), Fraction(want0 * wantm1),
                 {"group": name, "p": p, "subgroup": list(H.elements),
-                 "h0": [got0, want0], "hm1": [gotm1, wantm1], "trial": t}))
+                 "h0": [got0, want0], "hm1": [gotm1, wantm1], "trial": t},
+                seed=mseed, check="MODP_RANK", module_digest=digest))
 
     # Rosen's rank formula against the Herbrand quotient, dihedral rotations
     for q in (9, 15):
@@ -348,10 +314,10 @@ def _suite_cohomology_oracles(q_list, trials, seed):
             for ell in ells:
                 got = rosen_valuation(M, rotations, ell)
                 want = valuation(h, ell)
-                reports.append(_report(
-                    "ROSEN_DUAL_PATH", got == want, Fraction(got),
-                    Fraction(want), mseed, digest,
-                    {"q": q, "ell": ell, "trial": t}))
+                reports.append(check_report(
+                    got == want, Fraction(got), Fraction(want),
+                    {"q": q, "ell": ell, "trial": t},
+                    seed=mseed, check="ROSEN_DUAL_PATH", module_digest=digest))
     return reports
 
 
@@ -359,15 +325,16 @@ def _suite_brauer(q_list, trials, seed):
     reports = []
     v4 = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
     lat = brauer_relation_lattice(v4)
-    reports.append(_report(
-        "BRAUER_V4", lat.basis_rows == ((1, -1, -1, -1, 2),),
-        Fraction(lat.rank), Fraction(1), seed, None,
-        {"basis": [list(r) for r in lat.basis_rows]}))
+    reports.append(check_report(
+        lat.basis_rows == ((1, -1, -1, -1, 2),),
+        Fraction(lat.rank), Fraction(1),
+        {"basis": [list(r) for r in lat.basis_rows]},
+        seed=seed, check="BRAUER_V4", module_digest=None))
     for p in (2, 3, 5):
         lat = brauer_relation_lattice(FiniteGroup.cyclic(p))
-        reports.append(_report(
-            "BRAUER_CYCLIC", lat.rank == 0, Fraction(lat.rank), Fraction(0),
-            seed, None, {"p": p}))
+        reports.append(check_report(
+            lat.rank == 0, Fraction(lat.rank), Fraction(0), {"p": p},
+            seed=seed, check="BRAUER_CYCLIC", module_digest=None))
     for q in (3, 5):
         G = FiniteGroup.dihedral(q)
         lat = brauer_relation_lattice(G)
@@ -375,10 +342,11 @@ def _suite_brauer(q_list, trials, seed):
         found = (lat.rank == 1
                  and (lat.basis_rows[0] == canonical
                       or tuple(-x for x in lat.basis_rows[0]) == canonical))
-        reports.append(_report(
-            "BRAUER_DIHEDRAL", found, Fraction(lat.rank), Fraction(1), seed,
-            None, {"q": q, "basis": [list(r) for r in lat.basis_rows],
-                   "canonical": list(canonical)}))
+        reports.append(check_report(
+            found, Fraction(lat.rank), Fraction(1),
+            {"q": q, "basis": [list(r) for r in lat.basis_rows],
+             "canonical": list(canonical)},
+            seed=seed, check="BRAUER_DIHEDRAL", module_digest=None))
     zoo = [("V4", v4), ("D3", FiniteGroup.dihedral(3)),
            ("D5", FiniteGroup.dihedral(5)), ("D9", FiniteGroup.dihedral(9)),
            ("C6", FiniteGroup.cyclic(6)),
@@ -396,10 +364,10 @@ def _suite_brauer(q_list, trials, seed):
                 all_valid = False
                 witness = {"vector": list(row), "element": bad}
                 break
-        reports.append(_report(
-            "BRAUER_BASIS_VALID", all_valid, Fraction(lat.rank),
-            Fraction(lat.rank), seed, None,
-            {"group": name, "rank": lat.rank, "witness": witness}))
+        reports.append(check_report(
+            all_valid, Fraction(lat.rank), Fraction(lat.rank),
+            {"group": name, "rank": lat.rank, "witness": witness},
+            seed=seed, check="BRAUER_BASIS_VALID", module_digest=None))
     return reports
 
 
@@ -437,18 +405,18 @@ def _suite_qindex(q_list, trials, seed):
         def fr_or_inf(x):
             return "inf" if x is None else fraction_str(x)
 
-        reports.append(_report(
-            "QINDEX_TORS_SPLIT",
+        reports.append(check_report(
             qt is not None and qm is not None and q == qt * qm,
-            q, 0 if qt is None or qm is None else qt * qm, seed, None,
+            q, 0 if qt is None or qm is None else qt * qm,
             {"trial": done, "q": fraction_str(q), "q_tors": fr_or_inf(qt),
-             "q_free": fr_or_inf(qm)}))
-        reports.append(_report(
-            "QINDEX_DUAL_SPLIT",
+             "q_free": fr_or_inf(qm)},
+            seed=seed, check="QINDEX_TORS_SPLIT", module_digest=None))
+        reports.append(check_report(
             qd is not None and qt is not None and q == qd * qt,
-            q, 0 if qd is None or qt is None else qd * qt, seed, None,
+            q, 0 if qd is None or qt is None else qd * qt,
             {"trial": done, "q": fraction_str(q), "q_dual": fr_or_inf(qd),
-             "q_tors": fr_or_inf(qt)}))
+             "q_tors": fr_or_inf(qt)},
+            seed=seed, check="QINDEX_DUAL_SPLIT", module_digest=None))
         done += 1
     return reports
 
@@ -462,6 +430,8 @@ _SUITES = {
     "brauer": _suite_brauer,
     "qindex": _suite_qindex,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, q_list=None, trials: int | None = None,

@@ -2,12 +2,12 @@
 
 Almost everything here is deliberately naive (enumeration, field arithmetic,
 sympy) and shares no code with the production implementations it checks.
-Two exceptions reuse the production linear algebra. The preimage and
-intersection oracles take a kernel of [C | -L], project it and put it in
-Hermite form again, where production reads the answer off one echelon pass.
-The Kronecker q-index oracle at the end also reuses fixed points and tensor
-products, and differs from the production q-index route only in working on
-P (x) M instead of M^H.
+Two exceptions reuse the production linear algebra. The preimage oracle
+takes a kernel of [C | -L], projects it and puts it in Hermite form again,
+where production reads the answer off one echelon pass. The Kronecker
+q-index oracle at the end also reuses fixed points and tensor products, and
+differs from the production q-index route only in working on P (x) M
+instead of M^H. contains_lattice and compose are small tools the tests use.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from reglab import (
     IntMatrix,
     Lattice,
     compress,
+    direct_sum,
     fixed_points,
     integer_kernel,
+    permutation_module,
     qindex,
     tensor_product,
 )
@@ -164,12 +166,16 @@ def preimage_lattice_oracle(C, L) -> Lattice:
     return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
 
 
-def intersect_lattices_oracle(A, B) -> Lattice:
-    """A cap B as the image under A's basis of the oracle preimage of B."""
-    basis = A.basis
-    return Lattice.from_rows(A.ambient_rank, [
-        basis.apply(u) for u in preimage_lattice_oracle(basis, B).basis_rows
-    ])
+def contains_lattice(A, B) -> bool:
+    """Whether the lattice A contains every basis vector of B."""
+    return all(A.contains(r) for r in B.basis_rows)
+
+
+def compose(g, f) -> GroupHom:
+    """g after f, for homs whose middle groups share their relations."""
+    if g.source is not f.target and g.source.relations != f.target.relations:
+        raise ValueError("homs not composable")
+    return GroupHom(f.source, g.target, g.matrix @ f.matrix, check=False)
 
 
 def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:
@@ -185,6 +191,19 @@ def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:
     return GroupHom(src.group, tgt.group, mat)
 
 
+def phi_sides(phi):
+    """P1 and P2 of phi as modules: the sums of Z[G/H] over its summands."""
+    G = phi.relation.group
+
+    def side(subgroups):
+        P = permutation_module(G, subgroups[0])
+        for H in subgroups[1:]:
+            P = direct_sum(P, permutation_module(G, H))
+        return P
+
+    return side(phi.p1_summands), side(phi.p2_summands)
+
+
 def kronecker_qindex_homs(M, phi) -> tuple[GroupHom, GroupHom]:
     """(phi (x) id)^G and (phi-hat (x) id)^G taken on P1 (x) M and P2 (x) M.
 
@@ -193,8 +212,9 @@ def kronecker_qindex_homs(M, phi) -> tuple[GroupHom, GroupHom]:
     """
     Mc = compress(M).module
     ident = IntMatrix.identity(Mc.ambient_rank)
-    T1 = tensor_product(phi.p1, Mc)
-    T2 = tensor_product(phi.p2, Mc)
+    P1, P2 = phi_sides(phi)
+    T1 = tensor_product(P1, Mc)
+    T2 = tensor_product(P2, Mc)
     return (_kronecker_fixed_hom(T1, T2, phi.matrix.kron(ident)),
             _kronecker_fixed_hom(T2, T1, phi.matrix.transpose().kron(ident)))
 

@@ -220,6 +220,15 @@ def test_check_bounds_with_explicit_prime(capsys, finite_d3):
     assert len(rows) == 1 and rows[0]["ell"] == 3 and rows[0]["ok"]
 
 
+@pytest.mark.parametrize("prime", ["1", "-3"])
+def test_check_bounds_rejects_a_prime_below_two(capsys, finite_d3, prime):
+    path, _ = finite_d3
+    code, doc = _run(capsys, "check", "--identity", "BOUNDS",
+                     "--module", path, "--prime", prime)
+    assert code == 2
+    assert doc["error"] == "InputError"
+
+
 def test_check_dual1_needs_relation(capsys, triv_d3):
     code, doc = _run(capsys, "check", "--identity", "DUAL1",
                      "--module", triv_d3)

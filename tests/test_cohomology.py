@@ -29,9 +29,9 @@ from reglab import (
 )
 from reglab.cohomology import _h1_data_table
 from reglab.errors import InputError
-from reglab.exactla import compose, qindex
+from reglab.exactla import qindex
 
-from oracles import cocycle_count_bruteforce
+from oracles import cocycle_count_bruteforce, compose
 
 
 def V4():

@@ -1,8 +1,13 @@
-"""Golden digests of every suite at seed 2026.
+"""Golden digests of every suite at seed 2026 and of `reglab check`.
 
-Each digest is the sha256 of json.dumps(run_suite(...), indent=2,
+Each suite digest is the sha256 of json.dumps(run_suite(...), indent=2,
 sort_keys=True). A refactor that keeps these digests keeps every byte of
 suite output at these parameters. All seven suites run in about 2 s.
+
+Each check digest is the sha256 of the stdout of `reglab check` for one
+identity, on a module drawn by random_module over D3 at a fixed seed with
+the profile the identity needs, and the dihedral relation file where one is
+needed. Together they take well under a second.
 """
 
 import hashlib
@@ -10,6 +15,14 @@ import json
 
 import pytest
 
+from reglab import (
+    FiniteGroup,
+    dihedral_relation,
+    module_to_json,
+    random_module,
+    relation_to_json,
+)
+from reglab.cli import main
 from reglab.suites import SUITE_NAMES, run_suite
 
 GOLDEN = {
@@ -40,3 +53,43 @@ def test_suite_digest(name):
     out = run_suite(name, seed=2026, **params)
     text = json.dumps(out, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# identity -> (profile, seed, needs --relation, extra argv, stdout sha256)
+CHECK_GOLDEN = {
+    "RCZ": ("mixed", 3, False, (),
+            "c4f1b6975ae63acbb6c5d634a44fb98e7f7cbba17a579d18356bb5cad5aed25a"),
+    "RCZS": ("mixed", 4, False, (),
+             "197b673002ee02f91123eb1247d1c793567f6bebe2b9050bd7676723d9762a83"),
+    "DUAL1": ("torsion_free", 5, True, (),
+              "8a0a80272727f4a7446be3f7a3dca24cefbc88dc8091ab7bab892be87a69ee62"),
+    "FINITE_DUAL": ("finite", 6, True, (),
+                    "f92fcdf972f5b7c3566f2d18f0dc2cfca8096d395395806fd0fc4a04135cd1bd"),
+    "FINITE_DIHEDRAL": ("finite", 7, False, (),
+                        "133532d6f49151ebdea1dd113cca54394c3a9ce086db24e26ca2d2b5a02b02d7"),
+    "DCF": ("mixed", 8, False, (),
+            "4b90ff22a80d994458c1f34b5718555e07e4d3af93998957d83cf34e309f80bd"),
+    "DIHEDRAL_MAIN": ("mixed", 9, False, (),
+                      "14e830e6569d454591aadf43a35ac4c409b90f7cef2a1767968813d7942da107"),
+    "BOUNDS": ("mixed", 10, False, (),
+               "4106c61795565b3914a3f1ebb129ad0059f561cef3fb5487e6dc102c0d1007d8"),
+    "BOUNDS --prime 2": ("mixed", 10, False, ("--prime", "2"),
+                         "93af857378e1dee2a0ce1543e1efb17971689cfe3b164cef3fb36ea0b4098767"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_GOLDEN))
+def test_check_digest(case, tmp_path, capsys):
+    profile, seed, needs_relation, extra, digest = CHECK_GOLDEN[case]
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(module_to_json(
+        random_module(FiniteGroup.dihedral(3), profile, seed=seed))))
+    argv = ["check", "--identity", case.split()[0], "--module", str(module),
+            "--seed", str(seed), *extra]
+    if needs_relation:
+        relation = tmp_path / "relation.json"
+        relation.write_text(json.dumps(relation_to_json(dihedral_relation(3))))
+        argv += ["--relation", str(relation)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -35,9 +35,9 @@ from reglab import (
     verify_identity,
 )
 from reglab.groups import FiniteGroup
-from reglab.regulator import _qindex_homs
+from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
 
-from oracles import kronecker_qindex_homs, rc_qindex_kronecker
+from oracles import kronecker_qindex_homs, phi_sides, rc_qindex_kronecker
 
 
 def v4_relation():
@@ -158,8 +158,22 @@ def test_build_phi_is_deterministic_and_equivariant():
     phi = build_phi(rel, seed=9)
     again = build_phi(rel, seed=9)
     assert phi.matrix == again.matrix
-    assert phi.p1.ambient_rank == phi.p2.ambient_rank == 12
-    ModuleHom(phi.p1, phi.p2, phi.matrix)  # revalidates equivariance
+    P1, P2 = phi_sides(phi)
+    assert P1.ambient_rank == P2.ambient_rank == 12
+    ModuleHom(P1, P2, phi.matrix)  # revalidates equivariance
+
+
+def test_phi_equivariance_check_rejects_one_changed_entry():
+    rel = dihedral_relation(3)
+    G = rel.group
+    phi = build_phi(rel, seed=2)
+    pos, neg = phi.p1_summands, phi.p2_summands
+    sides = (pos, _side_offsets(G, pos), neg, _side_offsets(G, neg))
+    _check_equivariant(G, phi.matrix, *sides)
+    rows = phi.matrix.to_lists()
+    rows[0][0] += 1
+    with pytest.raises(ConsistencyError, match="not equivariant"):
+        _check_equivariant(G, IntMatrix(rows), *sides)
 
 
 def test_phi_seeds_give_the_same_constant():
