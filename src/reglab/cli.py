@@ -200,10 +200,10 @@ def _cmd_check(args) -> int:
         inputs["q"] = _dihedral_q(M.group)
     if "module" in fields:
         inputs["module"] = M
-    if "relation" in fields:
-        if not args.relation:
-            raise InputError(f"{args.identity} needs --relation")
+    if args.relation:
         inputs["relation"] = relation_from_json(load_json_file(args.relation))
+    elif "relation" in fields:
+        raise InputError(f"{args.identity} needs --relation")
     report = verify_identity(args.identity, **inputs)
     report["module_digest"] = module_digest(M)
     _emit(report)

@@ -6,9 +6,13 @@ a subquotient of an explicit cochain lattice, so orders and induced maps are
 exact.
 
 Degree conventions: H^0 is fixed points modulo norms, H^{-1} is the norm
-kernel modulo the augmentation submodule, H^1 is crossed homomorphisms modulo
-principal ones, and H^2 is H^1 of the cokernel of the coinduced embedding
-(which is cohomologically trivial, so the shift is an isomorphism).
+kernel modulo the augmentation submodule and H^1 is crossed homomorphisms
+modulo principal ones. Over dihedral groups of twice-odd order H^2 is H_1 of
+the chain complex of the presentation <r, s | r^d, s^2, (sr)^2>, which is
+H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity (K. Brown,
+Cohomology of Groups, GTM 87, VI.4 and VI.9). Over the other non-cyclic
+groups H^2 is H^1 of the cokernel of the coinduced embedding (which is
+cohomologically trivial, so the shift is an isomorphism).
 """
 
 from __future__ import annotations
@@ -150,45 +154,56 @@ def _hm1_data(R: GModule):
     return R.ambient_rank, U, V
 
 
-def _partial_norm(R: GModule, t: int, length: int) -> IntMatrix:
-    n = R.ambient_rank
-    total = IntMatrix.zeros(n, n)
-    g = 0
-    for _ in range(length):
-        total = total + R.action[g]
-        g = R.group.mul[g][t]
-    return total
+def _presentation(GH: FiniteGroup, route):
+    """Fox calculus over Z[GH] of <t | t^m> for ('cyclic', t), or of
+    <r, s | r^d, s^2, (sr)^2> for ('dihedral', r, s).
 
+    Returns (gens, fox): gens[x] is x - 1 and fox[w][x] the Fox derivative of
+    relator w by generator x, each a group-ring element as (coefficient,
+    element) pairs.
+    """
+    def powers(x):
+        out = [0]
+        while len(out) < GH.element_order(x):
+            out.append(GH.mul[out[-1]][x])
+        return [(1, g) for g in out]
 
-def _h1_data_cyclic(R: GModule, t: int):
-    # a cocycle is free on c_t; the only relator is t^m = 1
-    GH = R.group
-    N = _partial_norm(R, t, GH.order)
-    U = preimage_lattice(N, R.relations)
-    rows = list((R.action[t] - IntMatrix.identity(R.ambient_rank)).columns())
-    V = Lattice.from_rows(R.ambient_rank, rows + list(R.relations.basis_rows))
-    return R.ambient_rank, U, V
-
-
-def _h1_data_dihedral(R: GModule, r: int, s: int):
-    # relators r^d, s^2, (sr)^2 of the presentation on (c_r, c_s)
-    GH = R.group
-    n = R.ambient_rank
-    d = GH.element_order(r)
-    ident = IntMatrix.identity(n)
-    zero = IntMatrix.zeros(n, n)
+    if route[0] == "cyclic":
+        return [[(1, route[1]), (-1, 0)]], [[powers(route[1])]]
+    _, r, s = route
     sr = GH.mul[s][r]
-    srs = GH.mul[sr][s]
-    block1 = _partial_norm(R, r, d).hstack(zero)
-    block2 = zero.hstack(ident + R.action[s])
-    block3 = (R.action[s] + R.action[srs]).hstack(ident + R.action[sr])
-    C = block1.vstack(block2).vstack(block3)
-    target = block_diagonal_lattice([R.relations] * 3)
-    U = preimage_lattice(C, target)
-    bnd = (R.action[r] - ident).vstack(R.action[s] - ident)
-    rel2 = block_diagonal_lattice([R.relations] * 2)
-    V = Lattice.from_rows(2 * n, list(bnd.columns()) + list(rel2.basis_rows))
-    return 2 * n, U, V
+    return ([[(1, r), (-1, 0)], [(1, s), (-1, 0)]],
+            [[powers(r), []], [[], powers(s)],
+             [[(1, s), (1, GH.mul[sr][s])], powers(sr)]])
+
+
+def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
+    """The block matrix of a table of group-ring elements acting on R: sum
+    a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted."""
+    n = R.ambient_rank
+    A = [R.action[R.group.inverse[g] if involute else g].entries
+         for g in range(R.group.order)]
+    table = list(table)
+    rows = [[sum(a * A[g][i][j] for a, g in elt) for elt in line for j in range(n)]
+            for line in table for i in range(n)]
+    return IntMatrix(rows, cols=len(table[0]) * n)
+
+
+def _presentation_data(R: GModule, homology: bool = False):
+    # H^1 of the presentation's cochain complex M -> M^gens -> M^relators, or
+    # with homology H_1 of its chain complex M^relators -> M^gens -> M, whose
+    # maps are the involuted ones
+    n = R.ambient_rank
+    gens, fox = _presentation(R.group, _h1_route(R.group))
+    if homology:
+        cyc, bnd = _ring_matrix(R, [gens], True), _ring_matrix(R, zip(*fox), True)
+    else:
+        cyc, bnd = _ring_matrix(R, fox, False), _ring_matrix(R, [[x] for x in gens], False)
+    k = 1 if homology else len(fox)
+    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * k))
+    rel = block_diagonal_lattice([R.relations] * len(gens))
+    V = Lattice.from_rows(len(gens) * n, list(bnd.columns()) + list(rel.basis_rows))
+    return len(gens) * n, U, V
 
 
 def _h1_data_table(R: GModule):
@@ -232,12 +247,9 @@ def _h1_data_table(R: GModule):
 
 
 def _h1_data(R: GModule):
-    route = _h1_route(R.group)
-    if route[0] == "cyclic":
-        return _h1_data_cyclic(R, route[1])
-    if route[0] == "dihedral":
-        return _h1_data_dihedral(R, route[1], route[2])
-    return _h1_data_table(R)
+    if _h1_route(R.group)[0] == "table":
+        return _h1_data_table(R)
+    return _presentation_data(R)
 
 
 class _ShiftData:
@@ -305,7 +317,9 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
 
     Degrees outside -1..2 are reduced by periodicity when H is cyclic
     (period 2) or dihedral of twice-odd order (period 4); otherwise they
-    raise DegreeWindowError.
+    raise DegreeWindowError. Degree 2 is H_1 of the presentation complex
+    when H is dihedral, and H^1 of the coinduced shift when H is neither
+    dihedral nor cyclic.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
@@ -326,6 +340,8 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
         w, U, V = _hm1_data(R)
     elif j == 1:
         w, U, V = _h1_data(R)
+    elif _h1_route(R.group)[0] == "dihedral":
+        w, U, V = _presentation_data(R, homology=True)
     else:
         Qc = _shift_data(R).qpres.module
         w, U, V = _h1_data(Qc)
@@ -418,15 +434,19 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     tgt = tate(f.target, H, j)
     if j in (-1, 0):
         W = f.matrix
-    elif j == 1:
+    elif j == 1 or _h1_route(GH)[0] == "dihedral":
         W = _h1_cochain_matrix(GH, f.matrix)
     else:
-        ss, st = _shift_data(RS), _shift_data(RT)
-        F0 = st.pres0.project @ f.matrix @ ss.pres0.embed
-        blocks = IntMatrix.identity(ss.blocks).kron(F0)
-        WQ = st.qpres.project @ blocks @ ss.qpres.embed
-        W = _h1_cochain_matrix(GH, WQ)
+        W = _shift_cochain_matrix(f, RS, RT)
     return _subquotient_hom(src, tgt, W)
+
+
+def _shift_cochain_matrix(f: ModuleHom, RS: GModule, RT: GModule) -> IntMatrix:
+    """The map f induces on H^1 cochains of the shift modules of RS and RT."""
+    ss, st = _shift_data(RS), _shift_data(RT)
+    F0 = st.pres0.project @ f.matrix @ ss.pres0.embed
+    WQ = st.qpres.project @ IntMatrix.identity(ss.blocks).kron(F0) @ ss.qpres.embed
+    return _h1_cochain_matrix(RS.group, WQ)
 
 
 def induced_kernel_order(f: ModuleHom, H: Subgroup, degree: int) -> int:

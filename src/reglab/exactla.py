@@ -958,9 +958,6 @@ class PresentedAbelianGroup:
         """(free rank, torsion divisors); equal iff the groups are isomorphic."""
         return (self.free_rank, self.torsion_divisors)
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_divisors
-
     def relation_lattice(self) -> Lattice:
         return Lattice.from_columns(self.relations)
 

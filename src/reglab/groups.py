@@ -153,14 +153,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            self._cache["abelian"] = all(
-                self.mul[a][b] == self.mul[b][a]
-                for a in range(self.order) for b in range(a + 1, self.order)
-            )
-        return self._cache["abelian"]
-
     def conjugate_element(self, x: int, g: int) -> int:
         """g x g^{-1}."""
         return self.mul[self.mul[g][x]][self.inverse[g]]

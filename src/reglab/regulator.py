@@ -583,12 +583,14 @@ class Identity(NamedTuple):
     "dihedral module" (a module over the order-2q dihedral group),
     "relation" and "hom"; "a|b" means either one will do. module_is names
     the modules the identity is about ("finite" or "torsion-free"), if it
-    is about some only. check maps the inputs to (passed, lhs, rhs, details).
+    is about some only. optional lists the inputs it takes but can do
+    without ("prime"). check maps the inputs to (passed, lhs, rhs, details).
     """
 
     needs: tuple[str, ...]
     check: Callable[[_Inputs], tuple]
     module_is: str | None = None
+    optional: tuple[str, ...] = ()
 
     def fields(self) -> set[str]:
         """The verify_identity arguments among the needs: q, module,
@@ -614,7 +616,7 @@ IDENTITIES = {
     "FINITE_DIHEDRAL": Identity(("q", "dihedral module"), _finite_dihedral, "finite"),
     "DCF": Identity(("q", "dihedral module|hom"), _dcf),
     "DIHEDRAL_MAIN": Identity(("q", "dihedral module"), _dihedral_main),
-    "BOUNDS": Identity(("q", "dihedral module"), _bounds),
+    "BOUNDS": Identity(("q", "dihedral module"), _bounds, optional=("prime",)),
 }
 
 
@@ -634,7 +636,12 @@ def run_identity(identity: str, *, q: int | None = None,
     """Check the inputs against the identity's IDENTITIES entry and run its
     checker; returns (passed, lhs, rhs, details)."""
     spec = find_identity(identity)
-    given = {"q": q, "module": module, "relation": relation, "hom": hom}
+    given = {"q": q, "module": module, "relation": relation, "hom": hom,
+             "prime": prime}
+    takes = spec.fields() | set(spec.optional)
+    extra = [k for k, v in given.items() if v is not None and k not in takes]
+    if extra:
+        raise InputError(f"{identity} takes no {' and no '.join(extra)}")
     for need in spec.needs:
         if all(given[_KINDS[k][0]] is None for k in need.split("|")):
             wanted = (" or ".join(_KINDS[k][1] for k in n.split("|")) for n in spec.needs)
@@ -660,7 +667,7 @@ def verify_identity(identity: str, *, q: int | None = None,
     relation. FINITE_DIHEDRAL (finite), DIHEDRAL_MAIN and BOUNDS take q and a
     module over the order-2q dihedral group, and DCF takes q and such a
     module or a hom. BOUNDS reports every prime of q, or only prime when it
-    is given; the other identities ignore prime.
+    is given. An input the identity does not take raises InputError.
     """
     result = run_identity(identity, q=q, module=module, relation=relation,
                           hom=hom, prime=prime, seed=seed)

@@ -7,7 +7,10 @@ takes a kernel of [C | -L], projects it and puts it in Hermite form again,
 where production reads the answer off one echelon pass. The Kronecker
 q-index oracle at the end also reuses fixed points and tensor products, and
 differs from the production q-index route only in working on P (x) M
-instead of M^H. contains_lattice and compose are small tools the tests use.
+instead of M^H. The degree-2 shift oracle reuses the production H^1 route
+on the coinduced shift module, where production takes H_1 of the
+presentation complex over dihedral groups. contains_lattice and compose are
+small tools the tests use.
 """
 
 from __future__ import annotations
@@ -25,7 +28,17 @@ from reglab import (
     integer_kernel,
     permutation_module,
     qindex,
+    restrict,
+    subquotient_group,
     tensor_product,
+)
+from reglab.cohomology import (
+    TateGroup,
+    _h1_data,
+    _reduce_degree,
+    _shift_cochain_matrix,
+    _shift_data,
+    _subquotient_hom,
 )
 
 
@@ -171,6 +184,12 @@ def contains_lattice(A, B) -> bool:
     return all(A.contains(r) for r in B.basis_rows)
 
 
+def is_abelian(G) -> bool:
+    """Whether every pair of elements of G commutes, by the table."""
+    return all(G.mul[a][b] == G.mul[b][a]
+               for a in range(G.order) for b in range(G.order))
+
+
 def compose(g, f) -> GroupHom:
     """g after f, for homs whose middle groups share their relations."""
     if g.source is not f.target and g.source.relations != f.target.relations:
@@ -223,3 +242,23 @@ def rc_qindex_kronecker(M, phi) -> Fraction:
     """Regulator constant as q((phi (x) id)^G) / q((phi-hat (x) id)^G)."""
     forward, backward = kronecker_qindex_homs(M, phi)
     return qindex(forward) / qindex(backward)
+
+
+def _shift_tate_group(R, degree) -> TateGroup:
+    assert _reduce_degree(R.group, degree) == 2
+    w, U, V = _h1_data(_shift_data(R).qpres.module)
+    return TateGroup(degree, 2, w, U, V, subquotient_group(U, V))
+
+
+def shift_tate(M, H, degree: int) -> TateGroup:
+    """Degree-2 Tate group of H on M as H^1 of Q in 0 -> M -> Z[H] (x) M -> Q -> 0."""
+    return _shift_tate_group(restrict(M, H), degree)
+
+
+def shift_induced_kernel_order(f, H, degree: int) -> int:
+    """Kernel order of the map f induces on shift_tate, through the map it
+    induces on the H^1 cochains of Q."""
+    RS, RT = restrict(f.source, H), restrict(f.target, H)
+    hom = _subquotient_hom(_shift_tate_group(RS, degree), _shift_tate_group(RT, degree),
+                           _shift_cochain_matrix(f, RS, RT))
+    return hom.kernel_group().order()

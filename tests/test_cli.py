@@ -229,6 +229,21 @@ def test_check_bounds_rejects_a_prime_below_two(capsys, finite_d3, prime):
     assert doc["error"] == "InputError"
 
 
+def test_check_rejects_a_prime_for_identities_but_bounds(capsys, triv_d3):
+    code, doc = _run(capsys, "check", "--identity", "RCZ",
+                     "--module", triv_d3, "--prime", "2")
+    assert code == 2
+    assert doc["error"] == "InputError" and "prime" in doc["message"]
+
+
+def test_check_rejects_a_relation_the_identity_does_not_take(capsys, triv_d3,
+                                                             theta_d3):
+    code, doc = _run(capsys, "check", "--identity", "DCF",
+                     "--module", triv_d3, "--relation", theta_d3)
+    assert code == 2
+    assert doc["error"] == "InputError" and "relation" in doc["message"]
+
+
 def test_check_dual1_needs_relation(capsys, triv_d3):
     code, doc = _run(capsys, "check", "--identity", "DUAL1",
                      "--module", triv_d3)

@@ -20,6 +20,7 @@ from reglab import (
     induced_kernel_order,
     permutation_module,
     random_module,
+    random_module_hom,
     restrict,
     rosen_valuation,
     subgroup_class_representatives,
@@ -31,7 +32,12 @@ from reglab.cohomology import _h1_data_table
 from reglab.errors import InputError
 from reglab.exactla import qindex
 
-from oracles import cocycle_count_bruteforce, compose
+from oracles import (
+    cocycle_count_bruteforce,
+    compose,
+    shift_induced_kernel_order,
+    shift_tate,
+)
 
 
 def V4():
@@ -340,3 +346,24 @@ def test_induced_kernel_on_trivial_subgroup_is_one():
     M = random_module(G, "mixed", 9, max_rank=4)
     f = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(3))
     assert induced_kernel_order(f, G.trivial_subgroup(), 0) == 1
+
+
+def test_dihedral_degree_two_matches_the_coinduced_shift():
+    # production takes H_1 of the presentation complex; the oracle takes H^1
+    # of the coinduced shift, the route table groups use
+    rng = random.Random(83)
+    for q, max_rank in ((3, 6), (5, 6), (7, 6), (9, 4)):
+        G = FiniteGroup.dihedral(q)
+        dihedral = [H for H in subgroup_class_representatives(G)
+                    if H.order % 2 == 0 and H.order > 2]
+        assert len(dihedral) == (2 if q == 9 else 1)
+        for profile in ("torsion_free", "finite", "mixed") * 2:
+            seed = rng.randrange(10**6)
+            M = random_module(G, profile, seed, max_rank=max_rank)
+            N = random_module(G, profile, seed + 1, max_rank=max_rank)
+            f = random_module_hom(M, N, seed)
+            for H in dihedral:
+                for i in (2, -2, 6):
+                    assert tate(M, H, i).invariants() == shift_tate(M, H, i).invariants()
+                    assert (induced_kernel_order(f, H, i)
+                            == shift_induced_kernel_order(f, H, i)), (q, profile, H.order, i)

@@ -24,7 +24,13 @@ from reglab.exactla import (
 )
 from reglab.errors import ResourceLimitError
 
-from oracles import compose, contains_lattice, preimage_lattice_oracle, qindex_bruteforce
+from oracles import (
+    compose,
+    contains_lattice,
+    gf_rank,
+    preimage_lattice_oracle,
+    qindex_bruteforce,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +108,54 @@ def test_lattice_canonical_under_regeneration():
         assert L == L2
         for g in gens:
             assert L.contains(g)
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _int_rows(max_rows, max_cols):
+    """Non-empty integer matrices as lists of rows with small entries."""
+    return st.integers(1, max_cols).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+        min_size=1, max_size=max_rows))
+
+
+@_PROPERTY
+@given(_int_rows(5, 5), st.lists(st.tuples(
+    st.sampled_from(("add", "swap", "negate")), st.integers(0, 4),
+    st.integers(0, 4), st.integers(-3, 3)), max_size=10))
+def test_lattice_basis_is_fixed_by_unimodular_row_operations(rows, ops):
+    n = len(rows[0])
+    L = Lattice.from_rows(n, rows)
+    for op, i, j, c in ops:
+        i, j = i % len(rows), j % len(rows)
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    assert Lattice.from_rows(n, rows).basis_rows == L.basis_rows
+
+
+@_PROPERTY
+@given(st.data(), _int_rows(5, 5))
+def test_lattice_basis_is_fixed_by_row_order(data, rows):
+    n = len(rows[0])
+    shuffled = data.draw(st.permutations(rows))
+    assert Lattice.from_rows(n, shuffled).basis_rows == Lattice.from_rows(n, rows).basis_rows
+
+
+@_PROPERTY
+@given(_int_rows(4, 6))
+def test_integer_kernel_is_the_saturated_solution_lattice(rows):
+    A = IntMatrix(rows)
+    K = integer_kernel(A)
+    assert all(not any(A.apply(k)) for k in K.basis_rows)
+    assert saturate(K) == K
+    # full rank: entries below 10 keep every minor of A below 2^31 - 1, so the
+    # rank mod that prime is the rank over Q
+    assert K.rank == A.cols - gf_rank(rows, 2**31 - 1)
 
 
 def test_lattice_membership_and_coordinates():
@@ -271,7 +325,7 @@ def test_presented_group_invariants():
     assert G.order() is None
     assert G.torsion_order() == 12
     H = PresentedAbelianGroup.free(0)
-    assert H.is_trivial() and H.order() == 1
+    assert H.invariants() == (0, ()) and H.order() == 1
 
 
 # ---------------------------------------------------------------------------

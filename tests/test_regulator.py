@@ -427,3 +427,7 @@ def test_verify_rejects_bad_requests():
     rel5 = dihedral_relation(5)
     with pytest.raises(InputError):
         verify_identity("DIHEDRAL_MAIN", q=3, module=trivial_module(rel5.group))
+    with pytest.raises(InputError, match="takes no prime"):
+        verify_identity("RCZ", q=3, prime=3)
+    with pytest.raises(InputError, match="takes no module"):
+        verify_identity("RCZS", q=3, module=trivial_module(rel5.group))
