@@ -16,7 +16,6 @@ import traceback
 
 from .brauer import (
     brauer_relation_lattice,
-    dihedral_relation,
     is_brauer_relation,
 )
 from .cohomology import tate

@@ -5,14 +5,15 @@ period 2 and dihedral groups of twice-odd order with period 4. Everything is
 a subquotient of an explicit cochain lattice, so orders and induced maps are
 exact.
 
-Degree conventions: H^0 is fixed points modulo norms, H^{-1} is the norm
-kernel modulo the augmentation submodule and H^1 is crossed homomorphisms
-modulo principal ones. Over dihedral groups of twice-odd order H^2 is H_1 of
-the chain complex of the presentation <r, s | r^d, s^2, (sr)^2>, which is
-H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity (K. Brown,
-Cohomology of Groups, GTM 87, VI.4 and VI.9). Over the other non-cyclic
-groups H^2 is H^1 of the cokernel of the coinduced embedding (which is
-cohomologically trivial, so the shift is an isomorphism).
+Degree conventions: H^0 is fixed points modulo norms and H^{-1} is the norm
+kernel modulo the augmentation submodule. H^1 and H^2 are cocycles modulo
+coboundaries of Hom(F, M) over a free resolution F -> Z (K. Brown, Cohomology
+of Groups, GTM 87, III.1). Cyclic and dihedral groups take the resolution of
+their presentation; over dihedral groups of twice-odd order H^2 is H_1 of
+the chain complex of <r, s | r^d, s^2, (sr)^2>, which is H^{-2}, isomorphic
+to H^2 naturally in the module by 4-periodicity (Brown, VI.4 and VI.9). Every
+other group takes a small free resolution built from its table, whose
+modules of relations are spanned greedily by translates of kernel vectors.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from .exactla import (
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
+    _Echelon,
     block_diagonal_lattice,
+    integer_kernel,
     preimage_lattice,
     subquotient_group,
 )
 from .gmodules import (
     GModule,
     ModuleHom,
-    Presentation,
-    compress,
     fixed_points,
     norm_matrix,
     restrict,
@@ -81,7 +82,8 @@ class TateGroup:
 
 
 def _h1_route(GH: FiniteGroup):
-    """('cyclic', t) | ('dihedral', r, s) | ('table',): how to compute H^1.
+    """('cyclic', t) | ('dihedral', r, s) | ('table',): how to compute H^1
+    and H^2, from a presentation or from the free resolution of _resolution.
 
     The dihedral route needs order 2d with d odd and at least 3, generated by
     a rotation r of order d and a reflection s with s r s = r^{-1}; those
@@ -177,129 +179,89 @@ def _presentation(GH: FiniteGroup, route):
              [[(1, s), (1, GH.mul[sr][s])], powers(sr)]])
 
 
+def _resolution(GH: FiniteGroup):
+    """[d1, d2, d3] of a free resolution F3 -> F2 -> F1 -> F0 = Z[GH] -> Z.
+
+    Each d_j is a table of group-ring elements with one line per free
+    generator of F_j, its image in F_{j-1}. d1 sends e_x to x - 1 for the
+    generators x of GH. The lines of d_{j+1} are Z[GH]-generators of the
+    integer kernel of d_j, chosen greedily: a kernel basis row joins only if
+    the Z-span of the translates of those chosen so far misses it, so at the
+    end that span is the kernel and the complex is exact.
+    """
+    if "resolution" in GH._cache:
+        return GH._cache["resolution"]
+    h, mul = GH.order, GH.mul
+    d = [[[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]]
+    while len(d) < 3:
+        k, k0 = len(d[-1]), len(d[-1][0])
+        # d_j on the Z-basis g e_i of F_j, coordinate i*h + g
+        cols = []
+        for line in d[-1]:
+            for g in range(h):
+                col = [0] * (h * k0)
+                for c, elt in enumerate(line):
+                    for a, t in elt:
+                        col[c * h + mul[g][t]] += a
+                cols.append(col)
+        span = _Echelon(h * k)
+        gens = []
+        for v in integer_kernel(IntMatrix.from_columns(cols, rows=h * k0)).basis_rows:
+            if span.contains(v):
+                continue
+            for s in range(h):
+                w = [0] * (h * k)
+                for i in range(k):
+                    for g in range(h):
+                        w[i * h + mul[s][g]] = v[i * h + g]
+                span.add(w)
+            gens.append([[(v[i * h + g], g) for g in range(h) if v[i * h + g]]
+                         for i in range(k)])
+        d.append(gens)
+    GH._cache["resolution"] = d
+    return d
+
+
+def _complex(GH: FiniteGroup, j: int):
+    """(lower, upper, involute): reduced degree j in {1, 2} is the homology at
+    the middle of M^a -> M^k -> M^b, where the tables of group-ring elements
+    lower and upper give the maps through _ring_matrix.
+
+    Table groups take Hom_GH(F, M) on the free resolution. Cyclic and
+    dihedral groups take the cochain complex of their presentation, and
+    dihedral degree 2 is H_1 of its chain complex, whose maps are the
+    transposed, involuted ones.
+    """
+    route = _h1_route(GH)
+    if route[0] == "table":
+        d = _resolution(GH)
+        return d[j - 1], d[j], False
+    gens, fox = _presentation(GH, route)
+    if j == 1:
+        return [[x] for x in gens], fox, False
+    return [list(c) for c in zip(*fox)], [gens], True
+
+
 def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
     """The block matrix of a table of group-ring elements acting on R: sum
     a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted."""
     n = R.ambient_rank
     A = [R.action[R.group.inverse[g] if involute else g].entries
          for g in range(R.group.order)]
-    table = list(table)
     rows = [[sum(a * A[g][i][j] for a, g in elt) for elt in line for j in range(n)]
             for line in table for i in range(n)]
     return IntMatrix(rows, cols=len(table[0]) * n)
 
 
-def _presentation_data(R: GModule, homology: bool = False):
-    # H^1 of the presentation's cochain complex M -> M^gens -> M^relators, or
-    # with homology H_1 of its chain complex M^relators -> M^gens -> M, whose
-    # maps are the involuted ones
+def _complex_data(R: GModule, j: int):
+    # cycles: c in M^k with upper c in L^b; boundaries: lower M^a + L^k
     n = R.ambient_rank
-    gens, fox = _presentation(R.group, _h1_route(R.group))
-    if homology:
-        cyc, bnd = _ring_matrix(R, [gens], True), _ring_matrix(R, zip(*fox), True)
-    else:
-        cyc, bnd = _ring_matrix(R, fox, False), _ring_matrix(R, [[x] for x in gens], False)
-    k = 1 if homology else len(fox)
-    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * k))
-    rel = block_diagonal_lattice([R.relations] * len(gens))
-    V = Lattice.from_rows(len(gens) * n, list(bnd.columns()) + list(rel.basis_rows))
-    return len(gens) * n, U, V
-
-
-def _h1_data_table(R: GModule):
-    # variables c_g for g != 1; constraints c_{sx} - c_s - A_s c_x in L for
-    # s in a generating set and every x (enough by induction on word length)
-    GH = R.group
-    n = R.ambient_rank
-    h = GH.order
-    w = (h - 1) * n
-    gens = GH.full_subgroup().generators()
-    rows = []
-    block_count = 0
-    for s in gens:
-        As = R.action[s]
-        for x in range(1, h):
-            sx = GH.mul[s][x]
-            block = [[0] * w for _ in range(n)]
-            if sx != 0:
-                off = (sx - 1) * n
-                for i in range(n):
-                    block[i][off + i] += 1
-            off = (s - 1) * n
-            for i in range(n):
-                block[i][off + i] -= 1
-            off = (x - 1) * n
-            for i in range(n):
-                for j in range(n):
-                    block[i][off + j] -= As.entries[i][j]
-            rows.extend(block)
-            block_count += 1
-    C = IntMatrix(rows, cols=w)
-    target = block_diagonal_lattice([R.relations] * block_count)
-    U = preimage_lattice(C, target)
-    ident = IntMatrix.identity(n)
-    bnd = R.action[1] - ident
-    for g in range(2, h):
-        bnd = bnd.vstack(R.action[g] - ident)
-    relblocks = block_diagonal_lattice([R.relations] * (h - 1))
-    V = Lattice.from_rows(w, list(bnd.columns()) + list(relblocks.basis_rows))
-    return w, U, V
-
-
-def _h1_data(R: GModule):
-    if _h1_route(R.group)[0] == "table":
-        return _h1_data_table(R)
-    return _presentation_data(R)
-
-
-class _ShiftData:
-    """Dimension shift 0 -> M -> Z[H] (x) M -> Q -> 0 with Q compressed."""
-
-    __slots__ = ("pres0", "qpres", "blocks")
-
-    def __init__(self, pres0: Presentation, qpres: Presentation, blocks: int):
-        object.__setattr__(self, "pres0", pres0)
-        object.__setattr__(self, "qpres", qpres)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, *args):
-        raise AttributeError("_ShiftData is immutable")
-
-
-def _coinduced_action(GH: FiniteGroup, n0: int):
-    h = GH.order
-    action = []
-    for g in range(h):
-        rows = [[0] * (h * n0) for _ in range(h * n0)]
-        for b in range(h):
-            a = GH.mul[g][b]
-            for i in range(n0):
-                rows[a * n0 + i][b * n0 + i] = 1
-        action.append(IntMatrix(rows))
-    return action
-
-
-def _shift_data(R: GModule) -> _ShiftData:
-    if "shift" in R._cache:
-        return R._cache["shift"]
-    GH = R.group
-    pres0 = compress(R)
-    M0 = pres0.module
-    n0 = M0.ambient_rank
-    h = GH.order
-    action = _coinduced_action(GH, n0)
-    rel_rows = list(block_diagonal_lattice([M0.relations] * h).basis_rows)
-    # the embedding m -> sum_h  h (x) A_{h^{-1}} m; its columns become relations
-    iota_blocks = [M0.action[GH.inverse[a]] for a in range(h)]
-    iota = iota_blocks[0]
-    for blk in iota_blocks[1:]:
-        iota = iota.vstack(blk)
-    rel_rows += list(iota.columns())
-    Q = GModule(GH, h * n0, Lattice.from_rows(h * n0, rel_rows), action)
-    qpres = compress(Q)
-    data = _ShiftData(pres0, qpres, h)
-    R._cache["shift"] = data
-    return data
+    lower, upper, involute = _complex(R.group, j)
+    cyc, bnd = _ring_matrix(R, upper, involute), _ring_matrix(R, lower, involute)
+    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * len(upper)))
+    rel = block_diagonal_lattice([R.relations] * len(lower))
+    V = Lattice.from_rows(len(lower) * n, list(bnd.columns()) + list(rel.basis_rows))
+    return len(lower) * n, U, V
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +279,9 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
 
     Degrees outside -1..2 are reduced by periodicity when H is cyclic
     (period 2) or dihedral of twice-odd order (period 4); otherwise they
-    raise DegreeWindowError. Degree 2 is H_1 of the presentation complex
-    when H is dihedral, and H^1 of the coinduced shift when H is neither
-    dihedral nor cyclic.
+    raise DegreeWindowError. Degrees 1 and 2 come from the presentation
+    when H is cyclic or dihedral (degree 2 over a dihedral H as H_1), and
+    from a small free Z[H]-resolution built from the table otherwise.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
@@ -338,13 +300,8 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
         w, U, V = _h0_data(R)
     elif j == -1:
         w, U, V = _hm1_data(R)
-    elif j == 1:
-        w, U, V = _h1_data(R)
-    elif _h1_route(R.group)[0] == "dihedral":
-        w, U, V = _presentation_data(R, homology=True)
     else:
-        Qc = _shift_data(R).qpres.module
-        w, U, V = _h1_data(Qc)
+        w, U, V = _complex_data(R, j)
     out = TateGroup(degree, j, w, U, V, subquotient_group(U, V))
     R._cache[key] = out
     return out
@@ -411,42 +368,20 @@ def _subquotient_hom(src: TateGroup, tgt: TateGroup, W: IntMatrix) -> GroupHom:
     return GroupHom(src.group, tgt.group, mat)
 
 
-def _h1_cochain_matrix(GH: FiniteGroup, F: IntMatrix) -> IntMatrix:
-    route = _h1_route(GH)
-    if route[0] == "cyclic":
-        return F
-    if route[0] == "dihedral":
-        z1 = IntMatrix.zeros(F.rows, F.cols)
-        return F.hstack(z1).vstack(z1.hstack(F))
-    return IntMatrix.identity(GH.order - 1).kron(F)
-
-
 def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     """The map on Tate cohomology in the given degree induced by f."""
     if H.order == 1:
         triv = PresentedAbelianGroup(0)
         return GroupHom(triv, triv, IntMatrix.zeros(0, 0))
-    RS = restrict(f.source, H)
-    RT = restrict(f.target, H)
-    GH = RS.group
+    GH = restrict(f.source, H).group
     j = _reduce_degree(GH, degree)
     src = tate(f.source, H, j)
     tgt = tate(f.target, H, j)
     if j in (-1, 0):
         W = f.matrix
-    elif j == 1 or _h1_route(GH)[0] == "dihedral":
-        W = _h1_cochain_matrix(GH, f.matrix)
     else:
-        W = _shift_cochain_matrix(f, RS, RT)
+        W = IntMatrix.identity(len(_complex(GH, j)[0])).kron(f.matrix)
     return _subquotient_hom(src, tgt, W)
-
-
-def _shift_cochain_matrix(f: ModuleHom, RS: GModule, RT: GModule) -> IntMatrix:
-    """The map f induces on H^1 cochains of the shift modules of RS and RT."""
-    ss, st = _shift_data(RS), _shift_data(RT)
-    F0 = st.pres0.project @ f.matrix @ ss.pres0.embed
-    WQ = st.qpres.project @ IntMatrix.identity(ss.blocks).kron(F0) @ ss.qpres.embed
-    return _h1_cochain_matrix(RS.group, WQ)
 
 
 def induced_kernel_order(f: ModuleHom, H: Subgroup, degree: int) -> int:

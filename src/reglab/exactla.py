@@ -362,6 +362,17 @@ class _Echelon:
         for v in vectors:
             self.add(v)
 
+    def contains(self, vec) -> bool:
+        """Whether vec lies in the integer row span."""
+        v = list(vec)
+        for p, r in zip(self.pivots, self.rows):
+            q = v[p] // r[p]
+            if q:
+                for k in range(p, self.width):
+                    if r[k]:
+                        v[k] -= q * r[k]
+        return not any(v)
+
     def canonical(self, start: int = 0) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Hermite form of the span of the rows from index start on."""
         rows = [list(r) for r in self.rows[start:]]

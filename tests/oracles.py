@@ -7,10 +7,13 @@ takes a kernel of [C | -L], projects it and puts it in Hermite form again,
 where production reads the answer off one echelon pass. The Kronecker
 q-index oracle at the end also reuses fixed points and tensor products, and
 differs from the production q-index route only in working on P (x) M
-instead of M^H. The degree-2 shift oracle reuses the production H^1 route
-on the coinduced shift module, where production takes H_1 of the
-presentation complex over dihedral groups. contains_lattice and compose are
-small tools the tests use.
+instead of M^H. The Cayley-table oracles reuse the production lattices and
+compress: table_tate takes H^1 on one cochain per group element, and degree
+2 as that H^1 of the coinduced shift module Q, where production takes both
+from a small free resolution or a presentation. shift_tate takes the
+production H^1 of Q instead, which is narrow enough for the larger dihedral
+groups, whose degree 2 production takes as H_1. contains_lattice and compose
+are small tools the tests use.
 """
 
 from __future__ import annotations
@@ -19,27 +22,27 @@ import itertools
 from fractions import Fraction
 
 from reglab import (
+    FiniteGroup,
+    GModule,
     GroupHom,
     IntMatrix,
     Lattice,
+    ModuleHom,
     compress,
     direct_sum,
     fixed_points,
+    induced_kernel_order,
     integer_kernel,
     permutation_module,
+    preimage_lattice,
     qindex,
     restrict,
     subquotient_group,
+    tate,
     tensor_product,
 )
-from reglab.cohomology import (
-    TateGroup,
-    _h1_data,
-    _reduce_degree,
-    _shift_cochain_matrix,
-    _shift_data,
-    _subquotient_hom,
-)
+from reglab.cohomology import TateGroup, _reduce_degree, _subquotient_hom
+from reglab.exactla import block_diagonal_lattice
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -244,21 +247,146 @@ def rc_qindex_kronecker(M, phi) -> Fraction:
     return qindex(forward) / qindex(backward)
 
 
-def _shift_tate_group(R, degree) -> TateGroup:
-    assert _reduce_degree(R.group, degree) == 2
-    w, U, V = _h1_data(_shift_data(R).qpres.module)
-    return TateGroup(degree, 2, w, U, V, subquotient_group(U, V))
+def h1_table_data(R):
+    """(w, U, V) of H^1 of R over its whole group on the Cayley-table
+    cochains: one variable c_g per g != 1, and c_{sx} - c_s - A_s c_x in L
+    for s in a generating set and every x (enough by induction on word
+    length)."""
+    GH = R.group
+    n = R.ambient_rank
+    h = GH.order
+    w = (h - 1) * n
+    rows = []
+    block_count = 0
+    for s in GH.full_subgroup().generators():
+        As = R.action[s]
+        for x in range(1, h):
+            sx = GH.mul[s][x]
+            block = [[0] * w for _ in range(n)]
+            if sx != 0:
+                off = (sx - 1) * n
+                for i in range(n):
+                    block[i][off + i] += 1
+            off = (s - 1) * n
+            for i in range(n):
+                block[i][off + i] -= 1
+            off = (x - 1) * n
+            for i in range(n):
+                for j in range(n):
+                    block[i][off + j] -= As.entries[i][j]
+            rows.extend(block)
+            block_count += 1
+    C = IntMatrix(rows, cols=w)
+    U = preimage_lattice(C, block_diagonal_lattice([R.relations] * block_count))
+    ident = IntMatrix.identity(n)
+    bnd = R.action[1] - ident
+    for g in range(2, h):
+        bnd = bnd.vstack(R.action[g] - ident)
+    relblocks = block_diagonal_lattice([R.relations] * (h - 1))
+    V = Lattice.from_rows(w, list(bnd.columns()) + list(relblocks.basis_rows))
+    return w, U, V
+
+
+def _coinduced_action(GH, n0: int):
+    h = GH.order
+    action = []
+    for g in range(h):
+        rows = [[0] * (h * n0) for _ in range(h * n0)]
+        for b in range(h):
+            a = GH.mul[g][b]
+            for i in range(n0):
+                rows[a * n0 + i][b * n0 + i] = 1
+        action.append(IntMatrix(rows))
+    return action
+
+
+def _shift_data(R):
+    """(pres0, qpres): R compressed, and Q compressed in the dimension shift
+    0 -> M -> Z[H] (x) M -> Q -> 0."""
+    if "oracle_shift" in R._cache:
+        return R._cache["oracle_shift"]
+    GH = R.group
+    pres0 = compress(R)
+    M0 = pres0.module
+    n0 = M0.ambient_rank
+    h = GH.order
+    rel_rows = list(block_diagonal_lattice([M0.relations] * h).basis_rows)
+    # the embedding m -> sum_h  h (x) A_{h^{-1}} m; its columns become relations
+    iota = M0.action[GH.inverse[0]]
+    for a in range(1, h):
+        iota = iota.vstack(M0.action[GH.inverse[a]])
+    rel_rows += list(iota.columns())
+    Q = GModule(GH, h * n0, Lattice.from_rows(h * n0, rel_rows), _coinduced_action(GH, n0))
+    data = (pres0, compress(Q))
+    R._cache["oracle_shift"] = data
+    return data
+
+
+def _h1_module(M, H, degree: int):
+    """M restricted to H for degree 1, or for degree 2 the shift module Q,
+    whose H^1 is the degree-2 group of M."""
+    R = restrict(M, H)
+    j = _reduce_degree(R.group, degree)
+    assert j in (1, 2)
+    return R if j == 1 else _shift_data(R)[1].module
+
+
+def _h1_hom(f, H, degree: int) -> ModuleHom:
+    """The map f induces between the _h1_module of its source and target."""
+    S, T = _h1_module(f.source, H, degree), _h1_module(f.target, H, degree)
+    W = f.matrix
+    if _reduce_degree(S.group, degree) == 2:
+        (ps, qs), (pt, qt) = (_shift_data(restrict(f.source, H)),
+                              _shift_data(restrict(f.target, H)))
+        F0 = pt.project @ f.matrix @ ps.embed
+        W = qt.project @ IntMatrix.identity(S.group.order).kron(F0) @ qs.embed
+    return ModuleHom(S, T, W, check=False)
+
+
+def _table_tate_group(R, degree: int) -> TateGroup:
+    w, U, V = h1_table_data(R)
+    return TateGroup(degree, _reduce_degree(R.group, degree), w, U, V,
+                     subquotient_group(U, V))
+
+
+def table_tate(M, H, degree: int) -> TateGroup:
+    """Tate group of H on M in a degree that reduces to 1 or 2 on the
+    Cayley-table cochains: degree 1 directly, degree 2 as H^1 of Q in
+    0 -> M -> Z[H] (x) M -> Q -> 0."""
+    return _table_tate_group(_h1_module(M, H, degree), degree)
+
+
+def table_induced_kernel_order(f, H, degree: int) -> int:
+    """Kernel order of the map f induces on table_tate, through the map it
+    induces on the Cayley-table cochains."""
+    g = _h1_hom(f, H, degree)
+    W = IntMatrix.identity(g.source.group.order - 1).kron(g.matrix)
+    hom = _subquotient_hom(_table_tate_group(g.source, degree),
+                           _table_tate_group(g.target, degree), W)
+    return hom.kernel_group().order()
 
 
 def shift_tate(M, H, degree: int) -> TateGroup:
-    """Degree-2 Tate group of H on M as H^1 of Q in 0 -> M -> Z[H] (x) M -> Q -> 0."""
-    return _shift_tate_group(restrict(M, H), degree)
+    """Degree-2 Tate group of H on M as the production H^1 of the shift Q."""
+    Q = _h1_module(M, H, degree)
+    return tate(Q, Q.group.full_subgroup(), 1)
 
 
 def shift_induced_kernel_order(f, H, degree: int) -> int:
-    """Kernel order of the map f induces on shift_tate, through the map it
-    induces on the H^1 cochains of Q."""
-    RS, RT = restrict(f.source, H), restrict(f.target, H)
-    hom = _subquotient_hom(_shift_tate_group(RS, degree), _shift_tate_group(RT, degree),
-                           _shift_cochain_matrix(f, RS, RT))
-    return hom.kernel_group().order()
+    """Kernel order of the map f induces on shift_tate, as the production
+    degree-1 kernel order of the map it induces on the shift modules."""
+    g = _h1_hom(f, H, degree)
+    return induced_kernel_order(g, g.source.group.full_subgroup(), 1)
+
+
+def a4():
+    """A4 as a table group: even permutations of 0..3 in lexicographic order,
+    (a.b)(k) = a(b(k))."""
+    perms = sorted(
+        p for p in itertools.permutations(range(4))
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup.from_table(
+        [[index[tuple(a[b[k]] for k in range(4))] for b in perms] for a in perms]
+    )

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from reglab import (
-    FiniteGroup,
     build_phi,
     dihedral_relation,
     random_module,

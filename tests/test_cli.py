@@ -11,9 +11,12 @@ from reglab import (
     module_to_json,
     relation_to_json,
     random_module,
+    tate,
     trivial_module,
 )
 from reglab.cli import main
+
+from oracles import a4
 
 
 def _run(capsys, *argv):
@@ -35,6 +38,14 @@ def theta_d3(tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(relation_to_json(dihedral_relation(3))))
     return str(path)
+
+
+@pytest.fixture
+def mixed_a4(tmp_path):
+    M = random_module(a4(), "mixed", seed=102)
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps(module_to_json(M)))
+    return str(path), M
 
 
 @pytest.fixture
@@ -114,6 +125,28 @@ def test_cohomology_comma_degree_list(capsys, triv_d3):
                      "--degrees", "0,2")
     assert code == 0
     assert sorted(doc["degrees"]) == ["0", "2"]
+
+
+def test_cohomology_degree_two_over_a4_fits_the_default_cap(capsys, mixed_a4,
+                                                           monkeypatch):
+    # over the coinduced shift this module needed width 5808
+    monkeypatch.delenv("REGLAB_LIMIT_COLS", raising=False)
+    path, M = mixed_a4
+    code, doc = _run(capsys, "cohomology", "--module", path, "--degrees", "2")
+    assert code == 0
+    expected = tate(M, M.group.full_subgroup(), 2).invariants()
+    assert expected == (0, (6,))
+    assert doc["degrees"]["2"] == {"order": 6, "invariants": [0, [6]]}
+
+
+def test_cohomology_degree_two_over_a4_still_meets_a_small_cap(capsys, mixed_a4,
+                                                               monkeypatch):
+    # the resolution needs width 60 and the degree-2 cocycles width 87
+    monkeypatch.setenv("REGLAB_LIMIT_COLS", "80")
+    code, doc = _run(capsys, "cohomology", "--module", mixed_a4[0], "--degrees", "2")
+    assert code == 3
+    assert doc["error"] == "ResourceLimitError"
+    assert "width 87" in doc["message"]
 
 
 def test_cohomology_bad_degrees(capsys, triv_d3):

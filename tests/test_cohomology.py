@@ -24,25 +24,43 @@ from reglab import (
     restrict,
     rosen_valuation,
     subgroup_class_representatives,
-    subquotient_group,
     tate,
     trivial_module,
 )
-from reglab.cohomology import _h1_data_table
+from reglab.cohomology import _resolution
 from reglab.errors import InputError
-from reglab.exactla import qindex
+from reglab.exactla import integer_kernel, qindex
 
 from oracles import (
+    a4,
     cocycle_count_bruteforce,
     compose,
     shift_induced_kernel_order,
     shift_tate,
+    table_induced_kernel_order,
+    table_tate,
 )
 
 
 def V4():
     c2 = FiniteGroup.cyclic(2)
     return FiniteGroup.product([c2, c2])
+
+
+def table_groups():
+    """The groups that take the free resolution, with their abelianisations."""
+    C = FiniteGroup.cyclic
+    return [("V4", V4(), (2, 2)), ("C2xC4", FiniteGroup.product([C(2), C(4)]), (2, 4)),
+            ("C2^3", FiniteGroup.product([C(2)] * 3), (2, 2, 2)),
+            ("D4", FiniteGroup.dihedral(4), (2, 2)), ("D6", FiniteGroup.dihedral(6), (2, 2)),
+            ("A4", a4(), (3,))]
+
+
+def forced_table(M, H):
+    """A copy of M whose restriction to H takes the free resolution."""
+    out = GModule(M.group, M.ambient_rank, M.relations, M.action)
+    restrict(out, H).group._cache["h1route"] = ("table",)
+    return out
 
 
 def index2_sign_module(G, kernel_elements, modulus=0):
@@ -215,15 +233,76 @@ def test_h1_random_finite_modules_against_enumeration():
 
 
 def test_table_route_agrees_with_fast_routes():
-    # force the generic cochain-table computation and compare orders
+    # force the free resolution where a presentation is used, and compare
+    # degree 1 with the presentation and degree 2 on D3 with H_1
     rng = random.Random(3)
     for G in (FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.dihedral(3)):
+        full = G.full_subgroup()
+        degrees = (1, 2) if G.order == 6 and G.descriptor["kind"] == "dihedral" else (1,)
         for _ in range(5):
-            M = random_module(G, "mixed", rng.randrange(10**6), max_rank=5)
-            R = restrict(M, G.full_subgroup())
-            w, U, V = _h1_data_table(R)
-            table_order = subquotient_group(U, V).order()
-            assert table_order == tate(M, G.full_subgroup(), 1).order()
+            seed = rng.randrange(10**6)
+            M = random_module(G, "mixed", seed, max_rank=5)
+            N = random_module(G, "mixed", seed + 1, max_rank=5)
+            f = random_module_hom(M, N, seed)
+            ft = ModuleHom(forced_table(f.source, full), forced_table(f.target, full),
+                           f.matrix)
+            for i in degrees:
+                assert (tate(ft.source, full, i).invariants()
+                        == tate(f.source, full, i).invariants())
+                assert induced_kernel_order(ft, full, i) == induced_kernel_order(f, full, i)
+
+
+def test_table_groups_match_the_shift_oracle():
+    # production takes degrees 1 and 2 from the free resolution; the oracle
+    # takes Cayley-table cochains, and degree 2 on the coinduced shift
+    rng = random.Random(89)
+    max_rank = {"V4": 4, "C2xC4": 3, "C2^3": 3, "D4": 3, "D6": 2, "A4": 2}
+    for name, G, _ in table_groups():
+        for profile in ("torsion_free", "finite", "mixed"):
+            seed = rng.randrange(10**6)
+            M = random_module(G, profile, seed, max_rank=max_rank[name])
+            N = random_module(G, profile, seed + 1, max_rank=max_rank[name])
+            f = random_module_hom(M, N, seed)
+            H = G.full_subgroup()
+            for i in (1, 2):
+                assert tate(M, H, i).invariants() == table_tate(M, H, i).invariants()
+                assert (induced_kernel_order(f, H, i)
+                        == table_induced_kernel_order(f, H, i)), (name, profile, i)
+
+
+def test_degree_two_of_the_trivial_module_is_the_dual_abelianisation():
+    # H^2(G, Z) = Hom(G^ab, Q/Z), which is isomorphic to G^ab (K. Brown,
+    # Cohomology of Groups, GTM 87, III.1)
+    for name, G, ab in table_groups():
+        got = tate(trivial_module(G), G.full_subgroup(), 2).invariants()
+        assert got == (0, ab), name
+
+
+def z_matrix(G, table):
+    """A table of group-ring elements as the Z-linear map on the bases
+    g e_i of the free modules, coordinate i * |G| + g."""
+    h = G.order
+    out = [[0] * (h * len(table)) for _ in range(h * len(table[0]))]
+    for i, line in enumerate(table):
+        for g in range(h):
+            for c, elt in enumerate(line):
+                for a, t in elt:
+                    out[c * h + G.mul[g][t]][i * h + g] += a
+    return IntMatrix(out, cols=h * len(table))
+
+
+def test_resolution_is_exact_and_small():
+    augmentation = lambda G: IntMatrix([[1] * G.order])
+    ranks = {"V4": [2, 3, 4], "C2xC4": [2, 3, 4], "C2^3": [3, 6, 10],
+             "D4": [2, 3, 4], "D6": [2, 3, 4], "A4": [2, 3, 3]}
+    for name, G, _ in table_groups():
+        d = _resolution(G)
+        # pinned so that a wider resolution shows up as a failure
+        assert [len(t) for t in d] == ranks[name]
+        maps = [augmentation(G)] + [z_matrix(G, t) for t in d]
+        for lower, upper in zip(maps, maps[1:]):
+            assert lower @ upper == IntMatrix.zeros(lower.rows, upper.cols)
+            assert Lattice.from_columns(upper) == integer_kernel(lower), name
 
 
 def test_coinvariant_torsion_is_degree_minus_one():
@@ -350,7 +429,7 @@ def test_induced_kernel_on_trivial_subgroup_is_one():
 
 def test_dihedral_degree_two_matches_the_coinduced_shift():
     # production takes H_1 of the presentation complex; the oracle takes H^1
-    # of the coinduced shift, the route table groups use
+    # of the coinduced shift
     rng = random.Random(83)
     for q, max_rank in ((3, 6), (5, 6), (7, 6), (9, 4)):
         G = FiniteGroup.dihedral(q)

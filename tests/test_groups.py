@@ -8,7 +8,6 @@ from reglab.groups import (
     class_representative_of,
     coset_space,
     enumerate_subgroups,
-    subgroup_class_representatives,
 )
 
 from oracles import is_abelian

@@ -1,0 +1,42 @@
+"""Static checks on the source tree, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python_files():
+    for folder in (ROOT / "src" / "reglab", ROOT / "tests"):
+        for path in sorted(folder.glob("*.py")):
+            if path.name != "__init__.py":  # re-exports are its purpose
+                yield path
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [
+        "b (line 2)", "os (line 1)"]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from g import G\n'G, in a docstring'\n") == ["G (line 1)"]
+
+
+def test_no_unused_imports():
+    found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text())
+             for path in _python_files()}
+    assert {k: v for k, v in found.items() if v} == {}

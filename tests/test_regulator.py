@@ -1,12 +1,10 @@
 """Regulator constants: both computation routes, bounds, identity checks."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from reglab import (
-    BoundsReport,
     ConsistencyError,
     InputError,
     IntMatrix,
@@ -37,7 +35,7 @@ from reglab import (
 from reglab.groups import FiniteGroup
 from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
 
-from oracles import kronecker_qindex_homs, phi_sides, rc_qindex_kronecker
+from oracles import a4, kronecker_qindex_homs, phi_sides, rc_qindex_kronecker
 
 
 def v4_relation():
@@ -52,19 +50,6 @@ def c2xc4():
 
 def c2_cubed():
     return FiniteGroup.product([FiniteGroup.cyclic(2)] * 3)
-
-
-def a4():
-    """A4 as a table group: even permutations of 0..3 in lexicographic order,
-    (a.b)(k) = a(b(k))."""
-    perms = sorted(
-        p for p in itertools.permutations(range(4))
-        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
-    )
-    index = {p: i for i, p in enumerate(perms)}
-    return FiniteGroup.from_table(
-        [[index[tuple(a[b[k]] for k in range(4))] for b in perms] for a in perms]
-    )
 
 
 # ---------------------------------------------------------------------------
