@@ -11,6 +11,7 @@ defined.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cohomology import tate
 from .errors import InputError, ValidationError
@@ -118,9 +119,14 @@ def relation_from_vector(G: FiniteGroup, coeffs) -> BrauerRelation:
     return BrauerRelation(G, list(zip(subs, coeffs)))
 
 
+@lru_cache(maxsize=None)
 def dihedral_relation(q: int) -> BrauerRelation:
     """The relation 1 + 2[G] - [R] - 2[S] in the dihedral group of order 2q
-    (q odd, q > 1), with R the rotations and S generated by one reflection."""
+    (q odd, q > 1), with R the rotations and S generated by one reflection.
+
+    Built once per q and shared: the relation and its group are immutable,
+    and the group's cache holds only data derived from its table.
+    """
     if q <= 1 or q % 2 == 0:
         raise InputError("the dihedral relation needs an odd order q > 1")
     G = FiniteGroup.dihedral(q)

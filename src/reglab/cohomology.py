@@ -6,14 +6,16 @@ a subquotient of an explicit cochain lattice, so orders and induced maps are
 exact.
 
 Degree conventions: H^0 is fixed points modulo norms and H^{-1} is the norm
-kernel modulo the augmentation submodule. H^1 and H^2 are cocycles modulo
-coboundaries of Hom(F, M) over a free resolution F -> Z (K. Brown, Cohomology
-of Groups, GTM 87, III.1). Cyclic and dihedral groups take the resolution of
-their presentation; over dihedral groups of twice-odd order H^2 is H_1 of
-the chain complex of <r, s | r^d, s^2, (sr)^2>, which is H^{-2}, isomorphic
-to H^2 naturally in the module by 4-periodicity (Brown, VI.4 and VI.9). Every
-other group takes a small free resolution built from its table, whose
-modules of relations are spanned greedily by translates of kernel vectors.
+kernel modulo the augmentation submodule I_H M. The s - 1 for generators s
+of H span I_H M, since gs - 1 = g(s - 1) + (g - 1). H^1 and H^2 are cocycles
+modulo coboundaries of Hom(F, M) over a free resolution F -> Z (K. Brown,
+Cohomology of Groups, GTM 87, III.1). Cyclic and dihedral groups take the
+resolution of their presentation; over dihedral groups of twice-odd order
+H^2 is H_1 of the chain complex of <r, s | r^d, s^2, (sr)^2>, which is
+H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity (Brown,
+VI.4 and VI.9). Every other group takes a small free resolution built from
+its table, whose modules of relations are spanned greedily by translates of
+kernel vectors.
 """
 
 from __future__ import annotations
@@ -129,12 +131,16 @@ def _reduce_degree(GH: FiniteGroup, i: int) -> int:
 
 
 def _augmentation_rows(R: GModule):
-    n = R.ambient_rank
-    ident = IntMatrix.identity(n)
+    """Columns of A_s - 1 for the generators s of the acting group.
+
+    With the relations L they span I_H M + L, the augmentation submodule
+    that every h != 1 would span: (gs - 1)m = (g - 1)(sm) + (s - 1)m, and
+    the action keeps the group law modulo L, whose rows join the span.
+    """
+    ident = IntMatrix.identity(R.ambient_rank)
     rows = []
-    for h in range(1, R.group.order):
-        diff = R.action[h] - ident
-        rows.extend(diff.columns())
+    for s in R.group.full_subgroup().generators():
+        rows.extend((R.action[s] - ident).columns())
     return rows
 
 

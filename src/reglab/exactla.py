@@ -84,12 +84,26 @@ class IntMatrix:
     # -- constructors
 
     @classmethod
+    def _trusted(cls, data: tuple, cols: int) -> "IntMatrix":
+        """Wrap a tuple of equal-length int tuples without checking it.
+
+        Only for data this module built itself: __init__ coerces and checks
+        everything that arrives from outside.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", data)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -162,8 +176,8 @@ class IntMatrix:
                     else:
                         for j in range(ocols):
                             acc[j] += a * brow[j]
-            out.append(acc)
-        return IntMatrix(out, cols=ocols)
+            out.append(tuple(acc))
+        return IntMatrix._trusted(tuple(out), ocols)
 
     def apply(self, vec) -> list[int]:
         """Matrix times column vector, returned as a list."""
@@ -175,51 +189,53 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(a + b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.entries, other.entries)),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.entries, other.entries)),
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.entries], cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.entries),
+                                  self.cols)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in row] for row in self.entries], cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(k * a for a in row) for row in self.entries),
+                                  self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._trusted(tuple(zip(*self.entries)) if self.rows
+                                  else ((),) * self.cols, self.rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix(
-            [list(r1) + list(r2) for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
+        return IntMatrix._trusted(
+            tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
+            self.cols + other.cols,
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return IntMatrix(list(self.entries) + list(other.entries), cols=self.cols)
+        return IntMatrix._trusted(self.entries + other.entries, self.cols)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
-        out = []
-        for arow in self.entries:
-            for brow in other.entries:
-                out.append([a * b for a in arow for b in brow])
-        return IntMatrix(out, cols=self.cols * other.cols)
+        return IntMatrix._trusted(
+            tuple(tuple(a * b for a in arow for b in brow)
+                  for arow in self.entries for brow in other.entries),
+            self.cols * other.cols,
+        )
 
     def determinant(self) -> int:
         """Bareiss fraction-free determinant. Square matrices only."""
@@ -445,8 +461,9 @@ class Lattice:
 
     @classmethod
     def full(cls, ambient_rank: int) -> "Lattice":
-        return cls.from_rows(ambient_rank, [[1 if i == j else 0 for j in range(ambient_rank)]
-                                            for i in range(ambient_rank)])
+        """Z^n; the identity rows are already its Hermite form."""
+        return cls(ambient_rank, IntMatrix.identity(ambient_rank).entries,
+                   range(ambient_rank))
 
     @classmethod
     def scaled(cls, ambient_rank: int, k: int) -> "Lattice":
@@ -569,10 +586,10 @@ def saturate(L: Lattice) -> Lattice:
     n = L.ambient_rank
     if L.rank == 0:
         return L
+    if L.rank == n:
+        return Lattice.full(n)
     B = IntMatrix([list(r) for r in L.basis_rows], cols=n)
     orth = integer_kernel(B)
-    if orth.rank == 0:
-        return Lattice.full(n)
     K = IntMatrix([list(r) for r in orth.basis_rows], cols=n)
     return integer_kernel(K)
 
@@ -918,19 +935,23 @@ class PresentedAbelianGroup:
         # saturation, so the invariant factors come from the coordinate
         # matrix of L inside S, eliminated modulo the index [S : L]. That
         # keeps every intermediate entry bounded by the index, where a
-        # fraction-free elimination can blow up exponentially.
+        # fraction-free elimination can blow up exponentially. When L has
+        # full rank, S is Z^k and L is its own coordinate matrix.
         L = Lattice.from_columns(self.relations)
         r = L.rank
         if r == 0:
             return ()
-        S = saturate(L)
-        coords = []
-        for row in L.basis_rows:
-            c = S.coordinates(row)
-            if c is None:
-                raise ConsistencyError("saturation lost a relation generator")
-            coords.append(c)
-        C = Lattice.from_rows(r, coords)
+        if r == self.generator_count:
+            C = L
+        else:
+            S = saturate(L)
+            coords = []
+            for row in L.basis_rows:
+                c = S.coordinates(row)
+                if c is None:
+                    raise ConsistencyError("saturation lost a relation generator")
+                coords.append(c)
+            C = Lattice.from_rows(r, coords)
         index = 1
         for brow in C.basis_rows:
             index *= next(x for x in brow if x)

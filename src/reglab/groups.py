@@ -14,6 +14,11 @@ from .errors import InputError, ResourceLimitError, ValidationError
 MAX_GROUP_ORDER = 48
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise ResourceLimitError(f"group order {n} exceeds the supported bound {MAX_GROUP_ORDER}")
+
+
 class FiniteGroup:
     """A finite group on {0, .., order-1} with identity 0."""
 
@@ -24,8 +29,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValidationError("empty multiplication table")
-        if n > MAX_GROUP_ORDER:
-            raise ResourceLimitError(f"group order {n} exceeds the supported bound {MAX_GROUP_ORDER}")
+        _check_order(n)
         if validate:
             _validate_table(table)
         inv = [None] * n
@@ -49,6 +53,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise InputError("cyclic group needs n >= 1")
+        _check_order(n)
         mul = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(mul, {"kind": "cyclic", "n": n}, validate=False)
 
@@ -59,6 +64,7 @@ class FiniteGroup:
         if q < 2:
             raise InputError("dihedral group needs q >= 2")
         n = 2 * q
+        _check_order(n)
 
         def mult(a, b):
             fa, ia = divmod(a, q)[0], a % q
@@ -82,8 +88,7 @@ class FiniteGroup:
         total = 1
         for o in orders:
             total *= o
-        if total > MAX_GROUP_ORDER:
-            raise ResourceLimitError(f"group order {total} exceeds the supported bound {MAX_GROUP_ORDER}")
+        _check_order(total)
 
         def split(x):
             out = []
@@ -407,11 +412,24 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 # ---------------------------------------------------------------------------
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(descriptor: dict, key: str) -> int:
+    value = descriptor[key]
+    if not _is_json_int(value):
+        raise InputError(f"{descriptor['kind']} descriptor field '{key}' must be "
+                         f"a JSON integer, not {type(value).__name__}")
+    return value
+
+
 def build_group(descriptor: dict) -> FiniteGroup:
     """Construct a group from a JSON-style descriptor.
 
     Supported kinds: cyclic {"n"}, dihedral {"q"}, product {"factors"},
-    table {"order", "mul"}.
+    table {"order", "mul"}. Every number is a JSON integer, and the order
+    bound is checked before any table is built.
     """
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise InputError("group descriptor must be an object with a 'kind'")
@@ -419,11 +437,11 @@ def build_group(descriptor: dict) -> FiniteGroup:
     if kind == "cyclic":
         if "n" not in descriptor:
             raise InputError("cyclic descriptor needs 'n'")
-        return FiniteGroup.cyclic(int(descriptor["n"]))
+        return FiniteGroup.cyclic(_json_int(descriptor, "n"))
     if kind == "dihedral":
         if "q" not in descriptor:
             raise InputError("dihedral descriptor needs 'q'")
-        return FiniteGroup.dihedral(int(descriptor["q"]))
+        return FiniteGroup.dihedral(_json_int(descriptor, "q"))
     if kind == "product":
         factors = descriptor.get("factors")
         if not isinstance(factors, list) or not factors:
@@ -433,7 +451,13 @@ def build_group(descriptor: dict) -> FiniteGroup:
         if "mul" not in descriptor:
             raise InputError("table descriptor needs 'mul'")
         mul = descriptor["mul"]
-        if "order" in descriptor and len(mul) != int(descriptor["order"]):
+        if not isinstance(mul, list):
+            raise InputError("table descriptor field 'mul' must be a list of rows")
+        _check_order(len(mul))
+        if not all(isinstance(row, list) and all(_is_json_int(x) for x in row)
+                   for row in mul):
+            raise InputError("table descriptor field 'mul' must hold rows of JSON integers")
+        if "order" in descriptor and len(mul) != _json_int(descriptor, "order"):
             raise InputError("table order disagrees with the table size")
         return FiniteGroup.from_table(mul)
     raise InputError(f"unknown group kind: {kind!r}")

@@ -2,18 +2,20 @@
 
 Almost everything here is deliberately naive (enumeration, field arithmetic,
 sympy) and shares no code with the production implementations it checks.
-Two exceptions reuse the production linear algebra. The preimage oracle
-takes a kernel of [C | -L], projects it and puts it in Hermite form again,
-where production reads the answer off one echelon pass. The Kronecker
-q-index oracle at the end also reuses fixed points and tensor products, and
-differs from the production q-index route only in working on P (x) M
-instead of M^H. The Cayley-table oracles reuse the production lattices and
-compress: table_tate takes H^1 on one cochain per group element, and degree
-2 as that H^1 of the coinduced shift module Q, where production takes both
-from a small free resolution or a presentation. shift_tate takes the
-production H^1 of Q instead, which is narrow enough for the larger dihedral
-groups, whose degree 2 production takes as H_1. contains_lattice and compose
-are small tools the tests use.
+Some oracles reuse the production linear algebra. The preimage oracle takes
+a kernel of [C | -L], projects it and puts it in Hermite form again, where
+production reads the answer off one echelon pass. The Kronecker q-index
+oracle at the end also reuses fixed points and tensor products, and differs
+from the production q-index route only in working on P (x) M instead of
+M^H. augmentation_all_tate builds degree -1 on the production lattices, but
+spans the augmentation submodule by every group element, where production
+takes the generators only. The Cayley-table oracles reuse the production
+lattices and compress: table_tate takes H^1 on one cochain per group
+element, and degree 2 as that H^1 of the coinduced shift module Q, where
+production takes both from a small free resolution or a presentation.
+shift_tate takes the production H^1 of Q instead, which is narrow enough
+for the larger dihedral groups, whose degree 2 production takes as H_1.
+contains_lattice and compose are small tools the tests use.
 """
 
 from __future__ import annotations
@@ -377,6 +379,27 @@ def shift_induced_kernel_order(f, H, degree: int) -> int:
     degree-1 kernel order of the map it induces on the shift modules."""
     g = _h1_hom(f, H, degree)
     return induced_kernel_order(g, g.source.group.full_subgroup(), 1)
+
+
+def augmentation_all_tate(M, H) -> TateGroup:
+    """Degree -1 of H on M with I_H M spanned by A_h - 1 for every h != 1 of
+    H, where production takes only the generators of H."""
+    R = restrict(M, H)
+    n, h = R.ambient_rank, R.group.order
+    norm = IntMatrix([[sum(R.action[g][i, j] for g in range(h)) for j in range(n)]
+                      for i in range(n)], cols=n)
+    U = preimage_lattice(norm, R.relations)
+    ident = IntMatrix.identity(n)
+    rows = [col for g in range(1, h) for col in (R.action[g] - ident).columns()]
+    V = Lattice.from_rows(n, rows + list(R.relations.basis_rows))
+    return TateGroup(-1, -1, n, U, V, subquotient_group(U, V))
+
+
+def augmentation_all_kernel_order(f, H) -> int:
+    """Kernel order of the map f induces on augmentation_all_tate."""
+    hom = _subquotient_hom(augmentation_all_tate(f.source, H),
+                           augmentation_all_tate(f.target, H), f.matrix)
+    return hom.kernel_group().order()
 
 
 def a4():

@@ -46,6 +46,7 @@ def test_dihedral_relation_is_a_relation_and_canonical():
         assert rel.coefficient_vector() == (1, -2, -1, 2)
         ok, witness = is_brauer_relation(G, rel.terms)
         assert ok and witness is None
+        assert dihedral_relation(q) is rel  # built once per q
 
 
 def test_dihedral_relation_rejects_even_or_trivial_q():

@@ -1,9 +1,15 @@
 """Command line interface: JSON output, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reglab
 from reglab import (
     FiniteGroup,
     dihedral_relation,
@@ -406,6 +412,57 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(climod, "run_suite", fake)
     code, _ = _run(capsys, "verify", "--suite", "dihedral")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed and oversized group descriptors
+# ---------------------------------------------------------------------------
+
+# (descriptor, exit code): malformed fields are input errors, and a group
+# over the order bound is a resource limit, refused before any table exists
+BAD_GROUPS = [
+    ({"kind": "cyclic", "n": "abc"}, 2),
+    ({"kind": "cyclic", "n": [3]}, 2),
+    ({"kind": "cyclic", "n": True}, 2),
+    ({"kind": "cyclic", "n": 2.5}, 2),
+    ({"kind": "dihedral", "q": "5"}, 2),
+    ({"kind": "table", "mul": "ab"}, 2),
+    ({"kind": "table", "order": "x", "mul": [[0, 1], [1, 0]]}, 2),
+    ({"kind": "table", "mul": [[0, 1], [1, "0"]]}, 2),
+    ({"kind": "cyclic", "n": 3000}, 3),
+    ({"kind": "dihedral", "q": 3000}, 3),
+    ({"kind": "cyclic", "n": 10**9}, 3),
+]
+
+
+def _limit_memory():
+    # a table built before the order check then fails at once, instead of
+    # taking the host's memory for a large n
+    cap = 256 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def _run_process(tmp_path, *argv):
+    src = str(Path(reglab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "reglab", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+
+
+@pytest.mark.parametrize("desc,code", BAD_GROUPS, ids=lambda v: json.dumps(v)
+                         if isinstance(v, dict) else str(v))
+def test_bad_group_descriptors_end_in_a_json_error(tmp_path, desc, code):
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps({"group": desc, "rank": 1, "relations": [],
+                                  "action": {"0": [[1]]}}))
+    for argv in (("validate", "--module", str(module)),
+                 ("relations", "--group", json.dumps(desc))):
+        proc = _run_process(tmp_path, *argv)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode == code, (argv, proc.stderr)
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == ("InputError" if code == 2 else "ResourceLimitError")
 
 
 # ---------------------------------------------------------------------------

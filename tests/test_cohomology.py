@@ -33,6 +33,8 @@ from reglab.exactla import integer_kernel, qindex
 
 from oracles import (
     a4,
+    augmentation_all_kernel_order,
+    augmentation_all_tate,
     cocycle_count_bruteforce,
     compose,
     shift_induced_kernel_order,
@@ -321,6 +323,26 @@ def test_coinvariant_torsion_is_degree_minus_one():
                 rows.extend((M.action[h] - ident(n)).columns())
             coinv = PresentedAbelianGroup(n, IntMatrix(rows, cols=n).transpose())
             assert coinv.torsion_divisors == tate(M, H, -1).invariants()[1]
+
+
+def test_degree_minus_one_matches_the_all_elements_oracle():
+    # production spans I_H M by the generators of H, the oracle by all of H
+    C = FiniteGroup.cyclic
+    groups = [C(6), C(9), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(),
+              FiniteGroup.product([C(2), C(4)]), FiniteGroup.product([C(2)] * 3),
+              FiniteGroup.dihedral(4), a4()]
+    rng = random.Random(61)
+    for G in groups:
+        for profile in ("torsion_free", "finite", "mixed"):
+            seed = rng.randrange(10**6)
+            M = random_module(G, profile, seed, max_rank=4)
+            N = random_module(G, profile, seed + 1, max_rank=4)
+            f = random_module_hom(M, N, seed)
+            for H in subgroup_class_representatives(G)[1:]:
+                assert (tate(M, H, -1).invariants()
+                        == augmentation_all_tate(M, H).invariants()), (G, profile, H)
+                assert (induced_kernel_order(f, H, -1)
+                        == augmentation_all_kernel_order(f, H)), (G, profile, H)
 
 
 def test_herbrand_values_and_multiplicativity():

@@ -262,6 +262,9 @@ def test_saturate_properties():
     assert S.contains([1, 1, 0])
     assert S.contains([0, 1, 0])
     assert not S.contains([0, 0, 1])
+    full = Lattice.from_rows(3, [[2, 1, 0], [0, 3, 0], [1, 0, 5]])
+    assert saturate(full) == Lattice.full(3)
+    assert Lattice.full(3) == Lattice.from_rows(3, IntMatrix.identity(3).entries)
 
 
 def test_block_diagonal_lattice():
@@ -440,6 +443,25 @@ def test_invariant_factors_agree_with_smith_transforms():
         want = smith_normal_form(mat).divisors
         got = PresentedAbelianGroup(rows, mat).invariant_factors
         assert tuple(got) == tuple(want)
+
+
+@_PROPERTY
+@given(st.data(), st.integers(1, 5), st.booleans())
+def test_invariants_match_the_smith_divisors(data, k, deficient):
+    # a full-rank relation lattice skips the saturation, a deficient one not
+    cols = data.draw(st.integers(0, 5))
+    rows = [data.draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+            for _ in range(k)]
+    if deficient:
+        rows[-1] = [0] * cols
+    else:
+        diag = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        rows = [r + [d if i == j else 0 for j, d in enumerate(diag)]
+                for i, r in enumerate(rows)]
+    rel = IntMatrix(rows, cols=len(rows[0]))
+    divisors = smith_normal_form(rel).divisors
+    want = (k - len(divisors), tuple(d for d in divisors if d != 1))
+    assert PresentedAbelianGroup(k, rel).invariants() == want
 
 
 def test_invariant_factors_frozen_examples():

@@ -40,3 +40,24 @@ def test_no_unused_imports():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text())
              for path in _python_files()}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def trusted_constructions(source: str) -> list[int]:
+    """Lines that mention IntMatrix._trusted, the unchecked constructor."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+
+
+def test_trusted_constructions_are_found():
+    assert trusted_constructions("m = IntMatrix._trusted(((1,),), 1)\n") == [1]
+    assert trusted_constructions("IntMatrix(rows)\n'IntMatrix._trusted'\n") == []
+
+
+def test_only_exactla_skips_the_matrix_checks():
+    # outside input must reach IntMatrix through the coercing constructor
+    exactla = ROOT / "src" / "reglab" / "exactla.py"
+    found = {path.relative_to(ROOT).as_posix(): trusted_constructions(path.read_text())
+             for folder in (ROOT / "src" / "reglab", ROOT / "tests")
+             for path in sorted(folder.glob("*.py")) if path != exactla}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert trusted_constructions(exactla.read_text())
