@@ -35,6 +35,7 @@ from .jsonio import (
     module_digest,
     module_from_json,
     module_to_json,
+    parse_json,
     relation_from_json,
 )
 from .regulator import (
@@ -56,10 +57,7 @@ def _load_group_arg(text: str):
     """A --group argument is a file path or an inline JSON descriptor."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            return group_from_json(json.loads(stripped))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"inline group JSON is invalid: {exc}") from exc
+        return group_from_json(parse_json(stripped, "inline group JSON"))
     return group_from_json(text)
 
 

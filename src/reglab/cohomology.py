@@ -5,13 +5,15 @@ period 2 and dihedral groups of twice-odd order with period 4. Everything is
 a subquotient of an explicit cochain lattice, so orders and induced maps are
 exact.
 
-Degree conventions: H^0 is fixed points modulo norms and H^{-1} is the norm
-kernel modulo the augmentation submodule I_H M. The s - 1 for generators s
-of H span I_H M, since gs - 1 = g(s - 1) + (g - 1). H^1 and H^2 are cocycles
-modulo coboundaries of Hom(F, M) over a free resolution F -> Z (K. Brown,
-Cohomology of Groups, GTM 87, III.1). Cyclic and dihedral groups take the
-resolution of their presentation; over dihedral groups of twice-odd order
-H^2 is H_1 of the chain complex of <r, s | r^d, s^2, (sr)^2>, which is
+Degree conventions: every degree is the homology at the middle of three
+terms of Hom_H(F, M) over a complete resolution F of Z (K. Brown, Cohomology
+of Groups, GTM 87, VI.3). With d1 : m -> ((x - 1)m)_x over the generators x
+of H and N the norm, H^0 is that of M -N-> M -d1-> M^k, fixed points modulo
+norms, and H^{-1} that of M^k -d1^T-> M -N-> M, the norm kernel modulo I_H M,
+which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^1 and H^2 come
+from the free end F -> Z (Brown, III.1). Cyclic groups reduce every degree
+to -1 or 0. Dihedral groups of twice-odd order take the resolution of
+<r, s | r^d, s^2, (sr)^2>, and H^2 as H_1 of its chain complex, which is
 H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity (Brown,
 VI.4 and VI.9). Every other group takes a small free resolution built from
 its table, whose modules of relations are spanned greedily by translates of
@@ -39,7 +41,6 @@ from .gmodules import (
     GModule,
     ModuleHom,
     fixed_points,
-    norm_matrix,
     restrict,
 )
 from .groups import FiniteGroup, Subgroup
@@ -84,8 +85,8 @@ class TateGroup:
 
 
 def _h1_route(GH: FiniteGroup):
-    """('cyclic', t) | ('dihedral', r, s) | ('table',): how to compute H^1
-    and H^2, from a presentation or from the free resolution of _resolution.
+    """('cyclic',) | ('dihedral', r, s) | ('table',): how to reduce degrees
+    and compute H^1 and H^2, from a presentation or from _resolution.
 
     The dihedral route needs order 2d with d odd and at least 3, generated by
     a rotation r of order d and a reflection s with s r s = r^{-1}; those
@@ -94,20 +95,17 @@ def _h1_route(GH: FiniteGroup):
     if "h1route" in GH._cache:
         return GH._cache["h1route"]
     route = ("table",)
-    t = next((x for x in range(GH.order) if GH.element_order(x) == GH.order), None)
-    if t is not None:
-        route = ("cyclic", t)
-    else:
-        h = GH.order
-        d = h // 2
-        if h % 2 == 0 and d % 2 == 1 and d >= 3:
-            r = next((x for x in range(h) if GH.element_order(x) == d), None)
-            if r is not None:
-                rinv = GH.inverse[r]
-                for s in range(h):
-                    if GH.element_order(s) == 2 and GH.mul[GH.mul[s][r]][s] == rinv:
-                        route = ("dihedral", r, s)
-                        break
+    h, d = GH.order, GH.order // 2
+    if any(GH.element_order(x) == h for x in range(h)):
+        route = ("cyclic",)
+    elif h % 2 == 0 and d % 2 == 1 and d >= 3:
+        r = next((x for x in range(h) if GH.element_order(x) == d), None)
+        if r is not None:
+            rinv = GH.inverse[r]
+            for s in range(h):
+                if GH.element_order(s) == 2 and GH.mul[GH.mul[s][r]][s] == rinv:
+                    route = ("dihedral", r, s)
+                    break
     GH._cache["h1route"] = route
     return route
 
@@ -130,41 +128,9 @@ def _reduce_degree(GH: FiniteGroup, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _augmentation_rows(R: GModule):
-    """Columns of A_s - 1 for the generators s of the acting group.
-
-    With the relations L they span I_H M + L, the augmentation submodule
-    that every h != 1 would span: (gs - 1)m = (g - 1)(sm) + (s - 1)m, and
-    the action keeps the group law modulo L, whose rows join the span.
-    """
-    ident = IntMatrix.identity(R.ambient_rank)
-    rows = []
-    for s in R.group.full_subgroup().generators():
-        rows.extend((R.action[s] - ident).columns())
-    return rows
-
-
-def _h0_data(R: GModule):
-    GH = R.group
-    F = fixed_points(R, GH.full_subgroup()).lattice
-    N = norm_matrix(R, GH.full_subgroup())
-    V = Lattice.from_rows(R.ambient_rank,
-                          list(N.columns()) + list(R.relations.basis_rows))
-    return R.ambient_rank, F, V
-
-
-def _hm1_data(R: GModule):
-    GH = R.group
-    N = norm_matrix(R, GH.full_subgroup())
-    U = preimage_lattice(N, R.relations)
-    V = Lattice.from_rows(R.ambient_rank,
-                          _augmentation_rows(R) + list(R.relations.basis_rows))
-    return R.ambient_rank, U, V
-
-
 def _presentation(GH: FiniteGroup, route):
-    """Fox calculus over Z[GH] of <t | t^m> for ('cyclic', t), or of
-    <r, s | r^d, s^2, (sr)^2> for ('dihedral', r, s).
+    """Fox calculus over Z[GH] of <r, s | r^d, s^2, (sr)^2> for the route
+    ('dihedral', r, s).
 
     Returns (gens, fox): gens[x] is x - 1 and fox[w][x] the Fox derivative of
     relator w by generator x, each a group-ring element as (coefficient,
@@ -176,8 +142,6 @@ def _presentation(GH: FiniteGroup, route):
             out.append(GH.mul[out[-1]][x])
         return [(1, g) for g in out]
 
-    if route[0] == "cyclic":
-        return [[(1, route[1]), (-1, 0)]], [[powers(route[1])]]
     _, r, s = route
     sr = GH.mul[s][r]
     return ([[(1, r), (-1, 0)], [(1, s), (-1, 0)]],
@@ -198,7 +162,7 @@ def _resolution(GH: FiniteGroup):
     if "resolution" in GH._cache:
         return GH._cache["resolution"]
     h, mul = GH.order, GH.mul
-    d = [[[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]]
+    d = [_complex(GH, 0)[1]]  # d1, the upper map of degree 0
     while len(d) < 3:
         k, k0 = len(d[-1]), len(d[-1][0])
         # d_j on the Z-basis g e_i of F_j, coordinate i*h + g
@@ -229,15 +193,21 @@ def _resolution(GH: FiniteGroup):
 
 
 def _complex(GH: FiniteGroup, j: int):
-    """(lower, upper, involute): reduced degree j in {1, 2} is the homology at
-    the middle of M^a -> M^k -> M^b, where the tables of group-ring elements
+    """(lower, upper, involute): reduced degree j is the homology at the
+    middle of M^a -> M^k -> M^b, where the tables of group-ring elements
     lower and upper give the maps through _ring_matrix.
 
-    Table groups take Hom_GH(F, M) on the free resolution. Cyclic and
-    dihedral groups take the cochain complex of their presentation, and
-    dihedral degree 2 is H_1 of its chain complex, whose maps are the
-    transposed, involuted ones.
+    Degrees 0 and -1 sit at the negative end of the complete resolution,
+    spliced through the norm: degree 0 between [[N]] and d1, degree -1
+    between the transpose of d1 and [[N]]. Table groups take degrees 1 and 2
+    from Hom_GH(F, M) on the free resolution. Dihedral groups take the
+    cochain complex of their presentation, and dihedral degree 2 is H_1 of
+    its chain complex, whose maps are the transposed, involuted ones.
     """
+    if j <= 0:
+        d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
+        norm = [[[(1, g) for g in range(GH.order)]]]
+        return (norm, d1, False) if j == 0 else ([[e[0] for e in d1]], norm, False)
     route = _h1_route(GH)
     if route[0] == "table":
         d = _resolution(GH)
@@ -254,8 +224,12 @@ def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
     n = R.ambient_rank
     A = [R.action[R.group.inverse[g] if involute else g].entries
          for g in range(R.group.order)]
-    rows = [[sum(a * A[g][i][j] for a, g in elt) for elt in line for j in range(n)]
-            for line in table for i in range(n)]
+    zero = (0,) * n
+
+    def row(elt, i):
+        return map(sum, zip(zero, *([a * x for x in A[g][i]] for a, g in elt)))
+
+    rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
     return IntMatrix(rows, cols=len(table[0]) * n)
 
 
@@ -285,9 +259,10 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
 
     Degrees outside -1..2 are reduced by periodicity when H is cyclic
     (period 2) or dihedral of twice-odd order (period 4); otherwise they
-    raise DegreeWindowError. Degrees 1 and 2 come from the presentation
-    when H is cyclic or dihedral (degree 2 over a dihedral H as H_1), and
-    from a small free Z[H]-resolution built from the table otherwise.
+    raise DegreeWindowError. Every reduced degree is read off _complex:
+    -1 and 0 from the ends of the complete resolution, 1 and 2 from the
+    presentation when H is dihedral (degree 2 as H_1) and from a small free
+    Z[H]-resolution built from the table otherwise.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
@@ -302,12 +277,7 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
             return cached
         return TateGroup(degree, j, cached.ambient_rank, cached.numerator,
                          cached.denominator, cached.group)
-    if j == 0:
-        w, U, V = _h0_data(R)
-    elif j == -1:
-        w, U, V = _hm1_data(R)
-    else:
-        w, U, V = _complex_data(R, j)
+    w, U, V = _complex_data(R, j)
     out = TateGroup(degree, j, w, U, V, subquotient_group(U, V))
     R._cache[key] = out
     return out
@@ -363,14 +333,9 @@ def rosen_valuation(M: GModule, H: Subgroup, ell: int) -> int:
 
 
 def _subquotient_hom(src: TateGroup, tgt: TateGroup, W: IntMatrix) -> GroupHom:
-    cols = []
-    for u in src.numerator.basis_rows:
-        img = W.apply(u)
-        coords = tgt.numerator.coordinates(img)
-        if coords is None:
-            raise ConsistencyError("induced map left the target cocycle lattice")
-        cols.append(coords)
-    mat = IntMatrix.from_columns(cols, rows=tgt.numerator.rank)
+    mat = tgt.numerator.coordinate_matrix(W.apply(u) for u in src.numerator.basis_rows)
+    if mat is None:
+        raise ConsistencyError("induced map left the target cocycle lattice")
     return GroupHom(src.group, tgt.group, mat)
 
 
@@ -383,10 +348,7 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     j = _reduce_degree(GH, degree)
     src = tate(f.source, H, j)
     tgt = tate(f.target, H, j)
-    if j in (-1, 0):
-        W = f.matrix
-    else:
-        W = IntMatrix.identity(len(_complex(GH, j)[0])).kron(f.matrix)
+    W = IntMatrix.identity(len(_complex(GH, j)[0])).kron(f.matrix)
     return _subquotient_hom(src, tgt, W)
 
 

@@ -507,6 +507,17 @@ class Lattice:
             return None
         return coeffs
 
+    def coordinate_matrix(self, vectors) -> IntMatrix | None:
+        """The coordinates of the vectors as the columns of a
+        rank x len(vectors) matrix, or None if one is not a member."""
+        cols = []
+        for vec in vectors:
+            v, coeffs = self._reduce(vec)
+            if any(v):
+                return None
+            cols.append(coeffs)
+        return IntMatrix.from_columns(cols, rows=self.rank)
+
     def __add__(self, other: "Lattice") -> "Lattice":
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
@@ -528,15 +539,19 @@ class Lattice:
 
 
 def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
-    """Direct sum of lattices placed on consecutive coordinate blocks."""
+    """Direct sum of lattices placed on consecutive coordinate blocks.
+
+    The Hermite forms of the parts, placed side by side, are already the
+    Hermite form of the sum, since no row meets another block's pivots.
+    """
     total = sum(p.ambient_rank for p in parts)
-    rows = []
-    offset = 0
+    rows, pivots, offset = [], [], 0
     for p in parts:
-        for r in p.basis_rows:
-            rows.append([0] * offset + list(r) + [0] * (total - offset - p.ambient_rank))
+        pad = (0,) * (total - offset - p.ambient_rank)
+        rows += [(0,) * offset + r + pad for r in p.basis_rows]
+        pivots += [offset + q for q in p._pivots]
         offset += p.ambient_rank
-    return Lattice.from_rows(total, rows)
+    return Lattice(total, rows, pivots)
 
 
 def _kernel_part(ech: _Echelon, r: int) -> Lattice:
@@ -944,14 +959,10 @@ class PresentedAbelianGroup:
         if r == self.generator_count:
             C = L
         else:
-            S = saturate(L)
-            coords = []
-            for row in L.basis_rows:
-                c = S.coordinates(row)
-                if c is None:
-                    raise ConsistencyError("saturation lost a relation generator")
-                coords.append(c)
-            C = Lattice.from_rows(r, coords)
+            coords = saturate(L).coordinate_matrix(L.basis_rows)
+            if coords is None:
+                raise ConsistencyError("saturation lost a relation generator")
+            C = Lattice.from_columns(coords)
         index = 1
         for brow in C.basis_rows:
             index *= next(x for x in brow if x)
@@ -1004,15 +1015,10 @@ def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
     """U/V for nested lattices V <= U <= Z^n, presented on U's basis."""
     if U.ambient_rank != V.ambient_rank:
         raise ValueError("not a subquotient: ambient ranks differ")
-    rel_cols = []
-    for gen in V.basis_rows:
-        coords = U.coordinates(gen)
-        if coords is None:
-            raise ValueError(f"not a subquotient: generator {list(gen)} lies outside the numerator lattice")
-        rel_cols.append(coords)
-    return PresentedAbelianGroup(
-        U.rank, IntMatrix.from_columns(rel_cols, rows=U.rank)
-    )
+    rel = U.coordinate_matrix(V.basis_rows)
+    if rel is None:
+        raise ValueError("not a subquotient: a generator of V lies outside U")
+    return PresentedAbelianGroup(U.rank, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,9 +1077,11 @@ def qindex(f: GroupHom) -> Fraction | None:
 
 def _torsion_presentation(A: PresentedAbelianGroup) -> tuple[PresentedAbelianGroup, Lattice]:
     """(tors A presented on a basis of sat(R), that saturation)."""
-    satR = saturate(A.relation_lattice())
-    rel_cols = [satR.coordinates(c) for c in A.relation_lattice().basis_rows]
-    rel = IntMatrix.from_columns([c for c in rel_cols if c is not None], rows=satR.rank)
+    R = A.relation_lattice()
+    satR = saturate(R)
+    rel = satR.coordinate_matrix(R.basis_rows)
+    if rel is None:
+        raise ConsistencyError("saturation lost a relation generator")
     return PresentedAbelianGroup(satR.rank, rel), satR
 
 
@@ -1081,14 +1089,10 @@ def tors_hom(f: GroupHom) -> GroupHom:
     """Induced map on torsion subgroups."""
     src, sat_s = _torsion_presentation(f.source)
     tgt, sat_t = _torsion_presentation(f.target)
-    cols = []
-    for gen in sat_s.basis_rows:
-        image = f.matrix.apply(gen)
-        coords = sat_t.coordinates(image)
-        if coords is None:
-            raise ValueError("map does not carry torsion into torsion")
-        cols.append(coords)
-    return GroupHom(src, tgt, IntMatrix.from_columns(cols, rows=sat_t.rank), check=False)
+    mat = sat_t.coordinate_matrix(f.matrix.apply(g) for g in sat_s.basis_rows)
+    if mat is None:
+        raise ValueError("map does not carry torsion into torsion")
+    return GroupHom(src, tgt, mat, check=False)
 
 
 def mt_hom(f: GroupHom) -> GroupHom:
@@ -1113,13 +1117,8 @@ def dual_hom(f: GroupHom) -> GroupHom:
     src_dual = dual_basis(f.source)
     tgt_dual = dual_basis(f.target)
     Ft = f.matrix.transpose()
-    cols = []
-    for y in tgt_dual.basis_rows:
-        w = Ft.apply(y)
-        coords = src_dual.coordinates(w)
-        if coords is None:
-            raise ValueError("transpose does not preserve the dual lattices")
-        cols.append(coords)
+    mat = src_dual.coordinate_matrix(Ft.apply(y) for y in tgt_dual.basis_rows)
+    if mat is None:
+        raise ValueError("transpose does not preserve the dual lattices")
     return GroupHom(PresentedAbelianGroup.free(tgt_dual.rank),
-                    PresentedAbelianGroup.free(src_dual.rank),
-                    IntMatrix.from_columns(cols, rows=src_dual.rank), check=False)
+                    PresentedAbelianGroup.free(src_dual.rank), mat, check=False)

@@ -346,6 +346,17 @@ class TorsionDecomposition:
         raise AttributeError("TorsionDecomposition is immutable")
 
 
+def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
+    """The action matrices restricted to a stable sublattice S, on its basis."""
+    out = []
+    for A in action:
+        mat = S.coordinate_matrix(A.apply(b) for b in S.basis_rows)
+        if mat is None:
+            raise ConsistencyError("action does not stabilize the sublattice")
+        out.append(mat)
+    return out
+
+
 def torsion_decomposition(M: GModule) -> TorsionDecomposition:
     """Split off tors M = sat(L)/L and the free quotient mt M = M / tors M."""
     if "torsion" in M._cache:
@@ -357,24 +368,11 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
         tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
         tors_basis = IntMatrix.zeros(n, 0)
     else:
-        basis_rows = satL.basis_rows
-        rel_cols = []
-        for r in M.relations.basis_rows:
-            coords = satL.coordinates(r)
-            if coords is None:
-                raise ConsistencyError("relations escaped their own saturation")
-            rel_cols.append(coords)
-        action = []
-        for A in M.action:
-            cols = []
-            for b in basis_rows:
-                coords = satL.coordinates(A.apply(b))
-                if coords is None:
-                    raise ConsistencyError("action does not stabilize the saturation")
-                cols.append(coords)
-            action.append(IntMatrix.from_columns(cols, rows=satL.rank))
-        tors = GModule(M.group, satL.rank,
-                       Lattice.from_rows(satL.rank, rel_cols), action)
+        rel = satL.coordinate_matrix(M.relations.basis_rows)
+        if rel is None:
+            raise ConsistencyError("relations escaped their own saturation")
+        tors = GModule(M.group, satL.rank, Lattice.from_columns(rel),
+                       sublattice_action(satL, M.action))
         tors_basis = satL.basis
     # free quotient via compress of Z^n / sat(L)
     ambient_free = GModule(M.group, n, satL, M.action)
@@ -654,23 +652,7 @@ def random_module(G: FiniteGroup, profile: str, seed: int,
                 continue
             if rng.randrange(2):
                 S = S.saturate()
-            cols = []
-            ok = True
-            action = []
-            for A in base.action:
-                mat_cols = []
-                for b in S.basis_rows:
-                    coords = S.coordinates(A.apply(b))
-                    if coords is None:
-                        ok = False
-                        break
-                    mat_cols.append(coords)
-                if not ok:
-                    break
-                action.append(IntMatrix.from_columns(mat_cols, rows=S.rank))
-            if not ok:
-                raise ConsistencyError("orbit lattice was not action-stable")
-            return GModule(G, S.rank, None, action)
+            return GModule(G, S.rank, None, sublattice_action(S, base.action))
 
         if profile == "finite":
             d = rng.choice([2, 3, 4, 5, 6, 8, 9])

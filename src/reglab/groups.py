@@ -412,6 +412,10 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 # ---------------------------------------------------------------------------
 
 
+# products of nontrivial groups within the order bound nest at most 6 deep
+MAX_NESTING = 32
+
+
 def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -428,9 +432,16 @@ def build_group(descriptor: dict) -> FiniteGroup:
     """Construct a group from a JSON-style descriptor.
 
     Supported kinds: cyclic {"n"}, dihedral {"q"}, product {"factors"},
-    table {"order", "mul"}. Every number is a JSON integer, and the order
-    bound is checked before any table is built.
+    table {"order", "mul"}. Every number is a JSON integer, the order
+    bound is checked before any table is built, and descriptors nest at
+    most MAX_NESTING deep.
     """
+    return _build_group(descriptor, MAX_NESTING)
+
+
+def _build_group(descriptor: dict, depth_left: int) -> FiniteGroup:
+    if depth_left == 0:
+        raise InputError(f"group descriptor nests more than {MAX_NESTING} deep")
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise InputError("group descriptor must be an object with a 'kind'")
     kind = descriptor["kind"]
@@ -446,7 +457,7 @@ def build_group(descriptor: dict) -> FiniteGroup:
         factors = descriptor.get("factors")
         if not isinstance(factors, list) or not factors:
             raise InputError("product descriptor needs a non-empty 'factors' list")
-        return FiniteGroup.product([build_group(f) for f in factors])
+        return FiniteGroup.product([_build_group(f, depth_left - 1) for f in factors])
     if kind == "table":
         if "mul" not in descriptor:
             raise InputError("table descriptor needs 'mul'")

@@ -42,14 +42,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 def group_from_json(obj, base_dir: str = ".") -> FiniteGroup:
     """Build a group from a descriptor object or a path to one."""
     if isinstance(obj, str):
-        path = obj if os.path.isabs(obj) else os.path.join(base_dir, obj)
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read group file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"group file {path} is not valid JSON: {exc}") from exc
+        obj = load_json_file(obj if os.path.isabs(obj) else os.path.join(base_dir, obj))
     if not isinstance(obj, dict):
         raise InputError("group must be a descriptor object or a file path")
     return build_group(obj)
@@ -203,11 +196,18 @@ def relation_from_json(obj, base_dir: str = ".") -> BrauerRelation:
     return BrauerRelation(G, terms)
 
 
+def parse_json(text: str, what: str):
+    """json.loads, with malformed or too deeply nested text an InputError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_json_file(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_json(text, path)

@@ -278,13 +278,10 @@ def _fixed_sum(Mc: GModule, subgroups) -> tuple[Lattice, PresentedAbelianGroup]:
 def _fixed_sum_hom(W: IntMatrix, src, tgt) -> GroupHom:
     """The map between two fixed-point sums induced by the ambient matrix W."""
     (F_src, A_src), (F_tgt, A_tgt) = src, tgt
-    cols = []
-    for u in F_src.basis_rows:
-        coords = F_tgt.coordinates(W.apply(u))
-        if coords is None:
-            raise ConsistencyError("map does not preserve fixed points")
-        cols.append(coords)
-    return GroupHom(A_src, A_tgt, IntMatrix.from_columns(cols, rows=F_tgt.rank))
+    mat = F_tgt.coordinate_matrix(W.apply(u) for u in F_src.basis_rows)
+    if mat is None:
+        raise ConsistencyError("map does not preserve fixed points")
+    return GroupHom(A_src, A_tgt, mat)
 
 
 def _coset_sum(Mc: GModule, H: Subgroup, coeffs) -> list[list[int]]:

@@ -465,6 +465,21 @@ def test_bad_group_descriptors_end_in_a_json_error(tmp_path, desc, code):
         assert doc["error"] == ("InputError" if code == 2 else "ResourceLimitError")
 
 
+def test_deeply_nested_group_json_ends_in_a_json_error(tmp_path):
+    # 40 levels trip the nesting bound, 2000 the JSON parser's recursion
+    for depth in (40, 2000):
+        desc = '{"kind": "cyclic", "n": 2}'
+        for _ in range(depth):
+            desc = '{"kind": "product", "factors": [' + desc + ']}'
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text(desc)
+        for arg in (desc, str(path)):
+            proc = _run_process(tmp_path, "relations", "--group", arg)
+            assert "Traceback" not in proc.stderr, (depth, proc.stderr[-500:])
+            assert proc.returncode == 2, (depth, proc.stderr[-500:])
+            assert json.loads(proc.stdout)["error"] == "InputError"
+
+
 # ---------------------------------------------------------------------------
 # global behaviour
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from reglab import (
     PresentedAbelianGroup,
     compress,
     direct_sum,
+    fixed_points,
     herbrand,
     induced_hom,
     induced_kernel_order,
@@ -37,6 +38,7 @@ from oracles import (
     augmentation_all_tate,
     cocycle_count_bruteforce,
     compose,
+    fixed_and_norm_bruteforce,
     shift_induced_kernel_order,
     shift_tate,
     table_induced_kernel_order,
@@ -343,6 +345,27 @@ def test_degree_minus_one_matches_the_all_elements_oracle():
                         == augmentation_all_tate(M, H).invariants()), (G, profile, H)
                 assert (induced_kernel_order(f, H, -1)
                         == augmentation_all_kernel_order(f, H)), (G, profile, H)
+
+
+def test_degree_zero_is_fixed_points_modulo_norms():
+    # |H^0| = |M^H| |M/NM| / |M| by enumeration, and the cocycles are M^H
+    groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(4), FiniteGroup.dihedral(3)]
+    rng = random.Random(67)
+    for G in groups:
+        for _ in range(4):
+            M = compress(random_module(G, "finite", rng.randrange(10**6),
+                                       max_rank=4)).module
+            if M.order() > 2000:
+                continue
+            divs = diagonal_divisors(M)
+            for H in subgroup_class_representatives(G):
+                tables = [M.action[h].to_lists() for h in H.elements]
+                fixed, coker = fixed_and_norm_bruteforce(range(H.order), tables, divs)
+                T = tate(M, H, 0)
+                assert T.order() * M.order() == fixed * coker, (G, H.elements)
+                if H.order > 1:
+                    R = restrict(M, H)
+                    assert T.numerator == fixed_points(R, R.group.full_subgroup()).lattice
 
 
 def test_herbrand_values_and_multiplicativity():

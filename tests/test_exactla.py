@@ -171,6 +171,20 @@ def test_lattice_membership_and_coordinates():
     assert recon == [4, 3, 0]
 
 
+def test_coordinate_matrix_shape_and_membership():
+    L = Lattice.from_rows(3, [[2, 0, 1], [0, 3, 0]])
+    vectors = [[2, 0, 1], [4, 3, 2], [0, 0, 0]]
+    C = L.coordinate_matrix(vectors)
+    assert (C.rows, C.cols) == (L.rank, len(vectors))
+    assert L.basis @ C == IntMatrix.from_columns(vectors)
+    empty = L.coordinate_matrix([])
+    assert (empty.rows, empty.cols) == (L.rank, 0)
+    assert L.coordinate_matrix([[2, 0, 1], [1, 0, 0]]) is None
+    assert L.coordinate_matrix([[0, 0, 1]]) is None
+    zero = Lattice.zero(2).coordinate_matrix([[0, 0], [0, 0]])
+    assert (zero.rows, zero.cols) == (0, 2)
+
+
 def test_integer_kernel_line():
     A = IntMatrix([[1, 2, 3]])
     K = integer_kernel(A)

@@ -61,3 +61,35 @@ def test_only_exactla_skips_the_matrix_checks():
              for path in sorted(folder.glob("*.py")) if path != exactla}
     assert {k: v for k, v in found.items() if v} == {}
     assert trusted_constructions(exactla.read_text())
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module mentions
+    outside their own definition."""
+    defined, mentioned = {}, set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            names |= {node.name for node in ast.walk(top) if isinstance(node, ast.alias)}
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.endswith("__")):
+                defined[top.name] = module
+                names.discard(top.name)
+            mentioned |= names
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in mentioned)
+
+
+def test_unused_private_definitions_are_found():
+    sources = {"a": "def _kept():\n    pass\n\n\ndef _left():\n    return _left()\n",
+               "b": "from a import _kept\n\n\nclass _Gone:\n    '_Gone'\n"}
+    assert unused_private_definitions(sources) == ["a: _left", "b: _Gone"]
+    assert unused_private_definitions({"a": "def __getattr__(name):\n    pass\n"}) == []
+
+
+def test_no_private_helper_is_left_unused():
+    # a helper that only tests mention belongs in tests
+    src = ROOT / "src" / "reglab"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert unused_private_definitions(sources) == []
