@@ -3,7 +3,8 @@
 Degrees -1..2 are computed directly; cyclic groups extend to all degrees with
 period 2 and dihedral groups of twice-odd order with period 4. Everything is
 a subquotient of an explicit cochain lattice, so orders and induced maps are
-exact.
+exact. The cochains are taken on the minimal presentation of the module
+whenever it drops a coordinate, so a TateGroup's lattices live there.
 
 Degree conventions: every degree is the homology at the middle of three
 terms of Hom_H(F, M) over a complete resolution F of Z (K. Brown, Cohomology
@@ -23,6 +24,7 @@ kernel vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .arith import euler_phi, valuation
 from .errors import ConsistencyError, DegreeWindowError, InputError
@@ -40,6 +42,7 @@ from .exactla import (
 from .gmodules import (
     GModule,
     ModuleHom,
+    compress,
     fixed_points,
     restrict,
 )
@@ -162,7 +165,7 @@ def _resolution(GH: FiniteGroup):
     if "resolution" in GH._cache:
         return GH._cache["resolution"]
     h, mul = GH.order, GH.mul
-    d = [_complex(GH, 0)[1]]  # d1, the upper map of degree 0
+    d = [_complex(GH, 0)[1][1]]  # d1, the upper map of degree 0
     while len(d) < 3:
         k, k0 = len(d[-1]), len(d[-1][0])
         # d_j on the Z-basis g e_i of F_j, coordinate i*h + g
@@ -194,8 +197,9 @@ def _resolution(GH: FiniteGroup):
 
 def _complex(GH: FiniteGroup, j: int):
     """(lower, upper, involute): reduced degree j is the homology at the
-    middle of M^a -> M^k -> M^b, where the tables of group-ring elements
-    lower and upper give the maps through _ring_matrix.
+    middle of M^a -> M^k -> M^b, where lower and upper are (name, table)
+    pairs whose tables of group-ring elements give the maps through
+    _ring_matrix. A name stands for one table of GH in every degree.
 
     Degrees 0 and -1 sit at the negative end of the complete resolution,
     spliced through the norm: degree 0 between [[N]] and d1, degree -1
@@ -203,24 +207,35 @@ def _complex(GH: FiniteGroup, j: int):
     from Hom_GH(F, M) on the free resolution. Dihedral groups take the
     cochain complex of their presentation, and dihedral degree 2 is H_1 of
     its chain complex, whose maps are the transposed, involuted ones.
+    Memoised on GH.
     """
+    key = ("complex", j)
+    if key in GH._cache:
+        return GH._cache[key]
     if j <= 0:
         d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
-        norm = [[[(1, g) for g in range(GH.order)]]]
-        return (norm, d1, False) if j == 0 else ([[e[0] for e in d1]], norm, False)
-    route = _h1_route(GH)
-    if route[0] == "table":
+        norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
+        out = ((norm, ("d1", d1), False) if j == 0
+               else (("d1T", [[e[0] for e in d1]]), norm, False))
+    elif _h1_route(GH)[0] == "table":
         d = _resolution(GH)
-        return d[j - 1], d[j], False
-    gens, fox = _presentation(GH, route)
-    if j == 1:
-        return [[x] for x in gens], fox, False
-    return [list(c) for c in zip(*fox)], [gens], True
+        out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j]), False
+    else:
+        gens, fox = _presentation(GH, _h1_route(GH))
+        out = ((("gens", [[x] for x in gens]), ("fox", fox), False) if j == 1
+               else (("foxT", [list(c) for c in zip(*fox)]), ("gensT", [gens]), True))
+    GH._cache[key] = out
+    return out
 
 
-def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
-    """The block matrix of a table of group-ring elements acting on R: sum
-    a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted."""
+def _ring_matrix(R: GModule, named, involute: bool) -> IntMatrix:
+    """The block matrix of a named table of group-ring elements acting on R:
+    sum a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted.
+    Memoised on R under the table's name."""
+    name, table = named
+    key = ("ring", name)
+    if key in R._cache:
+        return R._cache[key]
     n = R.ambient_rank
     A = [R.action[R.group.inverse[g] if involute else g].entries
          for g in range(R.group.order)]
@@ -230,7 +245,8 @@ def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
         return map(sum, zip(zero, *([a * x for x in A[g][i]] for a, g in elt)))
 
     rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
-    return IntMatrix(rows, cols=len(table[0]) * n)
+    R._cache[key] = IntMatrix(rows, cols=len(table[0]) * n)
+    return R._cache[key]
 
 
 def _complex_data(R: GModule, j: int):
@@ -238,10 +254,10 @@ def _complex_data(R: GModule, j: int):
     n = R.ambient_rank
     lower, upper, involute = _complex(R.group, j)
     cyc, bnd = _ring_matrix(R, upper, involute), _ring_matrix(R, lower, involute)
-    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * len(upper)))
-    rel = block_diagonal_lattice([R.relations] * len(lower))
-    V = Lattice.from_rows(len(lower) * n, list(bnd.columns()) + list(rel.basis_rows))
-    return len(lower) * n, U, V
+    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * len(upper[1])))
+    rel = block_diagonal_lattice([R.relations] * len(lower[1]))
+    V = Lattice.from_rows(len(lower[1]) * n, list(bnd.columns()) + list(rel.basis_rows))
+    return len(lower[1]) * n, U, V
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +270,16 @@ def _trivial_tate(degree: int) -> TateGroup:
     return TateGroup(degree, degree, 0, zero, zero, PresentedAbelianGroup(0))
 
 
+def _minimal(M: GModule):
+    """compress(M) if it drops a coordinate, that is if the relation entries
+    have gcd 1, else None. A module that loses no coordinate keeps its basis:
+    compressing it would only change basis and let the action entries grow."""
+    if "minimal" not in M._cache:
+        unit = gcd(*(x for row in M.relations.basis_rows for x in row)) == 1
+        M._cache["minimal"] = compress(M) if unit else None
+    return M._cache["minimal"]
+
+
 def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     """The Tate cohomology group of H acting on M in the given degree.
 
@@ -263,24 +289,25 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     -1 and 0 from the ends of the complete resolution, 1 and 2 from the
     presentation when H is dihedral (degree 2 as H_1) and from a small free
     Z[H]-resolution built from the table otherwise.
+
+    The group is an isomorphism invariant, so it is computed on the minimal
+    presentation compress(M).module whenever that drops a coordinate, and
+    the lattices of the TateGroup live in the coordinates of that module.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
     if H.order == 1:
         return _trivial_tate(degree)
-    R = restrict(M, H)
+    pres = _minimal(M)
+    R = restrict(pres.module if pres else M, H)
     j = _reduce_degree(R.group, degree)
     key = ("tate", j)
-    if key in R._cache:
-        cached = R._cache[key]
-        if cached.degree == degree:
-            return cached
-        return TateGroup(degree, j, cached.ambient_rank, cached.numerator,
-                         cached.denominator, cached.group)
-    w, U, V = _complex_data(R, j)
-    out = TateGroup(degree, j, w, U, V, subquotient_group(U, V))
-    R._cache[key] = out
-    return out
+    if key not in R._cache:
+        w, U, V = _complex_data(R, j)
+        R._cache[key] = TateGroup(j, j, w, U, V, subquotient_group(U, V))
+    c = R._cache[key]
+    return c if c.degree == degree else TateGroup(
+        degree, j, c.ambient_rank, c.numerator, c.denominator, c.group)
 
 
 def herbrand(M: GModule, H: Subgroup) -> Fraction:
@@ -340,7 +367,8 @@ def _subquotient_hom(src: TateGroup, tgt: TateGroup, W: IntMatrix) -> GroupHom:
 
 
 def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
-    """The map on Tate cohomology in the given degree induced by f."""
+    """The map on Tate cohomology in the given degree induced by f, carried
+    into the presentations tate works on as project_t @ f @ embed_s."""
     if H.order == 1:
         triv = PresentedAbelianGroup(0)
         return GroupHom(triv, triv, IntMatrix.zeros(0, 0))
@@ -348,7 +376,12 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     j = _reduce_degree(GH, degree)
     src = tate(f.source, H, j)
     tgt = tate(f.target, H, j)
-    W = IntMatrix.identity(len(_complex(GH, j)[0])).kron(f.matrix)
+    F, ps, pt = f.matrix, _minimal(f.source), _minimal(f.target)
+    if pt:
+        F = pt.project @ F
+    if ps:
+        F = F @ ps.embed
+    W = IntMatrix.identity(len(_complex(GH, j)[0][1])).kron(F)
     return _subquotient_hom(src, tgt, W)
 
 

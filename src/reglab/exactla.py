@@ -920,7 +920,7 @@ def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
 class PresentedAbelianGroup:
     """Z^k modulo the column span of a relation matrix."""
 
-    __slots__ = ("generator_count", "relations", "_snf")
+    __slots__ = ("generator_count", "relations", "_snf", "_lattice")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if relations is None:
@@ -930,6 +930,7 @@ class PresentedAbelianGroup:
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_snf", None)
+        object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, *args):
         raise AttributeError("PresentedAbelianGroup is immutable")
@@ -952,7 +953,7 @@ class PresentedAbelianGroup:
         # keeps every intermediate entry bounded by the index, where a
         # fraction-free elimination can blow up exponentially. When L has
         # full rank, S is Z^k and L is its own coordinate matrix.
-        L = Lattice.from_columns(self.relations)
+        L = self.relation_lattice()
         r = L.rank
         if r == 0:
             return ()
@@ -1002,7 +1003,10 @@ class PresentedAbelianGroup:
         return (self.free_rank, self.torsion_divisors)
 
     def relation_lattice(self) -> Lattice:
-        return Lattice.from_columns(self.relations)
+        """The column span of the relations, memoised."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", Lattice.from_columns(self.relations))
+        return self._lattice
 
     def __repr__(self):
         parts = [f"Z/{d}" for d in self.torsion_divisors]

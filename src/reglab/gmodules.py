@@ -87,16 +87,15 @@ class GModule:
                 f"/rank-{self.relations.rank} relations)")
 
 
-def _generator_indices(G: FiniteGroup) -> tuple[int, ...]:
-    return G.full_subgroup().generators()
-
-
 def validate_module(M: GModule, all_pairs: bool = False) -> None:
     """Check the module axioms; raises ValidationError naming a witness.
 
-    By default the group law is checked on pairs (s, h) with s from a
-    generating set and h arbitrary, which implies the law for all pairs by
-    induction on word length. Pass all_pairs=True for the quadratic check.
+    By default stability of the relation lattice L is checked for A_s with
+    s in a generating set, and the group law on pairs (s, h) with h any
+    element. By induction on word length both then hold for all g = s h:
+    for x in L, A_g x = A_s (A_h x) - (A_s A_h - A_g) x, where A_h x is in L
+    by induction and the columns of A_s A_h - A_g are in L. Pass
+    all_pairs=True to check every element and every pair.
     """
     G, n = M.group, M.ambient_rank
     if len(M.action) != G.order:
@@ -111,14 +110,14 @@ def validate_module(M: GModule, all_pairs: bool = False) -> None:
     if M.relations.ambient_rank != n:
         raise ValidationError("relation lattice lives in the wrong ambient rank")
     L = M.relations
-    for g, A in enumerate(M.action):
+    firsts = range(G.order) if all_pairs else G.full_subgroup().generators()
+    for g in firsts:
         for row in L.basis_rows:
-            if not L.contains(A.apply(row)):
+            if not L.contains(M.action[g].apply(row)):
                 raise ValidationError(
                     f"action matrix {g} does not stabilize the relation lattice "
                     f"(witness generator {list(row)})"
                 )
-    firsts = range(G.order) if all_pairs else _generator_indices(G)
     for s in firsts:
         As = M.action[s]
         for h in range(G.order):
@@ -201,16 +200,22 @@ def tensor_product(M: GModule, N: GModule) -> GModule:
 
 
 def restrict(M: GModule, H: Subgroup) -> GModule:
-    """M as a module over H, re-indexed so H's elements are 0..|H|-1."""
+    """M as a module over H, re-indexed so H's elements are 0..|H|-1.
+
+    The re-indexed group is cached on M's group and shared by subgroups with
+    equal re-indexed tables, so what is cached on it (generators, cohomology
+    route, resolution) is built once for every module over the group.
+    """
     key = ("restrict", H.elements)
     if key in M._cache:
         return M._cache[key]
-    G = M.group
-    elems = H.elements
-    index = {g: i for i, g in enumerate(elems)}
-    mul = [[index[G.mul[a][b]] for b in elems] for a in elems]
-    GH = FiniteGroup(mul, {"kind": "table", "order": len(elems)}, validate=False)
-    out = GModule(GH, M.ambient_rank, M.relations, [M.action[g] for g in elems])
+    G, elems = M.group, H.elements
+    if key not in G._cache:
+        index = {g: i for i, g in enumerate(elems)}
+        mul = tuple(tuple(index[G.mul[a][b]] for b in elems) for a in elems)
+        G._cache[key] = G._cache.setdefault("restricted tables", {}).setdefault(
+            mul, FiniteGroup(mul, {"kind": "table", "order": len(elems)}, validate=False))
+    out = GModule(G._cache[key], M.ambient_rank, M.relations, [M.action[g] for g in elems])
     M._cache[key] = out
     return out
 
@@ -459,7 +464,7 @@ class ModuleHom:
                     raise ValidationError(
                         f"map does not carry relations into relations (witness {list(r)})"
                     )
-            for s in _generator_indices(source.group):
+            for s in source.group.full_subgroup().generators():
                 diff = matrix @ source.action[s] - target.action[s] @ matrix
                 for j in range(source.ambient_rank):
                     col = diff.column(j)

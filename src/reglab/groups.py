@@ -178,19 +178,17 @@ class FiniteGroup:
         return self._cache["conj"]
 
     def closure(self, elements) -> tuple[int, ...]:
-        """Subgroup generated by the given elements, as a sorted tuple."""
-        current = {0}
-        frontier = set(elements) - current
-        current |= frontier
-        while frontier:
-            new = set()
-            for a in list(current):
-                for b in frontier:
-                    new.add(self.mul[a][b])
-                    new.add(self.mul[b][a])
-            frontier = new - current
-            current |= frontier
-        return tuple(sorted(current))
+        """Subgroup generated by the given elements, as a sorted tuple: in a
+        finite group, the orbit of 0 under right multiplication by them."""
+        gens = set(elements)
+        seen, stack = {0}, [0]
+        while stack:
+            row = self.mul[stack.pop()]
+            for g in gens:
+                if row[g] not in seen:
+                    seen.add(row[g])
+                    stack.append(row[g])
+        return tuple(sorted(seen))
 
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, elements)
@@ -279,22 +277,21 @@ class Subgroup:
                         validate=False)
 
     def generators(self) -> tuple[int, ...]:
-        """A small generating set, greedily grown by largest element order."""
+        """A small generating set, greedily grown by largest element order;
+        memoised on the group."""
         G = self.group
-        if self.order == 1:
-            return ()
-        candidates = sorted(self.elements[1:],
-                            key=lambda x: (-G.element_order(x), x))
-        gens: list[int] = []
-        span: tuple[int, ...] = (0,)
-        for x in candidates:
-            if x in span:
-                continue
-            gens.append(x)
-            span = G.closure(gens)
-            if len(span) == self.order:
-                return tuple(gens)
-        raise ValidationError("generator search failed; subgroup not closed?")
+        key = ("generators", self.elements)
+        if key not in G._cache:
+            gens: list[int] = []
+            span: tuple[int, ...] = (0,)
+            for x in sorted(self.elements[1:], key=lambda x: (-G.element_order(x), x)):
+                if x not in span:
+                    gens.append(x)
+                    span = G.closure(gens)
+            if len(span) != self.order:
+                raise ValidationError("generator search failed; subgroup not closed?")
+            G._cache[key] = tuple(gens)
+        return G._cache[key]
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
@@ -304,30 +301,26 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
     class tuple lists its members sorted; the first member is the class
     representative used everywhere else in the package.
 
-    Found by fixpoint closure: start from all cyclic subgroups and repeatedly
-    extend each known subgroup by one extra generator until nothing new
-    appears. Every subgroup arises this way.
+    Found by growing: extend each new subgroup, from the trivial one on, by
+    one element outside it, closing the generators that produced it plus
+    that element. Every subgroup is reached along <g1> < <g1, g2> < ...
     """
     if "subgroups" in G._cache:
         return G._cache["subgroups"]
 
-    found: set[tuple[int, ...]] = {tuple(range(G.order)), (0,)}
-    for g in range(1, G.order):
-        found.add(G.closure([g]))
-    frontier = set(found)
+    found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    frontier = [(0,)]
     while frontier:
-        new: set[tuple[int, ...]] = set()
+        new: dict[tuple[int, ...], tuple[int, ...]] = {}
         for elems in frontier:
-            if len(elems) == G.order:
-                continue
+            gens, inside = found[elems], set(elems)
             for g in range(1, G.order):
-                if g in elems:
-                    continue
-                grown = G.closure(list(elems) + [g])
-                if grown not in found:
-                    new.add(grown)
-        found |= new
-        frontier = new
+                if g not in inside:
+                    grown = G.closure(gens + (g,))
+                    if grown not in found and grown not in new:
+                        new[grown] = gens + (g,)
+        found.update(new)
+        frontier = list(new)
 
     classed: dict[tuple[int, ...], list[Subgroup]] = {}
     for elems in found:

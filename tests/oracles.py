@@ -15,6 +15,10 @@ element, and degree 2 as that H^1 of the coinduced shift module Q, where
 production takes both from a small free resolution or a presentation.
 shift_tate takes the production H^1 of Q instead, which is narrow enough
 for the larger dihedral groups, whose degree 2 production takes as H_1.
+raw_tate and raw_induced_kernel_order run the production complex on M's own
+coordinates, where production takes the minimal presentation whenever it
+drops a coordinate. subgroups_by_fixpoint keeps the all-pairs closure
+fixpoint that enumerate_subgroups replaced.
 contains_lattice and compose are small tools the tests use.
 """
 
@@ -43,7 +47,13 @@ from reglab import (
     tate,
     tensor_product,
 )
-from reglab.cohomology import TateGroup, _reduce_degree, _subquotient_hom
+from reglab.cohomology import (
+    TateGroup,
+    _complex,
+    _complex_data,
+    _reduce_degree,
+    _subquotient_hom,
+)
 from reglab.exactla import block_diagonal_lattice
 
 
@@ -413,3 +423,53 @@ def a4():
     return FiniteGroup.from_table(
         [[index[tuple(a[b[k]] for k in range(4))] for b in perms] for a in perms]
     )
+
+
+def raw_tate(M, H, degree: int) -> TateGroup:
+    """Tate group of H on M on the cochains of restrict(M, H), in M's own
+    coordinates, with no minimal presentation."""
+    R = restrict(M, H)
+    j = _reduce_degree(R.group, degree)
+    w, U, V = _complex_data(R, j)
+    return TateGroup(degree, j, w, U, V, subquotient_group(U, V))
+
+
+def raw_induced_kernel_order(f, H, degree: int) -> int:
+    """Kernel order of the map f induces on raw_tate: f itself, block by
+    block on the cochains."""
+    GH = restrict(f.source, H).group
+    W = IntMatrix.identity(len(_complex(GH, _reduce_degree(GH, degree))[0][1]))
+    hom = _subquotient_hom(raw_tate(f.source, H, degree), raw_tate(f.target, H, degree),
+                           W.kron(f.matrix))
+    return hom.kernel_group().order()
+
+
+def _closure_fixpoint(G, elements):
+    current = {0} | set(elements)
+    frontier = current - {0}
+    while frontier:
+        new = {G.mul[a][b] for a in current for b in frontier}
+        new |= {G.mul[b][a] for a in current for b in frontier}
+        frontier = new - current
+        current |= frontier
+    return tuple(sorted(current))
+
+
+def subgroups_by_fixpoint(G):
+    """Every subgroup of G, as the sorted element tuples of the classes that
+    enumerate_subgroups returns: all cyclic subgroups, extended by one more
+    element with an all-pairs closure until nothing new appears."""
+    found = {tuple(range(G.order)), (0,)}
+    found |= {_closure_fixpoint(G, [g]) for g in range(1, G.order)}
+    frontier = set(found)
+    while frontier:
+        new = {_closure_fixpoint(G, elems + (g,)) for elems in frontier
+               for g in range(1, G.order) if g not in elems}
+        frontier = new - found
+        found |= frontier
+    classed = {}
+    for elems in found:
+        orbit = {tuple(sorted(G.mul[G.mul[g][x]][G.inverse[g]] for x in elems))
+                 for g in range(G.order)}
+        classed.setdefault(min(orbit), []).append(elems)
+    return [tuple(sorted(classed[rep])) for rep in sorted(classed, key=lambda e: (len(e), e))]

@@ -480,6 +480,64 @@ def test_deeply_nested_group_json_ends_in_a_json_error(tmp_path):
             assert json.loads(proc.stdout)["error"] == "InputError"
 
 
+def _d3_body(**changes):
+    """A rank-2 module body over D3 with every element acting trivially,
+    with the given action entries replaced (None drops the element) and
+    any other field replaced."""
+    body = {"group": {"kind": "dihedral", "q": 3}, "rank": 2, "relations": [],
+            "action": {str(g): [[1, 0], [0, 1]] for g in range(6)}}
+    for key, value in changes.items():
+        if key.startswith("g"):
+            if value is None:
+                del body["action"][key[1:]]
+            else:
+                body["action"][key[1:]] = value
+        else:
+            body[key] = value
+    return body
+
+
+SWAP = [[0, 1], [1, 0]]
+BAD_MODULES = [
+    ("ragged action", _d3_body(g1=[[1, 0], [0]]), "InputError"),
+    ("non-square action", _d3_body(g1=[[1, 0, 0], [0, 1, 0]]), "InputError"),
+    ("missing element", _d3_body(g5=None), "InputError"),
+    ("wrong-length relation row", _d3_body(relations=[[2]]), "InputError"),
+    ("boolean action entry", _d3_body(g1=[[True, 0], [0, 1]]), "InputError"),
+    ("float action entry", _d3_body(g1=[[1.0, 0], [0, 1]]), "InputError"),
+    ("boolean relation entry", _d3_body(relations=[[True, 0]]), "InputError"),
+    ("float relation entry", _d3_body(relations=[[2.5, 0]]), "InputError"),
+    ("group law failure", _d3_body(g1=[[2, 0], [0, 1]]), "ValidationError"),
+    ("unstable relation lattice",
+     _d3_body(relations=[[2, 0]], g3=SWAP, g4=SWAP, g5=SWAP), "ValidationError"),
+]
+
+
+@pytest.mark.parametrize("body,error", [case[1:] for case in BAD_MODULES],
+                         ids=[case[0] for case in BAD_MODULES])
+def test_bad_module_bodies_end_in_a_json_error(tmp_path, body, error):
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(body))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps(relation_to_json(dihedral_relation(3))))
+    for argv in (("cohomology", "--module", str(module)),
+                 ("regulator", "--module", str(module), "--relation", str(relation))):
+        proc = _run_process(tmp_path, *argv)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["error"] == error, (argv, proc.stdout)
+
+
+def test_the_fuzzed_base_module_is_valid(tmp_path, capsys, theta_d3):
+    # the bad bodies above differ from a module the CLI accepts
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_d3_body(g3=SWAP, g4=SWAP, g5=SWAP)))
+    for argv in (("cohomology", "--module", str(module)),
+                 ("regulator", "--module", str(module), "--relation", theta_d3)):
+        code, doc = _run(capsys, *argv)
+        assert code == 0 and "error" not in doc
+
+
 # ---------------------------------------------------------------------------
 # global behaviour
 # ---------------------------------------------------------------------------

@@ -102,6 +102,20 @@ def test_validation_rejects_unstable_relations():
         validate_module(bad)
 
 
+def test_validation_rejects_instability_off_the_generators():
+    # C4 acting through generator 1: A_1 = 1 keeps L = Z(2, 0), A_2 = swap
+    # does not; the generator check alone must still reject it
+    G = FiniteGroup.cyclic(4)
+    ident, swap = IntMatrix.identity(2), IntMatrix([[0, 1], [1, 0]])
+    bad = GModule(G, 2, Lattice.from_rows(2, [[2, 0]]), [ident, ident, swap, ident])
+    assert G.full_subgroup().generators() == (1,)
+    assert bad.relations.contains(bad.action[1].apply((2, 0)))
+    with pytest.raises(ValidationError):
+        validate_module(bad)
+    with pytest.raises(ValidationError, match="action matrix 2 does not stabilize"):
+        validate_module(bad, all_pairs=True)
+
+
 def test_sign_twist_of_regular_c2():
     # Z[C2] (x) sign is Z[C2] again, conjugated by diag(1, -1)
     G = FiniteGroup.cyclic(2)
@@ -289,6 +303,17 @@ def test_restriction_to_rotation_subgroup():
     assert R.group.element_order(1) == 3
     # Z[D3] restricted to C3 is two copies of Z[C3]
     assert fixed_points(R, R.group.full_subgroup()).rank == 2
+
+
+def test_restrictions_share_one_group_per_table():
+    # the three reflection subgroups of D3 re-index to one table, so every
+    # module over D3 restricts to them over one shared group
+    G = FiniteGroup.dihedral(3)
+    M, N = permutation_module(G, G.trivial_subgroup()), trivial_module(G)
+    reflections = [G.subgroup([0, s]) for s in (3, 4, 5)]
+    groups = {id(restrict(X, H).group) for X in (M, N) for H in reflections}
+    assert len(groups) == 1
+    assert restrict(M, G.subgroup([0, 1, 2])).group is not restrict(M, reflections[0]).group
 
 
 def test_module_hom_accepts_norm_map_and_rejects_coordinate_inclusion():

@@ -10,7 +10,7 @@ from reglab.groups import (
     enumerate_subgroups,
 )
 
-from oracles import is_abelian
+from oracles import a4, is_abelian, subgroups_by_fixpoint
 
 
 def test_cyclic_table():
@@ -108,6 +108,35 @@ def test_enumerate_subgroups_needs_three_generators():
     # (Z/2)^3 has 1 + 7 + 7 + 1 = 16 subgroups
     assert total == 16
     assert any(cls[0].order == 8 for cls in classes)
+
+
+def test_enumerate_subgroups_matches_the_closure_fixpoint():
+    # growing from generators finds the classes, in the order, of the
+    # all-pairs fixpoint it replaced
+    C, D = FiniteGroup.cyclic, FiniteGroup.dihedral
+    zoo = [C(1), C(2), C(6), C(9), C(12), D(3), D(4), D(5), D(6), D(9),
+           FiniteGroup.product([C(2), C(2)]), FiniteGroup.product([C(2), C(4)]),
+           FiniteGroup.product([C(2)] * 3), FiniteGroup.product([C(3), C(3)]),
+           FiniteGroup.product([C(2), D(3)]), a4()]
+    for G in zoo:
+        classes = [tuple(H.elements for H in cls) for cls in enumerate_subgroups(G)]
+        assert classes == subgroups_by_fixpoint(G), G
+
+
+def test_closure_is_the_generated_subgroup():
+    D4 = FiniteGroup.dihedral(4)
+    assert D4.closure([]) == (0,)
+    assert D4.closure([2]) == (0, 2)
+    assert D4.closure([1, 0]) == (0, 1, 2, 3)
+    assert D4.closure([4, 6]) == (0, 2, 4, 6)
+    assert D4.closure([1, 4]) == tuple(range(8))
+
+
+def test_subgroup_generators_are_memoised_on_the_group():
+    D5 = FiniteGroup.dihedral(5)
+    gens = D5.full_subgroup().generators()
+    assert D5.full_subgroup().generators() is gens
+    assert Subgroup(D5, (0,)).generators() == ()
 
 
 def test_subgroup_generators_and_closure():

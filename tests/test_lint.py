@@ -93,3 +93,55 @@ def test_no_private_helper_is_left_unused():
     src = ROOT / "src" / "reglab"
     sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+
+
+def _calls_id(node) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
+               for n in ast.walk(node))
+
+
+def _is_cache(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+
+def id_cache_keys(source: str) -> list[int]:
+    """Lines whose _cache key is built from id(...), directly or through a
+    name that the same function assigns from it."""
+    tree = ast.parse(source)
+    lines = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        tainted = {t.id for n in ast.walk(scope) if isinstance(n, ast.Assign)
+                   and _calls_id(n.value) for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(scope):
+            if isinstance(n, ast.Subscript) and _is_cache(n.value):
+                key = n.slice
+            elif isinstance(n, ast.Compare) and any(_is_cache(c) for c in n.comparators):
+                key = n.left
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and _is_cache(n.func.value) and n.args):
+                key = n.args[0]
+            else:
+                continue
+            if _calls_id(key) or any(isinstance(x, ast.Name) and x.id in tainted
+                                     for x in ast.walk(key)):
+                lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_id_cache_keys_are_found():
+    assert id_cache_keys("M._cache[('ring', id(t))] = 1\n") == [1]
+    assert id_cache_keys("def f(M, t):\n    key = ('ring', id(t))\n"
+                         "    if key in M._cache:\n        return M._cache[key]\n") == [3, 4]
+    assert id_cache_keys("M._cache.get(id(t))\n") == [1]
+    assert id_cache_keys("def f(M, t):\n    n = id(t)\n"
+                         "    M._cache[('ring', 'd1')] = n\n") == []
+
+
+def test_no_cache_key_is_built_from_an_id():
+    # a freed object's id can be handed to a new one, so an id key can
+    # return data cached for an object that no longer exists
+    found = {path.name: id_cache_keys(path.read_text())
+             for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
