@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 
 from .brauer import (
     brauer_relation_lattice,
@@ -244,7 +245,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="reglab",
         description="Exact Tate cohomology, Brauer relations and regulator "

@@ -106,16 +106,6 @@ class IntMatrix:
         return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
-    def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        diag = list(diag)
-        r = rows if rows is not None else len(diag)
-        c = cols if cols is not None else len(diag)
-        m = [[0] * c for _ in range(r)]
-        for i, d in enumerate(diag):
-            m[i][i] = int(d)
-        return cls(m, cols=c)
-
-    @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
         columns = [list(c) for c in columns]
         if columns:
@@ -938,13 +928,6 @@ class PresentedAbelianGroup:
     @classmethod
     def free(cls, rank: int) -> "PresentedAbelianGroup":
         return cls(rank)
-
-    @classmethod
-    def from_divisors(cls, divisors, free_rank: int = 0) -> "PresentedAbelianGroup":
-        divisors = [int(d) for d in divisors]
-        k = len(divisors) + free_rank
-        rel = IntMatrix.diagonal(divisors, rows=k, cols=len(divisors))
-        return cls(k, rel)
 
     def _compute_invariant_factors(self) -> tuple[int, ...]:
         # The torsion part is S/L for L the relation lattice and S its

@@ -621,6 +621,8 @@ def random_module(G: FiniteGroup, profile: str, seed: int,
     profiles = ("torsion_free", "finite", "mixed")
     if profile not in profiles:
         raise InputError(f"unknown profile {profile!r}; expected one of {profiles}")
+    if max_rank < 1:
+        raise InputError(f"max_rank must be at least 1, not {max_rank}")
     salt = profiles.index(profile)
     rng = random.Random(mix_seed(seed, salt, G.order))
     reps = [cls[0] for cls in enumerate_subgroups(G)]

@@ -5,6 +5,13 @@ Groups are always given by a full multiplication table on indices 0..n-1 with
 explicitly; arbitrary tables are accepted after validation. Everything any
 other module needs from a group (subgroups up to conjugacy, coset actions,
 conjugacy classes of elements) is computed here and cached on the instance.
+
+The family constructors and from_table intern their groups: one shared
+instance per table and descriptor, so everything cached on a group is built
+once per process for every module over it. The descriptor is part of the
+key because JSON output echoes it. At most MAX_INTERNED groups are kept,
+the oldest dropped first. A group built directly with FiniteGroup(...) is
+never interned; copy a group that way before writing to its _cache.
 """
 
 from __future__ import annotations
@@ -12,6 +19,19 @@ from __future__ import annotations
 from .errors import InputError, ResourceLimitError, ValidationError
 
 MAX_GROUP_ORDER = 48
+MAX_INTERNED = 64
+_INTERNED: dict[tuple, "FiniteGroup"] = {}
+
+
+def _interned(key: tuple, build) -> "FiniteGroup":
+    """The group interned under key, built (and validated) on a miss only."""
+    G = _INTERNED.get(key)
+    if G is None:
+        G = build()
+        if len(_INTERNED) >= MAX_INTERNED:
+            del _INTERNED[next(iter(_INTERNED))]
+        _INTERNED[key] = G
+    return G
 
 
 def _check_order(n: int) -> None:
@@ -54,8 +74,9 @@ class FiniteGroup:
         if n < 1:
             raise InputError("cyclic group needs n >= 1")
         _check_order(n)
-        mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(mul, {"kind": "cyclic", "n": n}, validate=False)
+        return _interned(("cyclic", n), lambda: cls(
+            [[(i + j) % n for j in range(n)] for i in range(n)],
+            {"kind": "cyclic", "n": n}, validate=False))
 
     @classmethod
     def dihedral(cls, q: int) -> "FiniteGroup":
@@ -77,8 +98,9 @@ class FiniteGroup:
                 return q + (ia + ib) % q
             return (ib - ia) % q
 
-        mul = [[mult(a, b) for b in range(n)] for a in range(n)]
-        return cls(mul, {"kind": "dihedral", "q": q}, validate=False)
+        return _interned(("dihedral", q), lambda: cls(
+            [[mult(a, b) for b in range(n)] for a in range(n)],
+            {"kind": "dihedral", "q": q}, validate=False))
 
     @classmethod
     def product(cls, factors: list["FiniteGroup"]) -> "FiniteGroup":
@@ -107,13 +129,18 @@ class FiniteGroup:
             pa, pb = split(a), split(b)
             return join([g.mul[x][y] for g, x, y in zip(factors, pa, pb)])
 
-        mul = [[mult(a, b) for b in range(total)] for a in range(total)]
-        desc = {"kind": "product", "factors": [g.descriptor for g in factors]}
-        return cls(mul, desc, validate=False)
+        # a factor's descriptor alone does not fix a table factor's table
+        key = ("product", tuple((g.mul, repr(g.descriptor)) for g in factors))
+        return _interned(key, lambda: cls(
+            [[mult(a, b) for b in range(total)] for a in range(total)],
+            {"kind": "product", "factors": [g.descriptor for g in factors]},
+            validate=False))
 
     @classmethod
     def from_table(cls, mul) -> "FiniteGroup":
-        return cls(mul, None, validate=True)
+        """The group of a table, validated the first time it is seen."""
+        table = tuple(tuple(int(x) for x in row) for row in mul)
+        return _interned(("table", table), lambda: cls(table, None, validate=True))
 
     # -- basic structure
 
@@ -235,12 +262,14 @@ class Subgroup:
     def __init__(self, group: FiniteGroup, elements, validate: bool = True):
         elems = tuple(sorted(set(int(x) for x in elements)))
         if validate:
+            # every element is in range before any table lookup
+            outside = [a for a in elems if not 0 <= a < group.order]
+            if outside:
+                raise ValidationError(f"element {outside[0]} outside the group")
             if not elems or elems[0] != 0:
                 raise ValidationError("subgroup must contain the identity 0")
             inside = set(elems)
             for a in elems:
-                if a < 0 or a >= group.order:
-                    raise ValidationError(f"element {a} outside the group")
                 if group.inverse[a] not in inside:
                     raise ValidationError(f"subgroup not closed under inverse at {a}")
                 for b in elems:

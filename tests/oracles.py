@@ -19,7 +19,8 @@ raw_tate and raw_induced_kernel_order run the production complex on M's own
 coordinates, where production takes the minimal presentation whenever it
 drops a coordinate. subgroups_by_fixpoint keeps the all-pairs closure
 fixpoint that enumerate_subgroups replaced.
-contains_lattice and compose are small tools the tests use.
+contains_lattice, compose, presented_from_divisors and zoo (the small groups
+the structural tests run over) are tools the tests use.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from reglab import (
     IntMatrix,
     Lattice,
     ModuleHom,
+    PresentedAbelianGroup,
     compress,
     direct_sum,
     fixed_points,
@@ -210,6 +212,13 @@ def compose(g, f) -> GroupHom:
     if g.source is not f.target and g.source.relations != f.target.relations:
         raise ValueError("homs not composable")
     return GroupHom(f.source, g.target, g.matrix @ f.matrix, check=False)
+
+
+def presented_from_divisors(divisors, free_rank: int = 0) -> PresentedAbelianGroup:
+    """Z/d_1 + ... + Z/d_k + Z^free_rank, one relation column per divisor."""
+    k = len(divisors) + free_rank
+    columns = [[d if i == j else 0 for i in range(k)] for j, d in enumerate(divisors)]
+    return PresentedAbelianGroup(k, IntMatrix.from_columns(columns, rows=k))
 
 
 def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:
@@ -473,3 +482,12 @@ def subgroups_by_fixpoint(G):
                  for g in range(G.order)}
         classed.setdefault(min(orbit), []).append(elems)
     return [tuple(sorted(classed[rep])) for rep in sorted(classed, key=lambda e: (len(e), e))]
+
+
+def zoo() -> list:
+    """The small groups the structural tests run over."""
+    C, D = FiniteGroup.cyclic, FiniteGroup.dihedral
+    return [C(1), C(2), C(6), C(9), C(12), D(3), D(4), D(5), D(6), D(9),
+            FiniteGroup.product([C(2), C(2)]), FiniteGroup.product([C(2), C(4)]),
+            FiniteGroup.product([C(2)] * 3), FiniteGroup.product([C(3), C(3)]),
+            FiniteGroup.product([C(2), D(3)]), a4()]

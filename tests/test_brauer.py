@@ -19,6 +19,9 @@ from reglab import (
     trivial_module,
 )
 from reglab.errors import InputError
+from reglab.groups import enumerate_subgroups
+
+from oracles import zoo
 
 
 def V4():
@@ -66,6 +69,18 @@ def test_relation_lattice_of_dihedral_groups():
 def test_relation_lattice_of_v4():
     lat = brauer_relation_lattice(V4())
     assert lat.basis_rows == ((1, -1, -1, -1, 2),)
+
+
+def test_relation_rank_is_classes_minus_cyclic_classes():
+    # Artin's induction theorem: the permutation characters span the
+    # rational characters, one per class of cyclic subgroups, so the
+    # relations have rank #classes - #cyclic classes (Bartel-Dokchitser,
+    # Brauer relations in finite groups, JEMS 2015)
+    for G in zoo():
+        reps = [cls[0] for cls in enumerate_subgroups(G)]
+        cyclic = sum(any(G.element_order(x) == H.order for x in H.elements)
+                     for H in reps)
+        assert brauer_relation_lattice(G).rank == len(reps) - cyclic, G
 
 
 def test_cyclic_groups_have_no_relations():

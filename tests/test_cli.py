@@ -192,6 +192,35 @@ def test_regulator_seed_independence(capsys, triv_d3, theta_d3):
     assert values == {"1/3"}
 
 
+@pytest.mark.parametrize("elements", [[0, 99], [0, 6], [-1, 0]])
+def test_relation_elements_outside_the_group_end_in_a_json_error(
+        capsys, tmp_path, triv_d3, elements):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"group": {"kind": "dihedral", "q": 3},
+                               "terms": [{"subgroup": elements, "coeff": 1}]}))
+    for argv in (("regulator", "--module", triv_d3, "--relation", str(rel)),
+                 ("check", "--identity", "DUAL1", "--module", triv_d3,
+                  "--relation", str(rel))):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert doc["error"] == "ValidationError"
+        assert "outside the group" in doc["message"]
+
+
+def test_main_reuses_one_parser_across_calls(capsys, triv_d3, theta_d3):
+    # success, argument error, the same success: the parser keeps no state
+    argv = ["regulator", "--module", triv_d3, "--relation", theta_d3, "--seed", "5"]
+    assert main(list(argv)) == 0
+    first = capsys.readouterr().out
+    assert main(["regulator", "--module", triv_d3, "--method", "nope"]) == 2
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == first
+    assert reglab.cli._build_parser() is reglab.cli._build_parser()
+
+
 # ---------------------------------------------------------------------------
 # relations
 # ---------------------------------------------------------------------------
@@ -362,6 +391,18 @@ def test_random_module_unwritable_out_is_input_error(capsys, tmp_path):
                      "--profile", "finite", "--seed", "0",
                      "--out", str(tmp_path / "nodir" / "m.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_random_module_rejects_a_max_rank_below_one(capsys, tmp_path, max_rank):
+    out = tmp_path / "m.json"
+    code, doc = _run(capsys, "random-module", "--group",
+                     json.dumps({"kind": "cyclic", "n": 2}),
+                     "--profile", "finite", "--seed", "0",
+                     "--out", str(out), "--max-rank", max_rank)
+    assert code == 2
+    assert doc["error"] == "InputError" and "max_rank" in doc["message"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from reglab import (
     tate,
     trivial_module,
 )
-from reglab.cohomology import _resolution
+from reglab.cohomology import _h1_route, _resolution
 from reglab.errors import InputError
 from reglab.exactla import integer_kernel, qindex
 
@@ -259,6 +259,19 @@ def test_table_route_agrees_with_fast_routes():
                 assert (tate(ft.source, full, i).invariants()
                         == tate(f.source, full, i).invariants())
                 assert induced_kernel_order(ft, full, i) == induced_kernel_order(f, full, i)
+
+
+def test_a_route_forced_on_a_copy_stays_on_the_copy():
+    # the copy's restriction carries the forced route; the shared group, and
+    # every module read over it later, keeps its own
+    G = FiniteGroup.dihedral(3)
+    full = G.full_subgroup()
+    M = trivial_module(G)
+    forced = forced_table(M, full)
+    assert restrict(forced, full).group._cache["h1route"] == ("table",)
+    shared = restrict(trivial_module(FiniteGroup.dihedral(3)), full).group
+    assert shared is restrict(M, full).group
+    assert _h1_route(shared)[0] == "dihedral"
 
 
 def test_table_groups_match_the_shift_oracle():

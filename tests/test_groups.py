@@ -1,5 +1,6 @@
 import pytest
 
+import reglab.groups as groups
 from reglab.errors import ResourceLimitError, ValidationError
 from reglab.groups import (
     FiniteGroup,
@@ -10,7 +11,7 @@ from reglab.groups import (
     enumerate_subgroups,
 )
 
-from oracles import a4, is_abelian, subgroups_by_fixpoint
+from oracles import is_abelian, subgroups_by_fixpoint, zoo
 
 
 def test_cyclic_table():
@@ -113,12 +114,7 @@ def test_enumerate_subgroups_needs_three_generators():
 def test_enumerate_subgroups_matches_the_closure_fixpoint():
     # growing from generators finds the classes, in the order, of the
     # all-pairs fixpoint it replaced
-    C, D = FiniteGroup.cyclic, FiniteGroup.dihedral
-    zoo = [C(1), C(2), C(6), C(9), C(12), D(3), D(4), D(5), D(6), D(9),
-           FiniteGroup.product([C(2), C(2)]), FiniteGroup.product([C(2), C(4)]),
-           FiniteGroup.product([C(2)] * 3), FiniteGroup.product([C(3), C(3)]),
-           FiniteGroup.product([C(2), D(3)]), a4()]
-    for G in zoo:
+    for G in zoo():
         classes = [tuple(H.elements for H in cls) for cls in enumerate_subgroups(G)]
         assert classes == subgroups_by_fixpoint(G), G
 
@@ -195,3 +191,55 @@ def test_build_group_descriptors():
     tbl = build_group({"kind": "table", "order": 3,
                        "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
     assert tbl.order == 3
+
+
+def test_family_constructors_share_one_group():
+    C, D = FiniteGroup.cyclic, FiniteGroup.dihedral
+    assert C(6) is C(6) and D(5) is D(5)
+    assert FiniteGroup.product([C(2), D(3)]) is build_group(
+        {"kind": "product",
+         "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "q": 3}]})
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert FiniteGroup.from_table(table) is build_group({"kind": "table", "mul": table})
+    # a direct construction is a copy, never the shared group
+    assert FiniteGroup(C(6).mul, C(6).descriptor, validate=False) is not C(6)
+
+
+def test_products_of_equal_tables_with_other_descriptors_stay_distinct():
+    C2 = FiniteGroup.cyclic(2)
+    T2 = FiniteGroup.from_table(C2.mul)
+    assert T2 is not C2 and T2 == C2
+    assert FiniteGroup.product([T2, T2]) is not FiniteGroup.product([C2, C2])
+    assert FiniteGroup.product([T2, C2]) is FiniteGroup.product([T2, C2])
+
+
+def test_a_repeated_table_is_validated_once(monkeypatch):
+    calls = []
+    validate = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table",
+                        lambda table: calls.append(table) or validate(table))
+    swap = [0, 2, 1, 3, 4, 5, 6]  # C7 with 1 and 2 swapped: no other test's table
+    table = [[swap[(swap[a] + swap[b]) % 7] for b in range(7)] for a in range(7)]
+    assert FiniteGroup.from_table(table) is FiniteGroup.from_table(table)
+    assert len(calls) == 1
+    bad = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+    for _ in range(2):  # a failed table is never interned
+        with pytest.raises(ValidationError):
+            FiniteGroup.from_table(bad)
+    assert len(calls) == 3
+
+
+def test_the_intern_table_stays_at_its_bound():
+    for n in range(1, 49):
+        build_group({"kind": "cyclic", "n": n})
+    for q in range(2, 25):
+        build_group({"kind": "dihedral", "q": q})
+    assert len(groups._INTERNED) == groups.MAX_INTERNED < 71
+    assert FiniteGroup.dihedral(24) is build_group({"kind": "dihedral", "q": 24})
+
+
+def test_out_of_range_subgroup_elements_are_rejected_before_any_lookup():
+    D3 = FiniteGroup.dihedral(3)
+    for elements in ((0, 99), (0, 6), (-1, 0), (0, 1, 2, 7)):
+        with pytest.raises(ValidationError, match="outside the group"):
+            Subgroup(D3, elements)

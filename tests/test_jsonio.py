@@ -55,6 +55,15 @@ def test_group_table_kind_carries_multiplication():
     assert H.mul == G.mul
 
 
+def test_a_family_and_its_table_stay_distinct_groups():
+    # equal tables, but JSON echoes the descriptor, so one group each
+    C2 = build_group({"kind": "cyclic", "n": 2})
+    T2 = build_group({"kind": "table", "mul": [[0, 1], [1, 0]]})
+    assert C2 is not T2 and C2.mul == T2.mul
+    assert group_to_json(C2) == {"kind": "cyclic", "n": 2}
+    assert group_to_json(T2) == {"kind": "table", "order": 2, "mul": [[0, 1], [1, 0]]}
+
+
 def test_group_from_json_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"kind": "cyclic", "n": 4}))
@@ -186,6 +195,15 @@ def test_module_group_may_be_a_file_path(tmp_path):
 # ---------------------------------------------------------------------------
 # relations
 # ---------------------------------------------------------------------------
+
+
+def test_modules_and_relations_over_one_descriptor_share_one_group():
+    doc = module_to_json(random_module(_d3(), "finite", seed=3))
+    A = module_from_json(json.loads(json.dumps(doc)))
+    B = module_from_json(json.loads(json.dumps(doc)))
+    assert A is not B and A.group is B.group
+    rel = relation_from_json(relation_to_json(dihedral_relation(3)))
+    assert rel.group is A.group
 
 
 def test_relation_roundtrip_dihedral():

@@ -145,3 +145,65 @@ def test_no_cache_key_is_built_from_an_id():
     found = {path.name: id_cache_keys(path.read_text())
              for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "clear", "remove", "discard"}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def process_state(source: str) -> list[str]:
+    """What a module keeps across calls: functions under a cache decorator,
+    names rebound through `global`, and module-level names whose object the
+    module writes to (item assignment or deletion, or a mutating method)."""
+    tree = ast.parse(source)
+    module_names = {t.id for top in tree.body if isinstance(top, (ast.Assign, ast.AnnAssign))
+                    for t in (top.targets if isinstance(top, ast.Assign) else [top.target])
+                    if isinstance(t, ast.Name)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_decorator_name(d) in _CACHE_DECORATORS for d in node.decorator_list):
+                found.add(node.name)
+        elif isinstance(node, ast.Global):
+            found.update(node.names)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+              and isinstance(node.value, ast.Name) and node.value.id in module_names):
+            found.add(node.value.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in module_names):
+            found.add(node.func.value.id)
+    return sorted(found)
+
+
+def test_process_state_is_found():
+    source = ("import functools\nfrom functools import cache\n"
+              "TABLE = {'a': 1}\n_SEEN = {}\n_LOG = []\n_COUNT = 0\n"
+              "@cache\ndef f(x):\n    return TABLE[x]\n"
+              "@functools.lru_cache(maxsize=8)\ndef g(x):\n"
+              "    _SEEN[x] = 1\n    _LOG.append(x)\n"
+              "def h():\n    global _COUNT\n    _COUNT += 1\n"
+              "    rows = {}\n    rows['a'] = 1\n    return TABLE.get('a')\n")
+    assert process_state(source) == ["_COUNT", "_LOG", "_SEEN", "f", "g"]
+
+
+# state that outlives a call, each entry with what bounds it
+ALLOWED_PROCESS_STATE = {
+    "brauer.dihedral_relation",  # one relation per odd q, q <= MAX_GROUP_ORDER / 2
+    "cli._build_parser",  # one argument parser
+    "groups._INTERNED",  # at most groups.MAX_INTERNED groups
+}
+
+
+def test_process_wide_state_is_allow_listed():
+    # a new global cache must be added here, in review, with its bound
+    found = {f"{path.stem}.{name}"
+             for path in sorted((ROOT / "src" / "reglab").glob("*.py"))
+             for name in process_state(path.read_text())}
+    assert found == ALLOWED_PROCESS_STATE
