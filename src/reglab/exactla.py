@@ -5,15 +5,18 @@ reduces to four primitives implemented here:
 
 * canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
   unique representative, so lattice equality is list equality),
-* integer kernels and preimages of lattices under integer matrices, each
-  read off a single echelon pass by one shared reader,
-* Smith normal form with its row transform, and the coordinates of Z^n / L
-  that drop the generators a unit divisor kills,
+* preimages of lattices under integer matrices, read off a single echelon
+  pass; an integer kernel is the preimage of the zero lattice,
+* one Smith elimination (_diagonalize) with two callers: smith_normal_form
+  carries the row transform along as an identity block, for the coordinates
+  of Z^n / L that drop the generators a unit divisor kills; invariant
+  factors run it modulo the index of the relation lattice in its
+  saturation, which keeps every entry below that index,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map.
 
-No floating point, no modular shortcuts; all arithmetic is on Python ints
-and fractions.Fraction.
+No floating point; all arithmetic is on Python ints and fractions.Fraction,
+and every result is exact.
 """
 
 from __future__ import annotations
@@ -558,16 +561,6 @@ def _kernel_part(ech: _Echelon, r: int) -> Lattice:
                    [p - r for p in pivots])
 
 
-def integer_kernel(A: IntMatrix) -> Lattice:
-    """The full lattice {x in Z^cols : A x = 0}; always saturated."""
-    r, c = A.rows, A.cols
-    ech = _Echelon(r + c)
-    # rows of [A^T | I]; integer row span contains (0, x) exactly for kernel x
-    for i in range(c):
-        ech.add([A.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(c)])
-    return _kernel_part(ech, r)
-
-
 def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
     if L.ambient_rank != C.rows:
@@ -584,6 +577,11 @@ def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     for g in L.basis_rows:
         ech.add(list(g) + zeros)
     return _kernel_part(ech, r)
+
+
+def integer_kernel(A: IntMatrix) -> Lattice:
+    """The full lattice {x in Z^cols : A x = 0}; always saturated."""
+    return preimage_lattice(A, Lattice.zero(A.rows))
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -623,7 +621,7 @@ class SmithForm:
 
 
 def _pivot_search(m, t, rows, cols):
-    """Smallest |entry| among m[t:, t:], ties by lowest row then column."""
+    """Smallest |entry| among m[t:, t:cols], ties by lowest row then column."""
     best = None
     for i in range(t, rows):
         mi = m[i]
@@ -638,101 +636,117 @@ def _pivot_search(m, t, rows, cols):
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SmithForm:
-    """Smith normal form with its row transform.
+def _diagonalize(m: list[list[int]], cols: int, modulus: int = 0) -> int:
+    """Clear the first cols columns of m in place to a diagonal with positive
+    pivots m[0][0], ..., m[k-1][k-1]; return k.
 
-    Pivot choice: smallest absolute value in the working submatrix, ties broken
-    by lowest row index then lowest column index. Divisors are positive and
-    each divides the next.
+    Pivot choice: smallest absolute value in the working submatrix, ties
+    broken by lowest row index then lowest column index; the cross of each
+    pivot is cleared by alternating row and column steps. Row operations run
+    over whole rows, so an identity block appended after the first cols
+    columns records the row transform; column operations touch only the
+    first cols columns. The pivots need not form a divisor chain.
+
+    With a modulus n, every entry is kept as its symmetric residue mod n.
+    When n Z^cols lies in the row span, reducing an entry mod n is a row
+    operation, so Z^cols / span has invariant factors gcd(pivot, n), padded
+    with n for every pivot past k.
     """
-    rows, cols = A.rows, A.cols
-    _check_width(max(rows, cols, 1))
-    m = A.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-
-    def row_axpy(dst, src, q):
-        # row dst -= q * row src, mirrored on U
-        mr, ur = m[dst], m[src]
-        for k in range(cols):
-            if ur[k]:
-                mr[k] -= q * ur[k]
-        ud, us = u[dst], u[src]
-        for k in range(rows):
-            if us[k]:
-                ud[k] -= q * us[k]
-
-    def col_axpy(dst, src, q):
-        # column operations act on m alone: they never touch U
+    rows = len(m)
+    width = len(m[0]) if rows else cols
+    # (x + half) % n - half is the residue of x in (-n/2, n/2]
+    n, half = modulus, (modulus - 1) // 2
+    if n:
         for i in range(rows):
-            s = m[i][src]
-            if s:
-                m[i][dst] -= q * s
-
-    def row_swap(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        if i != j:
-            for r in m:
-                r[i], r[j] = r[j], r[i]
-
-    def row_negate(i):
-        m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
+            m[i] = [(a + half) % n - half for a in m[i]]
+    t, limit = 0, min(rows, cols)
     while t < limit:
         found = _pivot_search(m, t, rows, cols)
         if found is None:
             break
         _, pi, pj = found
-        row_swap(t, pi)
-        col_swap(t, pj)
+        m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         if m[t][t] < 0:
-            row_negate(t)
+            m[t] = [-a for a in m[t]]
         # alternate row/column clearing until the cross is zero; every gcd
-        # step strictly shrinks |m[t][t]|, so this terminates
+        # step strictly shrinks |m[t][t]|, so this terminates. Rows and
+        # columns before t are already clear, so every step starts at t.
         while True:
-            for i in range(rows):
-                if i != t and m[i][t]:
-                    a, b = m[t][t], m[i][t]
-                    if b % a == 0:
-                        row_axpy(i, t, b // a)
+            for i in range(t + 1, rows):
+                mi = m[i]
+                b = mi[t]
+                if not b:
+                    continue
+                mt = m[t]
+                a = mt[t]
+                if b % a == 0:
+                    q = b // a
+                    if n:
+                        for k in range(t, width):
+                            if mt[k]:
+                                mi[k] = (mi[k] - q * mt[k] + half) % n - half
                     else:
-                        g, x, y = xgcd(a, b)
-                        ca, cb = a // g, b // g
-                        mt, mi_ = m[t], m[i]
-                        m[t] = [x * p + y * q for p, q in zip(mt, mi_)]
-                        m[i] = [ca * q - cb * p for p, q in zip(mt, mi_)]
-                        ut, ui = u[t], u[i]
-                        u[t] = [x * p + y * q for p, q in zip(ut, ui)]
-                        u[i] = [ca * q - cb * p for p, q in zip(ut, ui)]
-            for j in range(cols):
-                if j != t and m[t][j]:
-                    a, b = m[t][t], m[t][j]
-                    if b % a == 0:
-                        col_axpy(j, t, b // a)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        ca, cb = a // g, b // g
-                        for i in range(rows):
-                            p, q = m[i][t], m[i][j]
-                            m[i][t] = x * p + y * q
-                            m[i][j] = ca * q - cb * p
-            if not any(m[i][t] for i in range(rows) if i != t) and \
-               not any(m[t][j] for j in range(cols) if j != t):
+                        for k in range(t, width):
+                            if mt[k]:
+                                mi[k] -= q * mt[k]
+                    continue
+                g, x, y = xgcd(a, b)
+                ca, cb = a // g, b // g
+                if n:
+                    m[t] = [(x * p + y * s + half) % n - half for p, s in zip(mt, mi)]
+                    m[i] = [(ca * s - cb * p + half) % n - half for p, s in zip(mt, mi)]
+                else:
+                    m[t] = [x * p + y * s for p, s in zip(mt, mi)]
+                    m[i] = [ca * s - cb * p for p, s in zip(mt, mi)]
+            mt = m[t]
+            for j in range(t + 1, cols):
+                b = mt[j]
+                if not b:
+                    continue
+                a = mt[t]
+                if b % a == 0:
+                    q = b // a
+                    for i in range(t, rows):
+                        mi = m[i]
+                        s = mi[t]
+                        if s:
+                            r = mi[j] - q * s
+                            mi[j] = (r + half) % n - half if n else r
+                    continue
+                g, x, y = xgcd(a, b)
+                ca, cb = a // g, b // g
+                for i in range(t, rows):
+                    mi = m[i]
+                    p, s = mi[t], mi[j]
+                    u, v = x * p + y * s, ca * s - cb * p
+                    if n:
+                        u, v = (u + half) % n - half, (v + half) % n - half
+                    mi[t], mi[j] = u, v
+            if not any(m[i][t] for i in range(t + 1, rows)) and \
+               not any(mt[j] for j in range(t + 1, cols)):
                 break
         if m[t][t] < 0:
-            row_negate(t)
+            m[t] = [-a for a in m[t]]
         t += 1
+    return t
 
-    # enforce the divisor chain d_i | d_{i+1}
-    k = 0
-    while k < limit and m[k][k] != 0:
-        k += 1
+
+def smith_normal_form(A: IntMatrix) -> SmithForm:
+    """Smith normal form with its row transform.
+
+    Pivot choice as in _diagonalize. Divisors are positive and each divides
+    the next.
+    """
+    rows, cols = A.rows, A.cols
+    _check_width(max(rows, cols, 1))
+    # U rides along as an identity block after the columns of A
+    m = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i)
+         for i, row in enumerate(A.entries)]
+    k = _diagonalize(m, cols)
+    # enforce the divisor chain d_i | d_{i+1}: diag(a, b) ~ diag(g, ab/g)
     changed = True
     while changed:
         changed = False
@@ -740,31 +754,18 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             a, b = m[i][i], m[i + 1][i + 1]
             if b % a != 0:
                 changed = True
-                # col i += col i+1, then re-clear the 2x2 block
-                col_axpy(i, i + 1, -1)
+                # col i += col i+1 puts b at (i+1, i); the row gcd step on
+                # rows i, i+1 clears it and leaves y*b at (i, i+1), which
+                # col i+1 -= (y*b/g) col i clears, changing nothing else
                 g, x, y = xgcd(a, b)
-                # row ops on rows i, i+1 (entries only in cols i, i+1)
-                mt, mi_ = m[i], m[i + 1]
-                new_t = [x * p + y * q for p, q in zip(mt, mi_)]
-                new_i = [(a // g) * q - (b // g) * p for p, q in zip(mt, mi_)]
-                m[i], m[i + 1] = new_t, new_i
-                ut, ui = u[i], u[i + 1]
-                u[i] = [x * p + y * q for p, q in zip(ut, ui)]
-                u[i + 1] = [(a // g) * q - (b // g) * p for p, q in zip(ut, ui)]
-                # clear the off-diagonal remainder; gcd(a,b) divides both
-                # entries of the new row i, so the division below is exact
-                if m[i][i] < 0:
-                    row_negate(i)
-                piv = m[i][i]
-                if m[i][i + 1]:
-                    col_axpy(i + 1, i, m[i][i + 1] // piv)
-                if m[i + 1][i]:
-                    row_axpy(i + 1, i, m[i + 1][i] // piv)
-                if m[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-
-    divisors = tuple(m[i][i] for i in range(limit) if m[i][i] != 0)
-    return SmithForm(IntMatrix(u, cols=rows), divisors)
+                mt, mi = m[i], m[i + 1]
+                mi[i] = b
+                m[i] = [x * p + y * q for p, q in zip(mt, mi)]
+                m[i + 1] = [(a // g) * q - (b // g) * p for p, q in zip(mt, mi)]
+                m[i][i + 1] = 0
+    divisors = tuple(m[i][i] for i in range(k))
+    return SmithForm(IntMatrix._trusted(tuple(tuple(row[cols:]) for row in m), rows),
+                     divisors)
 
 
 def smith_coordinates(L: Lattice) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]]:
@@ -807,11 +808,6 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_residue(x: int, n: int) -> int:
-    x %= n
-    return x - n if 2 * x > n else x
-
-
 def _chain_fix(divisors: list[int]) -> list[int]:
     """Make each entry divide the next; diag(a, b) ~ diag(gcd, lcm)."""
     changed = True
@@ -831,71 +827,16 @@ def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
     matrix whose quotient has order `annihilator`.
 
     Since annihilator * Z^r lies inside the row span (adjugate identity),
-    reducing any entry into the symmetric residue system is a lattice-
-    preserving row operation, so every intermediate entry stays below the
-    annihilator in absolute value and the elimination runs in polynomial
-    time regardless of how badly a fraction-free pass would blow up.
+    _diagonalize may keep every entry below the annihilator in absolute
+    value, so the elimination runs in polynomial time regardless of how
+    badly a fraction-free pass would blow up.
     """
     r = len(m)
     n = annihilator
     if n == 1:
         return [1] * r
-    m = [[_symmetric_residue(x, n) for x in row] for row in m]
-    raw = []
-    for t in range(r):
-        best = _pivot_search(m, t, r, r)
-        if best is None:
-            # submatrix vanished mod n: each remaining factor is n itself
-            raw.extend([n] * (r - t))
-            break
-        _, pi, pj = best
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, r):
-                b = m[i][t]
-                if not b:
-                    continue
-                a = m[t][t]
-                if b % a == 0:
-                    q = b // a
-                    mt, mi = m[t], m[i]
-                    for k in range(t, r):
-                        if mt[k]:
-                            mi[k] = _symmetric_residue(mi[k] - q * mt[k], n)
-                else:
-                    g, x, y = xgcd(a, b)
-                    ca, cb = a // g, b // g
-                    mt, mi = m[t], m[i]
-                    m[t] = [_symmetric_residue(x * p + y * s, n)
-                            for p, s in zip(mt, mi)]
-                    m[i] = [_symmetric_residue(ca * s - cb * p, n)
-                            for p, s in zip(mt, mi)]
-            for j in range(t + 1, r):
-                b = m[t][j]
-                if not b:
-                    continue
-                a = m[t][t]
-                if b % a == 0:
-                    q = b // a
-                    for i in range(t, r):
-                        s = m[i][t]
-                        if s:
-                            m[i][j] = _symmetric_residue(m[i][j] - q * s, n)
-                else:
-                    g, x, y = xgcd(a, b)
-                    ca, cb = a // g, b // g
-                    for i in range(t, r):
-                        p, s = m[i][t], m[i][j]
-                        m[i][t] = _symmetric_residue(x * p + y * s, n)
-                        m[i][j] = _symmetric_residue(ca * s - cb * p, n)
-            if all(not m[i][t] for i in range(t + 1, r)) and \
-               all(not m[t][j] for j in range(t + 1, r)):
-                break
-        raw.append(gcd(m[t][t], n))
-    out = _chain_fix(raw)
+    k = _diagonalize(m, r, n)
+    out = _chain_fix([gcd(m[t][t], n) for t in range(k)] + [n] * (r - k))
     product = 1
     for d in out:
         product *= d

@@ -129,12 +129,15 @@ class FiniteGroup:
             pa, pb = split(a), split(b)
             return join([g.mul[x][y] for g, x, y in zip(factors, pa, pb)])
 
-        # a factor's descriptor alone does not fix a table factor's table
+        # a table factor's own descriptor does not fix its table, so the
+        # product's descriptor carries the table: it rebuilds every factor
+        descs = [dict(g.descriptor, mul=[list(row) for row in g.mul])
+                 if g.descriptor.get("kind") == "table" else g.descriptor
+                 for g in factors]
         key = ("product", tuple((g.mul, repr(g.descriptor)) for g in factors))
         return _interned(key, lambda: cls(
             [[mult(a, b) for b in range(total)] for a in range(total)],
-            {"kind": "product", "factors": [g.descriptor for g in factors]},
-            validate=False))
+            {"kind": "product", "factors": descs}, validate=False))
 
     @classmethod
     def from_table(cls, mul) -> "FiniteGroup":

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
+from .arith import (_is_probable_prime, factorize, factorize_fraction, fraction_str,
+                    mix_seed, valuation)
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
@@ -103,28 +104,22 @@ def invariant_pairing(Mtf: GModule) -> IntMatrix:
     return IntMatrix(total)
 
 
-def rc_pairing(M: GModule, relation: BrauerRelation,
-               pairing_scale: int = 1) -> Fraction:
+def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
     """Regulator constant straight from the defining product.
 
     Per subgroup class H: the fixed points map onto a sublattice of the free
     quotient mt(M); the factor is det of the pairing Gram on that sublattice,
     divided by |H|^rank, divided by the squared order of the fixed torsion.
 
-    The result does not depend on which invariant pairing is used;
-    pairing_scale rescales it and exists so callers can confirm that.
+    The result does not depend on which invariant pairing is used.
     """
     if relation.group != M.group:
         raise InputError("module and relation live over different groups")
-    if pairing_scale <= 0:
-        raise InputError("pairing_scale must be a positive integer")
     Mc = compress(M).module
     dec = torsion_decomposition(Mc)
     mt = dec.free
     pi = dec.mt_projection
     gram = invariant_pairing(mt)
-    if pairing_scale != 1:
-        gram = gram.scale(pairing_scale)
     r = mt.ambient_rank
     value = Fraction(1)
     for H, coeff in relation.terms:
@@ -410,8 +405,8 @@ def bounds_report(M: GModule, q: int, ell: int,
     G = M.group
     if G.order != 2 * q:
         raise InputError("module does not live over the order-2q dihedral group")
-    if ell < 2:
-        raise InputError(f"bounds need a prime ell >= 2, not {ell}")
+    if not _is_probable_prime(ell):
+        raise InputError(f"bounds need a prime ell, not {ell}")
     if value is None:
         value = regulator_constant(M, dihedral_relation(q)).value
     full = G.full_subgroup()

@@ -445,6 +445,8 @@ def run_suite(name: str, q_list=None, trials: int | None = None,
     for q in q_list:
         if q < 2 or q % 2 == 0:
             raise InputError("suite q values must be odd and greater than 1")
+    if trials is not None and trials < 0:
+        raise InputError(f"suite trials must be non-negative, not {trials}")
     reports = _SUITES[name](q_list, trials, seed)
     summary = {"pass": 0, "fail": 0, "error": 0, "checks": len(reports)}
     for rep in reports:

@@ -19,6 +19,8 @@ raw_tate and raw_induced_kernel_order run the production complex on M's own
 coordinates, where production takes the minimal presentation whenever it
 drops a coordinate. subgroups_by_fixpoint keeps the all-pairs closure
 fixpoint that enumerate_subgroups replaced.
+determinantal_divisors reads Smith divisors off gcds of minors, each minor
+a cofactor expansion, where production eliminates.
 contains_lattice, compose, presented_from_divisors and zoo (the small groups
 the structural tests run over) are tools the tests use.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from reglab import (
     FiniteGroup,
@@ -83,6 +86,30 @@ def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
         images.add(y)
     coker = tgt_size // len(images)
     return Fraction(coker, kernel)
+
+
+def _cofactor_determinant(m) -> int:
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def determinantal_divisors(matrix) -> list[int]:
+    """Smith divisors d_k = D_k / D_(k-1) of a matrix given as a list of
+    rows, where D_k is the gcd of its k x k minors; one per unit of rank."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        D = 0
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                D = gcd(D, _cofactor_determinant([[matrix[i][j] for j in ci] for i in ri]))
+        if D == 0:
+            break
+        out.append(D // prev)
+        prev = D
+    return out
 
 
 def gf_rank(matrix, p: int) -> int:

@@ -288,7 +288,7 @@ def test_check_bounds_with_explicit_prime(capsys, finite_d3):
     assert len(rows) == 1 and rows[0]["ell"] == 3 and rows[0]["ok"]
 
 
-@pytest.mark.parametrize("prime", ["1", "-3"])
+@pytest.mark.parametrize("prime", ["1", "-3", "4", "9"])
 def test_check_bounds_rejects_a_prime_below_two(capsys, finite_d3, prime):
     path, _ = finite_d3
     code, doc = _run(capsys, "check", "--identity", "BOUNDS",
@@ -441,6 +441,14 @@ def test_verify_seed_changes_output(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _ = _run(capsys, "verify", "--suite", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["-1", "-5"])
+def test_verify_rejects_negative_trials(capsys, trials):
+    code, doc = _run(capsys, "verify", "--suite", "dihedral", "--q", "3",
+                     "--trials", trials)
+    assert code == 2
+    assert doc["error"] == "InputError" and "trials" in doc["message"]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

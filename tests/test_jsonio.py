@@ -21,6 +21,8 @@ from reglab import (
     trivial_module,
 )
 
+from oracles import a4
+
 
 def _d3():
     return FiniteGroup.dihedral(3)
@@ -62,6 +64,21 @@ def test_a_family_and_its_table_stay_distinct_groups():
     assert C2 is not T2 and C2.mul == T2.mul
     assert group_to_json(C2) == {"kind": "cyclic", "n": 2}
     assert group_to_json(T2) == {"kind": "table", "order": 2, "mul": [[0, 1], [1, 0]]}
+
+
+def test_a_product_with_table_factors_round_trips_at_any_depth():
+    A4 = a4()
+    inner = FiniteGroup.product([A4, FiniteGroup.cyclic(2)])
+    for G in (inner, FiniteGroup.product([FiniteGroup.cyclic(1), inner])):
+        M = trivial_module(G)
+        doc = json.loads(json.dumps(module_to_json(M)))
+        N = module_from_json(doc)
+        assert N.group is G
+        assert module_to_json(N) == doc
+        assert module_digest(N) == module_digest(M)
+    table_factor = group_to_json(inner)["factors"][0]
+    assert table_factor == {"kind": "table", "order": 12,
+                            "mul": [list(row) for row in A4.mul]}
 
 
 def test_group_from_json_file(tmp_path):

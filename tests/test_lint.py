@@ -1,6 +1,7 @@
 """Static checks on the source tree, with the standard library only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -207,3 +208,45 @@ def test_process_wide_state_is_allow_listed():
              for path in sorted((ROOT / "src" / "reglab").glob("*.py"))
              for name in process_state(path.read_text())}
     assert found == ALLOWED_PROCESS_STATE
+
+
+def traced_targets(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of a module-level TARGETS tuple of
+    (metric, module, attribute, kind, total) entries, read without importing."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(entry[1], entry[2]) for entry in ast.literal_eval(node.value)]
+    return []
+
+
+def unresolved_targets(targets) -> list[str]:
+    """The targets whose dotted attribute no longer resolves in reglab.<module>."""
+    missing = []
+    for mod, attr in targets:
+        try:
+            obj = importlib.import_module(f"reglab.{mod}")
+        except ImportError:
+            obj = None
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{mod}.{attr}")
+    return missing
+
+
+def test_traced_targets_are_read_and_resolved():
+    source = ("TARGETS = (\n    ('a', 'exactla', 'smith_normal_form', 'func', True),\n"
+              "    ('b', 'exactla', 'Lattice.gone', 'classmethod', False),\n"
+              "    ('c', 'nomodule', 'f', 'func', False),\n)\n")
+    targets = traced_targets(source)
+    assert targets == [("exactla", "smith_normal_form"), ("exactla", "Lattice.gone"),
+                       ("nomodule", "f")]
+    assert unresolved_targets(targets) == ["exactla.Lattice.gone", "nomodule.f"]
+
+
+def test_every_traced_layer_resolves():
+    # the layer trace looks its targets up by name only when a run is traced
+    targets = traced_targets((ROOT / "bench" / "layertrace.py").read_text())
+    assert targets
+    assert unresolved_targets(targets) == []

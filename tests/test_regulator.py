@@ -32,6 +32,7 @@ from reglab import (
     trivial_module,
     verify_identity,
 )
+import reglab.regulator as regulator
 from reglab.groups import FiniteGroup
 from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
 
@@ -186,14 +187,15 @@ def test_routes_agree_over_v4():
         regulator_constant(M, rel, seed=seed)  # raises on disagreement
 
 
-def test_pairing_scale_does_not_change_the_constant():
+def test_pairing_scale_does_not_change_the_constant(monkeypatch):
     rel = dihedral_relation(3)
     M = random_module(rel.group, "mixed", seed=11)
     base = rc_pairing(M, rel)
+    pairing = regulator.invariant_pairing
     for scale in (2, 3, 7):
-        assert rc_pairing(M, rel, pairing_scale=scale) == base
-    with pytest.raises(InputError):
-        rc_pairing(M, rel, pairing_scale=0)
+        monkeypatch.setattr(regulator, "invariant_pairing",
+                            lambda mt, k=scale: pairing(mt).scale(k))
+        assert rc_pairing(M, rel) == base
 
 
 def test_constant_is_multiplicative_over_direct_sums():
