@@ -7,13 +7,17 @@ reduces to four primitives implemented here:
   unique representative, so lattice equality is list equality),
 * preimages of lattices under integer matrices, read off a single echelon
   pass; an integer kernel is the preimage of the zero lattice,
-* one Smith elimination (_diagonalize) with two callers: smith_normal_form
-  carries the row transform along as an identity block, for the coordinates
-  of Z^n / L that drop the generators a unit divisor kills; invariant
-  factors run it modulo the index of the relation lattice in its
-  saturation, which keeps every entry below that index,
 * finitely presented abelian groups, maps between them, and the q-index
-  |cokernel| / |kernel| of such a map.
+  |cokernel| / |kernel| of such a map. Orders, free ranks and q-indices
+  come off Hermite pivots, since the index of one echelon lattice in
+  another of the same rank is the ratio of their pivot products; a q-index
+  is read off the same echelon pass as a preimage,
+* one Smith elimination (_diagonalize), run only where divisors are asked
+  for, with two callers: smith_normal_form carries the row transform along
+  as an identity block, for the coordinates of Z^n / L that drop the
+  generators a unit divisor kills; invariant factors run it modulo the
+  index of the relation lattice in its saturation, which keeps every entry
+  below that index.
 
 No floating point; all arithmetic is on Python ints and fractions.Fraction,
 and every result is exact.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .arith import xgcd
 from .errors import ConsistencyError, InputError, ResourceLimitError
@@ -561,22 +565,29 @@ def _kernel_part(ech: _Echelon, r: int) -> Lattice:
                    [p - r for p in pivots])
 
 
-def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
-    """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
+def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
+    """The echelon of the rows (C e_i | e_i) and (g | 0), g in L.
+
+    Its rows with a pivot among the first C.rows columns span C Z^cols + L
+    there; the rest span 0^rows x {x : C x in L}.
+    """
     if L.ambient_rank != C.rows:
         raise ValueError("lattice ambient rank must equal matrix row count")
     r, n = C.rows, C.cols
     # the width of a kernel of [C | -L], so the cap reaches as far as that
     _check_width(r + n + L.rank)
     ech = _Echelon(r + n)
-    # rows (C e_i | e_i) and (g | 0): the span meets 0^r x Z^n in exactly
-    # the (0 | x) with C x in L
     for i in range(n):
         ech.add([C.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(n)])
     zeros = [0] * n
     for g in L.basis_rows:
         ech.add(list(g) + zeros)
-    return _kernel_part(ech, r)
+    return ech
+
+
+def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
+    """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
+    return _kernel_part(_preimage_echelon(C, L), C.rows)
 
 
 def integer_kernel(A: IntMatrix) -> Lattice:
@@ -808,6 +819,12 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _pivot_product(rows, pivots) -> int:
+    """Product of the pivots of echelon rows; for k rows in Z^k, the index
+    of their span."""
+    return prod(row[p] for row, p in zip(rows, pivots))
+
+
 def _chain_fix(divisors: list[int]) -> list[int]:
     """Make each entry divide the next; diag(a, b) ~ diag(gcd, lcm)."""
     changed = True
@@ -870,27 +887,32 @@ class PresentedAbelianGroup:
     def free(cls, rank: int) -> "PresentedAbelianGroup":
         return cls(rank)
 
-    def _compute_invariant_factors(self) -> tuple[int, ...]:
-        # The torsion part is S/L for L the relation lattice and S its
-        # saturation, so the invariant factors come from the coordinate
-        # matrix of L inside S, eliminated modulo the index [S : L]. That
-        # keeps every intermediate entry bounded by the index, where a
-        # fraction-free elimination can blow up exponentially. When L has
-        # full rank, S is Z^k and L is its own coordinate matrix.
+    def _torsion_relations(self) -> Lattice:
+        """The relation lattice L in coordinates of its saturation S.
+
+        A full-rank lattice whose quotient is the torsion part S/L, so its
+        pivot product is the index [S : L]. When L has full rank, S is Z^k
+        and L is its own coordinate lattice.
+        """
         L = self.relation_lattice()
-        r = L.rank
+        if L.rank == 0:
+            return Lattice.zero(0)
+        if L.rank == self.generator_count:
+            return L
+        coords = saturate(L).coordinate_matrix(L.basis_rows)
+        if coords is None:
+            raise ConsistencyError("saturation lost a relation generator")
+        return Lattice.from_columns(coords)
+
+    def _compute_invariant_factors(self) -> tuple[int, ...]:
+        # The coordinate lattice of L inside S is eliminated modulo the index
+        # [S : L]. That keeps every intermediate entry bounded by the index,
+        # where a fraction-free elimination can blow up exponentially.
+        C = self._torsion_relations()
+        r = C.rank
         if r == 0:
             return ()
-        if r == self.generator_count:
-            C = L
-        else:
-            coords = saturate(L).coordinate_matrix(L.basis_rows)
-            if coords is None:
-                raise ConsistencyError("saturation lost a relation generator")
-            C = Lattice.from_columns(coords)
-        index = 1
-        for brow in C.basis_rows:
-            index *= next(x for x in brow if x)
+        index = _pivot_product(C.basis_rows, C._pivots)
         if index == 1:
             return (1,) * r
         return tuple(_modular_divisors([list(b) for b in C.basis_rows],
@@ -910,17 +932,19 @@ class PresentedAbelianGroup:
 
     @property
     def free_rank(self) -> int:
-        return self.generator_count - len(self.invariant_factors)
+        return self.generator_count - self.relation_lattice().rank
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         return None if self.free_rank else self.torsion_order()
 
     def torsion_order(self) -> int:
-        out = 1
-        for d in self.torsion_divisors:
-            out *= d
-        return out
+        """The index [S : L], read off Hermite pivots unless the invariant
+        factors are already known."""
+        if self._snf is not None:
+            return prod(self._snf)
+        C = self._torsion_relations()
+        return _pivot_product(C.basis_rows, C._pivots)
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion divisors); equal iff the groups are isomorphic."""
@@ -995,12 +1019,22 @@ class GroupHom:
 
 
 def qindex(f: GroupHom) -> Fraction | None:
-    """|cokernel| / |kernel|, or None when either side is infinite."""
-    cok = f.cokernel_group().order()
-    ker = f.kernel_group().order()
-    if cok is None or ker is None:
+    """|cokernel| / |kernel|, or None when either side is infinite.
+
+    Read off the echelon behind preimage_lattice, with no Smith form. Its
+    rows with a pivot among the first b columns (b target generators) span
+    im f + R_B, so |cokernel| is their pivot product when there are b of
+    them. The other rows span the preimage P of R_B, which contains R_A, so
+    |kernel| = [P : R_A] = pivots(R_A) / pivots(P) when the ranks agree.
+    """
+    b = f.target.generator_count
+    ech = _preimage_echelon(f.matrix, f.target.relation_lattice())
+    RA = f.source.relation_lattice()
+    split = bisect_left(ech.pivots, b)
+    if split < b or len(ech.rows) - split != RA.rank:
         return None
-    return Fraction(cok, ker)
+    return Fraction(_pivot_product(ech.rows, ech.pivots),
+                    _pivot_product(RA.basis_rows, RA._pivots))
 
 
 def _torsion_presentation(A: PresentedAbelianGroup) -> tuple[PresentedAbelianGroup, Lattice]:

@@ -485,13 +485,17 @@ class ModuleHom:
 # ---------------------------------------------------------------------------
 
 
-def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> list[IntMatrix]:
-    """Z-basis of Hom_{Z[G]}(Z[G/H1], Z[G/H2]).
+def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup,
+                          H2: Subgroup) -> tuple[IntMatrix, ...]:
+    """Z-basis of Hom_{Z[G]}(Z[G/H1], Z[G/H2]), built once per group.
 
     One basis map per H1-orbit on G/H2: send the identity coset to the orbit
     sum and extend equivariantly. Ordered by the smallest point of the orbit,
     so the basis is deterministic.
     """
+    key = ("hom basis", H1.elements, H2.elements)
+    if key in G._cache:
+        return G._cache[key]
     X1 = coset_space(G, H1)
     X2 = coset_space(G, H2)
     seen = [False] * X2.points
@@ -519,7 +523,8 @@ def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> list[In
             for c in orbit:
                 rows[X2.action[rep][c]][p] += 1
         basis.append(IntMatrix(rows))
-    return basis
+    G._cache[key] = tuple(basis)
+    return G._cache[key]
 
 
 def module_hom_lattice(Ms: GModule, Mt: GModule) -> Lattice:

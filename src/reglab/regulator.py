@@ -33,8 +33,8 @@ from .exactla import (
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
+    _check_width,
     block_diagonal_lattice,
-    integer_kernel,
     qindex,
     subquotient_group,
 )
@@ -115,6 +115,7 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
     """
     if relation.group != M.group:
         raise InputError("module and relation live over different groups")
+    _side_rank(relation)
     Mc = compress(M).module
     dec = torsion_decomposition(Mc)
     mt = dec.free
@@ -167,6 +168,19 @@ class PhiMap:
 
     def __setattr__(self, *args):
         raise AttributeError("PhiMap is immutable")
+
+
+def _side_rank(relation: BrauerRelation) -> int:
+    """The rank of P1, the sum of c [G:H] over the positive terms.
+
+    Checked against the width cap before either route runs: the q-index
+    route builds P1 and an n x n phi, and the pairing route raises each
+    factor to its coefficient.
+    """
+    G = relation.group
+    rank = sum(c * (G.order // H.order) for H, c in relation.terms if c > 0)
+    _check_width(rank)
+    return rank
 
 
 def _relation_sides(relation: BrauerRelation):
@@ -225,10 +239,10 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     column rank. Deterministic for a fixed seed.
     """
     G = relation.group
+    n = _side_rank(relation)
     pos, neg = _relation_sides(relation)
     if not pos or not neg:
         raise InputError("relation has no positive or no negative part")
-    n = sum(coset_space(G, H).points for H in pos)
     if n != sum(coset_space(G, H).points for H in neg):
         raise ConsistencyError("relation sides have different ranks")
     bases = [[equivariant_hom_basis(G, Hs, Ht) for Hs in pos] for Ht in neg]
@@ -254,7 +268,8 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
                     for j in range(block.cols):
                         target[c0 + j] += src[j]
         matrix = IntMatrix(rows, cols=n)
-        if integer_kernel(matrix).rank == 0:
+        # square, since the side ranks agree: injective iff nonsingular
+        if matrix.determinant() != 0:
             _check_equivariant(G, matrix, pos, col_offsets, neg, row_offsets)
             return PhiMap(relation, pos, neg, matrix, seed)
     raise ConsistencyError(

@@ -20,7 +20,9 @@ coordinates, where production takes the minimal presentation whenever it
 drops a coordinate. subgroups_by_fixpoint keeps the all-pairs closure
 fixpoint that enumerate_subgroups replaced.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
-a cofactor expansion, where production eliminates.
+a cofactor expansion, where production eliminates. qindex_via_groups takes
+the q-index as the orders of the kernel and cokernel groups through their
+Smith invariants, where production reads it off Hermite pivots.
 contains_lattice, compose, presented_from_divisors and zoo (the small groups
 the structural tests run over) are tools the tests use.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from reglab import (
     FiniteGroup,
@@ -86,6 +88,21 @@ def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
         images.add(y)
     coker = tgt_size // len(images)
     return Fraction(coker, kernel)
+
+
+def qindex_via_groups(f: GroupHom) -> Fraction | None:
+    """|cokernel| / |kernel| as the orders of the two presented groups, each
+    through its Smith invariants, where production reads both off one
+    Hermite echelon."""
+    def order(A):
+        divisors = A.invariant_factors
+        return prod(divisors) if len(divisors) == A.generator_count else None
+
+    cok = order(f.cokernel_group())
+    ker = order(f.kernel_group())
+    if cok is None or ker is None:
+        return None
+    return Fraction(cok, ker)
 
 
 def _cofactor_determinant(m) -> int:

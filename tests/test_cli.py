@@ -209,6 +209,44 @@ def test_relation_elements_outside_the_group_end_in_a_json_error(
         assert "outside the group" in doc["message"]
 
 
+def _scaled_relation(tmp_path, k) -> str:
+    """The dihedral relation over D3 times k, written as JSON."""
+    doc = relation_to_json(dihedral_relation(3))
+    for term in doc["terms"]:
+        term["coeff"] *= k
+    path = tmp_path / f"rel{k}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("k", [10**6, 10**20])
+def test_relations_with_huge_coefficients_end_in_a_json_error(tmp_path, k):
+    # the sides of k times the relation have rank 8k: both routes refuse it
+    # under the width cap before expanding its terms or taking k-th powers
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(module_to_json(random_module(
+        FiniteGroup.dihedral(3), "mixed", seed=3, max_rank=8))))
+    rel = _scaled_relation(tmp_path, k)
+    for method in ("pairing", "qindex", "both"):
+        proc = _run_process(tmp_path, "regulator", "--module", str(module),
+                            "--relation", rel, "--method", method)
+        assert "Traceback" not in proc.stderr, (method, proc.stderr)
+        assert proc.returncode == 3, (method, proc.stderr)
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "ResourceLimitError"
+        assert "REGLAB_LIMIT_COLS" in doc["message"]
+
+
+@pytest.mark.parametrize("method", ["pairing", "qindex", "both"])
+def test_a_scaled_relation_under_the_cap_still_runs(capsys, tmp_path, triv_d3,
+                                                    method):
+    # regulator constants are multiplicative in the relation
+    code, doc = _run(capsys, "regulator", "--module", triv_d3, "--relation",
+                     _scaled_relation(tmp_path, 5), "--method", method)
+    assert code == 0
+    assert doc["value"] == "1/243"
+
+
 def test_main_reuses_one_parser_across_calls(capsys, triv_d3, theta_d3):
     # success, argument error, the same success: the parser keeps no state
     argv = ["regulator", "--module", triv_d3, "--relation", theta_d3, "--seed", "5"]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from oracles import (
     preimage_lattice_oracle,
     presented_from_divisors,
     qindex_bruteforce,
+    qindex_via_groups,
 )
 
 
@@ -407,6 +409,48 @@ def test_qindex_against_enumeration_oracle():
         assert qindex(f) == qindex_bruteforce(ds, es, mat)
 
 
+@st.composite
+def _homs(draw):
+    """Homs between presented groups of rank 0..3 whose kernels and
+    cokernels may each be finite or infinite: target relations absorb the
+    images of the source relations and add their own."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.integers(-4, 4)
+    F = [draw(st.lists(entries, min_size=a, max_size=a)) for _ in range(b)]
+    src_rel = draw(st.lists(st.lists(entries, min_size=a, max_size=a), max_size=a + 1))
+    tgt_rel = [[sum(x * y for x, y in zip(row, r)) for row in F] for r in src_rel]
+    tgt_rel += draw(st.lists(st.lists(entries, min_size=b, max_size=b), max_size=b + 1))
+    src = PresentedAbelianGroup(a, IntMatrix.from_columns(src_rel, rows=a))
+    tgt = PresentedAbelianGroup(b, IntMatrix.from_columns(tgt_rel, rows=b))
+    return GroupHom(src, tgt, IntMatrix(F, cols=a))
+
+
+@_PROPERTY
+@given(_homs())
+def test_qindex_matches_the_kernel_and_cokernel_groups(f):
+    assert qindex(f) == qindex_via_groups(f)
+
+
+@st.composite
+def _finite_homs(draw):
+    """(divisors of the source, of the target, matrix) for a hom between
+    finite groups sum Z/d_i -> sum Z/e_j of rank 0..3."""
+    ds = draw(st.lists(st.integers(1, 4), max_size=3))
+    es = draw(st.lists(st.integers(1, 6), max_size=3))
+    # entry (j, i) must be a multiple of e_j / gcd(d_i, e_j)
+    mat = [[e // gcd(d, e) * draw(st.integers(0, 5)) for d in ds] for e in es]
+    return ds, es, mat
+
+
+@_PROPERTY
+@given(_finite_homs())
+def test_qindex_matches_enumeration_on_finite_groups(case):
+    ds, es, mat = case
+    f = GroupHom(presented_from_divisors(ds), presented_from_divisors(es),
+                 IntMatrix(mat, cols=len(ds)))
+    assert qindex(f) == qindex_via_groups(f) == qindex_bruteforce(ds, es, mat)
+
+
 def _random_hom(rng) -> GroupHom:
     """Random hom with finite q-index: target relations absorb mapped ones."""
     k = rng.randrange(1, 4)
@@ -509,6 +553,42 @@ def test_both_smith_routes_match_the_determinantal_divisors(rows, cols, data):
     mat = IntMatrix(A, cols=cols)
     assert smith_normal_form(mat).divisors == want
     assert PresentedAbelianGroup(rows, mat).invariant_factors == want
+
+
+@st.composite
+def _relation_matrices(draw):
+    """Relation matrices with zero columns, dependent rows or columns and
+    any shape up to 5 x 5."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    A = [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)):
+        for row in A:
+            row[j] = 0
+    deficiency = draw(st.sampled_from(("none", "row", "column")))
+    c = draw(st.integers(-3, 3))
+    if deficiency == "row" and rows >= 2:
+        A[-1] = [a + c * b for a, b in zip(A[0], A[1])]
+    elif deficiency == "column" and cols >= 2:
+        for row in A:
+            row[-1] = row[0] + c * row[1]
+    return rows, cols, A
+
+
+@_PROPERTY
+@given(_relation_matrices())
+def test_orders_and_ranks_come_off_hermite_pivots(case):
+    rows, cols, A = case
+    group = PresentedAbelianGroup(rows, IntMatrix(A, cols=cols))
+    free, torsion, order = group.free_rank, group.torsion_order(), group.order()
+    assert group._snf is None  # no Smith elimination ran
+    want = determinantal_divisors(A)
+    assert group.invariant_factors == tuple(want)
+    assert free == rows - len(want)
+    assert torsion == prod(want)
+    assert order == (None if free else torsion)
+    # the same answers from cached divisors
+    assert (group.free_rank, group.torsion_order(), group.order()) == (free, torsion, order)
 
 
 def test_invariant_factors_frozen_examples():

@@ -32,6 +32,7 @@ from reglab import (
     trivial_module,
     verify_identity,
 )
+import reglab.exactla as exactla
 import reglab.regulator as regulator
 from reglab.groups import FiniteGroup
 from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
@@ -255,6 +256,22 @@ def test_qindex_route_stays_narrow(monkeypatch):
         rc_qindex_kronecker(M, phi)
 
 
+def test_qindex_route_runs_no_smith_elimination(monkeypatch):
+    # q-indices and orders come off Hermite pivots; compress, which keeps
+    # its Smith coordinates, is cached before counting
+    rel = dihedral_relation(5)
+    M = random_module(rel.group, "mixed", seed=7)
+    phi = build_phi(rel, 0)
+    compress(M)
+    calls = []
+    diagonalize = exactla._diagonalize
+    monkeypatch.setattr(exactla, "_diagonalize",
+                        lambda *args: calls.append(args) or diagonalize(*args))
+    value = rc_qindex(M, rel, phi)
+    assert calls == []
+    assert value == rc_pairing(M, rel)
+
+
 def _wide_coverage_cases():
     cases = []
     for name, G in (("C2xC4", c2xc4()), ("C2^3", c2_cubed()), ("A4", a4())):
@@ -269,6 +286,18 @@ def test_routes_agree_on_relation_lattice_bases(G, vec, profile):
     rel = relation_from_vector(G, vec)
     M = random_module(G, profile, seed=3)
     regulator_constant(M, rel)  # raises on disagreement
+
+
+@pytest.mark.parametrize("identity, profile", [("DUAL1", "torsion_free"),
+                                               ("FINITE_DUAL", "finite")])
+@pytest.mark.parametrize("G, vec", _wide_coverage_cases() + [pytest.param(
+    FiniteGroup.dihedral(9), dihedral_relation(9).coefficient_vector(), id="D9")])
+def test_duality_identities_beyond_d3_d5_and_v4(G, vec, identity, profile):
+    rel = relation_from_vector(G, vec)
+    for seed in range(2):
+        M = random_module(G, profile, seed=20 + seed)
+        report = verify_identity(identity, module=M, relation=rel, seed=seed)
+        assert report["status"] == "pass", report
 
 
 @pytest.mark.parametrize("profile", ["torsion_free", "finite", "mixed"])
