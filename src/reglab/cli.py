@@ -66,16 +66,26 @@ def _load_module_arg(path: str):
     return module_from_json(load_json_file(path))
 
 
+# the most degrees one `reglab cohomology` call computes
+MAX_DEGREES = 1000
+
+
 def _parse_degrees(text: str) -> list[int]:
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = (int(end) for end in text.split("..", 1))
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+            degrees, count = range(lo, hi + 1), hi - lo + 1
+        else:
+            degrees = text.split(",")
+            count = len(degrees)
+        if count > MAX_DEGREES:
+            raise ResourceLimitError(
+                f"{count} degrees requested; at most {MAX_DEGREES} per call"
+            )
+        return [int(d) for d in degrees]
     except ValueError:
         raise InputError(
             f"cannot parse degrees {text!r}; use 'a..b' or a comma list"

@@ -12,13 +12,12 @@ of Groups, GTM 87, VI.3). With d1 : m -> ((x - 1)m)_x over the generators x
 of H and N the norm, H^0 is that of M -N-> M -d1-> M^k, fixed points modulo
 norms, and H^{-1} that of M^k -d1^T-> M -N-> M, the norm kernel modulo I_H M,
 which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^1 and H^2 come
-from the free end F -> Z (Brown, III.1). Cyclic groups reduce every degree
-to -1 or 0. Dihedral groups of twice-odd order take the resolution of
-<r, s | r^d, s^2, (sr)^2>, and H^2 as H_1 of its chain complex, which is
-H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity (Brown,
-VI.4 and VI.9). Every other group takes a small free resolution built from
-its table, whose modules of relations are spanned greedily by translates of
-kernel vectors.
+from the free end F -> Z, on a small free resolution built from the group
+table, whose modules of relations are spanned greedily by translates of
+kernel vectors (Brown, III.1). Cyclic groups reduce every degree to -1 or 0.
+Dihedral groups of twice-odd order reduce every degree to -1..2 and take H^2
+as H_1 of the same resolution's chain complex, which is H^{-2}, isomorphic
+to H^2 naturally in the module by 4-periodicity (Brown, VI.4 and VI.9).
 """
 
 from __future__ import annotations
@@ -83,41 +82,39 @@ class TateGroup:
 
 
 # ---------------------------------------------------------------------------
-# route recognition on the acting group
+# period recognition on the acting group
 # ---------------------------------------------------------------------------
 
 
-def _h1_route(GH: FiniteGroup):
-    """('cyclic',) | ('dihedral', r, s) | ('table',): how to reduce degrees
-    and compute H^1 and H^2, from a presentation or from _resolution.
+def _period(GH: FiniteGroup):
+    """2 for cyclic groups, 4 for dihedral groups of twice-odd order, None
+    otherwise: the period by which _reduce_degree folds degrees.
 
-    The dihedral route needs order 2d with d odd and at least 3, generated by
-    a rotation r of order d and a reflection s with s r s = r^{-1}; those
-    groups have 4-periodic cohomology. Cyclic groups are 2-periodic.
+    The dihedral case needs order 2d with d odd and at least 3, generated by
+    a rotation r of order d and a reflection s with s r s = r^{-1}.
     """
-    if "h1route" in GH._cache:
-        return GH._cache["h1route"]
-    route = ("table",)
+    if "period" in GH._cache:
+        return GH._cache["period"]
+    period = None
     h, d = GH.order, GH.order // 2
     if any(GH.element_order(x) == h for x in range(h)):
-        route = ("cyclic",)
+        period = 2
     elif h % 2 == 0 and d % 2 == 1 and d >= 3:
         r = next((x for x in range(h) if GH.element_order(x) == d), None)
         if r is not None:
             rinv = GH.inverse[r]
-            for s in range(h):
-                if GH.element_order(s) == 2 and GH.mul[GH.mul[s][r]][s] == rinv:
-                    route = ("dihedral", r, s)
-                    break
-    GH._cache["h1route"] = route
-    return route
+            if any(GH.element_order(s) == 2 and GH.mul[GH.mul[s][r]][s] == rinv
+                   for s in range(h)):
+                period = 4
+    GH._cache["period"] = period
+    return period
 
 
 def _reduce_degree(GH: FiniteGroup, i: int) -> int:
-    route = _h1_route(GH)
-    if route[0] == "cyclic":
+    period = _period(GH)
+    if period == 2:
         return 0 if i % 2 == 0 else -1
-    if route[0] == "dihedral":
+    if period == 4:
         return ((i + 1) % 4) - 1
     if -1 <= i <= 2:
         return i
@@ -129,27 +126,6 @@ def _reduce_degree(GH: FiniteGroup, i: int) -> int:
 # ---------------------------------------------------------------------------
 # cochain-level data per degree (module over the full acting group)
 # ---------------------------------------------------------------------------
-
-
-def _presentation(GH: FiniteGroup, route):
-    """Fox calculus over Z[GH] of <r, s | r^d, s^2, (sr)^2> for the route
-    ('dihedral', r, s).
-
-    Returns (gens, fox): gens[x] is x - 1 and fox[w][x] the Fox derivative of
-    relator w by generator x, each a group-ring element as (coefficient,
-    element) pairs.
-    """
-    def powers(x):
-        out = [0]
-        while len(out) < GH.element_order(x):
-            out.append(GH.mul[out[-1]][x])
-        return [(1, g) for g in out]
-
-    _, r, s = route
-    sr = GH.mul[s][r]
-    return ([[(1, r), (-1, 0)], [(1, s), (-1, 0)]],
-            [[powers(r), []], [[], powers(s)],
-             [[(1, s), (1, GH.mul[sr][s])], powers(sr)]])
 
 
 def _resolution(GH: FiniteGroup):
@@ -199,15 +175,17 @@ def _complex(GH: FiniteGroup, j: int):
     """(lower, upper, involute): reduced degree j is the homology at the
     middle of M^a -> M^k -> M^b, where lower and upper are (name, table)
     pairs whose tables of group-ring elements give the maps through
-    _ring_matrix. A name stands for one table of GH in every degree.
+    _ring_matrix, with g acting as g^{-1} when involute is set. A name
+    stands for one table of GH in every degree.
 
     Degrees 0 and -1 sit at the negative end of the complete resolution,
     spliced through the norm: degree 0 between [[N]] and d1, degree -1
-    between the transpose of d1 and [[N]]. Table groups take degrees 1 and 2
-    from Hom_GH(F, M) on the free resolution. Dihedral groups take the
-    cochain complex of their presentation, and dihedral degree 2 is H_1 of
-    its chain complex, whose maps are the transposed, involuted ones.
-    Memoised on GH.
+    between the transpose of d1 and [[N]]. Degrees j >= 1 lie between d_j
+    and d_{j+1} of Hom_GH(F, M) on the free resolution F of _resolution,
+    except degree 2 over groups of period 4: there it is H_1 of F (x)_GH M,
+    between the transposes of d2 and d1 with the involuted action, which is
+    H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity
+    (Brown, VI.9). Memoised on GH.
     """
     key = ("complex", j)
     if key in GH._cache:
@@ -217,13 +195,12 @@ def _complex(GH: FiniteGroup, j: int):
         norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
         out = ((norm, ("d1", d1), False) if j == 0
                else (("d1T", [[e[0] for e in d1]]), norm, False))
-    elif _h1_route(GH)[0] == "table":
+    elif j == 2 and _period(GH) == 4:
+        d2 = _resolution(GH)[1]
+        out = ("d2T", [list(c) for c in zip(*d2)]), _complex(GH, -1)[0], True
+    else:
         d = _resolution(GH)
         out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j]), False
-    else:
-        gens, fox = _presentation(GH, _h1_route(GH))
-        out = ((("gens", [[x] for x in gens]), ("fox", fox), False) if j == 1
-               else (("foxT", [list(c) for c in zip(*fox)]), ("gensT", [gens]), True))
     GH._cache[key] = out
     return out
 
@@ -231,9 +208,9 @@ def _complex(GH: FiniteGroup, j: int):
 def _ring_matrix(R: GModule, named, involute: bool) -> IntMatrix:
     """The block matrix of a named table of group-ring elements acting on R:
     sum a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted.
-    Memoised on R under the table's name."""
+    Memoised on R under the table's name and the involution."""
     name, table = named
-    key = ("ring", name)
+    key = ("ring", name, involute)
     if key in R._cache:
         return R._cache[key]
     n = R.ambient_rank
@@ -286,9 +263,9 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     Degrees outside -1..2 are reduced by periodicity when H is cyclic
     (period 2) or dihedral of twice-odd order (period 4); otherwise they
     raise DegreeWindowError. Every reduced degree is read off _complex:
-    -1 and 0 from the ends of the complete resolution, 1 and 2 from the
-    presentation when H is dihedral (degree 2 as H_1) and from a small free
-    Z[H]-resolution built from the table otherwise.
+    -1 and 0 from the ends of the complete resolution, 1 and 2 from a small
+    free Z[H]-resolution built from the table, degree 2 as H_1 of it when H
+    is dihedral.
 
     The group is an isomorphism invariant, so it is computed on the minimal
     presentation compress(M).module whenever that drops a coordinate, and

@@ -29,6 +29,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 from .arith import xgcd
 from .errors import ConsistencyError, InputError, ResourceLimitError
@@ -181,7 +182,7 @@ class IntMatrix:
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(a * v for a, v in zip(row, vec) if a) for row in self.entries]
+        return [sum(map(mul, row, vec)) for row in self.entries]
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -608,6 +609,18 @@ def saturate(L: Lattice) -> Lattice:
     return integer_kernel(K)
 
 
+def saturation_coordinates(L: Lattice, S: Lattice | None = None) -> tuple[Lattice, IntMatrix]:
+    """(S, C): the saturation S of L, computed unless given, and the basis
+    rows of L in the coordinates of S's basis as the columns of C, which
+    present the torsion S/L on that basis."""
+    if S is None:
+        S = saturate(L)
+    C = S.coordinate_matrix(L.basis_rows)
+    if C is None:
+        raise ConsistencyError("saturation lost a relation generator")
+    return S, C
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -899,10 +912,7 @@ class PresentedAbelianGroup:
             return Lattice.zero(0)
         if L.rank == self.generator_count:
             return L
-        coords = saturate(L).coordinate_matrix(L.basis_rows)
-        if coords is None:
-            raise ConsistencyError("saturation lost a relation generator")
-        return Lattice.from_columns(coords)
+        return Lattice.from_columns(saturation_coordinates(L)[1])
 
     def _compute_invariant_factors(self) -> tuple[int, ...]:
         # The coordinate lattice of L inside S is eliminated modulo the index
@@ -1037,24 +1047,16 @@ def qindex(f: GroupHom) -> Fraction | None:
                     _pivot_product(RA.basis_rows, RA._pivots))
 
 
-def _torsion_presentation(A: PresentedAbelianGroup) -> tuple[PresentedAbelianGroup, Lattice]:
-    """(tors A presented on a basis of sat(R), that saturation)."""
-    R = A.relation_lattice()
-    satR = saturate(R)
-    rel = satR.coordinate_matrix(R.basis_rows)
-    if rel is None:
-        raise ConsistencyError("saturation lost a relation generator")
-    return PresentedAbelianGroup(satR.rank, rel), satR
-
-
 def tors_hom(f: GroupHom) -> GroupHom:
-    """Induced map on torsion subgroups."""
-    src, sat_s = _torsion_presentation(f.source)
-    tgt, sat_t = _torsion_presentation(f.target)
+    """Induced map on torsion subgroups, each presented on a basis of the
+    saturation of its relations."""
+    sat_s, rel_s = saturation_coordinates(f.source.relation_lattice())
+    sat_t, rel_t = saturation_coordinates(f.target.relation_lattice())
     mat = sat_t.coordinate_matrix(f.matrix.apply(g) for g in sat_s.basis_rows)
     if mat is None:
         raise ValueError("map does not carry torsion into torsion")
-    return GroupHom(src, tgt, mat, check=False)
+    return GroupHom(PresentedAbelianGroup(sat_s.rank, rel_s),
+                    PresentedAbelianGroup(sat_t.rank, rel_t), mat, check=False)
 
 
 def mt_hom(f: GroupHom) -> GroupHom:

@@ -20,6 +20,7 @@ from .exactla import (
     PresentedAbelianGroup,
     block_diagonal_lattice,
     preimage_lattice,
+    saturation_coordinates,
     smith_coordinates,
     subquotient_group,
 )
@@ -373,9 +374,7 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
         tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
         tors_basis = IntMatrix.zeros(n, 0)
     else:
-        rel = satL.coordinate_matrix(M.relations.basis_rows)
-        if rel is None:
-            raise ConsistencyError("relations escaped their own saturation")
+        _, rel = saturation_coordinates(M.relations, satL)
         tors = GModule(M.group, satL.rank, Lattice.from_columns(rel),
                        sublattice_action(satL, M.action))
         tors_basis = satL.basis

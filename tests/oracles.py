@@ -12,7 +12,7 @@ spans the augmentation submodule by every group element, where production
 takes the generators only. The Cayley-table oracles reuse the production
 lattices and compress: table_tate takes H^1 on one cochain per group
 element, and degree 2 as that H^1 of the coinduced shift module Q, where
-production takes both from a small free resolution or a presentation.
+production takes both from a small free resolution.
 shift_tate takes the production H^1 of Q instead, which is narrow enough
 for the larger dihedral groups, whose degree 2 production takes as H_1.
 raw_tate and raw_induced_kernel_order run the production complex on M's own

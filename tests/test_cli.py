@@ -161,6 +161,31 @@ def test_cohomology_bad_degrees(capsys, triv_d3):
     assert code == 2
 
 
+def test_cohomology_reads_up_to_a_thousand_degrees(capsys, triv_d3):
+    for degrees in ("-500..499", ",".join(str(i) for i in range(1000))):
+        code, doc = _run(capsys, "cohomology", "--module", triv_d3,
+                         "--degrees", degrees)
+        assert code == 0
+        assert len(doc["degrees"]) == 1000
+        assert doc["degrees"]["4"] == doc["degrees"]["0"]
+
+
+@pytest.mark.parametrize("degrees", ["0..100000000", "0..1000", f"-5..{10**30}",
+                                     ",".join(["0"] * 1001)],
+                         ids=["1e8", "1001", "huge", "list1001"])
+def test_too_many_degrees_end_in_a_json_error(tmp_path, degrees):
+    # the count is checked before the list is built: 0..100000000 took
+    # gigabytes and minutes when it was built
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(module_to_json(random_module(
+        FiniteGroup.dihedral(3), "mixed", seed=1))))
+    proc = _run_process(tmp_path, "cohomology", "--module", str(module),
+                        "--degrees", degrees)
+    assert "Traceback" not in proc.stderr, proc.stderr[-500:]
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
+
+
 def test_cohomology_subgroup_element_out_of_range(capsys, triv_d3):
     code, doc = _run(capsys, "cohomology", "--module", triv_d3,
                      "--subgroup", "9")

@@ -28,7 +28,7 @@ from reglab import (
     tate,
     trivial_module,
 )
-from reglab.cohomology import _h1_route, _resolution
+from reglab.cohomology import _complex, _period, _resolution
 from reglab.errors import InputError
 from reglab.exactla import integer_kernel, qindex
 
@@ -64,11 +64,12 @@ def table_groups():
 
 def forced_table(M, H):
     """A copy of M, over its own copy of the group, whose restriction to H
-    takes the free resolution; the group is copied because restrictions
+    has no period, so that every degree in 1..2 is read between d_j and
+    d_{j+1} of the free resolution; the group is copied because restrictions
     share the re-indexed group of H across every module over M.group."""
     G = FiniteGroup(M.group.mul, M.group.descriptor, validate=False)
     out = GModule(G, M.ambient_rank, M.relations, M.action)
-    restrict(out, H).group._cache["h1route"] = ("table",)
+    restrict(out, H).group._cache["period"] = None
     return out
 
 
@@ -242,11 +243,13 @@ def test_h1_random_finite_modules_against_enumeration():
 
 
 def test_table_route_agrees_with_fast_routes():
-    # force the free resolution where a presentation is used, and compare
-    # degree 1 with the presentation and degree 2 on D3 with H_1
+    # take away the period: cyclic degree 1 is then read off the resolution
+    # instead of degree -1, and dihedral degree 2 between d2 and d3 instead of
+    # as H_1 between the transposes of d2 and d1
     rng = random.Random(3)
+    D = FiniteGroup.dihedral
     for G, degrees in ((FiniteGroup.cyclic(4), (1,)), (FiniteGroup.cyclic(6), (1,)),
-                       (FiniteGroup.dihedral(3), (1, 2))):
+                       (D(3), (1, 2)), (D(5), (1, 2)), (D(9), (1, 2))):
         full = G.full_subgroup()
         for _ in range(5):
             seed = rng.randrange(10**6)
@@ -268,10 +271,10 @@ def test_a_route_forced_on_a_copy_stays_on_the_copy():
     full = G.full_subgroup()
     M = trivial_module(G)
     forced = forced_table(M, full)
-    assert restrict(forced, full).group._cache["h1route"] == ("table",)
+    assert _period(restrict(forced, full).group) is None
     shared = restrict(trivial_module(FiniteGroup.dihedral(3)), full).group
     assert shared is restrict(M, full).group
-    assert _h1_route(shared)[0] == "dihedral"
+    assert _period(shared) == 4
 
 
 def test_table_groups_match_the_shift_oracle():
@@ -316,8 +319,10 @@ def z_matrix(G, table):
 def test_resolution_is_exact_and_small():
     augmentation = lambda G: IntMatrix([[1] * G.order])
     ranks = {"V4": [2, 3, 4], "C2xC4": [2, 3, 4], "C2^3": [3, 6, 10],
-             "D4": [2, 3, 4], "D6": [2, 3, 4], "A4": [2, 3, 3]}
-    for name, G, _ in table_groups():
+             "D4": [2, 3, 4], "D6": [2, 3, 4], "A4": [2, 3, 3],
+             "D3": [2, 3, 4], "D5": [2, 3, 4], "D9": [2, 3, 4]}
+    dihedral = [(f"D{q}", FiniteGroup.dihedral(q), None) for q in (3, 5, 9)]
+    for name, G, _ in table_groups() + dihedral:
         d = _resolution(G)
         # pinned so that a wider resolution shows up as a failure
         assert [len(t) for t in d] == ranks[name]
@@ -325,6 +330,35 @@ def test_resolution_is_exact_and_small():
         for lower, upper in zip(maps, maps[1:]):
             assert lower @ upper == IntMatrix.zeros(lower.rows, upper.cols)
             assert Lattice.from_columns(upper) == integer_kernel(lower), name
+
+
+def test_dihedral_degree_two_is_h1_at_the_free_end():
+    # H_1 sits between the transposes of d2 (F2 -> F1, three generators to
+    # two) and d1 (F1 -> F0, two to one), with the involuted action
+    for q in (3, 5, 9):
+        G = FiniteGroup.dihedral(q)
+        (_, lower), (_, upper), involute = _complex(G, 2)
+        assert (len(lower), len(upper), involute) == (2, 1, True)
+        assert [len(line) for line in lower] == [3, 3] and len(upper[0]) == 2
+
+
+def test_degree_two_does_not_reuse_the_degree_minus_one_matrix():
+    # both degrees act by the transpose of d1, degree 2 involuted and degree
+    # -1 not; reading -1 first must leave degree 2 as on a fresh module
+    rng = random.Random(7)
+    for q in (3, 5):
+        G = FiniteGroup.dihedral(q)
+        full = G.full_subgroup()
+        for profile in ("torsion_free", "finite", "mixed"):
+            seed = rng.randrange(10**6)
+            M = random_module(G, profile, seed, max_rank=5)
+            fresh = random_module(G, profile, seed, max_rank=5)
+            tate(M, full, -1)
+            assert tate(M, full, 2).invariants() == tate(fresh, full, 2).invariants()
+            f = random_module_hom(M, M, seed)
+            g = random_module_hom(fresh, fresh, seed)
+            induced_kernel_order(f, full, -1)
+            assert induced_kernel_order(f, full, 2) == induced_kernel_order(g, full, 2)
 
 
 def test_coinvariant_torsion_is_degree_minus_one():
@@ -491,8 +525,8 @@ def test_induced_kernel_on_trivial_subgroup_is_one():
 
 
 def test_dihedral_degree_two_matches_the_coinduced_shift():
-    # production takes H_1 of the presentation complex; the oracle takes H^1
-    # of the coinduced shift
+    # production takes H_1 of the free resolution; the oracle takes H^1 of
+    # the coinduced shift
     rng = random.Random(83)
     for q, max_rank in ((3, 6), (5, 6), (7, 6), (9, 4)):
         G = FiniteGroup.dihedral(q)

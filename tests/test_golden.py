@@ -8,6 +8,10 @@ Each check digest is the sha256 of the stdout of `reglab check` for one
 identity, on a module drawn by random_module over D3 at a fixed seed with
 the profile the identity needs, and the dihedral relation file where one is
 needed. Together they take well under a second.
+
+The cohomology digest is the sha256 of the stdout of `reglab cohomology
+--degrees -3..6` on a mixed module over D9 (order 18), which spans the
+4-periodic degrees on both sides of the window -1..2.
 """
 
 import hashlib
@@ -93,3 +97,15 @@ def test_check_digest(case, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+COHOMOLOGY_GOLDEN = "15911bac1779b9a483e40d4ee16d7dd9bfd5b9c59d9dccc0528f3daee6a8ee0e"
+
+
+def test_cohomology_digest(tmp_path, capsys):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(module_to_json(
+        random_module(FiniteGroup.dihedral(9), "mixed", seed=15))))
+    assert main(["cohomology", "--module", str(module), "--degrees", "-3..6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COHOMOLOGY_GOLDEN
