@@ -14,10 +14,18 @@ norms, and H^{-1} that of M^k -d1^T-> M -N-> M, the norm kernel modulo I_H M,
 which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^1 and H^2 come
 from the free end F -> Z, on a small free resolution built from the group
 table, whose modules of relations are spanned greedily by translates of
-kernel vectors (Brown, III.1). Cyclic groups reduce every degree to -1 or 0.
-Dihedral groups of twice-odd order reduce every degree to -1..2 and take H^2
-as H_1 of the same resolution's chain complex, which is H^{-2}, isomorphic
-to H^2 naturally in the module by 4-periodicity (Brown, VI.4 and VI.9).
+kernel vectors (Brown, III.1) and which is built only as far as the degrees
+asked need. Cyclic groups reduce every degree to -1 or 0. Dihedral groups of
+twice-odd order reduce every degree to -1..2 and take H^2 as H_1 of the same
+resolution's chain complex, which is H^{-2}, isomorphic to H^2 naturally in
+the module by 4-periodicity (Brown, VI.4 and VI.9).
+
+Each upper map takes one echelon pass per module, which gives its preimage
+of the relations, the cycles, and its image plus the relations
+(exactla.image_and_preimage). The lower map of degree j is the upper map of
+degree j - 1, so the same pass gives the boundaries of degree j; only the
+transposed tables, which are lower maps alone, take a Hermite pass of their
+own.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from .exactla import (
     PresentedAbelianGroup,
     _Echelon,
     block_diagonal_lattice,
+    image_and_preimage,
     integer_kernel,
-    preimage_lattice,
     subquotient_group,
 )
 from .gmodules import (
@@ -128,21 +136,24 @@ def _reduce_degree(GH: FiniteGroup, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolution(GH: FiniteGroup):
-    """[d1, d2, d3] of a free resolution F3 -> F2 -> F1 -> F0 = Z[GH] -> Z.
+def _resolution(GH: FiniteGroup, length: int):
+    """[d1, ..., d_length] of a free resolution ... -> F1 -> F0 = Z[GH] -> Z.
 
     Each d_j is a table of group-ring elements with one line per free
     generator of F_j, its image in F_{j-1}. d1 sends e_x to x - 1 for the
     generators x of GH. The lines of d_{j+1} are Z[GH]-generators of the
     integer kernel of d_j, chosen greedily: a kernel basis row joins only if
     the Z-span of the translates of those chosen so far misses it, so at the
-    end that span is the kernel and the complex is exact.
+    end that span is the kernel and the complex is exact. The resolution is
+    memoised on GH and extended only as far as a caller asks; each map
+    depends only on the one before it, so the maps do not depend on the
+    order of the calls.
     """
-    if "resolution" in GH._cache:
-        return GH._cache["resolution"]
+    d = GH._cache.get("resolution")
+    if d is None:
+        d = GH._cache["resolution"] = [_complex(GH, 0)[1][1]]  # d1, degree 0's upper map
     h, mul = GH.order, GH.mul
-    d = [_complex(GH, 0)[1][1]]  # d1, the upper map of degree 0
-    while len(d) < 3:
+    while len(d) < length:
         k, k0 = len(d[-1]), len(d[-1][0])
         # d_j on the Z-basis g e_i of F_j, coordinate i*h + g
         cols = []
@@ -167,8 +178,7 @@ def _resolution(GH: FiniteGroup):
             gens.append([[(v[i * h + g], g) for g in range(h) if v[i * h + g]]
                          for i in range(k)])
         d.append(gens)
-    GH._cache["resolution"] = d
-    return d
+    return d[:length]
 
 
 def _complex(GH: FiniteGroup, j: int):
@@ -180,12 +190,14 @@ def _complex(GH: FiniteGroup, j: int):
 
     Degrees 0 and -1 sit at the negative end of the complete resolution,
     spliced through the norm: degree 0 between [[N]] and d1, degree -1
-    between the transpose of d1 and [[N]]. Degrees j >= 1 lie between d_j
-    and d_{j+1} of Hom_GH(F, M) on the free resolution F of _resolution,
-    except degree 2 over groups of period 4: there it is H_1 of F (x)_GH M,
-    between the transposes of d2 and d1 with the involuted action, which is
-    H^{-2}, isomorphic to H^2 naturally in the module by 4-periodicity
-    (Brown, VI.9). Memoised on GH.
+    between the transpose of d1 and [[N]]. Over a cyclic group d1 has one
+    generator, so its transpose is the same one-line table and carries the
+    name d1. Degrees j >= 1 lie between d_j and d_{j+1} of Hom_GH(F, M) on
+    the free resolution F of _resolution, except degree 2 over groups of
+    period 4: there it is H_1 of F (x)_GH M, between the transposes of d2
+    and d1 with the involuted action, which is H^{-2}, isomorphic to H^2
+    naturally in the module by 4-periodicity (Brown, VI.9). Only the maps
+    of degree j are built. Memoised on GH.
     """
     key = ("complex", j)
     if key in GH._cache:
@@ -193,26 +205,21 @@ def _complex(GH: FiniteGroup, j: int):
     if j <= 0:
         d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
         norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
-        out = ((norm, ("d1", d1), False) if j == 0
-               else (("d1T", [[e[0] for e in d1]]), norm, False))
+        d1T = ("d1", d1) if len(d1) == 1 else ("d1T", [[e[0] for e in d1]])
+        out = (norm, ("d1", d1), False) if j == 0 else (d1T, norm, False)
     elif j == 2 and _period(GH) == 4:
-        d2 = _resolution(GH)[1]
+        d2 = _resolution(GH, 2)[1]
         out = ("d2T", [list(c) for c in zip(*d2)]), _complex(GH, -1)[0], True
     else:
-        d = _resolution(GH)
+        d = _resolution(GH, j + 1)
         out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j]), False
     GH._cache[key] = out
     return out
 
 
-def _ring_matrix(R: GModule, named, involute: bool) -> IntMatrix:
-    """The block matrix of a named table of group-ring elements acting on R:
-    sum a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted.
-    Memoised on R under the table's name and the involution."""
-    name, table = named
-    key = ("ring", name, involute)
-    if key in R._cache:
-        return R._cache[key]
+def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
+    """The block matrix of a table of group-ring elements acting on R:
+    sum a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted."""
     n = R.ambient_rank
     A = [R.action[R.group.inverse[g] if involute else g].entries
          for g in range(R.group.order)]
@@ -222,19 +229,44 @@ def _ring_matrix(R: GModule, named, involute: bool) -> IntMatrix:
         return map(sum, zip(zero, *([a * x for x in A[g][i]] for a, g in elt)))
 
     rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
-    R._cache[key] = IntMatrix(rows, cols=len(table[0]) * n)
+    return IntMatrix(rows, cols=len(table[0]) * n)
+
+
+def _map_pass(R: GModule, named, involute: bool):
+    """(C M^a + L^b, {c : C c in L^b}) for the block matrix C : M^a -> M^b of
+    a named table acting on R, with L the relations of R: one echelon pass
+    through image_and_preimage, memoised on R under the table's name and
+    the involution."""
+    name, table = named
+    key = ("pass", name, involute)
+    if key not in R._cache:
+        L = block_diagonal_lattice([R.relations] * len(table))
+        R._cache[key] = image_and_preimage(_ring_matrix(R, table, involute), L)
     return R._cache[key]
 
 
 def _complex_data(R: GModule, j: int):
-    # cycles: c in M^k with upper c in L^b; boundaries: lower M^a + L^k
-    n = R.ambient_rank
+    """(w, U, V) of reduced degree j on M^a -lower-> M^k -upper-> M^b: the
+    width w of M^k, the cycles U = {c : upper c in L^b} and the boundaries
+    V = lower M^a + L^k, with L the relations of R.
+
+    U is the preimage half of the upper map's pass. On the complete
+    resolution the lower map of degree j is the upper map of degree j - 1,
+    so V is the image half of that map's pass whenever the lower table is
+    the norm or some d_i. The transposed tables d1T and d2T are no degree's
+    upper map with the same action, so a lower map named by a transpose
+    takes one Hermite pass of its own instead of an unshared preimage pass.
+    """
     lower, upper, involute = _complex(R.group, j)
-    cyc, bnd = _ring_matrix(R, upper, involute), _ring_matrix(R, lower, involute)
-    U = preimage_lattice(cyc, block_diagonal_lattice([R.relations] * len(upper[1])))
-    rel = block_diagonal_lattice([R.relations] * len(lower[1]))
-    V = Lattice.from_rows(len(lower[1]) * n, list(bnd.columns()) + list(rel.basis_rows))
-    return len(lower[1]) * n, U, V
+    w = len(lower[1]) * R.ambient_rank
+    U = _map_pass(R, upper, involute)[1]
+    if lower[0].endswith("T"):
+        rel = block_diagonal_lattice([R.relations] * len(lower[1]))
+        bnd = _ring_matrix(R, lower[1], involute)
+        V = Lattice.from_rows(w, bnd.columns() + list(rel.basis_rows))
+    else:
+        V = _map_pass(R, lower, involute)[0]
+    return w, U, V
 
 
 # ---------------------------------------------------------------------------

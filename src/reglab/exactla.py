@@ -6,7 +6,10 @@ reduces to four primitives implemented here:
 * canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
   unique representative, so lattice equality is list equality),
 * preimages of lattices under integer matrices, read off a single echelon
-  pass; an integer kernel is the preimage of the zero lattice,
+  pass; an integer kernel is the preimage of the zero lattice, and the
+  same pass, cut at the matrix's row count, also gives the image plus the
+  lattice (image_and_preimage), so a map of a cochain complex yields the
+  cycles of one degree and the boundaries of the next at once,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map. Orders, free ranks and q-indices
   come off Hermite pivots, since the index of one echelon lattice in
@@ -70,7 +73,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(int, row)) for row in entries)
         if data:
             width = len(data[0])
             for row in data:
@@ -387,10 +390,15 @@ class _Echelon:
                         v[k] -= q * r[k]
         return not any(v)
 
-    def canonical(self, start: int = 0) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Hermite form of the span of the rows from index start on."""
-        rows = [list(r) for r in self.rows[start:]]
-        pivots = self.pivots[start:]
+    def canonical(self, start: int = 0, stop: int | None = None,
+                  cols: int | None = None) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Hermite form of the span of the rows start..stop - 1, each cut to
+        its first cols columns (by default every row from start on, whole).
+        A cut before the pivots of the rows below stop drops only what
+        those rows would reduce, so the cut rows are still canonical."""
+        width = self.width if cols is None else cols
+        rows = [r[:width] for r in self.rows[start:stop]]
+        pivots = self.pivots[start:stop]
         for i in range(len(rows)):
             p = pivots[i]
             piv = rows[i][p]
@@ -398,7 +406,7 @@ class _Echelon:
                 q = rows[i2][p] // piv
                 if q:
                     ri, r2 = rows[i], rows[i2]
-                    for k in range(p, self.width):
+                    for k in range(p, width):
                         if ri[k]:
                             r2[k] -= q * ri[k]
         return tuple(tuple(r) for r in rows), tuple(pivots)
@@ -589,6 +597,20 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
 def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
     return _kernel_part(_preimage_echelon(C, L), C.rows)
+
+
+def image_and_preimage(C: IntMatrix, L: Lattice) -> tuple[Lattice, Lattice]:
+    """(C Z^cols + L, {x in Z^cols : C x in L}) from one echelon pass.
+
+    The rows of _preimage_echelon with a pivot among the first C.rows
+    columns, cut to those columns, are the Hermite form of C Z^cols + L,
+    and the rows below them give the preimage as in preimage_lattice.
+    """
+    r = C.rows
+    ech = _preimage_echelon(C, L)
+    split = bisect_left(ech.pivots, r)
+    canon, pivots = ech.canonical(0, split, r)
+    return Lattice(r, canon, pivots), _kernel_part(ech, r)
 
 
 def integer_kernel(A: IntMatrix) -> Lattice:

@@ -124,6 +124,8 @@ def validate_module(M: GModule, all_pairs: bool = False) -> None:
         for h in range(G.order):
             prod = As @ M.action[h]
             target = M.action[G.mul[s][h]]
+            if prod == target:
+                continue
             diff = prod - target
             for j in range(n):
                 col = diff.column(j)

@@ -57,11 +57,9 @@ def _as_matrix(obj, rows: int, cols: int, what: str) -> IntMatrix:
     if (not isinstance(obj, list) or len(obj) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in obj)):
         raise InputError(f"{what} must be a {rows}x{cols} integer matrix")
-    for r in obj:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"{what} must contain integers only")
-    return IntMatrix([list(r) for r in obj], cols=cols)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for r in obj for x in r):
+        raise InputError(f"{what} must contain integers only")
+    return IntMatrix(obj, cols=cols)
 
 
 def _expand_action(G: FiniteGroup, n: int, partial: dict[int, IntMatrix]):

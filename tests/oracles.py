@@ -17,8 +17,12 @@ shift_tate takes the production H^1 of Q instead, which is narrow enough
 for the larger dihedral groups, whose degree 2 production takes as H_1.
 raw_tate and raw_induced_kernel_order run the production complex on M's own
 coordinates, where production takes the minimal presentation whenever it
-drops a coordinate. subgroups_by_fixpoint keeps the all-pairs closure
-fixpoint that enumerate_subgroups replaced.
+drops a coordinate. two_pass_complex_data takes the cycles and boundaries of
+one degree by two eliminations, a preimage under the upper map and a Hermite
+pass over the lower map's columns, where production reads the boundaries
+off the pass that gives the cycles of the degree below.
+subgroups_by_fixpoint keeps the all-pairs closure fixpoint that
+enumerate_subgroups replaced.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
 a cofactor expansion, where production eliminates. qindex_via_groups takes
 the q-index as the orders of the kernel and cokernel groups through their
@@ -59,6 +63,7 @@ from reglab.cohomology import (
     _complex,
     _complex_data,
     _reduce_degree,
+    _ring_matrix,
     _subquotient_hom,
 )
 from reglab.exactla import block_diagonal_lattice
@@ -485,6 +490,20 @@ def raw_tate(M, H, degree: int) -> TateGroup:
     j = _reduce_degree(R.group, degree)
     w, U, V = _complex_data(R, j)
     return TateGroup(degree, j, w, U, V, subquotient_group(U, V))
+
+
+def two_pass_complex_data(R, j: int):
+    """(w, U, V) of _complex_data, by two eliminations per degree: U the
+    preimage of L^b under the upper map, V the Hermite form of the lower
+    map's columns together with L^k."""
+    (_, lower), (_, upper), involute = _complex(R.group, j)
+    w = len(lower) * R.ambient_rank
+    U = preimage_lattice(_ring_matrix(R, upper, involute),
+                         block_diagonal_lattice([R.relations] * len(upper)))
+    L = block_diagonal_lattice([R.relations] * len(lower))
+    V = Lattice.from_rows(w, _ring_matrix(R, lower, involute).columns()
+                          + list(L.basis_rows))
+    return w, U, V
 
 
 def raw_induced_kernel_order(f, H, degree: int) -> int:

@@ -28,7 +28,14 @@ from reglab import (
     tate,
     trivial_module,
 )
-from reglab.cohomology import _complex, _period, _resolution
+from reglab import exactla
+from reglab.cohomology import (
+    _complex,
+    _complex_data,
+    _period,
+    _reduce_degree,
+    _resolution,
+)
 from reglab.errors import InputError
 from reglab.exactla import integer_kernel, qindex
 
@@ -45,6 +52,7 @@ from oracles import (
     shift_tate,
     table_induced_kernel_order,
     table_tate,
+    two_pass_complex_data,
 )
 
 
@@ -323,13 +331,98 @@ def test_resolution_is_exact_and_small():
              "D3": [2, 3, 4], "D5": [2, 3, 4], "D9": [2, 3, 4]}
     dihedral = [(f"D{q}", FiniteGroup.dihedral(q), None) for q in (3, 5, 9)]
     for name, G, _ in table_groups() + dihedral:
-        d = _resolution(G)
+        d = _resolution(G, 3)
         # pinned so that a wider resolution shows up as a failure
         assert [len(t) for t in d] == ranks[name]
         maps = [augmentation(G)] + [z_matrix(G, t) for t in d]
         for lower, upper in zip(maps, maps[1:]):
             assert lower @ upper == IntMatrix.zeros(lower.rows, upper.cols)
             assert Lattice.from_columns(upper) == integer_kernel(lower), name
+
+
+def fresh(G):
+    """A copy of G with empty caches, so that its restrictions and their
+    resolutions are built anew."""
+    return FiniteGroup(G.mul, G.descriptor, validate=False)
+
+
+def test_resolution_grows_only_as_far_as_the_degree_reads():
+    # dihedral degree 2 is H_1 between d2^T and d1^T, so it needs d1 and d2
+    # only; over V4 degree 1 needs d2 and degree 2 needs d3
+    for D in (FiniteGroup.dihedral(3), FiniteGroup.dihedral(5)):
+        G = fresh(D)
+        M = random_module(G, "mixed", 3, max_rank=4)
+        tate(M, G.full_subgroup(), 2)
+        assert len(restrict(M, G.full_subgroup()).group._cache["resolution"]) == 2
+    G = fresh(V4())
+    full = G.full_subgroup()
+    M = random_module(G, "mixed", 3, max_rank=4)
+    GH = restrict(M, full).group
+    tate(M, full, 1)
+    assert len(GH._cache["resolution"]) == 2
+    tate(M, full, 2)
+    assert len(GH._cache["resolution"]) == 3
+    # grown in two steps, the maps are those of one build
+    other = fresh(V4())
+    assert GH._cache["resolution"] == _resolution(
+        restrict(trivial_module(other), other.full_subgroup()).group, 3)
+
+
+def test_one_pass_per_map_matches_two_eliminations_per_degree():
+    # production reads degree j's boundaries off the pass that gives the
+    # cycles of degree j - 1; the oracle eliminates twice in every degree
+    C = FiniteGroup.cyclic
+    D = FiniteGroup.dihedral
+    groups = [C(6), C(9), D(3), D(5), D(9), V4(), FiniteGroup.product([C(2), C(4)]),
+              FiniteGroup.product([C(2)] * 3), a4(), D(4)]
+    rng = random.Random(83)
+    for G in groups:
+        for profile in ("torsion_free", "finite", "mixed"):
+            M = random_module(G, profile, rng.randrange(10**6), max_rank=6)
+            for H in subgroup_class_representatives(G)[1:]:
+                R = restrict(M, H)
+                periodic = [5] if _period(R.group) else []
+                for d in [-1, 0, 1, 2] + periodic:
+                    j = _reduce_degree(R.group, d)
+                    assert _complex_data(R, j) == two_pass_complex_data(R, j), (G, H, d)
+
+
+def test_each_map_takes_one_pass(monkeypatch):
+    # per restricted module over its whole degree window: one preimage
+    # echelon per upper map (the norm, d1, and d2 with d3 or the involuted
+    # d1^T), and a Hermite pass of its own only for a lower map named by a
+    # transpose; asked downwards or upwards, the counts are the same
+    passes = {"echelon": 0, "hermite": 0}
+    echelon, from_rows = exactla._preimage_echelon, Lattice.from_rows.__func__
+
+    def counted_echelon(*args):
+        passes["echelon"] += 1
+        return echelon(*args)
+
+    def counted_rows(cls, *args):
+        passes["hermite"] += 1
+        return from_rows(cls, *args)
+
+    monkeypatch.setattr(exactla, "_preimage_echelon", counted_echelon)
+    monkeypatch.setattr(Lattice, "from_rows", classmethod(counted_rows))
+    expected = {2: (2, 0), None: (4, 1), 4: (4, 2)}
+    seen = set()
+    C = FiniteGroup.cyclic
+    for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(),
+              FiniteGroup.product([C(2), C(4)]), a4()):
+        for order in ((2, 1, 0, -1), (-1, 0, 1, 2)):
+            M = random_module(G, "mixed", 5, max_rank=5)
+            for H in subgroup_class_representatives(G)[1:]:
+                R = restrict(M, H)
+                GH, period = R.group, _period(R.group)
+                for d in order:  # the group's tables, built before counting
+                    _complex(GH, _reduce_degree(GH, d))
+                passes.update(echelon=0, hermite=0)
+                for d in order:
+                    _complex_data(R, _reduce_degree(GH, d))
+                assert (passes["echelon"], passes["hermite"]) == expected[period], (G, H, order)
+                seen.add(period)
+    assert seen == set(expected)
 
 
 def test_dihedral_degree_two_is_h1_at_the_free_end():

@@ -15,6 +15,7 @@ from reglab.exactla import (
     PresentedAbelianGroup,
     block_diagonal_lattice,
     dual_hom,
+    image_and_preimage,
     integer_kernel,
     invert_unimodular,
     mt_hom,
@@ -278,6 +279,16 @@ def test_kernel_and_preimage_match_oracles(case):
     assert _same_lattice(K, Lattice.from_rows(C.cols, K.basis_rows))
     for row in K.basis_rows:
         assert not any(C.apply(row))
+
+
+@_PROPERTY
+@given(_map_and_lattice())
+def test_one_pass_gives_the_image_and_the_preimage(case):
+    # the image half against a Hermite pass of its own over C's columns and L
+    C, L = case
+    image, pre = image_and_preimage(C, L)
+    assert _same_lattice(image, Lattice.from_rows(C.rows, C.columns() + list(L.basis_rows)))
+    assert _same_lattice(pre, preimage_lattice(C, L))
 
 
 def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):

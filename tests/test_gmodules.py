@@ -89,8 +89,18 @@ def test_validation_rejects_bad_identity():
 def test_validation_rejects_group_law_failure():
     G = FiniteGroup.cyclic(2)
     bad = GModule(G, 1, None, [IntMatrix([[1]]), IntMatrix([[2]])])
-    with pytest.raises(ValidationError, match=r"group law fails"):
+    with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
+                       r"at pair \(1, 1\), column 0$"):
         validate_module(bad)
+
+
+def test_validation_accepts_a_group_law_that_holds_only_modulo_relations():
+    # on Z/8, C2 acting by 3 squares to 9, not 1; the difference 8 is a relation
+    G = FiniteGroup.cyclic(2)
+    M = GModule(G, 1, Lattice.from_rows(1, [[8]]), [IntMatrix([[1]]), IntMatrix([[3]])])
+    assert M.action[1] @ M.action[1] != M.action[0]
+    validate_module(M)
+    validate_module(M, all_pairs=True)
 
 
 def test_validation_rejects_unstable_relations():
