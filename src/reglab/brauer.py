@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cohomology import tate
+from .cohomology import induced_kernel_order, tate
 from .errors import InputError, ValidationError
 from .exactla import IntMatrix, Lattice, integer_kernel
 from .gmodules import GModule
@@ -51,7 +51,7 @@ class BrauerRelation:
 
     __slots__ = ("group", "terms")
 
-    def __init__(self, group: FiniteGroup, terms, check: bool = True):
+    def __init__(self, group: FiniteGroup, terms):
         merged: dict[tuple, tuple[Subgroup, int]] = {}
         order = {}
         for pos, rep in enumerate(subgroup_class_representatives(group)):
@@ -69,12 +69,11 @@ class BrauerRelation:
         clean.sort(key=lambda t: order[t[0].elements])
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "terms", tuple(clean))
-        if check:
-            ok, witness = is_brauer_relation(group, self.terms)
-            if not ok:
-                raise ValidationError(
-                    f"character sum does not vanish at element {witness}"
-                )
+        ok, witness = is_brauer_relation(group, self.terms)
+        if not ok:
+            raise ValidationError(
+                f"character sum does not vanish at element {witness}"
+            )
 
     def __setattr__(self, *args):
         raise AttributeError("BrauerRelation is immutable")
@@ -151,8 +150,6 @@ def theta_product(M: GModule, relation: BrauerRelation, degree: int) -> Fraction
 
 def theta_kernel_product(f, relation: BrauerRelation, degree: int) -> Fraction:
     """prod over relation terms of |ker H^degree(H, f)| ^ coefficient."""
-    from .cohomology import induced_kernel_order
-
     if f.source.group != relation.group:
         raise InputError("hom and relation live over different groups")
     value = Fraction(1)

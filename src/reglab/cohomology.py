@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import euler_phi, valuation
 from .errors import ConsistencyError, DegreeWindowError, InputError
@@ -41,10 +42,12 @@ from .exactla import (
     Lattice,
     PresentedAbelianGroup,
     _Echelon,
+    _hom_orders,
     block_diagonal_lattice,
     image_and_preimage,
     integer_kernel,
     subquotient_group,
+    subquotient_hom,
 )
 from .gmodules import (
     GModule,
@@ -56,23 +59,15 @@ from .gmodules import (
 from .groups import FiniteGroup, Subgroup
 
 
-class TateGroup:
+class TateGroup(NamedTuple):
     """A Tate cohomology group, kept as a subquotient of a cochain lattice."""
 
-    __slots__ = ("degree", "reduced_degree", "ambient_rank",
-                 "numerator", "denominator", "group")
-
-    def __init__(self, degree, reduced_degree, ambient_rank, numerator,
-                 denominator, group):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "reduced_degree", reduced_degree)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "group", group)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TateGroup is immutable")
+    degree: int
+    reduced_degree: int
+    ambient_rank: int
+    numerator: Lattice
+    denominator: Lattice
+    group: PresentedAbelianGroup
 
     def order(self) -> int:
         n = self.group.order()
@@ -315,8 +310,7 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
         w, U, V = _complex_data(R, j)
         R._cache[key] = TateGroup(j, j, w, U, V, subquotient_group(U, V))
     c = R._cache[key]
-    return c if c.degree == degree else TateGroup(
-        degree, j, c.ambient_rank, c.numerator, c.denominator, c.group)
+    return c if c.degree == degree else c._replace(degree=degree)
 
 
 def herbrand(M: GModule, H: Subgroup) -> Fraction:
@@ -368,13 +362,6 @@ def rosen_valuation(M: GModule, H: Subgroup, ell: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _subquotient_hom(src: TateGroup, tgt: TateGroup, W: IntMatrix) -> GroupHom:
-    mat = tgt.numerator.coordinate_matrix(W.apply(u) for u in src.numerator.basis_rows)
-    if mat is None:
-        raise ConsistencyError("induced map left the target cocycle lattice")
-    return GroupHom(src.group, tgt.group, mat)
-
-
 def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     """The map on Tate cohomology in the given degree induced by f, carried
     into the presentations tate works on as project_t @ f @ embed_s."""
@@ -391,11 +378,11 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     if ps:
         F = F @ ps.embed
     W = IntMatrix.identity(len(_complex(GH, j)[0][1])).kron(F)
-    return _subquotient_hom(src, tgt, W)
+    return subquotient_hom(W, (src.numerator, src.group), (tgt.numerator, tgt.group))
 
 
 def induced_kernel_order(f: ModuleHom, H: Subgroup, degree: int) -> int:
-    n = induced_hom(f, H, degree).kernel_group().order()
+    n = _hom_orders(induced_hom(f, H, degree))[1]
     if n is None:
         raise ConsistencyError("kernel of an induced map came out infinite")
     return n

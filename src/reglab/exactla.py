@@ -33,6 +33,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 from .arith import xgcd
 from .errors import ConsistencyError, InputError, ResourceLimitError
@@ -648,7 +649,7 @@ def saturation_coordinates(L: Lattice, S: Lattice | None = None) -> tuple[Lattic
 # ---------------------------------------------------------------------------
 
 
-class SmithForm:
+class SmithForm(NamedTuple):
     """The row transform and divisor chain of a Smith normal form.
 
     U is unimodular and U @ A @ V is diagonal with the divisors for some
@@ -656,14 +657,8 @@ class SmithForm:
     of diag(divisors).
     """
 
-    __slots__ = ("U", "divisors")
-
-    def __init__(self, U: IntMatrix, divisors: tuple[int, ...]):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "divisors", divisors)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SmithForm is immutable")
+    U: IntMatrix
+    divisors: tuple[int, ...]
 
 
 def _pivot_search(m, t, rows, cols):
@@ -1038,20 +1033,26 @@ class GroupHom:
     def __setattr__(self, *args):
         raise AttributeError("GroupHom is immutable")
 
-    def kernel_group(self) -> PresentedAbelianGroup:
-        K = preimage_lattice(self.matrix, self.target.relation_lattice())
-        return subquotient_group(K, self.source.relation_lattice())
-
-    def cokernel_group(self) -> PresentedAbelianGroup:
-        rel = self.matrix.hstack(self.target.relations)
-        return PresentedAbelianGroup(self.target.generator_count, rel)
-
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
 
 
-def qindex(f: GroupHom) -> Fraction | None:
-    """|cokernel| / |kernel|, or None when either side is infinite.
+def subquotient_hom(W: IntMatrix, src, tgt) -> GroupHom:
+    """The map the ambient matrix W induces from one subquotient to another.
+
+    src and tgt are (lattice, group) pairs, the group presented on the
+    lattice's basis as subquotient_group gives it. W must carry the source
+    lattice into the target one; GroupHom checks the relations.
+    """
+    (U_src, A_src), (U_tgt, A_tgt) = src, tgt
+    mat = U_tgt.coordinate_matrix(W.apply(u) for u in U_src.basis_rows)
+    if mat is None:
+        raise ConsistencyError("induced map leaves the target lattice")
+    return GroupHom(A_src, A_tgt, mat)
+
+
+def _hom_orders(f: GroupHom) -> tuple[int | None, int | None]:
+    """(|cokernel|, |kernel|) of f, each None when infinite.
 
     Read off the echelon behind preimage_lattice, with no Smith form. Its
     rows with a pivot among the first b columns (b target generators) span
@@ -1063,10 +1064,17 @@ def qindex(f: GroupHom) -> Fraction | None:
     ech = _preimage_echelon(f.matrix, f.target.relation_lattice())
     RA = f.source.relation_lattice()
     split = bisect_left(ech.pivots, b)
-    if split < b or len(ech.rows) - split != RA.rank:
-        return None
-    return Fraction(_pivot_product(ech.rows, ech.pivots),
-                    _pivot_product(RA.basis_rows, RA._pivots))
+    piv = [row[p] for row, p in zip(ech.rows, ech.pivots)]
+    cok = prod(piv[:split]) if split == b else None
+    ker = (_pivot_product(RA.basis_rows, RA._pivots) // prod(piv[split:])
+           if len(piv) - split == RA.rank else None)
+    return cok, ker
+
+
+def qindex(f: GroupHom) -> Fraction | None:
+    """|cokernel| / |kernel|, or None when either side is infinite."""
+    cok, ker = _hom_orders(f)
+    return None if cok is None or ker is None else Fraction(cok, ker)
 
 
 def tors_hom(f: GroupHom) -> GroupHom:

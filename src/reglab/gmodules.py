@@ -11,6 +11,7 @@ regulator constants build on top.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from .arith import mix_seed
 from .errors import ConsistencyError, InputError, ValidationError
@@ -38,8 +39,7 @@ class GModule:
 
     __slots__ = ("group", "ambient_rank", "relations", "action", "_cache")
 
-    def __init__(self, group: FiniteGroup, ambient_rank: int, relations, action,
-                 validate: bool = False):
+    def __init__(self, group: FiniteGroup, ambient_rank: int, relations, action):
         if relations is None:
             relations = Lattice.zero(ambient_rank)
         elif not isinstance(relations, Lattice):
@@ -50,8 +50,6 @@ class GModule:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_cache", {})
-        if validate:
-            validate_module(self)
 
     def __setattr__(self, *args):
         raise AttributeError("GModule is immutable")
@@ -228,20 +226,11 @@ def restrict(M: GModule, H: Subgroup) -> GModule:
 # ---------------------------------------------------------------------------
 
 
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """Fixed points M^H: the lattice of fixed ambient vectors and M^H itself."""
 
-    __slots__ = ("module", "subgroup", "lattice", "group")
-
-    def __init__(self, module: GModule, subgroup: Subgroup, lattice: Lattice,
-                 group: PresentedAbelianGroup):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "group", group)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FixedPointData is immutable")
+    lattice: Lattice
+    group: PresentedAbelianGroup
 
     @property
     def rank(self) -> int:
@@ -268,7 +257,7 @@ def fixed_points(M: GModule, H: Subgroup) -> FixedPointData:
             stacked = stacked.vstack(b)
         target = block_diagonal_lattice([M.relations] * len(gens))
         F = preimage_lattice(stacked, target)
-    data = FixedPointData(M, H, F, subquotient_group(F, M.relations))
+    data = FixedPointData(F, subquotient_group(F, M.relations))
     M._cache[key] = data
     return data
 
@@ -291,22 +280,16 @@ def norm_matrix(M: GModule, H: Subgroup) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-class Presentation:
+class Presentation(NamedTuple):
     """A module re-presented on fewer generators, with the coordinate maps.
 
     project @ embed is the identity on the new coordinates; embed followed by
     project is the identity of the quotient (not of the ambient space).
     """
 
-    __slots__ = ("module", "project", "embed")
-
-    def __init__(self, module: GModule, project: IntMatrix, embed: IntMatrix):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "project", project)
-        object.__setattr__(self, "embed", embed)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Presentation is immutable")
+    module: GModule
+    project: IntMatrix
+    embed: IntMatrix
 
 
 def compress(M: GModule) -> Presentation:
@@ -333,7 +316,7 @@ def compress(M: GModule) -> Presentation:
     return pres
 
 
-class TorsionDecomposition:
+class TorsionDecomposition(NamedTuple):
     """tors M -> M -> mt M with explicit coordinate maps.
 
     tors_basis has the generators of sat(L) as columns (the torsion submodule
@@ -341,17 +324,10 @@ class TorsionDecomposition:
     coordinates onto the free quotient's coordinates.
     """
 
-    __slots__ = ("torsion", "free", "tors_basis", "mt_projection", "mt_section")
-
-    def __init__(self, torsion, free, tors_basis, mt_projection, mt_section):
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "tors_basis", tors_basis)
-        object.__setattr__(self, "mt_projection", mt_projection)
-        object.__setattr__(self, "mt_section", mt_section)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TorsionDecomposition is immutable")
+    torsion: GModule
+    free: GModule
+    tors_basis: IntMatrix
+    mt_projection: IntMatrix
 
 
 def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
@@ -385,8 +361,7 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
     pres = compress(ambient_free)
     if pres.module.relations.rank != 0:
         raise ConsistencyError("free quotient still has relations after compression")
-    out = TorsionDecomposition(tors, pres.module, tors_basis,
-                               pres.project, pres.embed)
+    out = TorsionDecomposition(tors, pres.module, tors_basis, pres.project)
     M._cache["torsion"] = out
     return out
 

@@ -37,6 +37,7 @@ from .exactla import (
     block_diagonal_lattice,
     qindex,
     subquotient_group,
+    subquotient_hom,
 )
 from .gmodules import (
     GModule,
@@ -57,17 +58,20 @@ from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_represent
 class RegulatorConstant:
     """A positive rational with its prime factorization."""
 
-    __slots__ = ("value", "factorization")
+    __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
         value = Fraction(value)
         if value <= 0:
             raise ConsistencyError(f"regulator constant {value} is not positive")
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factorization", factorize_fraction(value))
 
     def __setattr__(self, *args):
         raise AttributeError("RegulatorConstant is immutable")
+
+    @property
+    def factorization(self) -> dict[int, int]:
+        return factorize_fraction(self.value)
 
     def __eq__(self, other):
         if isinstance(other, RegulatorConstant):
@@ -148,7 +152,7 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class PhiMap:
+class PhiMap(NamedTuple):
     """An injective equivariant map between the two sides of a relation.
 
     P1 is the sum of Z[G/H] over p1_summands, the subgroups of positive
@@ -157,17 +161,10 @@ class PhiMap:
     dual map under the standard self-duality of permutation modules.
     """
 
-    __slots__ = ("relation", "p1_summands", "p2_summands", "matrix", "seed")
-
-    def __init__(self, relation, p1_summands, p2_summands, matrix, seed):
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "p1_summands", tuple(p1_summands))
-        object.__setattr__(self, "p2_summands", tuple(p2_summands))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PhiMap is immutable")
+    relation: BrauerRelation
+    p1_summands: tuple[Subgroup, ...]
+    p2_summands: tuple[Subgroup, ...]
+    matrix: IntMatrix
 
 
 def _side_rank(relation: BrauerRelation) -> int:
@@ -271,7 +268,7 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
         # square, since the side ranks agree: injective iff nonsingular
         if matrix.determinant() != 0:
             _check_equivariant(G, matrix, pos, col_offsets, neg, row_offsets)
-            return PhiMap(relation, pos, neg, matrix, seed)
+            return PhiMap(relation, tuple(pos), tuple(neg), matrix)
     raise ConsistencyError(
         f"no injective equivariant map found in {_PHI_REDRAWS} draws; "
         "the relation data must be inconsistent"
@@ -283,15 +280,6 @@ def _fixed_sum(Mc: GModule, subgroups) -> tuple[Lattice, PresentedAbelianGroup]:
     F = block_diagonal_lattice([fixed_points(Mc, H).lattice for H in subgroups])
     rel = block_diagonal_lattice([Mc.relations] * len(subgroups))
     return F, subquotient_group(F, rel)
-
-
-def _fixed_sum_hom(W: IntMatrix, src, tgt) -> GroupHom:
-    """The map between two fixed-point sums induced by the ambient matrix W."""
-    (F_src, A_src), (F_tgt, A_tgt) = src, tgt
-    mat = F_tgt.coordinate_matrix(W.apply(u) for u in F_src.basis_rows)
-    if mat is None:
-        raise ConsistencyError("map does not preserve fixed points")
-    return GroupHom(A_src, A_tgt, mat)
 
 
 def _coset_sum(Mc: GModule, H: Subgroup, coeffs) -> list[list[int]]:
@@ -332,7 +320,7 @@ def _qindex_homs(Mc: GModule, phi: PhiMap) -> tuple[GroupHom, GroupHom]:
                           for Ht, r in zip(neg, row_offsets)]
                          for c in col_offsets])
     P1, P2 = _fixed_sum(Mc, pos), _fixed_sum(Mc, neg)
-    return _fixed_sum_hom(forward, P1, P2), _fixed_sum_hom(backward, P2, P1)
+    return subquotient_hom(forward, P1, P2), subquotient_hom(backward, P2, P1)
 
 
 def rc_qindex(M: GModule, relation: BrauerRelation, phi: PhiMap) -> Fraction:
@@ -379,26 +367,17 @@ def regulator_constant(M: GModule, relation: BrauerRelation,
 # ---------------------------------------------------------------------------
 
 
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """One prime's valuation against its lower and upper bound."""
 
-    __slots__ = ("ell", "v", "L", "U")
-
-    def __init__(self, ell: int, v: int, L: int, U: int):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "U", U)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BoundsReport is immutable")
+    ell: int
+    v: int
+    L: int
+    U: int
 
     @property
     def ok(self) -> bool:
         return -self.L <= self.v <= self.U
-
-    def __repr__(self):
-        return f"BoundsReport(ell={self.ell}, v={self.v}, L={self.L}, U={self.U})"
 
 
 def _torsion_quotient_order(M: GModule, H: Subgroup, q: int) -> int:

@@ -24,9 +24,13 @@ off the pass that gives the cycles of the degree below.
 subgroups_by_fixpoint keeps the all-pairs closure fixpoint that
 enumerate_subgroups replaced.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
-a cofactor expansion, where production eliminates. qindex_via_groups takes
-the q-index as the orders of the kernel and cokernel groups through their
-Smith invariants, where production reads it off Hermite pivots.
+a cofactor expansion, where production eliminates. kernel_group and
+cokernel_group present the kernel and cokernel of a GroupHom as groups, the
+kernel as a subquotient of the preimage of the target relations.
+qindex_via_groups takes the q-index as the orders of those two groups
+through their Smith invariants, and the kernel order oracles of induced
+maps read the kernel group's order, where production reads both orders off
+Hermite pivots.
 contains_lattice, compose, presented_from_divisors and zoo (the small groups
 the structural tests run over) are tools the tests use.
 """
@@ -64,9 +68,8 @@ from reglab.cohomology import (
     _complex_data,
     _reduce_degree,
     _ring_matrix,
-    _subquotient_hom,
 )
-from reglab.exactla import block_diagonal_lattice
+from reglab.exactla import block_diagonal_lattice, subquotient_hom
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -95,6 +98,18 @@ def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
     return Fraction(coker, kernel)
 
 
+def kernel_group(f: GroupHom) -> PresentedAbelianGroup:
+    """ker f as the preimage of the target relations modulo the source ones."""
+    K = preimage_lattice(f.matrix, f.target.relation_lattice())
+    return subquotient_group(K, f.source.relation_lattice())
+
+
+def cokernel_group(f: GroupHom) -> PresentedAbelianGroup:
+    """coker f as the target generators modulo the image and the relations."""
+    return PresentedAbelianGroup(f.target.generator_count,
+                                 f.matrix.hstack(f.target.relations))
+
+
 def qindex_via_groups(f: GroupHom) -> Fraction | None:
     """|cokernel| / |kernel| as the orders of the two presented groups, each
     through its Smith invariants, where production reads both off one
@@ -103,8 +118,8 @@ def qindex_via_groups(f: GroupHom) -> Fraction | None:
         divisors = A.invariant_factors
         return prod(divisors) if len(divisors) == A.generator_count else None
 
-    cok = order(f.cokernel_group())
-    ker = order(f.kernel_group())
+    cok = order(cokernel_group(f))
+    ker = order(kernel_group(f))
     if cok is None or ker is None:
         return None
     return Fraction(cok, ker)
@@ -413,6 +428,12 @@ def _h1_hom(f, H, degree: int) -> ModuleHom:
     return ModuleHom(S, T, W, check=False)
 
 
+def _kernel_order(src: TateGroup, tgt: TateGroup, W) -> int:
+    """Order of the kernel group of the map W induces from src to tgt."""
+    hom = subquotient_hom(W, (src.numerator, src.group), (tgt.numerator, tgt.group))
+    return kernel_group(hom).order()
+
+
 def _table_tate_group(R, degree: int) -> TateGroup:
     w, U, V = h1_table_data(R)
     return TateGroup(degree, _reduce_degree(R.group, degree), w, U, V,
@@ -431,9 +452,8 @@ def table_induced_kernel_order(f, H, degree: int) -> int:
     induces on the Cayley-table cochains."""
     g = _h1_hom(f, H, degree)
     W = IntMatrix.identity(g.source.group.order - 1).kron(g.matrix)
-    hom = _subquotient_hom(_table_tate_group(g.source, degree),
-                           _table_tate_group(g.target, degree), W)
-    return hom.kernel_group().order()
+    return _kernel_order(_table_tate_group(g.source, degree),
+                         _table_tate_group(g.target, degree), W)
 
 
 def shift_tate(M, H, degree: int) -> TateGroup:
@@ -465,9 +485,8 @@ def augmentation_all_tate(M, H) -> TateGroup:
 
 def augmentation_all_kernel_order(f, H) -> int:
     """Kernel order of the map f induces on augmentation_all_tate."""
-    hom = _subquotient_hom(augmentation_all_tate(f.source, H),
-                           augmentation_all_tate(f.target, H), f.matrix)
-    return hom.kernel_group().order()
+    return _kernel_order(augmentation_all_tate(f.source, H),
+                         augmentation_all_tate(f.target, H), f.matrix)
 
 
 def a4():
@@ -511,9 +530,8 @@ def raw_induced_kernel_order(f, H, degree: int) -> int:
     block on the cochains."""
     GH = restrict(f.source, H).group
     W = IntMatrix.identity(len(_complex(GH, _reduce_degree(GH, degree))[0][1]))
-    hom = _subquotient_hom(raw_tate(f.source, H, degree), raw_tate(f.target, H, degree),
-                           W.kron(f.matrix))
-    return hom.kernel_group().order()
+    return _kernel_order(raw_tate(f.source, H, degree), raw_tate(f.target, H, degree),
+                         W.kron(f.matrix))
 
 
 def _closure_fixpoint(G, elements):

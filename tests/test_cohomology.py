@@ -13,7 +13,10 @@ from reglab import (
     Lattice,
     ModuleHom,
     PresentedAbelianGroup,
+    bounds_report,
+    build_phi,
     compress,
+    dihedral_relation,
     direct_sum,
     fixed_points,
     herbrand,
@@ -24,8 +27,10 @@ from reglab import (
     random_module_hom,
     restrict,
     rosen_valuation,
+    smith_normal_form,
     subgroup_class_representatives,
     tate,
+    torsion_decomposition,
     trivial_module,
 )
 from reglab import exactla
@@ -166,6 +171,36 @@ def test_periodicity_of_cyclic_and_dihedral():
     full = Gd.full_subgroup()
     for i in (-1, 0, 1, 2):
         assert tate(M, full, i).invariants() == tate(M, full, i + 4).invariants()
+
+
+RECORDS = ("SmithForm", "FixedPointData", "Presentation", "TorsionDecomposition",
+           "TateGroup", "PhiMap", "BoundsReport")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment_and_tate_relabels_the_cached_group(name):
+    G = FiniteGroup.dihedral(3)
+    M = random_module(G, "mixed", 5, max_rank=6)
+    C6 = FiniteGroup.cyclic(6)
+    N = random_module(C6, "mixed", 5, max_rank=6)
+    build = {
+        "SmithForm": lambda: smith_normal_form(IntMatrix([[2, 4], [6, 8]])),
+        "FixedPointData": lambda: fixed_points(M, G.full_subgroup()),
+        "Presentation": lambda: compress(M),
+        "TorsionDecomposition": lambda: torsion_decomposition(M),
+        "TateGroup": lambda: tate(N, C6.full_subgroup(), 5),
+        "PhiMap": lambda: build_phi(dihedral_relation(3)),
+        "BoundsReport": lambda: bounds_report(M, 3, 3),
+    }
+    record = build[name]()
+    assert type(record).__name__ == name
+    for field in record._fields + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    if name == "TateGroup":
+        cached = tate(N, C6.full_subgroup(), -1)
+        assert (record.degree, record.reduced_degree, cached.degree) == (5, -1, -1)
+        assert record._replace(degree=-1) == cached
 
 
 def test_trivial_subgroup_gives_trivial_groups():

@@ -13,6 +13,7 @@ from reglab.exactla import (
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
+    _hom_orders,
     block_diagonal_lattice,
     dual_hom,
     image_and_preimage,
@@ -29,10 +30,12 @@ from reglab.exactla import (
 from reglab.errors import ResourceLimitError
 
 from oracles import (
+    cokernel_group,
     compose,
     contains_lattice,
     determinantal_divisors,
     gf_rank,
+    kernel_group,
     preimage_lattice_oracle,
     presented_from_divisors,
     qindex_bruteforce,
@@ -440,6 +443,7 @@ def _homs(draw):
 @given(_homs())
 def test_qindex_matches_the_kernel_and_cokernel_groups(f):
     assert qindex(f) == qindex_via_groups(f)
+    assert _hom_orders(f) == (cokernel_group(f).order(), kernel_group(f).order())
 
 
 @st.composite

@@ -83,7 +83,7 @@ def test_trivial_module_fixed_everywhere():
 def test_validation_rejects_bad_identity():
     G = FiniteGroup.cyclic(2)
     with pytest.raises(ValidationError, match="identity"):
-        GModule(G, 1, None, [IntMatrix([[2]]), IntMatrix([[1]])], validate=True)
+        validate_module(GModule(G, 1, None, [IntMatrix([[2]]), IntMatrix([[1]])]))
 
 
 def test_validation_rejects_group_law_failure():

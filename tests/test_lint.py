@@ -250,3 +250,58 @@ def test_every_traced_layer_resolves():
     targets = traced_targets((ROOT / "bench" / "layertrace.py").read_text())
     assert targets
     assert unresolved_targets(targets) == []
+
+
+def _stores_a_parameter(stmt, params) -> bool:
+    """stmt is object.__setattr__(self, "x", x), or the same storing
+    tuple(x), for a parameter x."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__setattr__" and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "object" and len(call.args) == 3):
+        return False
+    _, name, value = call.args
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "tuple" and len(value.args) == 1):
+        value = value.args[0]
+    return (isinstance(name, ast.Constant) and isinstance(value, ast.Name)
+            and value.id == name.value and value.id in params)
+
+
+def hand_written_records(source: str) -> list[str]:
+    """Classes whose __init__ only stores its parameters, one
+    object.__setattr__ each: records that a NamedTuple states in a line
+    per field."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    params = {a.arg for a in fn.args.args[1:]}
+                    if all(_stores_a_parameter(st, params) for st in fn.body):
+                        found.append(cls.name)
+    return found
+
+
+def test_hand_written_records_are_found():
+    source = ("class Pair:\n    def __init__(self, a, b):\n"
+              "        object.__setattr__(self, 'a', a)\n"
+              "        object.__setattr__(self, 'b', tuple(b))\n"
+              "class Checked:\n    def __init__(self, a):\n"
+              "        if a < 0:\n            raise ValueError\n"
+              "        object.__setattr__(self, 'a', a)\n"
+              "class Coerced:\n    def __init__(self, a):\n"
+              "        object.__setattr__(self, 'a', int(a))\n"
+              "class Renamed:\n    def __init__(self, a):\n"
+              "        object.__setattr__(self, 'b', a)\n"
+              "class Memo:\n    def __init__(self, a):\n"
+              "        object.__setattr__(self, 'a', a)\n"
+              "        object.__setattr__(self, '_cache', {})\n")
+    assert hand_written_records(source) == ["Pair"]
+
+
+def test_no_class_is_a_hand_written_record():
+    # a class that only stores its arguments is a typing.NamedTuple
+    found = {path.name: hand_written_records(path.read_text())
+             for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
