@@ -83,6 +83,7 @@ from .regulator import (
     bounds_report,
     build_phi,
     invariant_pairing,
+    qindex_route,
     rc_pairing,
     rc_qindex,
     regulator_constant,

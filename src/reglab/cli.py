@@ -40,10 +40,9 @@ from .jsonio import (
     relation_from_json,
 )
 from .regulator import (
-    build_phi,
     find_identity,
+    qindex_route,
     rc_pairing,
-    rc_qindex,
     regulator_constant,
     verify_identity,
 )
@@ -165,7 +164,7 @@ def _cmd_regulator(args) -> int:
     if args.method == "pairing":
         value = rc_pairing(M, rel)
     elif args.method == "qindex":
-        value = rc_qindex(M, rel, build_phi(rel, args.seed))
+        value = qindex_route(M, rel, args.seed)
     else:
         value = regulator_constant(M, rel, seed=args.seed).value
     from .arith import factorize_fraction, fraction_str

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 from typing import NamedTuple
 
 from .arith import euler_phi, valuation
@@ -218,10 +219,20 @@ def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
     n = R.ambient_rank
     A = [R.action[R.group.inverse[g] if involute else g].entries
          for g in range(R.group.order)]
-    zero = (0,) * n
+    zero = [0] * n
 
     def row(elt, i):
-        return map(sum, zip(zero, *([a * x for x in A[g][i]] for a, g in elt)))
+        acc = zero
+        for a, g in elt:
+            if a:
+                # a unit coefficient adds or subtracts the row at C level
+                if a == 1:
+                    acc = list(map(add, acc, A[g][i]))
+                elif a == -1:
+                    acc = list(map(sub, acc, A[g][i]))
+                else:
+                    acc = [x + a * y for x, y in zip(acc, A[g][i])]
+        return acc
 
     rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
     return IntMatrix(rows, cols=len(table[0]) * n)

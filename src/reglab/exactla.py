@@ -14,13 +14,19 @@ reduces to four primitives implemented here:
   |cokernel| / |kernel| of such a map. Orders, free ranks and q-indices
   come off Hermite pivots, since the index of one echelon lattice in
   another of the same rank is the ratio of their pivot products; a q-index
-  is read off the same echelon pass as a preimage,
+  is read off the same echelon pass as a preimage. A subquotient U/V of
+  nested Hermite lattices (a Tate group, fixed points, Z^n/L, the torsion
+  S/L of Z^n/L) is presented on U's basis, and its relation lattice is read
+  off the two Hermite forms: the coordinates of V's rows are echelon rows
+  already, so reducing above their pivots is their Hermite form, with no
+  second echelon pass,
 * one Smith elimination (_diagonalize), run only where divisors are asked
   for, with two callers: smith_normal_form carries the row transform along
   as an identity block, for the coordinates of Z^n / L that drop the
   generators a unit divisor kills; invariant factors run it modulo the
   index of the relation lattice in its saturation, which keeps every entry
-  below that index.
+  below that index, after dropping the rows with a unit pivot, each of
+  which kills only its own generator.
 
 No floating point; all arithmetic is on Python ints and fractions.Fraction,
 and every result is exact.
@@ -32,7 +38,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .arith import xgcd
@@ -119,14 +125,12 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
-        columns = [list(c) for c in columns]
-        if columns:
-            r = len(columns[0])
-        else:
+        columns = list(columns)
+        if not columns:
             if rows is None:
                 raise ValueError("need row count for empty column list")
-            r = rows
-        return cls([[col[i] for col in columns] for i in range(r)], cols=len(columns))
+            return cls([()] * rows, cols=0)
+        return cls(zip(*columns, strict=True), cols=len(columns))
 
     # -- access
 
@@ -137,7 +141,9 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[list[int]]:
-        return [list(self.column(j)) for j in range(self.cols)]
+        if not self.rows:
+            return [[] for _ in range(self.cols)]
+        return [list(c) for c in zip(*self.entries)]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -166,18 +172,15 @@ class IntMatrix:
         other_rows = other.entries
         for arow in self.entries:
             acc = [0] * ocols
-            for k, a in enumerate(arow):
+            for a, brow in zip(arow, other_rows):
                 if a:
-                    brow = other_rows[k]
+                    # a unit coefficient adds or subtracts the row at C level
                     if a == 1:
-                        for j in range(ocols):
-                            acc[j] += brow[j]
+                        acc = list(map(add, acc, brow))
                     elif a == -1:
-                        for j in range(ocols):
-                            acc[j] -= brow[j]
+                        acc = list(map(sub, acc, brow))
                     else:
-                        for j in range(ocols):
-                            acc[j] += a * brow[j]
+                        acc = [x + a * y for x, y in zip(acc, brow)]
             out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out), ocols)
 
@@ -400,17 +403,28 @@ class _Echelon:
         width = self.width if cols is None else cols
         rows = [r[:width] for r in self.rows[start:stop]]
         pivots = self.pivots[start:stop]
-        for i in range(len(rows)):
-            p = pivots[i]
-            piv = rows[i][p]
-            for i2 in range(i):
-                q = rows[i2][p] // piv
-                if q:
-                    ri, r2 = rows[i], rows[i2]
-                    for k in range(p, width):
-                        if ri[k]:
-                            r2[k] -= q * ri[k]
+        _reduce_above_pivots(rows, pivots, width)
         return tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def _reduce_above_pivots(rows: list[list[int]], pivots, width: int) -> None:
+    """Bring the entries above each pivot of echelon rows into [0, pivot),
+    in place, which makes the rows the Hermite form of their span.
+
+    The rows need strictly increasing pivot columns and positive pivots.
+    Row i changes only columns from its pivot on, so a column already
+    reduced stays reduced.
+    """
+    for i, p in enumerate(pivots):
+        ri = rows[i]
+        piv = ri[p]
+        for i2 in range(i):
+            r2 = rows[i2]
+            q = r2[p] // piv
+            if q:
+                for k in range(p, width):
+                    if ri[k]:
+                        r2[k] -= q * ri[k]
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +498,7 @@ class Lattice:
 
     @property
     def basis(self) -> IntMatrix:
-        return IntMatrix.from_columns([list(r) for r in self.basis_rows],
-                                      rows=self.ambient_rank)
+        return IntMatrix.from_columns(self.basis_rows, rows=self.ambient_rank)
 
     def _reduce(self, vec) -> tuple[list[int], list[int]]:
         """Reduce vec by the basis; returns (remainder, coefficients)."""
@@ -587,8 +600,8 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
     # the width of a kernel of [C | -L], so the cap reaches as far as that
     _check_width(r + n + L.rank)
     ech = _Echelon(r + n)
-    for i in range(n):
-        ech.add([C.entries[k][i] for k in range(r)] + [1 if j == i else 0 for j in range(n)])
+    for i, col in enumerate(zip(*C.entries) if r else [()] * n):
+        ech.add(list(col) + [1 if j == i else 0 for j in range(n)])
     zeros = [0] * n
     for g in L.basis_rows:
         ech.add(list(g) + zeros)
@@ -630,18 +643,6 @@ def saturate(L: Lattice) -> Lattice:
     orth = integer_kernel(B)
     K = IntMatrix([list(r) for r in orth.basis_rows], cols=n)
     return integer_kernel(K)
-
-
-def saturation_coordinates(L: Lattice, S: Lattice | None = None) -> tuple[Lattice, IntMatrix]:
-    """(S, C): the saturation S of L, computed unless given, and the basis
-    rows of L in the coordinates of S's basis as the columns of C, which
-    present the torsion S/L on that basis."""
-    if S is None:
-        S = saturate(L)
-    C = S.coordinate_matrix(L.basis_rows)
-    if C is None:
-        raise ConsistencyError("saturation lost a relation generator")
-    return S, C
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +824,7 @@ def smith_coordinates(L: Lattice) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]
     units = sf.divisors.count(1)
     Uinv = invert_unimodular(sf.U)
     project = IntMatrix([list(sf.U.entries[i]) for i in range(units, n)], cols=n)
-    embed = IntMatrix.from_columns([list(Uinv.column(i)) for i in range(units, n)],
-                                   rows=n)
+    embed = IntMatrix([row[units:] for row in Uinv.entries], cols=n - units)
     return project, embed, sf.divisors[units:]
 
 
@@ -834,8 +834,8 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
     if n != M.cols:
         raise ValueError("not square")
     ech = _Echelon(2 * n)
-    for i in range(n):
-        ech.add(list(M.column(i)) + [1 if j == i else 0 for j in range(n)])
+    for i, col in enumerate(zip(*M.entries)):
+        ech.add(list(col) + [1 if j == i else 0 for j in range(n)])
     canon, _ = ech.canonical()
     left = [list(row[:n]) for row in canon]
     if left != [[1 if j == i else 0 for j in range(n)] for i in range(n)]:
@@ -929,21 +929,20 @@ class PresentedAbelianGroup:
             return Lattice.zero(0)
         if L.rank == self.generator_count:
             return L
-        return Lattice.from_columns(saturation_coordinates(L)[1])
+        return torsion_subgroup(L)[1].relation_lattice()
 
     def _compute_invariant_factors(self) -> tuple[int, ...]:
-        # The coordinate lattice of L inside S is eliminated modulo the index
-        # [S : L]. That keeps every intermediate entry bounded by the index,
-        # where a fraction-free elimination can blow up exponentially.
-        C = self._torsion_relations()
-        r = C.rank
-        if r == 0:
-            return ()
-        index = _pivot_product(C.basis_rows, C._pivots)
-        if index == 1:
-            return (1,) * r
-        return tuple(_modular_divisors([list(b) for b in C.basis_rows],
-                                       index))
+        # The coordinate lattice of L inside S is full rank and in Hermite
+        # form, so row i has its pivot in column i. A unit pivot has zeros
+        # above it, and its row only kills its own generator: drop those rows
+        # with their columns. The rest is eliminated modulo the index [S : L],
+        # which keeps every entry below the index, where a fraction-free
+        # elimination can blow up exponentially.
+        rows = self._torsion_relations().basis_rows
+        keep = [i for i, row in enumerate(rows) if row[i] != 1]
+        m = [[rows[i][j] for j in keep] for i in keep]
+        index = prod(m[t][t] for t in range(len(keep)))
+        return (1,) * (len(rows) - len(keep)) + tuple(_modular_divisors(m, index))
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -978,7 +977,8 @@ class PresentedAbelianGroup:
         return (self.free_rank, self.torsion_divisors)
 
     def relation_lattice(self) -> Lattice:
-        """The column span of the relations, memoised."""
+        """The column span of the relations, memoised. A group built by
+        subquotient_group or torsion_subgroup has it stored already."""
         if self._lattice is None:
             object.__setattr__(self, "_lattice", Lattice.from_columns(self.relations))
         return self._lattice
@@ -990,14 +990,52 @@ class PresentedAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
+    """U/V presented on U's basis, with its relation lattice stored, or None
+    when a basis row of V lies outside U.
+
+    Both are Hermite forms, so each pivot column of V is one of U's, and the
+    coordinates of V's rows in U's basis are echelon rows already: their
+    leading indices increase strictly, and each leading entry is a ratio of
+    positive pivots. Reducing above those pivots gives the Hermite form of
+    the relation lattice without a second echelon pass.
+    """
+    coords = []
+    for vec in V.basis_rows:
+        v, c = U._reduce(vec)
+        if any(v):
+            return None
+        coords.append(c)
+    k = U.rank
+    group = PresentedAbelianGroup(k, IntMatrix._trusted(
+        tuple(zip(*coords)) if coords else ((),) * k, len(coords)))
+    pivots = [bisect_left(U._pivots, p) for p in V._pivots]
+    _reduce_above_pivots(coords, pivots, k)
+    object.__setattr__(group, "_lattice", Lattice(k, coords, pivots))
+    return group
+
+
 def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
-    """U/V for nested lattices V <= U <= Z^n, presented on U's basis."""
+    """U/V for nested lattices V <= U <= Z^n, presented on U's basis: the
+    relations are the coordinates of V's basis rows, as columns. The
+    relation lattice is read off the two Hermite forms (_nested_quotient)."""
     if U.ambient_rank != V.ambient_rank:
         raise ValueError("not a subquotient: ambient ranks differ")
-    rel = U.coordinate_matrix(V.basis_rows)
-    if rel is None:
+    group = _nested_quotient(U, V)
+    if group is None:
         raise ValueError("not a subquotient: a generator of V lies outside U")
-    return PresentedAbelianGroup(U.rank, rel)
+    return group
+
+
+def torsion_subgroup(L: Lattice, S: Lattice | None = None) -> tuple[Lattice, PresentedAbelianGroup]:
+    """(S, S/L): the saturation S of L, computed unless given, and the
+    torsion S/L of Z^n/L presented on S's basis as subquotient_group does."""
+    if S is None:
+        S = saturate(L)
+    group = _nested_quotient(S, L)
+    if group is None:
+        raise ConsistencyError("saturation lost a relation generator")
+    return S, group
 
 
 # ---------------------------------------------------------------------------
@@ -1020,8 +1058,8 @@ class GroupHom:
             raise ValueError("hom matrix shape mismatch")
         if check:
             tlat = target.relation_lattice()
-            for j in range(source.relations.cols):
-                image = matrix.apply(source.relations.column(j))
+            for j, col in enumerate(source.relations.columns()):
+                image = matrix.apply(col)
                 if not tlat.contains(image):
                     raise ValueError(
                         f"not a homomorphism: relation column {j} maps outside the target relations"
@@ -1080,13 +1118,12 @@ def qindex(f: GroupHom) -> Fraction | None:
 def tors_hom(f: GroupHom) -> GroupHom:
     """Induced map on torsion subgroups, each presented on a basis of the
     saturation of its relations."""
-    sat_s, rel_s = saturation_coordinates(f.source.relation_lattice())
-    sat_t, rel_t = saturation_coordinates(f.target.relation_lattice())
+    sat_s, tors_s = torsion_subgroup(f.source.relation_lattice())
+    sat_t, tors_t = torsion_subgroup(f.target.relation_lattice())
     mat = sat_t.coordinate_matrix(f.matrix.apply(g) for g in sat_s.basis_rows)
     if mat is None:
         raise ValueError("map does not carry torsion into torsion")
-    return GroupHom(PresentedAbelianGroup(sat_s.rank, rel_s),
-                    PresentedAbelianGroup(sat_t.rank, rel_t), mat, check=False)
+    return GroupHom(tors_s, tors_t, mat, check=False)
 
 
 def mt_hom(f: GroupHom) -> GroupHom:
@@ -1105,8 +1142,7 @@ def dual_hom(f: GroupHom) -> GroupHom:
     def dual_basis(A: PresentedAbelianGroup) -> Lattice:
         if A.relations.cols == 0:
             return Lattice.full(A.generator_count)
-        rows = [list(A.relations.column(j)) for j in range(A.relations.cols)]
-        return integer_kernel(IntMatrix(rows, cols=A.generator_count))
+        return integer_kernel(A.relations.transpose())
 
     src_dual = dual_basis(f.source)
     tgt_dual = dual_basis(f.target)

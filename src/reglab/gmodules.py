@@ -21,9 +21,9 @@ from .exactla import (
     PresentedAbelianGroup,
     block_diagonal_lattice,
     preimage_lattice,
-    saturation_coordinates,
     smith_coordinates,
     subquotient_group,
+    torsion_subgroup,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup, coset_space, enumerate_subgroups
 
@@ -59,9 +59,8 @@ class GModule:
     def abelian_group(self) -> PresentedAbelianGroup:
         """The underlying abelian group Z^n / L."""
         if "abgroup" not in self._cache:
-            self._cache["abgroup"] = PresentedAbelianGroup(
-                self.ambient_rank, self.relations.basis
-            )
+            self._cache["abgroup"] = subquotient_group(
+                Lattice.full(self.ambient_rank), self.relations)
         return self._cache["abgroup"]
 
     def saturated_relations(self) -> Lattice:
@@ -352,8 +351,8 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
         tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
         tors_basis = IntMatrix.zeros(n, 0)
     else:
-        _, rel = saturation_coordinates(M.relations, satL)
-        tors = GModule(M.group, satL.rank, Lattice.from_columns(rel),
+        tors = GModule(M.group, satL.rank,
+                       torsion_subgroup(M.relations, satL)[1].relation_lattice(),
                        sublattice_action(satL, M.action))
         tors_basis = satL.basis
     # free quotient via compress of Z^n / sat(L)

@@ -372,10 +372,13 @@ def subgroup_class_representatives(G: FiniteGroup) -> list[Subgroup]:
 
 
 def class_representative_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The canonical representative of H's conjugacy class."""
-    orbit = {H.conjugate(g).elements for g in range(G.order)}
-    rep = min(orbit)
-    return Subgroup(G, rep, validate=False)
+    """The canonical representative of H's conjugacy class; memoised on
+    the group."""
+    key = ("classrep", H.elements)
+    if key not in G._cache:
+        orbit = {H.conjugate(g).elements for g in range(G.order)}
+        G._cache[key] = Subgroup(G, min(orbit), validate=False)
+    return G._cache[key]
 
 
 class CosetSpace:

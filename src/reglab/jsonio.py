@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
 
 from .brauer import BrauerRelation
 from .errors import InputError
@@ -53,11 +54,18 @@ def group_from_json(obj, base_dir: str = ".") -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _ints_only(rows) -> bool:
+    """Whether every entry of the rows is an int and none a bool, checked
+    once per distinct entry type."""
+    return all(issubclass(t, int) and not issubclass(t, bool)
+               for t in set(map(type, chain.from_iterable(rows))))
+
+
 def _as_matrix(obj, rows: int, cols: int, what: str) -> IntMatrix:
     if (not isinstance(obj, list) or len(obj) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in obj)):
         raise InputError(f"{what} must be a {rows}x{cols} integer matrix")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for r in obj for x in r):
+    if not _ints_only(obj):
         raise InputError(f"{what} must contain integers only")
     return IntMatrix(obj, cols=cols)
 
@@ -108,10 +116,9 @@ def module_from_json(obj, base_dir: str = ".") -> GModule:
     rel_rows = obj.get("relations", [])
     if not isinstance(rel_rows, list):
         raise InputError("relations must be a list of length-rank integer rows")
-    for r in rel_rows:
-        if (not isinstance(r, list) or len(r) != n
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in r)):
-            raise InputError("relations must be a list of length-rank integer rows")
+    if (any(not isinstance(r, list) or len(r) != n for r in rel_rows)
+            or not _ints_only(rel_rows)):
+        raise InputError("relations must be a list of length-rank integer rows")
     relations = Lattice.from_rows(n, [list(r) for r in rel_rows])
 
     def parse_keys(table: dict, what: str) -> dict[int, IntMatrix]:
@@ -184,9 +191,7 @@ def relation_from_json(obj, base_dir: str = ".") -> BrauerRelation:
             raise InputError("each term needs 'subgroup' and 'coeff'")
         elems = item["subgroup"]
         coeff = item["coeff"]
-        if (not isinstance(elems, list)
-                or any(not isinstance(x, int) or isinstance(x, bool)
-                       for x in elems)):
+        if not isinstance(elems, list) or not _ints_only([elems]):
             raise InputError("term subgroup must be a list of element indices")
         if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise InputError("term coeff must be an integer")

@@ -11,6 +11,8 @@ Two independent computations are kept side by side and must agree:
     G-fixed points, with phi-hat realized by the transpose matrix. By
     Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so the maps are taken
     between sums of fixed points M^{H_s} -> M^{H_t}, never on P (x) M.
+    A relation g Theta' with g the gcd of its coefficients is taken as
+    C_Theta'^g, since the constant is multiplicative in the relation.
 
 regulator_constant runs both and raises if they ever differ, which turns
 every caller into a cross-check of the whole stack.
@@ -248,22 +250,16 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     rng = random.Random(mix_seed(seed, 0))
     for _ in range(_PHI_REDRAWS):
         rows = [[0] * n for _ in range(n)]
-        for ti in range(len(neg)):
-            for si in range(len(pos)):
-                block = None
+        for ti, r0 in enumerate(row_offsets):
+            for si, c0 in enumerate(col_offsets):
                 for basis_mat in bases[ti][si]:
                     c = rng.randrange(-3, 4)
                     if c:
-                        term = basis_mat.scale(c)
-                        block = term if block is None else block + term
-                if block is None:
-                    continue
-                r0, c0 = row_offsets[ti], col_offsets[si]
-                for i in range(block.rows):
-                    target = rows[r0 + i]
-                    src = block.entries[i]
-                    for j in range(block.cols):
-                        target[c0 + j] += src[j]
+                        for target, src in zip(rows[r0:r0 + basis_mat.rows],
+                                               basis_mat.entries):
+                            for j, a in enumerate(src, c0):
+                                if a:
+                                    target[j] += c * a
         matrix = IntMatrix(rows, cols=n)
         # square, since the side ranks agree: injective iff nonsingular
         if matrix.determinant() != 0:
@@ -342,6 +338,21 @@ def rc_qindex(M: GModule, relation: BrauerRelation, phi: PhiMap) -> Fraction:
     return qf / qb
 
 
+def qindex_route(M: GModule, relation: BrauerRelation, seed: int = 0) -> Fraction:
+    """The q-index route as regulator_constant runs it, phi drawn from seed.
+
+    A relation g Theta' with g the gcd of its coefficients has constant
+    C_Theta'^g, so phi is built for Theta', whose sides are g times
+    smaller. The width cap still applies to the relation as given.
+    """
+    _side_rank(relation)
+    g = gcd(*(c for _, c in relation.terms))
+    if g > 1:
+        relation = BrauerRelation(relation.group,
+                                  [(H, c // g) for H, c in relation.terms])
+    return rc_qindex(M, relation, build_phi(relation, seed)) ** g
+
+
 def regulator_constant(M: GModule, relation: BrauerRelation,
                        seed: int = 0) -> RegulatorConstant:
     """Both routes, cross-checked; disagreement is a hard internal error."""
@@ -349,8 +360,7 @@ def regulator_constant(M: GModule, relation: BrauerRelation,
     if key in M._cache:
         return M._cache[key]
     via_pairing = rc_pairing(M, relation)
-    phi = build_phi(relation, seed)
-    via_qindex = rc_qindex(M, relation, phi)
+    via_qindex = qindex_route(M, relation, seed)
     if via_pairing != via_qindex:
         raise ConsistencyError(
             "regulator constant routes disagree: "

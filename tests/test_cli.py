@@ -272,6 +272,23 @@ def test_a_scaled_relation_under_the_cap_still_runs(capsys, tmp_path, triv_d3,
     assert doc["value"] == "1/243"
 
 
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_scaled_relations_take_the_q_index_route_on_the_relation_itself(tmp_path, k):
+    # phi is drawn for the D3 relation, not for k times it, whose sides are
+    # k times wider: each call ends well inside the timeout
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(module_to_json(random_module(
+        FiniteGroup.dihedral(3), "mixed", seed=8, max_rank=8))))
+    rel = _scaled_relation(tmp_path, k)
+    values = set()
+    for method in ("pairing", "both", "qindex"):
+        proc = _run_process(tmp_path, "regulator", "--module", str(module),
+                            "--relation", rel, "--method", method, timeout=10)
+        assert proc.returncode == 0, (method, proc.stderr)
+        values.add(json.loads(proc.stdout)["value"])
+    assert len(values) == 1
+
+
 def test_main_reuses_one_parser_across_calls(capsys, triv_d3, theta_d3):
     # success, argument error, the same success: the parser keeps no state
     argv = ["regulator", "--module", triv_d3, "--relation", theta_d3, "--seed", "5"]
@@ -554,11 +571,11 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def _run_process(tmp_path, *argv):
+def _run_process(tmp_path, *argv, timeout=60):
     src = str(Path(reglab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run([sys.executable, "-m", "reglab", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60,
+                          env=env, capture_output=True, text=True, timeout=timeout,
                           preexec_fn=_limit_memory)
 
 

@@ -460,6 +460,42 @@ def test_each_map_takes_one_pass(monkeypatch):
     assert seen == set(expected)
 
 
+def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
+    # U/V and its invariants are read off the two Hermite forms, so every
+    # echelon behind tate(...).invariants() is built inside _complex_data
+    import reglab.cohomology as cohomology
+    made = {"all": 0, "passes": 0}
+    init, complex_data = exactla._Echelon.__init__, cohomology._complex_data
+
+    def counted_init(self, width):
+        made["all"] += 1
+        init(self, width)
+
+    def counted_data(R, j):
+        before = made["all"]
+        out = complex_data(R, j)
+        made["passes"] += made["all"] - before
+        return out
+
+    monkeypatch.setattr(exactla._Echelon, "__init__", counted_init)
+    monkeypatch.setattr(cohomology, "_complex_data", counted_data)
+    C = FiniteGroup.cyclic
+    for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(), a4()):
+        subgroups = subgroup_class_representatives(G)[1:]
+        for H in subgroups:  # the group's tables, built before counting
+            GH = restrict(trivial_module(G), H).group
+            for d in (-1, 0, 1, 2):
+                _complex(GH, _reduce_degree(GH, d))
+        for profile in ("torsion_free", "finite", "mixed"):
+            M = random_module(G, profile, 7, max_rank=5)
+            cohomology._minimal(M)  # the minimal presentation runs a Smith form
+            made.update(all=0, passes=0)
+            for H in subgroups:
+                for d in (-1, 0, 1, 2):
+                    tate(M, H, d).invariants()
+            assert made["all"] == made["passes"] > 0, (G, profile)
+
+
 def test_dihedral_degree_two_is_h1_at_the_free_end():
     # H_1 sits between the transposes of d2 (F2 -> F1, three generators to
     # two) and d1 (F1 -> F0, two to one), with the involuted action

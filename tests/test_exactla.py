@@ -26,8 +26,9 @@ from reglab.exactla import (
     smith_normal_form,
     subquotient_group,
     tors_hom,
+    torsion_subgroup,
 )
-from reglab.errors import ResourceLimitError
+from reglab.errors import ConsistencyError, ResourceLimitError
 
 from oracles import (
     cokernel_group,
@@ -381,6 +382,104 @@ def test_presented_group_invariants():
     assert G.torsion_order() == 12
     H = PresentedAbelianGroup.free(0)
     assert H.invariants() == (0, ()) and H.order() == 1
+
+
+@st.composite
+def _nested_lattices(draw):
+    """(U, V): Hermite lattices V <= U <= Z^n, V spanned by integer
+    combinations of U's basis rows, so U/V has torsion and a free part."""
+    n = draw(st.integers(0, 5))
+    U = Lattice.from_rows(n, draw(_small_matrix(draw(st.integers(0, 5)), n)))
+    combos = draw(st.lists(st.lists(st.integers(-4, 4), min_size=U.rank,
+                                    max_size=U.rank), max_size=5))
+    V = Lattice.from_rows(n, [[sum(c * u[i] for c, u in zip(cs, U.basis_rows))
+                               for i in range(n)] for cs in combos])
+    return U, V
+
+
+@_PROPERTY
+@given(_nested_lattices())
+def test_subquotients_read_their_relations_off_the_hermite_forms(case):
+    # the relations are V's coordinates in U's basis, as columns; their
+    # lattice, stored without a second pass, is the Hermite form of them
+    U, V = case
+    group = subquotient_group(U, V)
+    coords = U.coordinate_matrix(V.basis_rows)
+    assert group.relations == coords
+    assert (group.relations.rows, group.relations.cols) == (U.rank, V.rank)
+    assert _same_lattice(group.relation_lattice(), Lattice.from_columns(coords))
+    assert group.invariant_factors == smith_normal_form(coords).divisors
+    # the torsion of Z^n / V, on the basis of V's saturation
+    S, torsion = torsion_subgroup(V)
+    assert S == saturate(V)
+    in_S = S.coordinate_matrix(V.basis_rows)
+    assert _same_lattice(torsion.relation_lattice(), Lattice.from_columns(in_S))
+    assert torsion.invariant_factors == smith_normal_form(in_S).divisors
+
+
+def test_subquotient_relations_are_reduced_above_their_pivots():
+    # V's coordinates in U's basis are echelon rows, but not always reduced:
+    # here the first has -1 above the pivot 1 of the second
+    U = Lattice.from_rows(3, [[1, 6, 24], [0, 10, 0], [0, 0, 29]])
+    V = Lattice.from_rows(3, [[2, 2, 48], [0, 10, 29], [0, 0, 116]])
+    assert U.coordinate_matrix(V.basis_rows).columns()[0] == [2, -1, 0]
+    assert subquotient_group(U, V).relation_lattice().basis_rows == (
+        (2, 0, 1), (0, 1, 1), (0, 0, 4))
+    # and on seeded random nested lattices, about 3 % of which need it
+    rng = random.Random(5)
+    for _ in range(1500):
+        n = rng.randrange(1, 5)
+        U = Lattice.from_rows(n, [[rng.randrange(-6, 7) for _ in range(n)]
+                                  for _ in range(rng.randrange(1, 5))])
+        V = Lattice.from_rows(n, [[sum(c * u[i] for c, u in zip(cs, U.basis_rows))
+                                   for i in range(n)]
+                                  for cs in [[rng.randrange(-4, 5) for _ in U.basis_rows]
+                                             for _ in range(rng.randrange(1, 5))]])
+        coords = U.coordinate_matrix(V.basis_rows)
+        assert _same_lattice(subquotient_group(U, V).relation_lattice(),
+                             Lattice.from_columns(coords))
+
+
+def test_torsion_subgroup_refuses_a_lattice_outside_the_saturation():
+    L = Lattice.from_rows(2, [[2, 0]])
+    with pytest.raises(ConsistencyError, match="saturation lost"):
+        torsion_subgroup(L, Lattice.from_rows(2, [[0, 1]]))
+
+
+def test_unit_pivots_drop_out_of_the_modular_elimination():
+    # Hermite rows with unit pivots in columns 0 and 2 and entries right of
+    # them: those rows kill their own generators, and what is left is the
+    # block [[2, 1], [0, 6]] of rows and columns 1 and 3, with factors 1, 12
+    rows = [[1, 1, 0, 2], [0, 2, 0, 1], [0, 0, 1, 5], [0, 0, 0, 6]]
+    group = PresentedAbelianGroup(4, IntMatrix.from_columns(rows))
+    assert group.relation_lattice().basis_rows == tuple(map(tuple, rows))
+    assert group.invariant_factors == (1, 1, 1, 12) == tuple(determinantal_divisors(rows))
+    g = PresentedAbelianGroup(3, IntMatrix([[1, 4, 4], [0, 2, 0], [0, 0, 2]]))
+    assert g.invariant_factors == (1, 2, 2)
+
+
+@_PROPERTY
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrix_product_matches_the_triple_loop(r, k, c, data):
+    A = data.draw(_small_matrix(r, k))
+    B = data.draw(_small_matrix(k, c))
+    got = IntMatrix(A, cols=k) @ IntMatrix(B, cols=c)
+    assert (got.rows, got.cols) == (r, c)
+    assert got.to_lists() == [[sum(A[i][t] * B[t][j] for t in range(k))
+                               for j in range(c)] for i in range(r)]
+
+
+def test_transposes_keep_empty_shapes():
+    assert IntMatrix.from_columns([], rows=3).entries == ((), (), ())
+    three_empty = IntMatrix.from_columns([[], [], []])
+    assert (three_empty.rows, three_empty.cols) == (0, 3)
+    assert three_empty.columns() == [[], [], []]
+    assert IntMatrix.zeros(2, 0).columns() == []
+    assert IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]]).columns() == [[1, 2], [3, 4], [5, 6]]
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([[1, 2], [3]])
+    # a 0 x n matrix: the preimage of 0 is all of Z^n
+    assert integer_kernel(IntMatrix.zeros(0, 3)) == Lattice.full(3)
 
 
 # ---------------------------------------------------------------------------

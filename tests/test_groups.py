@@ -152,6 +152,23 @@ def test_class_representative_of_reflection():
     assert rep.elements == (0, 3)
 
 
+def test_class_representatives_are_memoised_on_the_group(monkeypatch):
+    # a copy, so nothing is cached on it yet: the first lookup conjugates H
+    # by every element, the second finds the representative cached
+    D3 = FiniteGroup.dihedral(3)
+    G = FiniteGroup(D3.mul, D3.descriptor, validate=False)
+    calls = []
+    conjugate = Subgroup.conjugate
+    monkeypatch.setattr(Subgroup, "conjugate",
+                        lambda self, g: calls.append(g) or conjugate(self, g))
+    H = Subgroup(G, (0, 4))
+    rep = class_representative_of(G, H)
+    assert (rep.elements, len(calls)) == ((0, 3), G.order)
+    assert class_representative_of(G, Subgroup(G, (0, 4))) is rep
+    assert len(calls) == G.order
+    assert class_representative_of(D3, Subgroup(D3, (0, 4))).elements == (0, 3)
+
+
 def test_coset_space_d3_mod_reflection():
     D3 = FiniteGroup.dihedral(3)
     H = Subgroup(D3, (0, 3))  # <s>

@@ -180,6 +180,30 @@ def test_module_bad_matrix_shape_is_rejected():
         module_from_json(doc)
 
 
+class _Int(int):
+    """An int subclass, as a JSON decoder hook might produce."""
+
+
+def test_entries_may_be_int_subclasses_but_not_bools():
+    def doc(rel, act):
+        return {"group": {"kind": "cyclic", "n": 2}, "rank": 1,
+                "relations": [[rel]], "action": {"0": [[1]], "1": [[act]]}}
+
+    M = module_from_json(doc(_Int(2), _Int(-1)))
+    assert M.relations.basis_rows == ((2,),) and M.action[1].entries == ((-1,),)
+    assert type(M.action[1].entries[0][0]) is int
+    for bad in (doc(True, -1), doc(2, True), doc(2.0, -1), doc(2, "1")):
+        with pytest.raises(InputError, match="integer"):
+            module_from_json(bad)
+    terms = relation_to_json(dihedral_relation(3))["terms"]
+    rel = {"group": {"kind": "dihedral", "q": 3}, "terms": terms}
+    terms[0]["subgroup"] = [_Int(x) for x in terms[0]["subgroup"]]
+    assert relation_from_json(rel).terms == dihedral_relation(3).terms
+    terms[0]["subgroup"][0] = False
+    with pytest.raises(InputError, match="element indices"):
+        relation_from_json(rel)
+
+
 def test_module_group_law_violation_is_rejected():
     from reglab import ValidationError
     doc = {

@@ -1,5 +1,7 @@
 """Regulator constants: both computation routes, bounds, identity checks."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from reglab import (
     invariant_pairing,
     permutation_module,
     qindex,
+    qindex_route,
     random_module,
     rc_pairing,
     rc_qindex,
@@ -34,6 +37,7 @@ from reglab import (
 )
 import reglab.exactla as exactla
 import reglab.regulator as regulator
+from reglab.brauer import BrauerRelation
 from reglab.groups import FiniteGroup
 from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
 
@@ -44,6 +48,36 @@ def v4_relation():
     G = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
     lat = brauer_relation_lattice(G)
     return relation_from_vector(G, lat.basis_rows[0])
+
+
+def test_phi_matrices_are_pinned():
+    # build_phi adds c times each hom basis matrix straight into its rows and
+    # draws the same coefficients in the same order; the digest of these 15
+    # matrices was taken before it did
+    h = hashlib.sha256()
+    for rel in (dihedral_relation(3), dihedral_relation(5), v4_relation()):
+        for seed in range(5):
+            h.update(json.dumps(build_phi(rel, seed).matrix.to_lists()).encode())
+    assert h.hexdigest() == "5ab9a5878956af46c598127e89f54c04e7642220a3d57d5aa94a34642b9a9000"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("profile,seed,value", [("mixed", 3, Fraction(3)),
+                                                ("finite", 3, Fraction(1, 9))])
+def test_q_index_route_runs_on_the_primitive_relation(monkeypatch, k, profile,
+                                                      seed, value):
+    # k times the relation has constant C^k; phi is drawn for the relation
+    # itself, and the pairing route still runs on the scaled one
+    rel = dihedral_relation(3)
+    scaled = BrauerRelation(rel.group, [(H, k * c) for H, c in rel.terms])
+    M = random_module(rel.group, profile, seed=seed, max_rank=6)
+    drawn = []
+    monkeypatch.setattr(regulator, "build_phi",
+                        lambda r, s=0: drawn.append(r.terms) or build_phi(r, s))
+    assert qindex_route(M, scaled, seed=5) == value ** k
+    assert drawn == [rel.terms]
+    assert rc_pairing(M, scaled) == value ** k
+    assert regulator_constant(M, scaled, seed=5).value == value ** k
 
 
 def c2xc4():
