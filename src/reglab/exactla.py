@@ -9,7 +9,11 @@ reduces to four primitives implemented here:
   pass; an integer kernel is the preimage of the zero lattice, and the
   same pass, cut at the matrix's row count, also gives the image plus the
   lattice (image_and_preimage), so a map of a cochain complex yields the
-  cycles of one degree and the boundaries of the next at once,
+  cycles of one degree and the boundaries of the next at once. The pass
+  starts from the lattice's Hermite rows, which are an echelon already,
+  and adds the matrix columns last to first: each column is reduced
+  modulo the lattice as it comes in, and each kernel row leads at its own
+  identity coordinate, so no two kernel rows collide,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map. Orders, free ranks and q-indices
   come off Hermite pivots, since the index of one echelon lattice in
@@ -593,6 +597,14 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
 
     Its rows with a pivot among the first C.rows columns span C Z^cols + L
     there; the rest span 0^rows x {x : C x in L}.
+
+    Row order: L's Hermite rows, padded with zeros, are an echelon already,
+    so they seed it as its first rows and pivots with no elimination. The
+    columns then come in last to first. Each is reduced modulo L at once,
+    and a dependency found at column i combines only with columns
+    i+1..cols-1, so its kernel row leads at its own identity coordinate,
+    left of every kernel pivot placed so far, and collides with none. The
+    Hermite form, hence every result, does not depend on the order.
     """
     if L.ambient_rank != C.rows:
         raise ValueError("lattice ambient rank must equal matrix row count")
@@ -600,11 +612,14 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
     # the width of a kernel of [C | -L], so the cap reaches as far as that
     _check_width(r + n + L.rank)
     ech = _Echelon(r + n)
-    for i, col in enumerate(zip(*C.entries) if r else [()] * n):
-        ech.add(list(col) + [1 if j == i else 0 for j in range(n)])
     zeros = [0] * n
-    for g in L.basis_rows:
-        ech.add(list(g) + zeros)
+    ech.rows = [list(g) + zeros for g in L.basis_rows]
+    ech.pivots = list(L._pivots)
+    cols = C.columns()
+    for i in range(n - 1, -1, -1):
+        row = cols[i] + zeros
+        row[r + i] = 1
+        ech.add(row)
     return ech
 
 
@@ -834,6 +849,8 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
     if n != M.cols:
         raise ValueError("not square")
     ech = _Echelon(2 * n)
+    # first to last: [M^T | I] has no kernel rows, so the last-to-first
+    # order of _preimage_echelon gains nothing here
     for i, col in enumerate(zip(*M.entries)):
         ech.add(list(col) + [1 if j == i else 0 for j in range(n)])
     canon, _ = ech.canonical()
@@ -898,7 +915,7 @@ def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
 class PresentedAbelianGroup:
     """Z^k modulo the column span of a relation matrix."""
 
-    __slots__ = ("generator_count", "relations", "_snf", "_lattice")
+    __slots__ = ("generator_count", "relations", "_snf", "_lattice", "_torsion")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if relations is None:
@@ -909,6 +926,7 @@ class PresentedAbelianGroup:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "_torsion", None)
 
     def __setattr__(self, *args):
         raise AttributeError("PresentedAbelianGroup is immutable")
@@ -918,18 +936,21 @@ class PresentedAbelianGroup:
         return cls(rank)
 
     def _torsion_relations(self) -> Lattice:
-        """The relation lattice L in coordinates of its saturation S.
+        """The relation lattice L in coordinates of its saturation S,
+        memoised: saturating L takes two integer kernels.
 
         A full-rank lattice whose quotient is the torsion part S/L, so its
         pivot product is the index [S : L]. When L has full rank, S is Z^k
         and L is its own coordinate lattice.
         """
-        L = self.relation_lattice()
-        if L.rank == 0:
-            return Lattice.zero(0)
-        if L.rank == self.generator_count:
-            return L
-        return torsion_subgroup(L)[1].relation_lattice()
+        if self._torsion is None:
+            L = self.relation_lattice()
+            if L.rank == 0:
+                L = Lattice.zero(0)
+            elif L.rank < self.generator_count:
+                L = torsion_subgroup(L)[1].relation_lattice()
+            object.__setattr__(self, "_torsion", L)
+        return self._torsion
 
     def _compute_invariant_factors(self) -> tuple[int, ...]:
         # The coordinate lattice of L inside S is full rank and in Hermite
@@ -998,15 +1019,22 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
     coordinates of V's rows in U's basis are echelon rows already: their
     leading indices increase strictly, and each leading entry is a ratio of
     positive pivots. Reducing above those pivots gives the Hermite form of
-    the relation lattice without a second echelon pass.
+    the relation lattice without a second echelon pass. When V equals U the
+    coordinates are the identity, and U/V is the trivial group on k
+    generators.
     """
+    k = U.rank
+    if V.basis_rows == U.basis_rows:
+        group = PresentedAbelianGroup(k, IntMatrix.identity(k))
+        object.__setattr__(group, "_lattice", Lattice.full(k))
+        object.__setattr__(group, "_snf", (1,) * k)
+        return group
     coords = []
     for vec in V.basis_rows:
         v, c = U._reduce(vec)
         if any(v):
             return None
         coords.append(c)
-    k = U.rank
     group = PresentedAbelianGroup(k, IntMatrix._trusted(
         tuple(zip(*coords)) if coords else ((),) * k, len(coords)))
     pivots = [bisect_left(U._pivots, p) for p in V._pivots]

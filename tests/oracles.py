@@ -21,6 +21,9 @@ drops a coordinate. two_pass_complex_data takes the cycles and boundaries of
 one degree by two eliminations, a preimage under the upper map and a Hermite
 pass over the lower map's columns, where production reads the boundaries
 off the pass that gives the cycles of the degree below.
+forward_preimage_echelon keeps the row order that _preimage_echelon
+replaced: the columns first to last, then L's rows, each through an
+elimination step.
 subgroups_by_fixpoint keeps the all-pairs closure fixpoint that
 enumerate_subgroups replaced.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
@@ -69,7 +72,7 @@ from reglab.cohomology import (
     _reduce_degree,
     _ring_matrix,
 )
-from reglab.exactla import block_diagonal_lattice, subquotient_hom
+from reglab.exactla import _Echelon, block_diagonal_lattice, subquotient_hom
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -258,6 +261,18 @@ def preimage_lattice_oracle(C, L) -> Lattice:
     )
     ker = integer_kernel(aug)
     return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
+
+
+def forward_preimage_echelon(C, L) -> _Echelon:
+    """The echelon of _preimage_echelon with every row added in the old
+    order: (C e_i | e_i) for i = 0..cols-1, then (g | 0) for g in L."""
+    r, n = C.rows, C.cols
+    ech = _Echelon(r + n)
+    for i, col in enumerate(C.columns()):
+        ech.add(col + [1 if j == i else 0 for j in range(n)])
+    for g in L.basis_rows:
+        ech.add(list(g) + [0] * n)
+    return ech
 
 
 def contains_lattice(A, B) -> bool:

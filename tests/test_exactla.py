@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
 
@@ -8,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reglab.exactla as exactla
 from reglab.exactla import (
     GroupHom,
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
+    _Echelon,
     _hom_orders,
+    _kernel_part,
+    _preimage_echelon,
     block_diagonal_lattice,
     dual_hom,
     image_and_preimage,
@@ -35,6 +40,7 @@ from oracles import (
     compose,
     contains_lattice,
     determinantal_divisors,
+    forward_preimage_echelon,
     gf_rank,
     kernel_group,
     preimage_lattice_oracle,
@@ -356,6 +362,107 @@ def test_invert_unimodular_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# the preimage echelon's row order
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _map_and_hermite_lattice(draw):
+    """(C, L): C with entries -6..6, possibly with no rows or no columns,
+    and L in Z^(C.rows) of rank 0, deficient rank or full rank."""
+    r = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    C = IntMatrix(draw(_small_matrix(r, n)), cols=n)
+    kind = draw(st.sampled_from(("zero", "deficient", "full")))
+    if kind == "zero" or r == 0:
+        return C, Lattice.zero(r)
+    if kind == "deficient":
+        return C, Lattice.from_rows(r, draw(_small_matrix(r - 1, r)))
+    diagonal = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
+    rows = draw(_small_matrix(draw(st.integers(0, 3)), r))
+    rows += [[d if i == j else 0 for j in range(r)] for i, d in enumerate(diagonal)]
+    return C, Lattice.from_rows(r, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_map_and_hermite_lattice())
+def test_seeded_preimage_echelon_matches_the_forward_order(case):
+    # a Hermite form is unique, so the row order changes no result
+    C, L = case
+    r = C.rows
+    ref = forward_preimage_echelon(C, L)
+    ech = _preimage_echelon(C, L)
+    # _hom_orders reads the pivots off the rows as stored, before any
+    # reduction above them
+    assert ech.pivots == ref.pivots
+    assert ([row[p] for row, p in zip(ech.rows, ech.pivots)]
+            == [row[p] for row, p in zip(ref.rows, ref.pivots)])
+    assert ech.canonical() == ref.canonical()
+    split = bisect_left(ref.pivots, r)
+    image = Lattice(r, *ref.canonical(0, split, r))
+    pre = _kernel_part(ref, r)
+    got_image, got_pre = image_and_preimage(C, L)
+    assert _same_lattice(got_image, image) and _same_lattice(got_pre, pre)
+    assert _same_lattice(preimage_lattice(C, L), pre)
+    kernel = _kernel_part(forward_preimage_echelon(C, Lattice.zero(r)), r)
+    assert _same_lattice(integer_kernel(C), kernel)
+
+
+@_PROPERTY
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                       st.integers(-3, 3)), max_size=3 * n))))
+def test_invert_unimodular_against_products(case):
+    perm, ops = case
+    n = len(perm)
+    m = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, q in ops:
+        if i != j:
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    M = IntMatrix(m, cols=n)
+    Minv = invert_unimodular(M)
+    assert M @ Minv == IntMatrix.identity(n) == Minv @ M
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(_Echelon, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(_Echelon, name, counted)
+    return calls
+
+
+def test_the_preimage_echelon_eliminates_only_the_matrix_columns(monkeypatch):
+    # L's Hermite rows seed the echelon: one add per column of C, none per
+    # row of L
+    adds = _count_calls(monkeypatch, "add")
+    rng = random.Random(20)
+    for _ in range(60):
+        r, n = rng.randrange(0, 5), rng.randrange(0, 6)
+        C = IntMatrix([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(r)], cols=n)
+        L = Lattice.from_rows(r, [[rng.randrange(-6, 7) for _ in range(r)]
+                                  for _ in range(rng.randrange(0, r + 2))])
+        adds.clear()
+        _preimage_echelon(C, L)
+        assert len(adds) == C.cols, (C.entries, L.basis_rows)
+
+
+def test_kernel_rows_are_placed_once_each(monkeypatch):
+    # columns 5, 4 combine into the image row gcd 1 and one kernel row, and
+    # columns 3..0 reduce by it to one kernel row each, each leading at its
+    # own identity coordinate: 7 rows placed, where the first-to-last order
+    # placed 10
+    placed = _count_calls(monkeypatch, "_reduce_tail")
+    K = integer_kernel(IntMatrix([[1, 2, 3, 4, 5, 6]]))
+    assert K.rank == 5
+    assert len(placed) == 7
+
+
+# ---------------------------------------------------------------------------
 # presented groups and subquotients
 # ---------------------------------------------------------------------------
 
@@ -438,6 +545,48 @@ def test_subquotient_relations_are_reduced_above_their_pivots():
         coords = U.coordinate_matrix(V.basis_rows)
         assert _same_lattice(subquotient_group(U, V).relation_lattice(),
                              Lattice.from_columns(coords))
+
+
+def test_equal_lattices_give_the_identity_presentation(monkeypatch):
+    # U/U needs no coordinates: they are the identity, with unit divisors
+    rng = random.Random(9)
+    cases = [Lattice.zero(3), Lattice.full(4), Lattice.from_rows(2, [[2, 1], [0, 3]])]
+    cases += [Lattice.from_rows(n, [[rng.randrange(-6, 7) for _ in range(n)]
+                                    for _ in range(rng.randrange(0, 5))])
+              for n in (rng.randrange(1, 6) for _ in range(20))]
+    expected = [(U.coordinate_matrix(U.basis_rows),
+                 Lattice.from_columns(U.coordinate_matrix(U.basis_rows)))
+                for U in cases]
+
+    def no_coordinates(self, vec):
+        raise AssertionError("coordinates taken")
+
+    monkeypatch.setattr(Lattice, "_reduce", no_coordinates)
+    for U, (coords, lattice) in zip(cases, expected):
+        group = subquotient_group(U, U)
+        assert group.relations == coords
+        assert _same_lattice(group.relation_lattice(), lattice)
+        assert group.invariant_factors == (1,) * U.rank
+        assert group.order() == 1
+
+
+def test_torsion_relations_saturate_once(monkeypatch):
+    # a relation lattice of deficient rank: its torsion order, then its
+    # invariant factors, from one saturation
+    calls = []
+    real = exactla.saturate
+
+    def counted(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(exactla, "saturate", counted)
+    group = PresentedAbelianGroup(3, IntMatrix.from_columns([[2, 0, 2], [0, 4, 4]]))
+    assert group.free_rank == 1
+    assert group.torsion_order() == 8
+    assert group.invariant_factors == (2, 4)
+    assert group.torsion_order() == 8
+    assert len(calls) == 1
 
 
 def test_torsion_subgroup_refuses_a_lattice_outside_the_saturation():

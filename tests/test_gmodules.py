@@ -19,6 +19,7 @@ from reglab import (
     finite_dual,
     fixed_points,
     integer_kernel,
+    module_hom_lattice,
     norm_matrix,
     permutation_module,
     random_module,
@@ -30,6 +31,7 @@ from reglab import (
     validate_module,
 )
 from reglab.arith import mix_seed
+from reglab.exactla import _Echelon
 from reglab.errors import InputError
 
 from oracles import fixed_and_norm_bruteforce
@@ -370,6 +372,27 @@ def test_equivariant_hom_basis_maps_are_equivariant_and_independent():
             # linear independence over Z
             ker = integer_kernel(IntMatrix.from_columns(flat, rows=len(flat[0])))
             assert ker.rank == 0
+
+
+def test_hom_lattice_echelon_entries_stay_small(monkeypatch):
+    # with L's rows seeded and the columns added last to first, every
+    # column is reduced modulo the target relations as it comes in: the
+    # echelon behind this D5 hom lattice peaks at 9-bit entries, where the
+    # first-to-last order reached 22
+    G = FiniteGroup.dihedral(5)
+    seed = mix_seed(0, 1, 5, 196)
+    M = compress(random_module(G, "finite", seed)).module
+    N = compress(random_module(G, "mixed", mix_seed(seed, 11))).module
+    peak = [0]
+    add = _Echelon.add
+
+    def watched(self, vec):
+        add(self, vec)
+        peak[0] = max([peak[0]] + [abs(a).bit_length() for row in self.rows for a in row])
+
+    monkeypatch.setattr(_Echelon, "add", watched)
+    assert module_hom_lattice(M, N).rank == 25
+    assert 0 < peak[0] <= 12
 
 
 def test_random_modules_are_deterministic_and_valid():

@@ -64,6 +64,48 @@ def test_only_exactla_skips_the_matrix_checks():
     assert trusted_constructions(exactla.read_text())
 
 
+def echelon_constructions(source: str) -> list[str]:
+    """Where a module calls _Echelon(...): the name of the module-level
+    function or class around each call, or its line at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "_Echelon"
+                    or getattr(node.func, "attr", None) == "_Echelon"):
+                found.append(getattr(top, "name", f"line {node.lineno}"))
+    return sorted(set(found))
+
+
+def test_echelon_constructions_are_found():
+    source = ("def f():\n    return _Echelon(3)\n"
+              "class A:\n    def g(self):\n        return exactla._Echelon(2)\n"
+              "add = _Echelon.add\nx = _Echelon(1)\n'_Echelon(4)'\n")
+    assert echelon_constructions(source) == ["A", "f", "line 7"]
+    # a hand-rolled [A | I] echelon planted beside the one allowed
+    cohomology = (ROOT / "src" / "reglab" / "cohomology.py").read_text()
+    planted = cohomology + "\n\ndef _kernel(A):\n    return _Echelon(A.rows + A.cols)\n"
+    assert echelon_constructions(planted) == ["_kernel", "_resolution"]
+
+
+# the echelons built outside exactla, each with why it may be
+ALLOWED_ECHELONS = {
+    "src/reglab/cohomology.py: _resolution",  # spans of translates, no [A | I] rows
+    "tests/oracles.py: forward_preimage_echelon",  # the old row order, as the reference
+}
+
+
+def test_only_exactla_builds_echelons():
+    # every [A | I] echelon goes through _preimage_echelon and its row order
+    exactla = ROOT / "src" / "reglab" / "exactla.py"
+    found = {f"{path.relative_to(ROOT).as_posix()}: {where}"
+             for folder in (ROOT / "src" / "reglab", ROOT / "tests")
+             for path in sorted(folder.glob("*.py")) if path != exactla
+             for where in echelon_constructions(path.read_text())}
+    assert found == ALLOWED_ECHELONS
+    assert echelon_constructions(exactla.read_text())
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level private functions and classes that no module mentions
     outside their own definition."""
