@@ -25,7 +25,9 @@ of the relations, the cycles, and its image plus the relations
 (exactla.image_and_preimage). The lower map of degree j is the upper map of
 degree j - 1, so the same pass gives the boundaries of degree j; only the
 transposed tables, which are lower maps alone, take a Hermite pass of their
-own.
+own. Every map reaches its pass as the list of its columns, which is what
+the echelon reads, summed from the transposed action matrices with no
+matrix built around them.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def _resolution(GH: FiniteGroup, length: int):
 def _complex(GH: FiniteGroup, j: int):
     """(lower, upper, involute): reduced degree j is the homology at the
     middle of M^a -> M^k -> M^b, where lower and upper are (name, table)
-    pairs whose tables of group-ring elements give the maps through
-    _ring_matrix, with g acting as g^{-1} when involute is set. A name
+    pairs whose tables of group-ring elements give the columns of the maps
+    through _ring_columns, with g acting as g^{-1} when involute is set. A name
     stands for one table of GH in every degree.
 
     Degrees 0 and -1 sit at the negative end of the complete resolution,
@@ -213,29 +215,43 @@ def _complex(GH: FiniteGroup, j: int):
     return out
 
 
-def _ring_matrix(R: GModule, table, involute: bool) -> IntMatrix:
-    """The block matrix of a table of group-ring elements acting on R:
-    sum a_g g becomes sum a_g A_g, or sum a_g A_{g^{-1}} when involuted."""
+def _ring_columns(R: GModule, table, involute: bool) -> list[list[int]]:
+    """The columns of the block matrix of a table of group-ring elements
+    acting on R, each a list, as the preimage echelon reads them: line l
+    and entry c of the table give block (l, c), in which sum a_g g becomes
+    sum a_g A_g, or sum a_g A_{g^{-1}} when involuted.
+
+    Column j of block column c, read down the lines, is row j of
+    sum a_g A_g^T over each line's entry c, so it is summed from the rows
+    of the transposed action matrices, which are memoised on R per
+    involution.
+    """
+    key = ("transposed", involute)
+    if key not in R._cache:
+        inverse = R.group.inverse
+        R._cache[key] = [R.action[inverse[g] if involute else g].transpose().entries
+                         for g in range(R.group.order)]
+    AT = R._cache[key]
     n = R.ambient_rank
-    A = [R.action[R.group.inverse[g] if involute else g].entries
-         for g in range(R.group.order)]
-    zero = [0] * n
-
-    def row(elt, i):
-        acc = zero
-        for a, g in elt:
-            if a:
-                # a unit coefficient adds or subtracts the row at C level
-                if a == 1:
-                    acc = list(map(add, acc, A[g][i]))
-                elif a == -1:
-                    acc = list(map(sub, acc, A[g][i]))
-                else:
-                    acc = [x + a * y for x, y in zip(acc, A[g][i])]
-        return acc
-
-    rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
-    return IntMatrix(rows, cols=len(table[0]) * n)
+    zero = (0,) * n
+    columns = []
+    for c in range(len(table[0])):
+        for j in range(n):
+            col = []
+            for line in table:
+                acc = zero
+                for a, g in line[c]:
+                    # a unit coefficient adds or subtracts the row at C level,
+                    # and a first +1 term is the row itself
+                    if a == 1:
+                        acc = AT[g][j] if acc is zero else list(map(add, acc, AT[g][j]))
+                    elif a == -1:
+                        acc = list(map(sub, acc, AT[g][j]))
+                    elif a:
+                        acc = [x + a * y for x, y in zip(acc, AT[g][j])]
+                col += acc
+            columns.append(col)
+    return columns
 
 
 def _map_pass(R: GModule, named, involute: bool):
@@ -247,7 +263,7 @@ def _map_pass(R: GModule, named, involute: bool):
     key = ("pass", name, involute)
     if key not in R._cache:
         L = block_diagonal_lattice([R.relations] * len(table))
-        R._cache[key] = image_and_preimage(_ring_matrix(R, table, involute), L)
+        R._cache[key] = image_and_preimage(_ring_columns(R, table, involute), L)
     return R._cache[key]
 
 
@@ -268,8 +284,8 @@ def _complex_data(R: GModule, j: int):
     U = _map_pass(R, upper, involute)[1]
     if lower[0].endswith("T"):
         rel = block_diagonal_lattice([R.relations] * len(lower[1]))
-        bnd = _ring_matrix(R, lower[1], involute)
-        V = Lattice.from_rows(w, bnd.columns() + list(rel.basis_rows))
+        V = Lattice.from_rows(w, _ring_columns(R, lower[1], involute)
+                              + list(rel.basis_rows))
     else:
         V = _map_pass(R, lower, involute)[0]
     return w, U, V

@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, prod
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -119,8 +120,15 @@ class IntMatrix:
         return m
 
     @classmethod
+    def _trusted_columns(cls, columns, rows: int) -> "IntMatrix":
+        """The matrix with the given columns, equal-length int sequences
+        this module built itself, without checking them."""
+        return cls._trusted(tuple(zip(*columns)) if columns else ((),) * rows,
+                            len(columns))
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
                                   for i in range(n)), n)
 
     @classmethod
@@ -222,15 +230,16 @@ class IntMatrix:
                                   self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(zip(*self.entries)) if self.rows
-                                  else ((),) * self.cols, self.rows)
+        return IntMatrix._trusted_columns(self.entries, self.cols)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
+    def hstack(self, *others: "IntMatrix") -> "IntMatrix":
+        """[self | others[0] | ...], side by side."""
+        if any(o.rows != self.rows for o in others):
             raise ValueError("row count mismatch")
         return IntMatrix._trusted(
-            tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-            self.cols + other.cols,
+            tuple(tuple(chain.from_iterable(parts))
+                  for parts in zip(self.entries, *(o.entries for o in others))),
+            self.cols + sum(o.cols for o in others),
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
@@ -290,8 +299,10 @@ class _Echelon:
 
     __slots__ = ("width", "rows", "pivots")
 
-    def __init__(self, width: int):
-        _check_width(width)
+    def __init__(self, width: int, checked: bool = False):
+        # checked: the caller has held a wider matrix to the cap already
+        if not checked:
+            _check_width(width)
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
@@ -502,7 +513,7 @@ class Lattice:
 
     @property
     def basis(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.basis_rows, rows=self.ambient_rank)
+        return IntMatrix._trusted_columns(self.basis_rows, self.ambient_rank)
 
     def _reduce(self, vec) -> tuple[list[int], list[int]]:
         """Reduce vec by the basis; returns (remainder, coefficients)."""
@@ -540,7 +551,7 @@ class Lattice:
             if any(v):
                 return None
             cols.append(coeffs)
-        return IntMatrix.from_columns(cols, rows=self.rank)
+        return IntMatrix._trusted_columns(cols, self.rank)
 
     def __add__(self, other: "Lattice") -> "Lattice":
         if self.ambient_rank != other.ambient_rank:
@@ -592,11 +603,14 @@ def _kernel_part(ech: _Echelon, r: int) -> Lattice:
                    [p - r for p in pivots])
 
 
-def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
-    """The echelon of the rows (C e_i | e_i) and (g | 0), g in L.
+def _preimage_echelon(columns: list[list[int]], L: Lattice) -> _Echelon:
+    """The echelon of the rows (C e_i | e_i) and (g | 0), g in L, where the
+    columns C e_i of C are given as lists of r = L.ambient_rank ints.
 
-    Its rows with a pivot among the first C.rows columns span C Z^cols + L
-    there; the rest span 0^rows x {x : C x in L}.
+    Its rows with a pivot among the first r columns span C Z^n + L there;
+    the rest span 0^r x {x : C x in L}. The columns are what the echelon
+    reads, so a caller that builds a map column by column hands them over
+    with no matrix around them.
 
     Row order: L's Hermite rows, padded with zeros, are an echelon already,
     so they seed it as its first rows and pivots with no elimination. The
@@ -606,18 +620,18 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
     left of every kernel pivot placed so far, and collides with none. The
     Hermite form, hence every result, does not depend on the order.
     """
-    if L.ambient_rank != C.rows:
+    r, n = L.ambient_rank, len(columns)
+    if any(len(col) != r for col in columns):
         raise ValueError("lattice ambient rank must equal matrix row count")
-    r, n = C.rows, C.cols
-    # the width of a kernel of [C | -L], so the cap reaches as far as that
+    # the width of a kernel of [C | -L], so the cap reaches as far as that;
+    # the echelon itself is narrower and needs no second check
     _check_width(r + n + L.rank)
-    ech = _Echelon(r + n)
+    ech = _Echelon(r + n, checked=True)
     zeros = [0] * n
     ech.rows = [list(g) + zeros for g in L.basis_rows]
     ech.pivots = list(L._pivots)
-    cols = C.columns()
     for i in range(n - 1, -1, -1):
-        row = cols[i] + zeros
+        row = columns[i] + zeros
         row[r + i] = 1
         ech.add(row)
     return ech
@@ -625,18 +639,22 @@ def _preimage_echelon(C: IntMatrix, L: Lattice) -> _Echelon:
 
 def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
-    return _kernel_part(_preimage_echelon(C, L), C.rows)
+    if L.ambient_rank != C.rows:
+        raise ValueError("lattice ambient rank must equal matrix row count")
+    return _kernel_part(_preimage_echelon(C.columns(), L), C.rows)
 
 
-def image_and_preimage(C: IntMatrix, L: Lattice) -> tuple[Lattice, Lattice]:
-    """(C Z^cols + L, {x in Z^cols : C x in L}) from one echelon pass.
+def image_and_preimage(columns: list[list[int]], L: Lattice) -> tuple[Lattice, Lattice]:
+    """(C Z^n + L, {x in Z^n : C x in L}) from one echelon pass, for the
+    map C whose n columns, each a list in Z^r with r = L.ambient_rank, are
+    given.
 
-    The rows of _preimage_echelon with a pivot among the first C.rows
-    columns, cut to those columns, are the Hermite form of C Z^cols + L,
-    and the rows below them give the preimage as in preimage_lattice.
+    The rows of _preimage_echelon with a pivot among the first r columns,
+    cut to those columns, are the Hermite form of C Z^n + L, and the rows
+    below them give the preimage as in preimage_lattice.
     """
-    r = C.rows
-    ech = _preimage_echelon(C, L)
+    r = L.ambient_rank
+    ech = _preimage_echelon(columns, L)
     split = bisect_left(ech.pivots, r)
     canon, pivots = ech.canonical(0, split, r)
     return Lattice(r, canon, pivots), _kernel_part(ech, r)
@@ -654,10 +672,8 @@ def saturate(L: Lattice) -> Lattice:
         return L
     if L.rank == n:
         return Lattice.full(n)
-    B = IntMatrix([list(r) for r in L.basis_rows], cols=n)
-    orth = integer_kernel(B)
-    K = IntMatrix([list(r) for r in orth.basis_rows], cols=n)
-    return integer_kernel(K)
+    orth = integer_kernel(IntMatrix._trusted(L.basis_rows, n))
+    return integer_kernel(IntMatrix._trusted(orth.basis_rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +854,8 @@ def smith_coordinates(L: Lattice) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]
     sf = smith_normal_form(L.basis)
     units = sf.divisors.count(1)
     Uinv = invert_unimodular(sf.U)
-    project = IntMatrix([list(sf.U.entries[i]) for i in range(units, n)], cols=n)
-    embed = IntMatrix([row[units:] for row in Uinv.entries], cols=n - units)
+    project = IntMatrix._trusted(sf.U.entries[units:], n)
+    embed = IntMatrix._trusted(tuple(row[units:] for row in Uinv.entries), n - units)
     return project, embed, sf.divisors[units:]
 
 
@@ -851,14 +867,15 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
     ech = _Echelon(2 * n)
     # first to last: [M^T | I] has no kernel rows, so the last-to-first
     # order of _preimage_echelon gains nothing here
-    for i, col in enumerate(zip(*M.entries)):
-        ech.add(list(col) + [1 if j == i else 0 for j in range(n)])
+    ident = IntMatrix.identity(n).entries
+    for col, e in zip(zip(*M.entries), ident):
+        ech.add(col + e)
     canon, _ = ech.canonical()
-    left = [list(row[:n]) for row in canon]
-    if left != [[1 if j == i else 0 for j in range(n)] for i in range(n)]:
+    if tuple(row[:n] for row in canon) != ident:
         raise ValueError("matrix is not unimodular")
-    # canon rows: (M^T | I) reduced, so right block is (M^T)^{-1} = (M^{-1})^T
-    return IntMatrix([list(row[n:]) for row in canon], cols=n).transpose()
+    # canon rows: (M^T | I) reduced, so right block is (M^T)^{-1} = (M^{-1})^T,
+    # whose rows are the columns of M^{-1}
+    return IntMatrix._trusted_columns([row[n:] for row in canon], n)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,8 +1042,10 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
     """
     k = U.rank
     if V.basis_rows == U.basis_rows:
-        group = PresentedAbelianGroup(k, IntMatrix.identity(k))
-        object.__setattr__(group, "_lattice", Lattice.full(k))
+        ident = IntMatrix.identity(k)
+        group = PresentedAbelianGroup(k, ident)
+        # Z^k, as Lattice.full would build it from a second identity
+        object.__setattr__(group, "_lattice", Lattice(k, ident.entries, range(k)))
         object.__setattr__(group, "_snf", (1,) * k)
         return group
     coords = []
@@ -1035,8 +1054,7 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
         if any(v):
             return None
         coords.append(c)
-    group = PresentedAbelianGroup(k, IntMatrix._trusted(
-        tuple(zip(*coords)) if coords else ((),) * k, len(coords)))
+    group = PresentedAbelianGroup(k, IntMatrix._trusted_columns(coords, k))
     pivots = [bisect_left(U._pivots, p) for p in V._pivots]
     _reduce_above_pivots(coords, pivots, k)
     object.__setattr__(group, "_lattice", Lattice(k, coords, pivots))
@@ -1127,7 +1145,8 @@ def _hom_orders(f: GroupHom) -> tuple[int | None, int | None]:
     |kernel| = [P : R_A] = pivots(R_A) / pivots(P) when the ranks agree.
     """
     b = f.target.generator_count
-    ech = _preimage_echelon(f.matrix, f.target.relation_lattice())
+    # GroupHom holds the matrix's row count to b, the ambient rank of R_B
+    ech = _preimage_echelon(f.matrix.columns(), f.target.relation_lattice())
     RA = f.source.relation_lattice()
     split = bisect_left(ech.pivots, b)
     piv = [row[p] for row, p in zip(ech.rows, ech.pivots)]

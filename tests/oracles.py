@@ -20,7 +20,9 @@ coordinates, where production takes the minimal presentation whenever it
 drops a coordinate. two_pass_complex_data takes the cycles and boundaries of
 one degree by two eliminations, a preimage under the upper map and a Hermite
 pass over the lower map's columns, where production reads the boundaries
-off the pass that gives the cycles of the degree below.
+off the pass that gives the cycles of the degree below. Its maps come from
+ring_matrix, which builds them row by row from the action matrices, where
+production sums the columns from their transposes.
 forward_preimage_echelon keeps the row order that _preimage_echelon
 replaced: the columns first to last, then L's rows, each through an
 elimination step.
@@ -70,7 +72,6 @@ from reglab.cohomology import (
     _complex,
     _complex_data,
     _reduce_degree,
-    _ring_matrix,
 )
 from reglab.exactla import _Echelon, block_diagonal_lattice, subquotient_hom
 
@@ -526,16 +527,36 @@ def raw_tate(M, H, degree: int) -> TateGroup:
     return TateGroup(degree, j, w, U, V, subquotient_group(U, V))
 
 
+def ring_matrix(R, table, involute: bool) -> IntMatrix:
+    """The block matrix of a table of group-ring elements acting on R, built
+    row by row through the checking constructor: line l and entry c give
+    block (l, c), in which sum a_g g becomes sum a_g A_g, or
+    sum a_g A_{g^{-1}} when involuted. Production builds the columns from
+    the transposed action matrices."""
+    n = R.ambient_rank
+    A = [R.action[R.group.inverse[g] if involute else g].entries
+         for g in range(R.group.order)]
+
+    def row(elt, i):
+        acc = [0] * n
+        for a, g in elt:
+            acc = [x + a * y for x, y in zip(acc, A[g][i])]
+        return acc
+
+    rows = [[x for elt in line for x in row(elt, i)] for line in table for i in range(n)]
+    return IntMatrix(rows, cols=len(table[0]) * n)
+
+
 def two_pass_complex_data(R, j: int):
     """(w, U, V) of _complex_data, by two eliminations per degree: U the
     preimage of L^b under the upper map, V the Hermite form of the lower
-    map's columns together with L^k."""
+    map's columns together with L^k, both maps built by ring_matrix."""
     (_, lower), (_, upper), involute = _complex(R.group, j)
     w = len(lower) * R.ambient_rank
-    U = preimage_lattice(_ring_matrix(R, upper, involute),
+    U = preimage_lattice(ring_matrix(R, upper, involute),
                          block_diagonal_lattice([R.relations] * len(upper)))
     L = block_diagonal_lattice([R.relations] * len(lower))
-    V = Lattice.from_rows(w, _ring_matrix(R, lower, involute).columns()
+    V = Lattice.from_rows(w, ring_matrix(R, lower, involute).columns()
                           + list(L.basis_rows))
     return w, U, V
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab import (
     DegreeWindowError,
@@ -40,6 +42,7 @@ from reglab.cohomology import (
     _period,
     _reduce_degree,
     _resolution,
+    _ring_columns,
 )
 from reglab.errors import InputError
 from reglab.exactla import integer_kernel, qindex
@@ -53,11 +56,13 @@ from oracles import (
     fixed_and_norm_bruteforce,
     raw_induced_kernel_order,
     raw_tate,
+    ring_matrix,
     shift_induced_kernel_order,
     shift_tate,
     table_induced_kernel_order,
     table_tate,
     two_pass_complex_data,
+    zoo,
 )
 
 
@@ -467,9 +472,9 @@ def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
     made = {"all": 0, "passes": 0}
     init, complex_data = exactla._Echelon.__init__, cohomology._complex_data
 
-    def counted_init(self, width):
+    def counted_init(self, *args, **kwargs):
         made["all"] += 1
-        init(self, width)
+        init(self, *args, **kwargs)
 
     def counted_data(R, j):
         before = made["all"]
@@ -494,6 +499,70 @@ def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
                 for d in (-1, 0, 1, 2):
                     tate(M, H, d).invariants()
             assert made["all"] == made["passes"] > 0, (G, profile)
+
+
+def _ring_tables(GH):
+    """The tables the complexes over GH read, by name: the norm, d1, d2 and
+    the transposes of d1 and d2."""
+    d1, d2 = _resolution(GH, 2)
+    norm = _complex(GH, 0)[0][1]
+    return {"norm": norm, "d1": d1, "d1T": [list(c) for c in zip(*d1)],
+            "d2": d2, "d2T": [list(c) for c in zip(*d2)]}
+
+
+_RING_GROUPS = [G for G in zoo() if G.order > 1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(len(_RING_GROUPS))),
+       st.sampled_from(("torsion_free", "finite", "mixed")), st.integers(0, 10**6),
+       st.integers(2, 5), st.booleans(), st.sampled_from(("norm", "d1", "d1T", "d2", "d2T")))
+def test_ring_columns_are_the_columns_of_the_row_built_matrix(index, profile, seed,
+                                                              max_rank, involute, name):
+    G = _RING_GROUPS[index]
+    M = random_module(G, profile, seed, max_rank=max_rank)
+    table = _ring_tables(G)[name]
+    columns = _ring_columns(M, table, involute)
+    assert columns == ring_matrix(M, table, involute).columns()
+    assert all(type(col) is list for col in columns)
+
+
+def test_tate_map_passes_build_no_checked_matrix(monkeypatch):
+    # every map of a Tate complex reaches the echelon as its columns, with
+    # no matrix through the entry-checking IntMatrix constructor
+    import reglab.cohomology as cohomology
+    seen = {"depth": 0, "checked": 0, "passes": 0}
+    init, complex_data = IntMatrix.__init__, cohomology._complex_data
+
+    def counted_init(self, *args, **kwargs):
+        seen["checked"] += seen["depth"] > 0
+        init(self, *args, **kwargs)
+
+    def watched_data(R, j):
+        seen["depth"] += 1
+        seen["passes"] += 1
+        try:
+            return complex_data(R, j)
+        finally:
+            seen["depth"] -= 1
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted_init)
+    monkeypatch.setattr(cohomology, "_complex_data", watched_data)
+    C = FiniteGroup.cyclic
+    for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(),
+              FiniteGroup.product([C(2), C(4)]), a4()):
+        subgroups = subgroup_class_representatives(G)[1:]
+        for H in subgroups:  # the group's tables, built before watching
+            GH = restrict(trivial_module(G), H).group
+            for d in (-1, 0, 1, 2):
+                _complex(GH, _reduce_degree(GH, d))
+        for profile in ("torsion_free", "finite", "mixed"):
+            M = random_module(G, profile, 13, max_rank=5)
+            for H in subgroups:
+                for d in (-1, 0, 1, 2):
+                    tate(M, H, d)
+    assert seen["passes"] > 0
+    assert seen["checked"] == 0
 
 
 def test_dihedral_degree_two_is_h1_at_the_free_end():

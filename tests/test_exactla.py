@@ -296,7 +296,7 @@ def test_kernel_and_preimage_match_oracles(case):
 def test_one_pass_gives_the_image_and_the_preimage(case):
     # the image half against a Hermite pass of its own over C's columns and L
     C, L = case
-    image, pre = image_and_preimage(C, L)
+    image, pre = image_and_preimage(C.columns(), L)
     assert _same_lattice(image, Lattice.from_rows(C.rows, C.columns() + list(L.basis_rows)))
     assert _same_lattice(pre, preimage_lattice(C, L))
 
@@ -310,6 +310,38 @@ def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):
         preimage_lattice(C, L)
     monkeypatch.setenv("REGLAB_LIMIT_COLS", "7")
     assert preimage_lattice(C, L) == preimage_lattice_oracle(C, L)
+
+
+def test_one_width_check_per_preimage_echelon(monkeypatch):
+    # the kernel width r + n + L.rank is checked once, and the narrower
+    # echelon is not checked again; every check still reads the environment
+    reads = []
+    limit = exactla.column_limit
+
+    def counted():
+        reads.append(1)
+        return limit()
+
+    monkeypatch.setattr(exactla, "column_limit", counted)
+    rng = random.Random(21)
+    for _ in range(30):
+        r, n = rng.randrange(0, 5), rng.randrange(0, 6)
+        C = IntMatrix([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(r)], cols=n)
+        L = Lattice.from_rows(r, [[rng.randrange(-6, 7) for _ in range(r)]
+                                  for _ in range(rng.randrange(0, r + 2))])
+        reads.clear()
+        _preimage_echelon(C.columns(), L)
+        assert len(reads) == 1, (C.entries, L.basis_rows)
+
+
+def test_preimage_columns_must_fit_the_lattice():
+    with pytest.raises(ValueError, match="row count"):
+        _preimage_echelon([[1, 2], [3, 4, 5]], Lattice.zero(2))
+    with pytest.raises(ValueError, match="row count"):
+        image_and_preimage([[1, 2]], Lattice.zero(3))
+    # no columns to measure: the matrix's own row count is checked
+    with pytest.raises(ValueError, match="row count"):
+        preimage_lattice(IntMatrix.zeros(2, 0), Lattice.zero(3))
 
 
 def test_saturate_properties():
@@ -390,7 +422,7 @@ def test_seeded_preimage_echelon_matches_the_forward_order(case):
     C, L = case
     r = C.rows
     ref = forward_preimage_echelon(C, L)
-    ech = _preimage_echelon(C, L)
+    ech = _preimage_echelon(C.columns(), L)
     # _hom_orders reads the pivots off the rows as stored, before any
     # reduction above them
     assert ech.pivots == ref.pivots
@@ -400,7 +432,7 @@ def test_seeded_preimage_echelon_matches_the_forward_order(case):
     split = bisect_left(ref.pivots, r)
     image = Lattice(r, *ref.canonical(0, split, r))
     pre = _kernel_part(ref, r)
-    got_image, got_pre = image_and_preimage(C, L)
+    got_image, got_pre = image_and_preimage(C.columns(), L)
     assert _same_lattice(got_image, image) and _same_lattice(got_pre, pre)
     assert _same_lattice(preimage_lattice(C, L), pre)
     kernel = _kernel_part(forward_preimage_echelon(C, Lattice.zero(r)), r)
@@ -447,7 +479,7 @@ def test_the_preimage_echelon_eliminates_only_the_matrix_columns(monkeypatch):
         L = Lattice.from_rows(r, [[rng.randrange(-6, 7) for _ in range(r)]
                                   for _ in range(rng.randrange(0, r + 2))])
         adds.clear()
-        _preimage_echelon(C, L)
+        _preimage_echelon(C.columns(), L)
         assert len(adds) == C.cols, (C.entries, L.basis_rows)
 
 
@@ -629,6 +661,37 @@ def test_transposes_keep_empty_shapes():
         IntMatrix.from_columns([[1, 2], [3]])
     # a 0 x n matrix: the preimage of 0 is all of Z^n
     assert integer_kernel(IntMatrix.zeros(0, 3)) == Lattice.full(3)
+    for r, c in ((0, 3), (3, 0), (2, 3)):
+        T = IntMatrix.zeros(r, c).transpose()
+        assert (T.rows, T.cols, len(T.entries)) == (c, r, c)
+
+
+def test_identity_is_the_nested_definition():
+    for n in range(9):
+        ident = IntMatrix.identity(n)
+        assert (ident.rows, ident.cols) == (n, n)
+        assert ident.entries == tuple(tuple(1 if i == j else 0 for j in range(n))
+                                      for i in range(n))
+
+
+def test_hstack_takes_any_number_of_matrices():
+    A, B, E = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[5], [6]]), IntMatrix.zeros(2, 0)
+    assert A.hstack() == A
+    assert A.hstack(B, E, A) == IntMatrix([[1, 2, 5, 1, 2], [3, 4, 6, 3, 4]])
+    assert IntMatrix.hstack(E, E) == E
+    assert IntMatrix.hstack(IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 1)).cols == 3
+    with pytest.raises(ValueError, match="row count"):
+        A.hstack(B, IntMatrix([[1]]))
+
+
+def test_lattice_matrices_keep_their_shapes():
+    # Lattice.basis and coordinate_matrix wrap rows exactla computed itself
+    L = Lattice.from_rows(3, [[2, 0, 1], [0, 3, 0]])
+    assert L.basis == IntMatrix([[2, 0], [0, 3], [1, 0]])
+    assert Lattice.zero(3).basis == IntMatrix.from_columns([], rows=3)
+    assert L.coordinate_matrix([[4, 3, 2], [2, 0, 1]]) == IntMatrix([[2, 1], [1, 0]])
+    assert L.coordinate_matrix([]) == IntMatrix.zeros(2, 0)
+    assert L.coordinate_matrix([[1, 0, 0]]) is None
 
 
 # ---------------------------------------------------------------------------

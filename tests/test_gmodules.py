@@ -105,6 +105,44 @@ def test_validation_accepts_a_group_law_that_holds_only_modulo_relations():
     validate_module(M, all_pairs=True)
 
 
+def _broken_regular_d3(breaks, relations=None):
+    """Z[D3] with entry (i, j) of A_g raised by d for each (g, i, j, d)."""
+    G = FiniteGroup.dihedral(3)
+    action = [A.to_lists() for A in permutation_module(G, G.trivial_subgroup()).action]
+    for g, i, j, d in breaks:
+        action[g][i][j] += d
+    return GModule(G, 6, relations, [IntMatrix(a) for a in action])
+
+
+def test_validation_names_the_first_failing_pair_and_column():
+    # A_5 broken at entry (2, 3): A_1 A_3 = A_5 fails first, with h = 3
+    bad = _broken_regular_d3([(5, 2, 3, 1)])
+    assert bad.group.mul[1][3] == 5
+    for kwargs in ({}, {"all_pairs": True}):
+        with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
+                           r"at pair \(1, 3\), column 3$"):
+            validate_module(bad, **kwargs)
+    # on Z[D3]/2: A_2 is off by a relation and A_4 by a non-relation, so the
+    # pairs (1, 1) and (1, 2) differ only modulo L and (1, 4) is the witness
+    bad = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, 1)], Lattice.scaled(6, 2))
+    assert bad.action[1] @ bad.action[1] != bad.action[2]
+    for kwargs in ({}, {"all_pairs": True}):
+        with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
+                           r"at pair \(1, 4\), column 5$"):
+            validate_module(bad, **kwargs)
+
+
+def test_validation_accepts_products_off_by_relations_only():
+    # on Z[D3]/2 two matrices off by even entries: the stacked products
+    # differ from their targets, and every difference lies in L
+    M = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, -2)], Lattice.scaled(6, 2))
+    G = M.group
+    assert any(M.action[s] @ M.action[h] != M.action[G.mul[s][h]]
+               for s in G.full_subgroup().generators() for h in range(G.order))
+    validate_module(M)
+    validate_module(M, all_pairs=True)
+
+
 def test_validation_rejects_unstable_relations():
     G = FiniteGroup.cyclic(2)
     swap = IntMatrix([[0, 1], [1, 0]])
