@@ -4,7 +4,11 @@ Everything downstream (group modules, Tate cohomology, regulator constants)
 reduces to four primitives implemented here:
 
 * canonical Hermite form of a sublattice of Z^n (echelon rows, used as the
-  unique representative, so lattice equality is list equality),
+  unique representative, so lattice equality is list equality). The
+  echelon engine keeps an echelon only: strictly increasing pivot columns
+  and positive pivots, each row reduced at the pivots below it when it is
+  placed or changed. The entries above the pivots are reduced once, by
+  _reduce_above_pivots, when a lattice is read off the echelon,
 * preimages of lattices under integer matrices, read off a single echelon
   pass; an integer kernel is the preimage of the zero lattice, and the
   same pass, cut at the matrix's row count, also gives the image plus the
@@ -292,9 +296,13 @@ class _Echelon:
     """Mutable integral row echelon form.
 
     Rows are kept with strictly increasing pivot columns and positive pivots;
-    the integer row span is preserved exactly by every operation. Calling
-    canonical() additionally reduces entries above each pivot, which makes the
-    row list the unique Hermite representative of the span.
+    the integer row span is preserved exactly by every operation. A row is
+    reduced at the pivots of the rows below it (_reduce_tail) when it is
+    placed or changed, and nothing reduces the entries above a pivot: the
+    pivot columns and values, which are the same for every echelon of the
+    span, and membership (contains) need only the echelon. canonical()
+    reduces above the pivots of a copy, which gives the unique Hermite
+    representative of the span.
     """
 
     __slots__ = ("width", "rows", "pivots")
@@ -309,60 +317,38 @@ class _Echelon:
 
     def add(self, vec) -> None:
         v = list(vec)
-        if len(v) != self.width:
+        width, rows, pivots = self.width, self.rows, self.pivots
+        if len(v) != width:
             raise ValueError("vector width mismatch")
         lead = 0
         while True:
-            while lead < self.width and v[lead] == 0:
+            while lead < width and v[lead] == 0:
                 lead += 1
-            if lead == self.width:
+            if lead == width:
                 return
-            # insertion point: first existing row with pivot >= lead
-            lo, hi = 0, len(self.pivots)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.pivots[mid] < lead:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == len(self.pivots) or self.pivots[lo] > lead:
+            lo = bisect_left(pivots, lead)
+            if lo == len(pivots) or pivots[lo] > lead:
                 if v[lead] < 0:
                     v = [-t for t in v]
-                self.rows.insert(lo, v)
-                self.pivots.insert(lo, lead)
+                rows.insert(lo, v)
+                pivots.insert(lo, lead)
                 self._reduce_tail(lo)
-                self._reduce_above(lo)
                 return
-            r = self.rows[lo]
+            r = rows[lo]
             a, b = r[lead], v[lead]
             if b % a == 0:
                 q = b // a
-                for k in range(lead, self.width):
+                for k in range(lead, width):
                     if r[k]:
                         v[k] -= q * r[k]
-            elif a % b == 0:
-                # incoming pivot divides the stored one: swap, reduce old row
-                if b < 0:
-                    v = [-t for t in v]
-                self.rows[lo] = v
-                stored = v
-                q = a // stored[lead]
-                v = list(r)
-                for k in range(lead, self.width):
-                    if stored[k]:
-                        v[k] -= q * stored[k]
-                self._reduce_tail(lo)
-                self._reduce_above(lo)
             else:
+                # g = x a + y b > 0; when b | a this is x = 0, y = +-1, so
+                # the incoming row takes the stored row's place
                 g, x, y = xgcd(a, b)
                 ca, cb = a // g, b // g
-                new_r = [x * rk + y * vk for rk, vk in zip(r, v)]
+                rows[lo] = [x * rk + y * vk for rk, vk in zip(r, v)]
                 v = [ca * vk - cb * rk for rk, vk in zip(r, v)]
-                if new_r[lead] < 0:
-                    new_r = [-t for t in new_r]
-                self.rows[lo] = new_r
                 self._reduce_tail(lo)
-                self._reduce_above(lo)
             # v[lead] is now 0; continue scanning for its next pivot
 
     def _reduce_tail(self, idx: int) -> None:
@@ -381,23 +367,6 @@ class _Echelon:
                     if rj[k]:
                         ri[k] -= q * rj[k]
 
-    def _reduce_above(self, idx: int) -> None:
-        """Reduce every upper row at the pivot column of row idx."""
-        p = self.pivots[idx]
-        ri = self.rows[idx]
-        piv = ri[p]
-        for i2 in range(idx):
-            r2 = self.rows[i2]
-            q = r2[p] // piv
-            if q:
-                for k in range(p, self.width):
-                    if ri[k]:
-                        r2[k] -= q * ri[k]
-
-    def extend(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
-
     def contains(self, vec) -> bool:
         """Whether vec lies in the integer row span."""
         v = list(vec)
@@ -413,8 +382,11 @@ class _Echelon:
                   cols: int | None = None) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Hermite form of the span of the rows start..stop - 1, each cut to
         its first cols columns (by default every row from start on, whole).
-        A cut before the pivots of the rows below stop drops only what
-        those rows would reduce, so the cut rows are still canonical."""
+
+        The stored rows are an echelon only; this reduces above the pivots
+        of copies and leaves them as they are. Cut before the pivots of the
+        rows from stop on, the rows before stop span the projection of the
+        whole row span to the first cols columns."""
         width = self.width if cols is None else cols
         rows = [r[:width] for r in self.rows[start:stop]]
         pivots = self.pivots[start:stop]
@@ -477,7 +449,8 @@ class Lattice:
     @classmethod
     def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
         ech = _Echelon(ambient_rank)
-        ech.extend(rows)
+        for row in rows:
+            ech.add(row)
         canon, pivots = ech.canonical()
         return cls(ambient_rank, canon, pivots)
 
@@ -518,6 +491,8 @@ class Lattice:
     def _reduce(self, vec) -> tuple[list[int], list[int]]:
         """Reduce vec by the basis; returns (remainder, coefficients)."""
         v = list(vec)
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length differs from the ambient rank")
         coeffs = [0] * len(self.basis_rows)
         for i, row in enumerate(self.basis_rows):
             p = self._pivots[i]
@@ -593,10 +568,10 @@ def _kernel_part(ech: _Echelon, r: int) -> Lattice:
     """The canonical rows of ech with pivot at column r or later, cut to the
     columns from r on.
 
-    Those rows span the meet of the row span with 0^r x Z^(width - r) and
-    are already the Hermite form of what they span, so no second pass runs.
-    The canonical pass changes a row only by rows below it, so the rows
-    above them are left out of it.
+    Those rows span the meet of the row span with 0^r x Z^(width - r), and
+    reduced above their pivots they are its Hermite form, so no second
+    echelon pass runs. The reduction changes a row only by rows below it,
+    so the rows above them are left out of it.
     """
     canon, pivots = ech.canonical(bisect_left(ech.pivots, r))
     return Lattice(ech.width - r, [row[r:] for row in canon],
@@ -650,8 +625,9 @@ def image_and_preimage(columns: list[list[int]], L: Lattice) -> tuple[Lattice, L
     given.
 
     The rows of _preimage_echelon with a pivot among the first r columns,
-    cut to those columns, are the Hermite form of C Z^n + L, and the rows
-    below them give the preimage as in preimage_lattice.
+    cut to those columns and reduced above their pivots, are the Hermite
+    form of C Z^n + L, and the rows below them give the preimage as in
+    preimage_lattice.
     """
     r = L.ambient_rank
     ech = _preimage_echelon(columns, L)
@@ -1185,14 +1161,8 @@ def mt_hom(f: GroupHom) -> GroupHom:
 
 def dual_hom(f: GroupHom) -> GroupHom:
     """Hom(-, Z) dual; a map target* -> source* between free groups."""
-
-    def dual_basis(A: PresentedAbelianGroup) -> Lattice:
-        if A.relations.cols == 0:
-            return Lattice.full(A.generator_count)
-        return integer_kernel(A.relations.transpose())
-
-    src_dual = dual_basis(f.source)
-    tgt_dual = dual_basis(f.target)
+    src_dual = integer_kernel(f.source.relations.transpose())
+    tgt_dual = integer_kernel(f.target.relations.transpose())
     Ft = f.matrix.transpose()
     mat = src_dual.coordinate_matrix(Ft.apply(y) for y in tgt_dual.basis_rows)
     if mat is None:

@@ -97,8 +97,9 @@ def validate_module(M: GModule, all_pairs: bool = False) -> None:
 
     The group law is checked with one product per first element s:
     A_s [A_0 | ... | A_{|G|-1}] against [A_{s h}]_h. Only when the two
-    differ is each block checked column by column modulo L, in the order
-    (h, then column), so the witness named is the first failing pair.
+    differ are the columns of the difference checked modulo L, in order:
+    column c belongs to the pair (s, c // n), so the witness named is the
+    first failing pair.
     """
     G, n = M.group, M.ambient_rank
     if len(M.action) != G.order:
@@ -123,21 +124,16 @@ def validate_module(M: GModule, all_pairs: bool = False) -> None:
                 )
     stacked = IntMatrix.hstack(*M.action)
     for s in firsts:
-        As = M.action[s]
-        if As @ stacked == IntMatrix.hstack(*(M.action[sh] for sh in G.mul[s])):
+        product = M.action[s] @ stacked
+        target = IntMatrix.hstack(*(M.action[sh] for sh in G.mul[s]))
+        if product == target:
             continue
-        for h in range(G.order):
-            prod = As @ M.action[h]
-            target = M.action[G.mul[s][h]]
-            if prod == target:
-                continue
-            diff = prod - target
-            for j in range(n):
-                col = diff.column(j)
-                if any(col) and not L.contains(col):
-                    raise ValidationError(
-                        f"group law fails modulo relations at pair ({s}, {h}), column {j}"
-                    )
+        for c, col in enumerate(zip(*(product - target).entries)):
+            if any(col) and not L.contains(col):
+                h, j = divmod(c, n)
+                raise ValidationError(
+                    f"group law fails modulo relations at pair ({s}, {h}), column {j}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,40 @@ def preimage_lattice_oracle(C, L) -> Lattice:
     return Lattice.from_rows(n, [row[:n] for row in ker.basis_rows])
 
 
+def hermite_form_oracle(rows, width: int) -> list[list[int]]:
+    """Hermite form of the row span of rows in Z^width, from the definition
+    and sharing no code with reglab's echelon.
+
+    Column by column: the rows not yet placed are reduced by the one with
+    the smallest nonzero |entry| in the column until at most one nonzero
+    entry is left. That row, made positive, is the next Hermite row, and
+    the entries above its pivot are brought into [0, pivot).
+    """
+    pending = [list(r) for r in rows]
+    hermite = []
+    for c in range(width):
+        while True:
+            live = [r for r in pending if r[c]]
+            if len(live) < 2:
+                break
+            pivot = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not pivot:
+                    q = r[c] // pivot[c]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+        if not live:
+            continue
+        pivot = live[0]
+        pending.remove(pivot)
+        if pivot[c] < 0:
+            pivot = [-a for a in pivot]
+        for r in hermite:
+            q = r[c] // pivot[c]
+            r[:] = [a - q * b for a, b in zip(r, pivot)]
+        hermite.append(pivot)
+    return hermite
+
+
 def forward_preimage_echelon(C, L) -> _Echelon:
     """The echelon of _preimage_echelon with every row added in the old
     order: (C e_i | e_i) for i = 0..cols-1, then (g | 0) for g in L."""

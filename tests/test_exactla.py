@@ -42,6 +42,7 @@ from oracles import (
     determinantal_divisors,
     forward_preimage_echelon,
     gf_rank,
+    hermite_form_oracle,
     kernel_group,
     preimage_lattice_oracle,
     presented_from_divisors,
@@ -191,6 +192,55 @@ def test_integer_kernel_is_the_saturated_solution_lattice(rows):
     # full rank: entries below 10 keep every minor of A below 2^31 - 1, so the
     # rank mod that prime is the rank over Q
     assert K.rank == A.cols - gf_rank(rows, 2**31 - 1)
+
+
+@st.composite
+def _rows_with_dependents(draw):
+    """(width, rows): up to 9 rows in Z^width, width 0..7, drawn with
+    entries -9..9, and among them zero rows and combinations of others."""
+    width = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                         max_size=9))
+    for _ in range(draw(st.integers(0, 9 - len(rows)))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        combination = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(width)]
+        rows.insert(draw(st.integers(0, len(rows))), combination)
+    return width, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rows_with_dependents())
+def test_echelon_engine_matches_the_hermite_definition(case):
+    width, rows = case
+    expected = hermite_form_oracle(rows, width)
+    pivots = tuple(next(k for k, a in enumerate(row) if a) for row in expected)
+    expected = tuple(map(tuple, expected))
+    assert Lattice.from_rows(width, rows).basis_rows == expected
+    ech = _Echelon(width)
+    for row in rows:
+        ech.add(row)
+    assert ech.canonical() == (expected, pivots)
+    # the stored rows are an echelon with the oracle's pivots, not
+    # necessarily reduced above them
+    assert tuple(ech.pivots) == pivots
+    for row, p, want in zip(ech.rows, ech.pivots, expected):
+        assert not any(row[:p]) and row[p] == want[p] > 0
+
+
+def test_echelon_leaves_the_entries_above_its_pivots_to_canonical():
+    ech = _Echelon(2)
+    ech.add((1, 5))
+    ech.add((0, 2))
+    assert ech.rows == [[1, 5], [0, 2]]
+    assert ech.canonical() == (((1, 1), (0, 2)), (0, 1))
+
+
+def test_lattice_rejects_vectors_of_the_wrong_length():
+    for L, vec in ((Lattice.zero(3), [0]), (Lattice.full(2), [1, 0, 0]),
+                   (Lattice.from_rows(2, [[2, 0]]), [2])):
+        for read in (L.contains, L.coordinates, lambda v: L.coordinate_matrix([v])):
+            with pytest.raises(ValueError, match="ambient rank"):
+                read(vec)
 
 
 def test_lattice_membership_and_coordinates():

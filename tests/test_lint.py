@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +93,9 @@ def test_echelon_constructions_are_found():
 ALLOWED_ECHELONS = {
     "src/reglab/cohomology.py: _resolution",  # spans of translates, no [A | I] rows
     "tests/oracles.py: forward_preimage_echelon",  # the old row order, as the reference
+    # the engine's own contract: its stored rows against the Hermite oracle
+    "tests/test_exactla.py: test_echelon_engine_matches_the_hermite_definition",
+    "tests/test_exactla.py: test_echelon_leaves_the_entries_above_its_pivots_to_canonical",
 }
 
 
@@ -106,28 +110,44 @@ def test_only_exactla_builds_echelons():
     assert echelon_constructions(exactla.read_text())
 
 
+def _mentions(node) -> Counter:
+    """How often each name, attribute and imported name occurs under node."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name] += 1
+    return found
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no module mentions
-    outside their own definition."""
-    defined, mentioned = {}, set()
+    """Private functions and classes at module level, and private methods
+    in their class bodies, that no module mentions outside their own
+    definition."""
+    defined, mentioned = [], Counter()
     for module, source in sources.items():
-        for top in ast.parse(source).body:
-            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
-            names |= {node.name for node in ast.walk(top) if isinstance(node, ast.alias)}
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and top.name.startswith("_") and not top.name.endswith("__")):
-                defined[top.name] = module
-                names.discard(top.name)
-            mentioned |= names
-    return sorted(f"{module}: {name}" for name, module in defined.items()
-                  if name not in mentioned)
+        tree = ast.parse(source)
+        mentioned += _mentions(tree)
+        for top in tree.body:
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else ())]:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_") and not node.name.endswith("__")):
+                    defined.append((module, node.name, _mentions(node)[node.name]))
+    return sorted(f"{module}: {name}" for module, name, own in defined
+                  if mentioned[name] == own)
 
 
 def test_unused_private_definitions_are_found():
     sources = {"a": "def _kept():\n    pass\n\n\ndef _left():\n    return _left()\n",
-               "b": "from a import _kept\n\n\nclass _Gone:\n    '_Gone'\n"}
-    assert unused_private_definitions(sources) == ["a: _left", "b: _Gone"]
+               "b": "from a import _kept\n\n\nclass _Gone:\n    '_Gone'\n",
+               "c": ("class A:\n    def run(self):\n        return self._step()\n\n"
+                     "    def _step(self):\n        pass\n\n"
+                     "    def _stale(self):\n        return self._stale()\n\n"
+                     "    def __init__(self):\n        pass\n")}
+    assert unused_private_definitions(sources) == ["a: _left", "b: _Gone", "c: _stale"]
     assert unused_private_definitions({"a": "def __getattr__(name):\n    pass\n"}) == []
 
 
@@ -136,6 +156,14 @@ def test_no_private_helper_is_left_unused():
     src = ROOT / "src" / "reglab"
     sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+    # a private method left behind after its last call is gone
+    stale = ("    def _reduce_above(self, idx: int) -> None:\n"
+             "        self._reduce_above(idx - 1)\n\n")
+    anchor = "    def _reduce_tail(self, idx: int) -> None:\n"
+    planted = sources["exactla.py"].replace(anchor, stale + anchor, 1)
+    assert planted != sources["exactla.py"]
+    assert unused_private_definitions({**sources, "exactla.py": planted}) == [
+        "exactla.py: _reduce_above"]
 
 
 def _calls_id(node) -> bool:
