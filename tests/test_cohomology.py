@@ -578,7 +578,7 @@ def _mixed_sum(G, rank):
 def test_tate_table_echelon_entries_stay_bounded(monkeypatch):
     # the entries above the pivots wait for canonical(), so only the
     # reduction at the pivots below each row bounds growth: these rank-44
-    # tables peak at 59 and 69 bits with it and at 335-798 bits without it
+    # tables (D4, C2xC4) peak at 59 and 69 bits with it, 638 and 335 without
     peak = [0]
     canonical = exactla._Echelon.canonical
 
