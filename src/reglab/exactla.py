@@ -8,7 +8,9 @@ reduces to four primitives implemented here:
   echelon engine keeps an echelon only: strictly increasing pivot columns
   and positive pivots, each row reduced at the pivots below it when it is
   placed or changed. The entries above the pivots are reduced once, by
-  _reduce_above_pivots, when a lattice is read off the echelon,
+  _reduce_above_pivots, when a lattice is read off the echelon. One loop,
+  _reduce_at_pivots, does every reduction by echelon rows: placing a row,
+  membership, coordinates and the Hermite form,
 * preimages of lattices under integer matrices, read off a single echelon
   pass; an integer kernel is the preimage of the zero lattice, and the
   same pass, cut at the matrix's row count, also gives the image plus the
@@ -28,13 +30,14 @@ reduces to four primitives implemented here:
   off the two Hermite forms: the coordinates of V's rows are echelon rows
   already, so reducing above their pivots is their Hermite form, with no
   second echelon pass,
-* one Smith elimination (_diagonalize), run only where divisors are asked
-  for, with two callers: smith_normal_form carries the row transform along
-  as an identity block, for the coordinates of Z^n / L that drop the
-  generators a unit divisor kills; invariant factors run it modulo the
-  index of the relation lattice in its saturation, which keeps every entry
-  below that index, after dropping the rows with a unit pivot, each of
-  which kills only its own generator.
+* one Smith elimination (_diagonalize), each of its four steps (divisible
+  and gcd, on rows and on columns) written once, run only where divisors
+  are asked for, with two callers: smith_normal_form carries the row
+  transform along as an identity block, for the coordinates of Z^n / L
+  that drop the generators a unit divisor kills; invariant factors run it
+  modulo the index of the relation lattice in its saturation, which keeps
+  every entry below that index, after dropping the rows with a unit pivot,
+  each of which kills only its own generator.
 
 No floating point; all arithmetic is on Python ints and fractions.Fraction,
 and every result is exact.
@@ -47,7 +50,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import NamedTuple
 
 from .arith import xgcd
@@ -89,7 +92,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(map(int, row)) for row in entries)
+        # index() refuses floats, Fractions and strings instead of truncating
+        data = tuple(tuple(map(index, row)) for row in entries)
         if data:
             width = len(data[0])
             for row in data:
@@ -146,6 +150,8 @@ class IntMatrix:
             if rows is None:
                 raise ValueError("need row count for empty column list")
             return cls([()] * rows, cols=0)
+        if rows is not None and rows != len(columns[0]):
+            raise ValueError("rows disagrees with the column length")
         return cls(zip(*columns, strict=True), cols=len(columns))
 
     # -- access
@@ -207,15 +213,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return [sum(map(mul, row, vec)) for row in self.entries]
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix._trusted(
-            tuple(tuple(a + b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.entries, other.entries)),
-            self.cols,
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -224,10 +221,6 @@ class IntMatrix:
                   for r1, r2 in zip(self.entries, other.entries)),
             self.cols,
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.entries),
-                                  self.cols)
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(k * a for a in row) for row in self.entries),
@@ -297,12 +290,13 @@ class _Echelon:
 
     Rows are kept with strictly increasing pivot columns and positive pivots;
     the integer row span is preserved exactly by every operation. A row is
-    reduced at the pivots of the rows below it (_reduce_tail) when it is
-    placed or changed, and nothing reduces the entries above a pivot: the
-    pivot columns and values, which are the same for every echelon of the
-    span, and membership (contains) need only the echelon. canonical()
-    reduces above the pivots of a copy, which gives the unique Hermite
-    representative of the span.
+    reduced at the pivots of the rows below it when it is placed or changed,
+    by _reduce_at_pivots, the one loop that reduces by echelon rows, which
+    contains and canonical() run as well. Nothing reduces the entries above
+    a stored pivot: the pivot columns and values, which are the same for
+    every echelon of the span, and membership (contains) need only the
+    echelon. canonical() reduces above the pivots of a copy, which gives the
+    unique Hermite representative of the span.
     """
 
     __slots__ = ("width", "rows", "pivots")
@@ -332,7 +326,8 @@ class _Echelon:
                     v = [-t for t in v]
                 rows.insert(lo, v)
                 pivots.insert(lo, lead)
-                self._reduce_tail(lo)
+                # unreduced, entries grow exponentially in the additions
+                _reduce_at_pivots(v, rows, pivots, lo + 1)
                 return
             r = rows[lo]
             a, b = r[lead], v[lead]
@@ -348,34 +343,13 @@ class _Echelon:
                 ca, cb = a // g, b // g
                 rows[lo] = [x * rk + y * vk for rk, vk in zip(r, v)]
                 v = [ca * vk - cb * rk for rk, vk in zip(r, v)]
-                self._reduce_tail(lo)
+                _reduce_at_pivots(rows[lo], rows, pivots, lo + 1)
             # v[lead] is now 0; continue scanning for its next pivot
-
-    def _reduce_tail(self, idx: int) -> None:
-        """Reduce row idx at the pivot columns of every lower row.
-
-        Keeps stored entries small; without this, repeated gcd combinations
-        blow entry sizes up exponentially in the number of additions.
-        """
-        ri = self.rows[idx]
-        for j in range(idx + 1, len(self.rows)):
-            p = self.pivots[j]
-            rj = self.rows[j]
-            q = ri[p] // rj[p]
-            if q:
-                for k in range(p, self.width):
-                    if rj[k]:
-                        ri[k] -= q * rj[k]
 
     def contains(self, vec) -> bool:
         """Whether vec lies in the integer row span."""
         v = list(vec)
-        for p, r in zip(self.pivots, self.rows):
-            q = v[p] // r[p]
-            if q:
-                for k in range(p, self.width):
-                    if r[k]:
-                        v[k] -= q * r[k]
+        _reduce_at_pivots(v, self.rows, self.pivots)
         return not any(v)
 
     def canonical(self, start: int = 0, stop: int | None = None,
@@ -390,28 +364,34 @@ class _Echelon:
         width = self.width if cols is None else cols
         rows = [r[:width] for r in self.rows[start:stop]]
         pivots = self.pivots[start:stop]
-        _reduce_above_pivots(rows, pivots, width)
+        _reduce_above_pivots(rows, pivots)
         return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
-def _reduce_above_pivots(rows: list[list[int]], pivots, width: int) -> None:
-    """Bring the entries above each pivot of echelon rows into [0, pivot),
-    in place, which makes the rows the Hermite form of their span.
+def _reduce_at_pivots(v: list[int], rows, pivots, start: int = 0,
+                      coeffs: list[int] | None = None) -> None:
+    """Reduce v in place at the pivots of rows[start:], in order, by
+    floor(v[p] / r[p]) times each row r with pivot p; coeffs[i], when given,
+    records the quotient of row i. The one loop that reduces by echelon
+    rows, whose pivot columns increase and whose pivots are positive."""
+    width = len(v)
+    for i in range(start, len(pivots)):
+        p, r = pivots[i], rows[i]
+        q = v[p] // r[p]
+        if q:
+            if coeffs is not None:
+                coeffs[i] = q
+            for k in range(p, width):
+                if r[k]:
+                    v[k] -= q * r[k]
 
-    The rows need strictly increasing pivot columns and positive pivots.
-    Row i changes only columns from its pivot on, so a column already
-    reduced stays reduced.
-    """
-    for i, p in enumerate(pivots):
-        ri = rows[i]
-        piv = ri[p]
-        for i2 in range(i):
-            r2 = rows[i2]
-            q = r2[p] // piv
-            if q:
-                for k in range(p, width):
-                    if ri[k]:
-                        r2[k] -= q * ri[k]
+
+def _reduce_above_pivots(rows: list[list[int]], pivots) -> None:
+    """Bring the entries above each pivot of echelon rows into [0, pivot),
+    in place, which makes them the Hermite form of their span: top down,
+    each row is reduced by the rows below it as they are stored."""
+    for i, row in enumerate(rows):
+        _reduce_at_pivots(row, rows, pivots, i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +474,16 @@ class Lattice:
         if len(v) != self.ambient_rank:
             raise ValueError("vector length differs from the ambient rank")
         coeffs = [0] * len(self.basis_rows)
-        for i, row in enumerate(self.basis_rows):
-            p = self._pivots[i]
-            if v[p] == 0:
-                continue
-            q = v[p] // row[p]
-            if q:
-                coeffs[i] = q
-                for k in range(p, self.ambient_rank):
-                    if row[k]:
-                        v[k] -= q * row[k]
+        _reduce_at_pivots(v, self.basis_rows, self._pivots, 0, coeffs)
         return v, coeffs
 
     def contains(self, vec) -> bool:
-        v, _ = self._reduce(vec)
-        return all(a == 0 for a in v)
+        return not any(self._reduce(vec)[0])
 
     def coordinates(self, vec) -> list[int] | None:
         """Coefficients of vec in basis_rows order, or None if not a member."""
         v, coeffs = self._reduce(vec)
-        if any(a != 0 for a in v):
-            return None
-        return coeffs
+        return None if any(v) else coeffs
 
     def coordinate_matrix(self, vectors) -> IntMatrix | None:
         """The coordinates of the vectors as the columns of a
@@ -543,9 +511,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(rank {self.rank} in Z^{self.ambient_rank})"
-
-    def saturate(self) -> "Lattice":
-        return saturate(self)
 
 
 def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
@@ -696,18 +661,22 @@ def _diagonalize(m: list[list[int]], cols: int, modulus: int = 0) -> int:
     columns records the row transform; column operations touch only the
     first cols columns. The pivots need not form a divisor chain.
 
-    With a modulus n, every entry is kept as its symmetric residue mod n.
-    When n Z^cols lies in the row span, reducing an entry mod n is a row
-    operation, so Z^cols / span has invariant factors gcd(pivot, n), padded
-    with n for every pivot past k.
+    With a modulus n, fold keeps every entry as its symmetric residue
+    (x + half) % n - half in (-n/2, n/2]. When n Z^cols lies in the row
+    span, reducing an entry mod n is a row operation, so Z^cols / span has
+    invariant factors gcd(pivot, n), padded with n for every pivot past k.
     """
     rows = len(m)
     width = len(m[0]) if rows else cols
-    # (x + half) % n - half is the residue of x in (-n/2, n/2]
     n, half = modulus, (modulus - 1) // 2
-    if n:
-        for i in range(rows):
-            m[i] = [(a + half) % n - half for a in m[i]]
+
+    def fold(touched, columns):
+        if n:
+            for row in touched:
+                for k in columns:
+                    row[k] = (row[k] + half) % n - half
+
+    fold(m, range(width))
     t, limit = 0, min(rows, cols)
     while t < limit:
         found = _pivot_search(m, t, rows, cols)
@@ -725,57 +694,40 @@ def _diagonalize(m: list[list[int]], cols: int, modulus: int = 0) -> int:
         # columns before t are already clear, so every step starts at t.
         while True:
             for i in range(t + 1, rows):
-                mi = m[i]
-                b = mi[t]
+                mt, mi = m[t], m[i]
+                a, b = mt[t], mi[t]
                 if not b:
                     continue
-                mt = m[t]
-                a = mt[t]
                 if b % a == 0:
                     q = b // a
-                    if n:
-                        for k in range(t, width):
-                            if mt[k]:
-                                mi[k] = (mi[k] - q * mt[k] + half) % n - half
-                    else:
-                        for k in range(t, width):
-                            if mt[k]:
-                                mi[k] -= q * mt[k]
-                    continue
-                g, x, y = xgcd(a, b)
-                ca, cb = a // g, b // g
-                if n:
-                    m[t] = [(x * p + y * s + half) % n - half for p, s in zip(mt, mi)]
-                    m[i] = [(ca * s - cb * p + half) % n - half for p, s in zip(mt, mi)]
+                    for k in range(t, width):
+                        if mt[k]:
+                            mi[k] -= q * mt[k]
+                    fold((mi,), range(t, width))
                 else:
+                    g, x, y = xgcd(a, b)
+                    ca, cb = a // g, b // g
                     m[t] = [x * p + y * s for p, s in zip(mt, mi)]
                     m[i] = [ca * s - cb * p for p, s in zip(mt, mi)]
-            mt = m[t]
+                    fold((m[t], m[i]), range(t, width))
+            mt, below = m[t], m[t:]
             for j in range(t + 1, cols):
-                b = mt[j]
+                a, b = mt[t], mt[j]
                 if not b:
                     continue
-                a = mt[t]
                 if b % a == 0:
                     q = b // a
-                    for i in range(t, rows):
-                        mi = m[i]
-                        s = mi[t]
-                        if s:
-                            r = mi[j] - q * s
-                            mi[j] = (r + half) % n - half if n else r
-                    continue
-                g, x, y = xgcd(a, b)
-                ca, cb = a // g, b // g
-                for i in range(t, rows):
-                    mi = m[i]
-                    p, s = mi[t], mi[j]
-                    u, v = x * p + y * s, ca * s - cb * p
-                    if n:
-                        u, v = (u + half) % n - half, (v + half) % n - half
-                    mi[t], mi[j] = u, v
-            if not any(m[i][t] for i in range(t + 1, rows)) and \
-               not any(mt[j] for j in range(t + 1, cols)):
+                    for mi in below:
+                        if mi[t]:
+                            mi[j] -= q * mi[t]
+                else:
+                    g, x, y = xgcd(a, b)
+                    ca, cb = a // g, b // g
+                    for mi in below:
+                        p, s = mi[t], mi[j]
+                        mi[t], mi[j] = x * p + y * s, ca * s - cb * p
+                fold(below, (t, j))
+            if not any(mt[t + 1:cols]) and not any(mi[t] for mi in below[1:]):
                 break
         if m[t][t] < 0:
             m[t] = [-a for a in m[t]]
@@ -1032,7 +984,7 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
         coords.append(c)
     group = PresentedAbelianGroup(k, IntMatrix._trusted_columns(coords, k))
     pivots = [bisect_left(U._pivots, p) for p in V._pivots]
-    _reduce_above_pivots(coords, pivots, k)
+    _reduce_above_pivots(coords, pivots)
     object.__setattr__(group, "_lattice", Lattice(k, coords, pivots))
     return group
 

@@ -21,6 +21,7 @@ from .exactla import (
     PresentedAbelianGroup,
     block_diagonal_lattice,
     preimage_lattice,
+    saturate,
     smith_coordinates,
     subquotient_group,
     torsion_subgroup,
@@ -65,7 +66,7 @@ class GModule:
 
     def saturated_relations(self) -> Lattice:
         if "satrel" not in self._cache:
-            self._cache["satrel"] = self.relations.saturate()
+            self._cache["satrel"] = saturate(self.relations)
         return self._cache["satrel"]
 
     def is_torsion_free(self) -> bool:
@@ -642,7 +643,7 @@ def random_module(G: FiniteGroup, profile: str, seed: int,
             if S.rank == 0:
                 continue
             if rng.randrange(2):
-                S = S.saturate()
+                S = saturate(S)
             return GModule(G, S.rank, None, sublattice_action(S, base.action))
 
         if profile == "finite":

@@ -16,6 +16,8 @@ never interned; copy a group that way before writing to its _cache.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import InputError, ResourceLimitError, ValidationError
 
 MAX_GROUP_ORDER = 48
@@ -45,7 +47,7 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "inverse", "descriptor", "_cache")
 
     def __init__(self, mul, descriptor: dict | None = None, validate: bool = True):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        table = tuple(tuple(map(index, row)) for row in mul)
         n = len(table)
         if n == 0:
             raise ValidationError("empty multiplication table")
@@ -142,7 +144,7 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, mul) -> "FiniteGroup":
         """The group of a table, validated the first time it is seen."""
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        table = tuple(tuple(map(index, row)) for row in mul)
         return _interned(("table", table), lambda: cls(table, None, validate=True))
 
     # -- basic structure
@@ -263,7 +265,7 @@ class Subgroup:
     __slots__ = ("group", "elements")
 
     def __init__(self, group: FiniteGroup, elements, validate: bool = True):
-        elems = tuple(sorted(set(int(x) for x in elements)))
+        elems = tuple(sorted(set(map(index, elements))))
         if validate:
             # every element is in range before any table lookup
             outside = [a for a in elems if not 0 <= a < group.order]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
@@ -241,6 +242,44 @@ def test_lattice_rejects_vectors_of_the_wrong_length():
         for read in (L.contains, L.coordinates, lambda v: L.coordinate_matrix([v])):
             with pytest.raises(ValueError, match="ambient rank"):
                 read(vec)
+
+
+@st.composite
+def _lattice_and_combination(draw):
+    """(L, c, w): L spanned by up to n drawn rows in Z^n, n 1..6, scaled by
+    1..3, the coefficients c of a vector over L's Hermite rows, and a drawn
+    vector w."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         max_size=n))
+    L = Lattice.from_rows(n, [[k * a for a in row] for row in rows])
+    c = draw(st.lists(st.integers(-20, 20), min_size=L.rank, max_size=L.rank))
+    w = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    return L, c, w
+
+
+@_PROPERTY
+@given(_lattice_and_combination())
+def test_lattice_readers_match_the_definition_of_coordinates(case):
+    # v = sum c_i b_i over the Hermite rows b_i has coordinates c, and v + w
+    # is a member exactly when w is, which the Hermite oracle decides
+    L, c, w = case
+    n, basis = L.ambient_rank, L.basis_rows
+    v = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(n)]
+    assert L.contains(v)
+    assert L.coordinates(v) == c
+    assert L.coordinate_matrix([v, [0] * n]) == IntMatrix.from_columns(
+        [c, [0] * L.rank], rows=L.rank)
+    u = [a + b for a, b in zip(v, w)]
+    member = hermite_form_oracle(list(basis) + [w], n) == [list(b) for b in basis]
+    assert L.contains(u) == member
+    coords = L.coordinates(u)
+    if member:
+        assert [sum(ci * b[j] for ci, b in zip(coords, basis)) for j in range(n)] == u
+    else:
+        assert coords is None
+        assert L.coordinate_matrix([v, u]) is None
 
 
 def test_lattice_membership_and_coordinates():
@@ -537,8 +576,17 @@ def test_kernel_rows_are_placed_once_each(monkeypatch):
     # columns 5, 4 combine into the image row gcd 1 and one kernel row, and
     # columns 3..0 reduce by it to one kernel row each, each leading at its
     # own identity coordinate: 7 rows placed, where the first-to-last order
-    # placed 10
-    placed = _count_calls(monkeypatch, "_reduce_tail")
+    # placed 10. add reduces a row it places or changes by the rows below
+    # it, once per placement, so its calls of the shared loop count them.
+    placed = []
+    loop = exactla._reduce_at_pivots
+
+    def counted(*args):
+        if sys._getframe(1).f_code is _Echelon.add.__code__:
+            placed.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(exactla, "_reduce_at_pivots", counted)
     K = integer_kernel(IntMatrix([[1, 2, 3, 4, 5, 6]]))
     assert K.rank == 5
     assert len(placed) == 7
@@ -689,6 +737,39 @@ def test_unit_pivots_drop_out_of_the_modular_elimination():
     assert g.invariant_factors == (1, 2, 2)
 
 
+def test_modular_elimination_keeps_every_entry_a_symmetric_residue(monkeypatch):
+    # an entry left unreduced can become a pivot that reads the same
+    # divisor gcd(pivot, n) but is not the residue: here 3 for 1 mod 8
+    m = [[-6, -9, 0], [3, 1, 4], [-3, -1, -6], [-1, 7, -3]]
+    assert exactla._diagonalize(m, 3, 8) == 3
+    assert m == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    # each pivot search and each gcd step sees entries in [-n/2, n/2] only;
+    # -n/2 is a residue n/2 whose row was made positive
+    search, xgcd, seen = exactla._pivot_search, exactla.xgcd, []
+
+    def checked_search(m, t, rows, cols):
+        seen.extend(a for row in m for a in row)
+        return search(m, t, rows, cols)
+
+    def checked_xgcd(a, b):
+        seen.extend((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(exactla, "_pivot_search", checked_search)
+    monkeypatch.setattr(exactla, "xgcd", checked_xgcd)
+    rng = random.Random(23)
+    # a gcd row step whose rows, unreduced, reach a later gcd step
+    cases = [([[16, -8, -7, -4], [-6, -8, -10, -6]], 16)]
+    for _ in range(300):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(([[rng.randint(-99, 99) for _ in range(c)] for _ in range(r)],
+                      rng.choice([2, 3, 4, 6, 8, 12, 16, 30, 64])))
+    for m, n in cases:
+        seen.clear()
+        exactla._diagonalize([list(row) for row in m], len(m[0]), n)
+        assert seen and 2 * max(map(abs, seen)) <= n, (m, n)
+
+
 @_PROPERTY
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_matrix_product_matches_the_triple_loop(r, k, c, data):
@@ -714,6 +795,26 @@ def test_transposes_keep_empty_shapes():
     for r, c in ((0, 3), (3, 0), (2, 3)):
         T = IntMatrix.zeros(r, c).transpose()
         assert (T.rows, T.cols, len(T.entries)) == (c, r, c)
+
+
+def test_columns_must_have_the_given_row_count():
+    with pytest.raises(ValueError, match="rows"):
+        IntMatrix.from_columns([[1, 2]], rows=3)
+    assert IntMatrix.from_columns([[1, 2]], rows=2).entries == ((1,), (2,))
+
+
+def test_checked_matrix_refuses_floats():
+    with pytest.raises(TypeError):
+        IntMatrix([[0.5, 2.9]])
+    with pytest.raises(TypeError):
+        IntMatrix([["3"]])
+    # bools are ints, as the JSON boundary refuses them on its own
+    assert IntMatrix([[True, False]]).entries == ((1, 0),)
+
+
+def test_checked_matrix_refuses_fractions():
+    with pytest.raises(TypeError):
+        IntMatrix([[Fraction(7, 2)]])
 
 
 def test_identity_is_the_nested_definition():

@@ -260,3 +260,15 @@ def test_out_of_range_subgroup_elements_are_rejected_before_any_lookup():
     for elements in ((0, 99), (0, 6), (-1, 0), (0, 1, 2, 7)):
         with pytest.raises(ValidationError, match="outside the group"):
             Subgroup(D3, elements)
+
+
+def test_group_table_refuses_non_integers():
+    with pytest.raises(TypeError):
+        FiniteGroup([[0, 1.0], [1, 0]])
+    with pytest.raises(TypeError):
+        FiniteGroup.from_table([[0, 1], [1, 0.9]])
+
+
+def test_subgroup_refuses_non_integer_elements():
+    with pytest.raises(TypeError):
+        Subgroup(FiniteGroup.dihedral(3), [0, 1.7, 2])

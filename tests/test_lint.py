@@ -159,11 +159,68 @@ def test_no_private_helper_is_left_unused():
     # a private method left behind after its last call is gone
     stale = ("    def _reduce_above(self, idx: int) -> None:\n"
              "        self._reduce_above(idx - 1)\n\n")
-    anchor = "    def _reduce_tail(self, idx: int) -> None:\n"
+    anchor = "    def canonical(self, start: int = 0,"
     planted = sources["exactla.py"].replace(anchor, stale + anchor, 1)
     assert planted != sources["exactla.py"]
     assert unused_private_definitions({**sources, "exactla.py": planted}) == [
         "exactla.py: _reduce_above"]
+
+
+def reduction_loops(source: str) -> list[str]:
+    """Where a module subtracts a product from a subscripted entry in place,
+    as in x[k] -= q * y[k]: the dotted name of the function or class around
+    each, or its line at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Sub)
+                    and isinstance(child.target, ast.Subscript)
+                    and isinstance(child.value, ast.BinOp)
+                    and isinstance(child.value.op, ast.Mult)):
+                found.add(".".join(scope) or f"line {child.lineno}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_reduction_loops_are_found():
+    source = ("def f(v, r, q):\n    for k in range(3):\n        v[k] -= q * r[k]\n"
+              "class A:\n    def g(self, v):\n        v[0] -= 2 * v[1]\n"
+              "    def h(self, v, x):\n        v[0] -= x\n        x -= 2 * x\n"
+              "        v[1] = v[1] - 2 * v[0]\n"
+              "w = [1, 2]\nw[0] -= 3 * w[1]\n'v[k] -= q * r[k]'\n")
+    assert reduction_loops(source) == ["A.g", "f", "line 12"]
+
+
+# the places in exactla that subtract multiples of one row from another
+ALLOWED_REDUCTION_LOOPS = [
+    "_Echelon.add",  # the exact step at an equal pivot, before a row is placed
+    "_diagonalize",  # the Smith row and column steps
+    "_reduce_at_pivots",  # every reduction by echelon rows
+]
+
+
+def test_one_reduction_loop_in_exactla():
+    # every reduction by echelon rows goes through _reduce_at_pivots, so an
+    # entry-size limit or a count of row operations has one place to go
+    source = (ROOT / "src" / "reglab" / "exactla.py").read_text()
+    assert reduction_loops(source) == ALLOWED_REDUCTION_LOOPS
+    # a hand-written copy of the loop planted into Lattice.contains
+    anchor = "    def contains(self, vec) -> bool:\n        return not any(self._reduce(vec)[0])\n"
+    copy = ("    def contains(self, vec) -> bool:\n        v = list(vec)\n"
+            "        for p, r in zip(self._pivots, self.basis_rows):\n"
+            "            q = v[p] // r[p]\n"
+            "            for k in range(p, len(v)):\n"
+            "                v[k] -= q * r[k]\n"
+            "        return not any(v)\n")
+    planted = source.replace(anchor, copy, 1)
+    assert planted != source
+    assert reduction_loops(planted) == sorted(ALLOWED_REDUCTION_LOOPS + ["Lattice.contains"])
 
 
 def _calls_id(node) -> bool:
