@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from functools import cache
@@ -62,7 +63,12 @@ def _load_group_arg(text: str):
 
 
 def _load_module_arg(path: str):
-    return module_from_json(load_json_file(path))
+    # a group path inside the file is read relative to the file
+    return module_from_json(load_json_file(path), os.path.dirname(path))
+
+
+def _load_relation_arg(path: str):
+    return relation_from_json(load_json_file(path), os.path.dirname(path))
 
 
 # the most degrees one `reglab cohomology` call computes
@@ -160,7 +166,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_regulator(args) -> int:
     M = _load_module_arg(args.module)
-    rel = relation_from_json(load_json_file(args.relation))
+    rel = _load_relation_arg(args.relation)
     if args.method == "pairing":
         value = rc_pairing(M, rel)
     elif args.method == "qindex":
@@ -208,7 +214,7 @@ def _cmd_check(args) -> int:
     if "module" in fields:
         inputs["module"] = M
     if args.relation:
-        inputs["relation"] = relation_from_json(load_json_file(args.relation))
+        inputs["relation"] = _load_relation_arg(args.relation)
     elif "relation" in fields:
         raise InputError(f"{args.identity} needs --relation")
     report = verify_identity(args.identity, **inputs)

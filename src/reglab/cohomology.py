@@ -298,7 +298,7 @@ def _complex_data(R: GModule, j: int):
 
 def _trivial_tate(degree: int) -> TateGroup:
     zero = Lattice.zero(0)
-    return TateGroup(degree, degree, 0, zero, zero, PresentedAbelianGroup(0))
+    return TateGroup(degree, degree, 0, zero, zero, PresentedAbelianGroup.free(0))
 
 
 def _minimal(M: GModule):
@@ -393,7 +393,7 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     """The map on Tate cohomology in the given degree induced by f, carried
     into the presentations tate works on as project_t @ f @ embed_s."""
     if H.order == 1:
-        triv = PresentedAbelianGroup(0)
+        triv = PresentedAbelianGroup.free(0)
         return GroupHom(triv, triv, IntMatrix.zeros(0, 0))
     GH = restrict(f.source, H).group
     j = _reduce_degree(GH, degree)

@@ -21,15 +21,16 @@ reduces to four primitives implemented here:
   modulo the lattice as it comes in, and each kernel row leads at its own
   identity coordinate, so no two kernel rows collide,
 * finitely presented abelian groups, maps between them, and the q-index
-  |cokernel| / |kernel| of such a map. Orders, free ranks and q-indices
-  come off Hermite pivots, since the index of one echelon lattice in
-  another of the same rank is the ratio of their pivot products; a q-index
-  is read off the same echelon pass as a preimage. A subquotient U/V of
-  nested Hermite lattices (a Tate group, fixed points, Z^n/L, the torsion
-  S/L of Z^n/L) is presented on U's basis, and its relation lattice is read
-  off the two Hermite forms: the coordinates of V's rows are echelon rows
-  already, so reducing above their pivots is their Hermite form, with no
-  second echelon pass,
+  |cokernel| / |kernel| of such a map. A presented group is Z^k/L, held
+  as one Hermite lattice L and nothing else. Orders, free ranks and
+  q-indices come off Hermite pivots, since the index of one echelon
+  lattice in another of the same rank is the ratio of their pivot
+  products; a q-index is read off the same echelon pass as a preimage. A
+  subquotient U/V of nested Hermite lattices (a Tate group, fixed points,
+  the torsion S/L of Z^n/L) is presented on U's basis, and its relation
+  lattice is read off the two Hermite forms: the coordinates of V's rows
+  are echelon rows already, so reducing above their pivots is their
+  Hermite form, with no second echelon pass,
 * one Smith elimination (_diagonalize), each of its four steps (divisible
   and gcd, on rows and on columns) written once, run only where divisors
   are asked for, with two callers: smith_normal_form carries the row
@@ -301,10 +302,8 @@ class _Echelon:
 
     __slots__ = ("width", "rows", "pivots")
 
-    def __init__(self, width: int, checked: bool = False):
-        # checked: the caller has held a wider matrix to the cap already
-        if not checked:
-            _check_width(width)
+    def __init__(self, width: int):
+        _check_width(width)
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
@@ -563,10 +562,9 @@ def _preimage_echelon(columns: list[list[int]], L: Lattice) -> _Echelon:
     r, n = L.ambient_rank, len(columns)
     if any(len(col) != r for col in columns):
         raise ValueError("lattice ambient rank must equal matrix row count")
-    # the width of a kernel of [C | -L], so the cap reaches as far as that;
-    # the echelon itself is narrower and needs no second check
+    # the width of a kernel of [C | -L], so the cap reaches as far as that
     _check_width(r + n + L.rank)
-    ech = _Echelon(r + n, checked=True)
+    ech = _Echelon(r + n)
     zeros = [0] * n
     ech.rows = [list(g) + zeros for g in L.basis_rows]
     ech.pivots = list(L._pivots)
@@ -858,19 +856,13 @@ def _modular_divisors(m: list[list[int]], annihilator: int) -> list[int]:
 
 
 class PresentedAbelianGroup:
-    """Z^k modulo the column span of a relation matrix."""
+    """Z^k / L for a relation lattice L in Z^k, held in Hermite form."""
 
-    __slots__ = ("generator_count", "relations", "_snf", "_lattice", "_torsion")
+    __slots__ = ("relations", "_snf", "_torsion")
 
-    def __init__(self, generator_count: int, relations: IntMatrix | None = None):
-        if relations is None:
-            relations = IntMatrix.zeros(generator_count, 0)
-        if relations.rows != generator_count:
-            raise ValueError("relation matrix must have one row per generator")
-        object.__setattr__(self, "generator_count", generator_count)
+    def __init__(self, relations: Lattice):
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_snf", None)
-        object.__setattr__(self, "_lattice", None)
         object.__setattr__(self, "_torsion", None)
 
     def __setattr__(self, *args):
@@ -878,7 +870,11 @@ class PresentedAbelianGroup:
 
     @classmethod
     def free(cls, rank: int) -> "PresentedAbelianGroup":
-        return cls(rank)
+        return cls(Lattice.zero(rank))
+
+    @property
+    def generator_count(self) -> int:
+        return self.relations.ambient_rank
 
     def _torsion_relations(self) -> Lattice:
         """The relation lattice L in coordinates of its saturation S,
@@ -889,11 +885,11 @@ class PresentedAbelianGroup:
         and L is its own coordinate lattice.
         """
         if self._torsion is None:
-            L = self.relation_lattice()
+            L = self.relations
             if L.rank == 0:
                 L = Lattice.zero(0)
             elif L.rank < self.generator_count:
-                L = torsion_subgroup(L)[1].relation_lattice()
+                L = torsion_subgroup(L)[1].relations
             object.__setattr__(self, "_torsion", L)
         return self._torsion
 
@@ -924,7 +920,7 @@ class PresentedAbelianGroup:
 
     @property
     def free_rank(self) -> int:
-        return self.generator_count - self.relation_lattice().rank
+        return self.generator_count - self.relations.rank
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -942,13 +938,6 @@ class PresentedAbelianGroup:
         """(free rank, torsion divisors); equal iff the groups are isomorphic."""
         return (self.free_rank, self.torsion_divisors)
 
-    def relation_lattice(self) -> Lattice:
-        """The column span of the relations, memoised. A group built by
-        subquotient_group or torsion_subgroup has it stored already."""
-        if self._lattice is None:
-            object.__setattr__(self, "_lattice", Lattice.from_columns(self.relations))
-        return self._lattice
-
     def __repr__(self):
         parts = [f"Z/{d}" for d in self.torsion_divisors]
         if self.free_rank:
@@ -957,42 +946,34 @@ class PresentedAbelianGroup:
 
 
 def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
-    """U/V presented on U's basis, with its relation lattice stored, or None
-    when a basis row of V lies outside U.
+    """U/V presented on U's basis, or None when a basis row of V lies
+    outside U.
 
     Both are Hermite forms, so each pivot column of V is one of U's, and the
     coordinates of V's rows in U's basis are echelon rows already: their
     leading indices increase strictly, and each leading entry is a ratio of
     positive pivots. Reducing above those pivots gives the Hermite form of
     the relation lattice without a second echelon pass. When V equals U the
-    coordinates are the identity, and U/V is the trivial group on k
-    generators.
+    relation lattice is all of Z^k.
     """
     k = U.rank
     if V.basis_rows == U.basis_rows:
-        ident = IntMatrix.identity(k)
-        group = PresentedAbelianGroup(k, ident)
-        # Z^k, as Lattice.full would build it from a second identity
-        object.__setattr__(group, "_lattice", Lattice(k, ident.entries, range(k)))
-        object.__setattr__(group, "_snf", (1,) * k)
-        return group
+        return PresentedAbelianGroup(Lattice.full(k))
     coords = []
     for vec in V.basis_rows:
         v, c = U._reduce(vec)
         if any(v):
             return None
         coords.append(c)
-    group = PresentedAbelianGroup(k, IntMatrix._trusted_columns(coords, k))
     pivots = [bisect_left(U._pivots, p) for p in V._pivots]
     _reduce_above_pivots(coords, pivots)
-    object.__setattr__(group, "_lattice", Lattice(k, coords, pivots))
-    return group
+    return PresentedAbelianGroup(Lattice(k, coords, pivots))
 
 
 def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
     """U/V for nested lattices V <= U <= Z^n, presented on U's basis: the
-    relations are the coordinates of V's basis rows, as columns. The
-    relation lattice is read off the two Hermite forms (_nested_quotient)."""
+    relation lattice is spanned by the coordinates of V's basis rows, and
+    is read off the two Hermite forms (_nested_quotient)."""
     if U.ambient_rank != V.ambient_rank:
         raise ValueError("not a subquotient: ambient ranks differ")
     group = _nested_quotient(U, V)
@@ -1021,23 +1002,21 @@ class GroupHom:
     """A homomorphism of presented abelian groups, given on generators.
 
     matrix has shape (target generators) x (source generators) and must carry
-    source relations into the target relation lattice.
+    the source relation lattice into the target one, which is checked on
+    its basis rows.
     """
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: PresentedAbelianGroup, target: PresentedAbelianGroup,
-                 matrix: IntMatrix, check: bool = True):
+                 matrix: IntMatrix):
         if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
             raise ValueError("hom matrix shape mismatch")
-        if check:
-            tlat = target.relation_lattice()
-            for j, col in enumerate(source.relations.columns()):
-                image = matrix.apply(col)
-                if not tlat.contains(image):
-                    raise ValueError(
-                        f"not a homomorphism: relation column {j} maps outside the target relations"
-                    )
+        for j, row in enumerate(source.relations.basis_rows):
+            if not target.relations.contains(matrix.apply(row)):
+                raise ValueError(
+                    f"not a homomorphism: relation row {j} maps outside the target relations"
+                )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
@@ -1074,8 +1053,8 @@ def _hom_orders(f: GroupHom) -> tuple[int | None, int | None]:
     """
     b = f.target.generator_count
     # GroupHom holds the matrix's row count to b, the ambient rank of R_B
-    ech = _preimage_echelon(f.matrix.columns(), f.target.relation_lattice())
-    RA = f.source.relation_lattice()
+    ech = _preimage_echelon(f.matrix.columns(), f.target.relations)
+    RA = f.source.relations
     split = bisect_left(ech.pivots, b)
     piv = [row[p] for row, p in zip(ech.rows, ech.pivots)]
     cok = prod(piv[:split]) if split == b else None
@@ -1093,31 +1072,31 @@ def qindex(f: GroupHom) -> Fraction | None:
 def tors_hom(f: GroupHom) -> GroupHom:
     """Induced map on torsion subgroups, each presented on a basis of the
     saturation of its relations."""
-    sat_s, tors_s = torsion_subgroup(f.source.relation_lattice())
-    sat_t, tors_t = torsion_subgroup(f.target.relation_lattice())
+    sat_s, tors_s = torsion_subgroup(f.source.relations)
+    sat_t, tors_t = torsion_subgroup(f.target.relations)
     mat = sat_t.coordinate_matrix(f.matrix.apply(g) for g in sat_s.basis_rows)
     if mat is None:
         raise ValueError("map does not carry torsion into torsion")
-    return GroupHom(tors_s, tors_t, mat, check=False)
+    return GroupHom(tors_s, tors_t, mat)
 
 
 def mt_hom(f: GroupHom) -> GroupHom:
     """Induced map on maximal torsion-free quotients, on free presentations."""
     # sat(R) has only unit divisors, so smith_coordinates keeps the free part
-    _, sect_s, _ = smith_coordinates(saturate(f.source.relation_lattice()))
-    proj_t, _, _ = smith_coordinates(saturate(f.target.relation_lattice()))
+    _, sect_s, _ = smith_coordinates(saturate(f.source.relations))
+    proj_t, _, _ = smith_coordinates(saturate(f.target.relations))
     mat = proj_t @ f.matrix @ sect_s
     return GroupHom(PresentedAbelianGroup.free(mat.cols),
-                    PresentedAbelianGroup.free(mat.rows), mat, check=False)
+                    PresentedAbelianGroup.free(mat.rows), mat)
 
 
 def dual_hom(f: GroupHom) -> GroupHom:
     """Hom(-, Z) dual; a map target* -> source* between free groups."""
-    src_dual = integer_kernel(f.source.relations.transpose())
-    tgt_dual = integer_kernel(f.target.relations.transpose())
+    src_dual = integer_kernel(f.source.relations.basis.transpose())
+    tgt_dual = integer_kernel(f.target.relations.basis.transpose())
     Ft = f.matrix.transpose()
     mat = src_dual.coordinate_matrix(Ft.apply(y) for y in tgt_dual.basis_rows)
     if mat is None:
         raise ValueError("transpose does not preserve the dual lattices")
     return GroupHom(PresentedAbelianGroup.free(tgt_dual.rank),
-                    PresentedAbelianGroup.free(src_dual.rank), mat, check=False)
+                    PresentedAbelianGroup.free(src_dual.rank), mat)

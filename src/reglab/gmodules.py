@@ -60,8 +60,7 @@ class GModule:
     def abelian_group(self) -> PresentedAbelianGroup:
         """The underlying abelian group Z^n / L."""
         if "abgroup" not in self._cache:
-            self._cache["abgroup"] = subquotient_group(
-                Lattice.full(self.ambient_rank), self.relations)
+            self._cache["abgroup"] = PresentedAbelianGroup(self.relations)
         return self._cache["abgroup"]
 
     def saturated_relations(self) -> Lattice:
@@ -357,7 +356,7 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
         tors_basis = IntMatrix.zeros(n, 0)
     else:
         tors = GModule(M.group, satL.rank,
-                       torsion_subgroup(M.relations, satL)[1].relation_lattice(),
+                       torsion_subgroup(M.relations, satL)[1].relations,
                        sublattice_action(satL, M.action))
         tors_basis = satL.basis
     # free quotient via compress of Z^n / sat(L)
@@ -481,20 +480,12 @@ def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup,
     seen = [False] * X2.points
     orbits = []
     for p in range(X2.points):
-        if seen[p]:
-            continue
-        orbit = set()
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            for h in H1.elements:
-                stack.append(X2.action[h][x])
-        for x in orbit:
-            seen[x] = True
-        orbits.append(sorted(orbit))
+        if not seen[p]:
+            # H1 is a group, so its images of p are the whole orbit
+            orbit = sorted({X2.action[h][p] for h in H1.elements})
+            for x in orbit:
+                seen[x] = True
+            orbits.append(orbit)
     basis = []
     for orbit in orbits:
         rows = [[0] * X1.points for _ in range(X2.points)]

@@ -390,39 +390,31 @@ class CosetSpace:
     one containing 0) always comes first; representatives are those minima.
     """
 
-    __slots__ = ("group", "subgroup", "cosets", "representatives", "coset_of", "action")
+    __slots__ = ("representatives", "action")
 
     def __init__(self, group: FiniteGroup, subgroup: Subgroup):
         if subgroup.group != group:
             raise ValidationError("subgroup belongs to a different group")
         n = group.order
         coset_of = [-1] * n
-        cosets = []
+        reps = []
         for g in range(n):
-            if coset_of[g] != -1:
-                continue
-            coset = tuple(sorted(group.mul[g][h] for h in subgroup.elements))
-            for x in coset:
-                coset_of[x] = len(cosets)
-            cosets.append(coset)
-        # already ordered by smallest element: scan order guarantees it
-        action = []
-        for g in range(n):
-            perm = tuple(coset_of[group.mul[g][c[0]]] for c in cosets)
-            action.append(perm)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "cosets", tuple(cosets))
-        object.__setattr__(self, "representatives", tuple(c[0] for c in cosets))
-        object.__setattr__(self, "coset_of", tuple(coset_of))
-        object.__setattr__(self, "action", tuple(action))
+            # every smaller element lies in an earlier coset, so g is the
+            # smallest element of its own
+            if coset_of[g] == -1:
+                for h in subgroup.elements:
+                    coset_of[group.mul[g][h]] = len(reps)
+                reps.append(g)
+        object.__setattr__(self, "representatives", tuple(reps))
+        object.__setattr__(self, "action", tuple(
+            tuple(coset_of[group.mul[g][r]] for r in reps) for g in range(n)))
 
     def __setattr__(self, *args):
         raise AttributeError("CosetSpace is immutable")
 
     @property
     def points(self) -> int:
-        return len(self.cosets)
+        return len(self.representatives)
 
     def fixed_count(self, g: int) -> int:
         """Number of cosets with g x H = x H."""

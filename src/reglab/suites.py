@@ -381,8 +381,8 @@ def _random_finite_index_hom(rng) -> GroupHom:
     tgt_rows = [F.apply(r) for r in src_rel]
     tgt_rows += [[rng.randrange(-4, 5) for _ in range(m)]
                  for _ in range(rng.randrange(0, m + 1))]
-    src = PresentedAbelianGroup(k, IntMatrix.from_columns(src_rel, rows=k))
-    tgt = PresentedAbelianGroup(m, IntMatrix.from_columns(tgt_rows, rows=m))
+    src = PresentedAbelianGroup(Lattice.from_rows(k, src_rel))
+    tgt = PresentedAbelianGroup(Lattice.from_rows(m, tgt_rows))
     return GroupHom(src, tgt, F)
 
 

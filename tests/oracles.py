@@ -104,14 +104,15 @@ def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
 
 def kernel_group(f: GroupHom) -> PresentedAbelianGroup:
     """ker f as the preimage of the target relations modulo the source ones."""
-    K = preimage_lattice(f.matrix, f.target.relation_lattice())
-    return subquotient_group(K, f.source.relation_lattice())
+    K = preimage_lattice(f.matrix, f.target.relations)
+    return subquotient_group(K, f.source.relations)
 
 
 def cokernel_group(f: GroupHom) -> PresentedAbelianGroup:
     """coker f as the target generators modulo the image and the relations."""
-    return PresentedAbelianGroup(f.target.generator_count,
-                                 f.matrix.hstack(f.target.relations))
+    return PresentedAbelianGroup(Lattice.from_rows(
+        f.target.generator_count,
+        f.matrix.columns() + list(f.target.relations.basis_rows)))
 
 
 def qindex_via_groups(f: GroupHom) -> Fraction | None:
@@ -325,14 +326,14 @@ def compose(g, f) -> GroupHom:
     """g after f, for homs whose middle groups share their relations."""
     if g.source is not f.target and g.source.relations != f.target.relations:
         raise ValueError("homs not composable")
-    return GroupHom(f.source, g.target, g.matrix @ f.matrix, check=False)
+    return GroupHom(f.source, g.target, g.matrix @ f.matrix)
 
 
 def presented_from_divisors(divisors, free_rank: int = 0) -> PresentedAbelianGroup:
-    """Z/d_1 + ... + Z/d_k + Z^free_rank, one relation column per divisor."""
+    """Z/d_1 + ... + Z/d_k + Z^free_rank, one relation row per divisor."""
     k = len(divisors) + free_rank
-    columns = [[d if i == j else 0 for i in range(k)] for j, d in enumerate(divisors)]
-    return PresentedAbelianGroup(k, IntMatrix.from_columns(columns, rows=k))
+    rows = [[d if i == j else 0 for i in range(k)] for j, d in enumerate(divisors)]
+    return PresentedAbelianGroup(Lattice.from_rows(k, rows))
 
 
 def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:

@@ -13,6 +13,7 @@ import reglab
 from reglab import (
     FiniteGroup,
     dihedral_relation,
+    group_to_json,
     module_digest,
     module_to_json,
     relation_to_json,
@@ -99,6 +100,40 @@ def test_validate_rejects_malformed_json(capsys, tmp_path):
 def test_validate_missing_file(capsys, tmp_path):
     code, doc = _run(capsys, "validate", "--module", str(tmp_path / "no.json"))
     assert code == 2
+
+
+@pytest.fixture
+def files_naming_their_group(tmp_path, monkeypatch):
+    """Paths, from the directory above sub/, to a module and a relation in
+    sub/ that name sub/g.json as "g.json", and to the module with its group
+    inline."""
+    D3 = FiniteGroup.dihedral(3)
+    module = module_to_json(trivial_module(D3))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "g.json").write_text(json.dumps(group_to_json(D3)))
+    (sub / "inline.json").write_text(json.dumps(module))
+    for name, doc in (("m.json", module),
+                      ("rel.json", relation_to_json(dihedral_relation(3)))):
+        (sub / name).write_text(json.dumps({**doc, "group": "g.json"}))
+    monkeypatch.chdir(tmp_path)
+    return tuple(os.path.join("sub", name)
+                 for name in ("m.json", "rel.json", "inline.json"))
+
+
+def test_a_group_path_is_read_relative_to_the_module_file(capsys,
+                                                          files_naming_their_group):
+    module, _, _ = files_naming_their_group
+    code, doc = _run(capsys, "validate", "--module", module)
+    assert code == 0 and doc["valid"] is True
+
+
+def test_a_group_path_is_read_relative_to_the_relation_file(capsys,
+                                                            files_naming_their_group):
+    _, relation, module = files_naming_their_group
+    code, doc = _run(capsys, "regulator", "--module", module, "--relation", relation,
+                     "--method", "pairing")
+    assert code == 0 and doc["value"] == "1/3"
 
 
 # ---------------------------------------------------------------------------

@@ -640,7 +640,7 @@ def test_coinvariant_torsion_is_degree_minus_one():
             rows = []
             for h in H.elements:
                 rows.extend((M.action[h] - ident(n)).columns())
-            coinv = PresentedAbelianGroup(n, IntMatrix(rows, cols=n).transpose())
+            coinv = PresentedAbelianGroup(Lattice.from_rows(n, rows))
             assert coinv.torsion_divisors == tate(M, H, -1).invariants()[1]
 
 

@@ -401,17 +401,22 @@ def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):
     assert preimage_lattice(C, L) == preimage_lattice_oracle(C, L)
 
 
-def test_one_width_check_per_preimage_echelon(monkeypatch):
-    # the kernel width r + n + L.rank is checked once, and the narrower
-    # echelon is not checked again; every check still reads the environment
-    reads = []
-    limit = exactla.column_limit
+def test_preimage_echelon_checks_the_kernel_width_and_its_own(monkeypatch):
+    # the kernel width r + n + L.rank, then the echelon's own width r + n,
+    # as every echelon checks it; each check reads the environment
+    reads, widths = [], []
+    limit, check = exactla.column_limit, exactla._check_width
 
     def counted():
         reads.append(1)
         return limit()
 
+    def recorded(width):
+        widths.append(width)
+        check(width)
+
     monkeypatch.setattr(exactla, "column_limit", counted)
+    monkeypatch.setattr(exactla, "_check_width", recorded)
     rng = random.Random(21)
     for _ in range(30):
         r, n = rng.randrange(0, 5), rng.randrange(0, 6)
@@ -419,8 +424,10 @@ def test_one_width_check_per_preimage_echelon(monkeypatch):
         L = Lattice.from_rows(r, [[rng.randrange(-6, 7) for _ in range(r)]
                                   for _ in range(rng.randrange(0, r + 2))])
         reads.clear()
+        widths.clear()
         _preimage_echelon(C.columns(), L)
-        assert len(reads) == 1, (C.entries, L.basis_rows)
+        assert widths == [r + n + L.rank, r + n], (C.entries, L.basis_rows)
+        assert len(reads) == 2, (C.entries, L.basis_rows)
 
 
 def test_preimage_columns_must_fit_the_lattice():
@@ -637,20 +644,19 @@ def _nested_lattices(draw):
 @_PROPERTY
 @given(_nested_lattices())
 def test_subquotients_read_their_relations_off_the_hermite_forms(case):
-    # the relations are V's coordinates in U's basis, as columns; their
-    # lattice, stored without a second pass, is the Hermite form of them
+    # the relations are spanned by V's coordinates in U's basis; their
+    # lattice, read off without a second pass, is the Hermite form of them
     U, V = case
     group = subquotient_group(U, V)
     coords = U.coordinate_matrix(V.basis_rows)
-    assert group.relations == coords
-    assert (group.relations.rows, group.relations.cols) == (U.rank, V.rank)
-    assert _same_lattice(group.relation_lattice(), Lattice.from_columns(coords))
+    assert (group.generator_count, group.relations.rank) == (U.rank, V.rank)
+    assert _same_lattice(group.relations, Lattice.from_columns(coords))
     assert group.invariant_factors == smith_normal_form(coords).divisors
     # the torsion of Z^n / V, on the basis of V's saturation
     S, torsion = torsion_subgroup(V)
     assert S == saturate(V)
     in_S = S.coordinate_matrix(V.basis_rows)
-    assert _same_lattice(torsion.relation_lattice(), Lattice.from_columns(in_S))
+    assert _same_lattice(torsion.relations, Lattice.from_columns(in_S))
     assert torsion.invariant_factors == smith_normal_form(in_S).divisors
 
 
@@ -660,7 +666,7 @@ def test_subquotient_relations_are_reduced_above_their_pivots():
     U = Lattice.from_rows(3, [[1, 6, 24], [0, 10, 0], [0, 0, 29]])
     V = Lattice.from_rows(3, [[2, 2, 48], [0, 10, 29], [0, 0, 116]])
     assert U.coordinate_matrix(V.basis_rows).columns()[0] == [2, -1, 0]
-    assert subquotient_group(U, V).relation_lattice().basis_rows == (
+    assert subquotient_group(U, V).relations.basis_rows == (
         (2, 0, 1), (0, 1, 1), (0, 0, 4))
     # and on seeded random nested lattices, about 3 % of which need it
     rng = random.Random(5)
@@ -673,7 +679,7 @@ def test_subquotient_relations_are_reduced_above_their_pivots():
                                   for cs in [[rng.randrange(-4, 5) for _ in U.basis_rows]
                                              for _ in range(rng.randrange(1, 5))]])
         coords = U.coordinate_matrix(V.basis_rows)
-        assert _same_lattice(subquotient_group(U, V).relation_lattice(),
+        assert _same_lattice(subquotient_group(U, V).relations,
                              Lattice.from_columns(coords))
 
 
@@ -684,18 +690,16 @@ def test_equal_lattices_give_the_identity_presentation(monkeypatch):
     cases += [Lattice.from_rows(n, [[rng.randrange(-6, 7) for _ in range(n)]
                                     for _ in range(rng.randrange(0, 5))])
               for n in (rng.randrange(1, 6) for _ in range(20))]
-    expected = [(U.coordinate_matrix(U.basis_rows),
-                 Lattice.from_columns(U.coordinate_matrix(U.basis_rows)))
-                for U in cases]
+    expected = [Lattice.from_columns(U.coordinate_matrix(U.basis_rows)) for U in cases]
 
     def no_coordinates(self, vec):
         raise AssertionError("coordinates taken")
 
     monkeypatch.setattr(Lattice, "_reduce", no_coordinates)
-    for U, (coords, lattice) in zip(cases, expected):
+    for U, lattice in zip(cases, expected):
         group = subquotient_group(U, U)
-        assert group.relations == coords
-        assert _same_lattice(group.relation_lattice(), lattice)
+        assert group.generator_count == U.rank
+        assert _same_lattice(group.relations, lattice)
         assert group.invariant_factors == (1,) * U.rank
         assert group.order() == 1
 
@@ -711,7 +715,7 @@ def test_torsion_relations_saturate_once(monkeypatch):
         return real(L)
 
     monkeypatch.setattr(exactla, "saturate", counted)
-    group = PresentedAbelianGroup(3, IntMatrix.from_columns([[2, 0, 2], [0, 4, 4]]))
+    group = PresentedAbelianGroup(Lattice.from_rows(3, [[2, 0, 2], [0, 4, 4]]))
     assert group.free_rank == 1
     assert group.torsion_order() == 8
     assert group.invariant_factors == (2, 4)
@@ -730,10 +734,10 @@ def test_unit_pivots_drop_out_of_the_modular_elimination():
     # them: those rows kill their own generators, and what is left is the
     # block [[2, 1], [0, 6]] of rows and columns 1 and 3, with factors 1, 12
     rows = [[1, 1, 0, 2], [0, 2, 0, 1], [0, 0, 1, 5], [0, 0, 0, 6]]
-    group = PresentedAbelianGroup(4, IntMatrix.from_columns(rows))
-    assert group.relation_lattice().basis_rows == tuple(map(tuple, rows))
+    group = PresentedAbelianGroup(Lattice.from_rows(4, rows))
+    assert group.relations.basis_rows == tuple(map(tuple, rows))
     assert group.invariant_factors == (1, 1, 1, 12) == tuple(determinantal_divisors(rows))
-    g = PresentedAbelianGroup(3, IntMatrix([[1, 4, 4], [0, 2, 0], [0, 0, 2]]))
+    g = PresentedAbelianGroup(Lattice.from_rows(3, [[1, 0, 0], [4, 2, 0], [4, 0, 2]]))
     assert g.invariant_factors == (1, 2, 2)
 
 
@@ -858,6 +862,31 @@ def test_qindex_surjection_z4_to_z2():
     assert qindex_bruteforce([4], [2], [[1]]) == Fraction(1, 2)
 
 
+def test_a_hom_must_carry_every_relation_row():
+    # the identity on Z/2 + Z/3 -> Z/2 + Z sends the last relation row out
+    with pytest.raises(ValueError, match="relation row 1 maps outside"):
+        GroupHom(presented_from_divisors([2, 3]),
+                 presented_from_divisors([2], free_rank=1), IntMatrix.identity(2))
+    # seeded matrices: accepted exactly when the images of the relations
+    # leave the target's Hermite form unchanged
+    rng = random.Random(61)
+    for _ in range(300):
+        a, b = rng.randrange(1, 4), rng.randrange(1, 4)
+        src = Lattice.from_rows(a, [[rng.randrange(-3, 4) for _ in range(a)]
+                                    for _ in range(rng.randrange(0, a + 1))])
+        tgt = Lattice.from_rows(b, [[rng.randrange(-3, 4) for _ in range(b)]
+                                    for _ in range(rng.randrange(0, b + 2))])
+        F = IntMatrix([[rng.randrange(-2, 3) for _ in range(a)] for _ in range(b)])
+        images = [F.apply(r) for r in src.basis_rows]
+        want = Lattice.from_rows(b, list(tgt.basis_rows) + images) == tgt
+        try:
+            GroupHom(PresentedAbelianGroup(src), PresentedAbelianGroup(tgt), F)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, (src.basis_rows, tgt.basis_rows, F.entries)
+
+
 def test_qindex_infinite_is_none():
     src = PresentedAbelianGroup.free(1)
     tgt = PresentedAbelianGroup.free(2)
@@ -896,8 +925,8 @@ def _homs(draw):
     src_rel = draw(st.lists(st.lists(entries, min_size=a, max_size=a), max_size=a + 1))
     tgt_rel = [[sum(x * y for x, y in zip(row, r)) for row in F] for r in src_rel]
     tgt_rel += draw(st.lists(st.lists(entries, min_size=b, max_size=b), max_size=b + 1))
-    src = PresentedAbelianGroup(a, IntMatrix.from_columns(src_rel, rows=a))
-    tgt = PresentedAbelianGroup(b, IntMatrix.from_columns(tgt_rel, rows=b))
+    src = PresentedAbelianGroup(Lattice.from_rows(a, src_rel))
+    tgt = PresentedAbelianGroup(Lattice.from_rows(b, tgt_rel))
     return GroupHom(src, tgt, IntMatrix(F, cols=a))
 
 
@@ -936,8 +965,8 @@ def _random_hom(rng) -> GroupHom:
     src_rel = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(rng.randrange(0, k + 1))]
     tgt_rows = [F.apply(r) for r in src_rel]
     tgt_rows += [[rng.randrange(-4, 5) for _ in range(l)] for _ in range(rng.randrange(0, l + 1))]
-    src = PresentedAbelianGroup(k, IntMatrix.from_columns(src_rel, rows=k))
-    tgt = PresentedAbelianGroup(l, IntMatrix.from_columns(tgt_rows, rows=l))
+    src = PresentedAbelianGroup(Lattice.from_rows(k, src_rel))
+    tgt = PresentedAbelianGroup(Lattice.from_rows(l, tgt_rows))
     return GroupHom(src, tgt, F)
 
 
@@ -998,7 +1027,7 @@ def test_invariant_factors_agree_with_smith_transforms():
         mat = IntMatrix([[rng.randrange(-9, 10) for _ in range(cols)]
                          for _ in range(rows)], cols=cols)
         want = smith_normal_form(mat).divisors
-        got = PresentedAbelianGroup(rows, mat).invariant_factors
+        got = PresentedAbelianGroup(Lattice.from_columns(mat)).invariant_factors
         assert tuple(got) == tuple(want)
 
 
@@ -1018,7 +1047,7 @@ def test_invariants_match_the_smith_divisors(data, k, deficient):
     rel = IntMatrix(rows, cols=len(rows[0]))
     divisors = smith_normal_form(rel).divisors
     want = (k - len(divisors), tuple(d for d in divisors if d != 1))
-    assert PresentedAbelianGroup(k, rel).invariants() == want
+    assert PresentedAbelianGroup(Lattice.from_columns(rel)).invariants() == want
 
 
 @_PROPERTY
@@ -1029,7 +1058,7 @@ def test_both_smith_routes_match_the_determinantal_divisors(rows, cols, data):
     want = tuple(determinantal_divisors(A))
     mat = IntMatrix(A, cols=cols)
     assert smith_normal_form(mat).divisors == want
-    assert PresentedAbelianGroup(rows, mat).invariant_factors == want
+    assert PresentedAbelianGroup(Lattice.from_columns(mat)).invariant_factors == want
 
 
 @st.composite
@@ -1056,7 +1085,7 @@ def _relation_matrices(draw):
 @given(_relation_matrices())
 def test_orders_and_ranks_come_off_hermite_pivots(case):
     rows, cols, A = case
-    group = PresentedAbelianGroup(rows, IntMatrix(A, cols=cols))
+    group = PresentedAbelianGroup(Lattice.from_columns(IntMatrix(A, cols=cols)))
     free, torsion, order = group.free_rank, group.torsion_order(), group.order()
     assert group._snf is None  # no Smith elimination ran
     want = determinantal_divisors(A)
@@ -1069,14 +1098,14 @@ def test_orders_and_ranks_come_off_hermite_pivots(case):
 
 
 def test_invariant_factors_frozen_examples():
-    g = PresentedAbelianGroup(2, IntMatrix([[2, 0], [0, 3]]))
+    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[2, 0], [0, 3]])))
     assert g.invariant_factors == (1, 6)
-    g = PresentedAbelianGroup(3, IntMatrix([[2, 0], [0, 2], [0, 0]]))
+    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[2, 0], [0, 2], [0, 0]])))
     assert g.invariant_factors == (2, 2)
     assert g.free_rank == 1
-    g = PresentedAbelianGroup(2, IntMatrix([[4, 6], [6, 4]]))
+    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[4, 6], [6, 4]])))
     assert g.invariant_factors == (2, 10)
-    g = PresentedAbelianGroup(1, IntMatrix([[0]], cols=1))
+    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[0]], cols=1)))
     assert g.invariant_factors == ()
     assert g.free_rank == 1
 
@@ -1102,6 +1131,6 @@ def test_invariant_factors_large_unimodular_conjugate():
             L[i][k] += c * L[j][k]
             R[k][j] += c * R[k][i]
     M = (IntMatrix(L) @ IntMatrix(D)) @ IntMatrix(R)
-    got = PresentedAbelianGroup(n, M).invariant_factors
+    got = PresentedAbelianGroup(Lattice.from_columns(M)).invariant_factors
     assert got == (1, 2, 6, 12)
-    assert PresentedAbelianGroup(n, M).free_rank == 2
+    assert PresentedAbelianGroup(Lattice.from_columns(M)).free_rank == 2

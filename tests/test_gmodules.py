@@ -30,11 +30,12 @@ from reglab import (
     trivial_module,
     validate_module,
 )
+from reglab import exactla
 from reglab.arith import mix_seed
-from reglab.exactla import _Echelon
+from reglab.exactla import _Echelon, subquotient_group
 from reglab.errors import InputError
 
-from oracles import fixed_and_norm_bruteforce
+from oracles import fixed_and_norm_bruteforce, zoo
 
 
 def diagonal_divisors(M):
@@ -228,10 +229,30 @@ def test_fixed_points_and_norms_match_enumeration():
                 got_fixed = fixed_points(small, H).group.order()
                 assert got_fixed == want_fixed
                 N = norm_matrix(small, H)
-                coker = PresentedAbelianGroup(
-                    small.ambient_rank, N.hstack(small.relations.basis)
-                )
+                coker = PresentedAbelianGroup(Lattice.from_rows(
+                    small.ambient_rank,
+                    N.columns() + list(small.relations.basis_rows)))
                 assert coker.order() == want_norm
+
+
+def test_abelian_group_is_the_subquotient_of_the_full_lattice(monkeypatch):
+    # Z^n / L on the identity basis has the relations L itself, built with
+    # no subquotient pass: the same lattice and invariants as Z^n / L
+    cases = [random_module(G, profile, 5, max_rank=6)
+             for G in zoo() for profile in ("torsion_free", "finite", "mixed")]
+    refs = [subquotient_group(Lattice.full(M.ambient_rank), M.relations)
+            for M in cases]
+
+    def no_pass(U, V):
+        raise AssertionError("subquotient pass run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactla, "_nested_quotient", no_pass)
+        groups = [M.abelian_group() for M in cases]
+    for A, ref in zip(groups, refs):
+        assert A.relations == ref.relations
+        assert A.relations._pivots == ref.relations._pivots
+        assert A.invariants() == ref.invariants() and A.order() == ref.order()
 
 
 def test_compress_roundtrip_properties():

@@ -432,3 +432,44 @@ def test_no_class_is_a_hand_written_record():
     found = {path.name: hand_written_records(path.read_text())
              for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def setattr_outside_classes(source: str) -> list[int]:
+    """Lines that call object.__setattr__ outside every class body: writes
+    into the frozen slots of an object from outside its class."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if (not in_class and isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and getattr(child.func.value, "id", None) == "object"):
+                found.append(child.lineno)
+            visit(child, in_class or isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_setattr_outside_classes_is_found():
+    source = ("class Group:\n    def __init__(self, a):\n"
+              "        object.__setattr__(self, 'a', a)\n"
+              "    @classmethod\n    def make(cls):\n"
+              "        g = object.__new__(cls)\n"
+              "        object.__setattr__(g, 'a', 0)\n"
+              "def quotient(k):\n    group = Group(k)\n"
+              "    object.__setattr__(group, '_snf', (1,) * k)\n"
+              "    class Local:\n        def __init__(self):\n"
+              "            object.__setattr__(self, 'b', 1)\n"
+              "    return group\n"
+              "object.__setattr__(quotient, 'x', 1)\n"
+              "'object.__setattr__(group, \"a\", 1)'\n")
+    assert setattr_outside_classes(source) == [10, 15]
+
+
+def test_no_frozen_slot_is_written_from_outside_its_class():
+    # an immutable object is filled in by its own constructor or method
+    found = {path.name: setattr_outside_classes(path.read_text())
+             for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
