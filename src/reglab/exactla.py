@@ -426,12 +426,25 @@ class Lattice:
         raise AttributeError("Lattice is immutable")
 
     @classmethod
+    def _trusted(cls, ambient_rank: int, rows: tuple, pivots: tuple) -> "Lattice":
+        """Wrap Hermite rows, a tuple of int tuples, and the tuple of their
+        pivot columns, without copying the rows or finding the pivots.
+
+        Only for rows this module read off an echelon itself: __init__
+        copies whatever arrives from outside and finds its pivots.
+        """
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "ambient_rank", ambient_rank)
+        object.__setattr__(lat, "basis_rows", rows)
+        object.__setattr__(lat, "_pivots", pivots)
+        return lat
+
+    @classmethod
     def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
         ech = _Echelon(ambient_rank)
         for row in rows:
             ech.add(row)
-        canon, pivots = ech.canonical()
-        return cls(ambient_rank, canon, pivots)
+        return cls._trusted(ambient_rank, *ech.canonical())
 
     @classmethod
     def from_columns(cls, matrix_or_cols, ambient_rank: int | None = None) -> "Lattice":
@@ -450,8 +463,8 @@ class Lattice:
     @classmethod
     def full(cls, ambient_rank: int) -> "Lattice":
         """Z^n; the identity rows are already its Hermite form."""
-        return cls(ambient_rank, IntMatrix.identity(ambient_rank).entries,
-                   range(ambient_rank))
+        return cls._trusted(ambient_rank, IntMatrix.identity(ambient_rank).entries,
+                            tuple(range(ambient_rank)))
 
     @classmethod
     def scaled(cls, ambient_rank: int, k: int) -> "Lattice":
@@ -525,7 +538,7 @@ def block_diagonal_lattice(parts: list[Lattice]) -> Lattice:
         rows += [(0,) * offset + r + pad for r in p.basis_rows]
         pivots += [offset + q for q in p._pivots]
         offset += p.ambient_rank
-    return Lattice(total, rows, pivots)
+    return Lattice._trusted(total, tuple(rows), tuple(pivots))
 
 
 def _kernel_part(ech: _Echelon, r: int) -> Lattice:
@@ -538,8 +551,8 @@ def _kernel_part(ech: _Echelon, r: int) -> Lattice:
     so the rows above them are left out of it.
     """
     canon, pivots = ech.canonical(bisect_left(ech.pivots, r))
-    return Lattice(ech.width - r, [row[r:] for row in canon],
-                   [p - r for p in pivots])
+    return Lattice._trusted(ech.width - r, tuple(row[r:] for row in canon),
+                            tuple(p - r for p in pivots))
 
 
 def _preimage_echelon(columns: list[list[int]], L: Lattice) -> _Echelon:
@@ -579,7 +592,14 @@ def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
     """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
     if L.ambient_rank != C.rows:
         raise ValueError("lattice ambient rank must equal matrix row count")
-    return _kernel_part(_preimage_echelon(C.columns(), L), C.rows)
+    return column_preimage(C.columns(), L)
+
+
+def column_preimage(columns: list[list[int]], L: Lattice) -> Lattice:
+    """{x in Z^n : C x in L} for the map C whose n columns, each a list in
+    Z^r with r = L.ambient_rank, are given, as image_and_preimage takes
+    them: a caller that builds a map column by column builds no matrix."""
+    return _kernel_part(_preimage_echelon(columns, L), L.ambient_rank)
 
 
 def image_and_preimage(columns: list[list[int]], L: Lattice) -> tuple[Lattice, Lattice]:
@@ -595,8 +615,7 @@ def image_and_preimage(columns: list[list[int]], L: Lattice) -> tuple[Lattice, L
     r = L.ambient_rank
     ech = _preimage_echelon(columns, L)
     split = bisect_left(ech.pivots, r)
-    canon, pivots = ech.canonical(0, split, r)
-    return Lattice(r, canon, pivots), _kernel_part(ech, r)
+    return Lattice._trusted(r, *ech.canonical(0, split, r)), _kernel_part(ech, r)
 
 
 def integer_kernel(A: IntMatrix) -> Lattice:
@@ -813,6 +832,20 @@ def _pivot_product(rows, pivots) -> int:
     """Product of the pivots of echelon rows; for k rows in Z^k, the index
     of their span."""
     return prod(row[p] for row, p in zip(rows, pivots))
+
+
+def hermite_index(big: Lattice, small: Lattice) -> int:
+    """[big : small] for Hermite lattices small <= big of equal rank.
+
+    Such lattices share their pivot columns (Cohen, GTM 138, 2.4.3), so the
+    index is the ratio of their pivot products. The caller checks the
+    nesting and the ranks; a ratio that is not an integer raises.
+    """
+    index, rest = divmod(_pivot_product(small.basis_rows, small._pivots),
+                         _pivot_product(big.basis_rows, big._pivots))
+    if rest:
+        raise ConsistencyError("pivot products of nested lattices do not divide")
+    return index
 
 
 def _chain_fix(divisors: list[int]) -> list[int]:

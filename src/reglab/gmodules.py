@@ -20,6 +20,7 @@ from .exactla import (
     Lattice,
     PresentedAbelianGroup,
     block_diagonal_lattice,
+    column_preimage,
     preimage_lattice,
     saturate,
     smith_coordinates,
@@ -253,13 +254,14 @@ def fixed_points(M: GModule, H: Subgroup) -> FixedPointData:
     if not gens:
         F = Lattice.full(n)
     else:
-        ident = IntMatrix.identity(n)
-        blocks = [M.action[h] - ident for h in gens]
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        target = block_diagonal_lattice([M.relations] * len(gens))
-        F = preimage_lattice(stacked, target)
+        # column j of the A_h - 1 stacked over the generators h, as the
+        # preimage echelon reads it
+        columns = [[] for _ in range(n)]
+        for h in gens:
+            for j, col in enumerate(M.action[h].columns()):
+                col[j] -= 1
+                columns[j] += col
+        F = column_preimage(columns, block_diagonal_lattice([M.relations] * len(gens)))
     data = FixedPointData(F, subquotient_group(F, M.relations))
     M._cache[key] = data
     return data
@@ -344,6 +346,19 @@ def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
     return out
 
 
+def _free_quotient(M: GModule) -> Presentation:
+    """The free quotient mt M = Z^n / sat(L) with M's action, compressed,
+    memoised on M: its module and the projection onto its coordinates,
+    with no torsion module built."""
+    if "free quotient" not in M._cache:
+        pres = compress(GModule(M.group, M.ambient_rank, M.saturated_relations(),
+                                M.action))
+        if pres.module.relations.rank != 0:
+            raise ConsistencyError("free quotient still has relations after compression")
+        M._cache["free quotient"] = pres
+    return M._cache["free quotient"]
+
+
 def torsion_decomposition(M: GModule) -> TorsionDecomposition:
     """Split off tors M = sat(L)/L and the free quotient mt M = M / tors M."""
     if "torsion" in M._cache:
@@ -359,12 +374,8 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
                        torsion_subgroup(M.relations, satL)[1].relations,
                        sublattice_action(satL, M.action))
         tors_basis = satL.basis
-    # free quotient via compress of Z^n / sat(L)
-    ambient_free = GModule(M.group, n, satL, M.action)
-    pres = compress(ambient_free)
-    if pres.module.relations.rank != 0:
-        raise ConsistencyError("free quotient still has relations after compression")
-    out = TorsionDecomposition(tors, pres.module, tors_basis, pres.project)
+    free = _free_quotient(M)
+    out = TorsionDecomposition(tors, free.module, tors_basis, free.project)
     M._cache["torsion"] = out
     return out
 

@@ -128,6 +128,9 @@ def module_from_json(obj, base_dir: str = ".") -> GModule:
                 g = int(key)
             except (TypeError, ValueError):
                 raise InputError(f"{what} keys must be element indices, got {key!r}")
+            # "01" or " 1 " would name element 1 beside "1", the later one winning
+            if str(key) != str(g):
+                raise InputError(f"{what} key {key!r} is not written as {str(g)!r}")
             if not 0 <= g < G.order:
                 raise InputError(f"{what} key {g} is outside 0..{G.order - 1}")
             out[g] = _as_matrix(mat, n, n, f"{what}[{g}]")

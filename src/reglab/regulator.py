@@ -11,8 +11,13 @@ Two independent computations are kept side by side and must agree:
     G-fixed points, with phi-hat realized by the transpose matrix. By
     Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so the maps are taken
     between sums of fixed points M^{H_s} -> M^{H_t}, never on P (x) M.
-    A relation g Theta' with g the gcd of its coefficients is taken as
-    C_Theta'^g, since the constant is multiplicative in the relation.
+    One reader, _fixed_qindex, takes each of the two maps as ambient
+    columns, the images of the Hermite basis rows of the source fixed
+    points, and reads both |coker| and |ker| off one image-and-preimage
+    echelon pass as ratios of Hermite pivot products; no matrix of the
+    map and no presented-group hom is built. A relation g Theta' with g
+    the gcd of its coefficients is taken as C_Theta'^g, since the
+    constant is multiplicative in the relation.
 
 regulator_constant runs both and raises if they ever differ, which turns
 every caller into a cross-check of the whole stack.
@@ -22,7 +27,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .arith import (_is_probable_prime, factorize, factorize_fraction, fraction_str,
@@ -30,20 +37,12 @@ from .arith import (_is_probable_prime, factorize, factorize_fraction, fraction_
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
-from .exactla import (
-    GroupHom,
-    IntMatrix,
-    Lattice,
-    PresentedAbelianGroup,
-    _check_width,
-    block_diagonal_lattice,
-    qindex,
-    subquotient_group,
-    subquotient_hom,
-)
+from .exactla import (IntMatrix, Lattice, _check_width, block_diagonal_lattice,
+                      hermite_index, image_and_preimage)
 from .gmodules import (
     GModule,
     ModuleHom,
+    _free_quotient,
     compress,
     direct_sum,
     dual_module,
@@ -51,7 +50,6 @@ from .gmodules import (
     finite_dual,
     fixed_points,
     permutation_module,
-    torsion_decomposition,
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_representatives
@@ -123,9 +121,8 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
         raise InputError("module and relation live over different groups")
     _side_rank(relation)
     Mc = compress(M).module
-    dec = torsion_decomposition(Mc)
-    mt = dec.free
-    pi = dec.mt_projection
+    free = _free_quotient(Mc)
+    mt, pi = free.module, free.project
     gram = invariant_pairing(mt)
     r = mt.ambient_rank
     value = Fraction(1)
@@ -230,6 +227,17 @@ def _check_equivariant(G: FiniteGroup, matrix: IntMatrix, pos, col_offsets,
 _PHI_REDRAWS = 64
 
 
+def _hom_basis_entries(G: FiniteGroup, Hs: Subgroup, Ht: Subgroup) -> tuple:
+    """The nonzero entries (i, j, a) of each matrix of
+    equivariant_hom_basis(G, Hs, Ht), memoised on G beside the basis."""
+    key = ("hom basis entries", Hs.elements, Ht.elements)
+    if key not in G._cache:
+        G._cache[key] = tuple(
+            tuple((i, j, a) for i, row in enumerate(B.entries) for j, a in enumerate(row) if a)
+            for B in equivariant_hom_basis(G, Hs, Ht))
+    return G._cache[key]
+
+
 def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     """Draw an injective equivariant P1 -> P2 with small random coefficients.
 
@@ -244,7 +252,7 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
         raise InputError("relation has no positive or no negative part")
     if n != sum(coset_space(G, H).points for H in neg):
         raise ConsistencyError("relation sides have different ranks")
-    bases = [[equivariant_hom_basis(G, Hs, Ht) for Hs in pos] for Ht in neg]
+    bases = [[_hom_basis_entries(G, Hs, Ht) for Hs in pos] for Ht in neg]
     row_offsets = _side_offsets(G, neg)
     col_offsets = _side_offsets(G, pos)
     rng = random.Random(mix_seed(seed, 0))
@@ -252,14 +260,11 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
         rows = [[0] * n for _ in range(n)]
         for ti, r0 in enumerate(row_offsets):
             for si, c0 in enumerate(col_offsets):
-                for basis_mat in bases[ti][si]:
+                for entries in bases[ti][si]:
                     c = rng.randrange(-3, 4)
                     if c:
-                        for target, src in zip(rows[r0:r0 + basis_mat.rows],
-                                               basis_mat.entries):
-                            for j, a in enumerate(src, c0):
-                                if a:
-                                    target[j] += c * a
+                        for i, j, a in entries:
+                            rows[r0 + i][c0 + j] += c * a
         matrix = IntMatrix(rows, cols=n)
         # square, since the side ranks agree: injective iff nonsingular
         if matrix.determinant() != 0:
@@ -271,71 +276,79 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     )
 
 
-def _fixed_sum(Mc: GModule, subgroups) -> tuple[Lattice, PresentedAbelianGroup]:
-    """sum_s M^{H_s}: its lattice in Z^(n*k) and the group that lattice presents."""
-    F = block_diagonal_lattice([fixed_points(Mc, H).lattice for H in subgroups])
-    rel = block_diagonal_lattice([Mc.relations] * len(subgroups))
-    return F, subquotient_group(F, rel)
+def _fixed_qindex(Mc: GModule, heads, sources, targets) -> Fraction:
+    """q(f) = |coker f| / |ker f| for f: sum_s M^{H_s} -> sum_t M^{H_t}, read
+    off one echelon pass in the ambient Z^(n T).
 
-
-def _coset_sum(Mc: GModule, H: Subgroup, coeffs) -> list[list[int]]:
-    """sum_p coeffs[p] A_{r_p}, r_p the representative of coset p of G/H."""
-    n = Mc.ambient_rank
-    out = [[0] * n for _ in range(n)]
-    for rep, c in zip(coset_space(Mc.group, H).representatives, coeffs):
-        if c:
-            for orow, arow in zip(out, Mc.action[rep].entries):
-                for j in range(n):
-                    orow[j] += c * arow[j]
-    return out
-
-
-def _qindex_homs(Mc: GModule, phi: PhiMap) -> tuple[GroupHom, GroupHom]:
-    """(phi (x) id)^G and (phi-hat (x) id)^G, read on sums of M^H.
-
-    v in M^H corresponds to sum_p e_p (x) r_p v in (Z[G/H] (x) M)^G, and a
-    fixed vector is determined by its identity-coset component. The (t, s)
-    block of phi (x) id is therefore sum_p phi[t0][s_p] A_{r_p} over G/H_s,
-    and the (s, t) block of the transpose is sum_p phi[t_p][s0] A_{r_p} over
-    G/H_t, where t0, s0 are the identity cosets of each summand.
+    v in M^H stands for sum_p e_p (x) r_p v in (Z[G/H] (x) M)^G, and a fixed
+    vector is determined by its identity-coset component, so block (t, s)
+    of f is sum_p heads[t][o_s + p] A_{r_p} over the cosets p of G/H_s,
+    where heads[t] is the row of the identity coset of target summand t
+    and o_s the place where source summand s starts. f is read on the
+    Hermite basis rows u of U_s, the lattice of M^{H_s}: each image
+    A_{r_p} u is computed once and combined into one ambient column per u.
+    image_and_preimage(columns, V_t), V_t the relations of every target
+    summand on the diagonal, gives f U_s + V_t and the preimage P of V_t in
+    U_s coordinates. Once each is checked to lie in the next lattice with
+    the same rank, |coker f| = [U_t : f U_s + V_t] and |ker f| = [P : V_s],
+    V_s the relations of the fixed-point groups, are ratios of pivot
+    products (hermite_index).
     """
     G, n = Mc.group, Mc.ambient_rank
-    pos, neg = phi.p1_summands, phi.p2_summands
-    row_offsets = _side_offsets(G, neg)
-    col_offsets = _side_offsets(G, pos)
-
-    def assemble(blocks) -> IntMatrix:
-        return IntMatrix([[x for B in band for x in B[i]]
-                          for band in blocks for i in range(n)],
-                         cols=n * len(blocks[0]))
-
-    forward = assemble([[_coset_sum(Mc, Hs, phi.matrix.row(r)[c:])
-                         for Hs, c in zip(pos, col_offsets)]
-                        for r in row_offsets])
-    backward = assemble([[_coset_sum(Mc, Ht, phi.matrix.column(c)[r:])
-                          for Ht, r in zip(neg, row_offsets)]
-                         for c in col_offsets])
-    P1, P2 = _fixed_sum(Mc, pos), _fixed_sum(Mc, neg)
-    return subquotient_hom(forward, P1, P2), subquotient_hom(backward, P2, P1)
+    fixed = [fixed_points(Mc, H) for H in sources]
+    columns = []
+    for H, off, fp in zip(sources, _side_offsets(G, sources), fixed):
+        basis = fp.lattice.basis_rows
+        # A_{r_p} u for every basis row u, end to end, once per coset p
+        images = [list(chain.from_iterable(map(Mc.action[rep].apply, basis)))
+                  for rep in coset_space(G, H).representatives]
+        blocks = []
+        for head in heads:
+            acc = [0] * (n * len(basis))
+            for c, image in zip(head[off:], images):
+                # a unit coefficient adds or subtracts at C level
+                if c == 1:
+                    acc = list(map(add, acc, image))
+                elif c == -1:
+                    acc = list(map(sub, acc, image))
+                elif c:
+                    acc = [x + c * y for x, y in zip(acc, image)]
+            blocks.append(acc)
+        columns += [[x for acc in blocks for x in acc[i:i + n]]
+                    for i in range(0, n * len(basis), n)]
+    image, pre = image_and_preimage(
+        columns, block_diagonal_lattice([Mc.relations] * len(targets)))
+    U_t = block_diagonal_lattice([fixed_points(Mc, H).lattice for H in targets])
+    V_s = block_diagonal_lattice([fp.group.relations for fp in fixed])
+    if not all(map(U_t.contains, image.basis_rows)):
+        raise ConsistencyError("induced map leaves the target fixed points")
+    if not all(map(pre.contains, V_s.basis_rows)):
+        raise ConsistencyError("induced map does not carry relations into relations")
+    if image.rank != U_t.rank or pre.rank != V_s.rank:
+        raise ConsistencyError("q-index of a fixed-point map came out infinite")
+    return Fraction(hermite_index(U_t, image), hermite_index(pre, V_s))
 
 
 def rc_qindex(M: GModule, relation: BrauerRelation, phi: PhiMap) -> Fraction:
     """Regulator constant as q((phi (x) id)^G) / q((phi-hat (x) id)^G).
 
     By Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so both q-indices are
-    taken between sums of fixed points M^{H_s} of the compressed module, in
-    ambient rank n times the number of summands.
+    taken between sums of fixed points M^{H_s} of the compressed module
+    (_fixed_qindex), in ambient rank n times the number of summands: the
+    heads of phi (x) id are the rows of phi at the first coset of each
+    summand of P2, and those of phi-hat (x) id, the transpose, its columns
+    at the first coset of each summand of P1.
     """
     if relation.group != M.group:
         raise InputError("module and relation live over different groups")
     if phi.relation.terms != relation.terms:
         raise InputError("phi was built for a different relation")
-    forward, backward = _qindex_homs(compress(M).module, phi)
-    qf = qindex(forward)
-    qb = qindex(backward)
-    if qf is None or qb is None:
-        raise ConsistencyError("q-index of a fixed-point map came out infinite")
-    return qf / qb
+    Mc, G = compress(M).module, relation.group
+    pos, neg = phi.p1_summands, phi.p2_summands
+    rows, cols = phi.matrix.entries, phi.matrix.transpose().entries
+    forward = _fixed_qindex(Mc, [rows[r] for r in _side_offsets(G, neg)], pos, neg)
+    backward = _fixed_qindex(Mc, [cols[c] for c in _side_offsets(G, pos)], neg, pos)
+    return forward / backward
 
 
 def qindex_route(M: GModule, relation: BrauerRelation, seed: int = 0) -> Fraction:

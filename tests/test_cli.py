@@ -89,6 +89,20 @@ def test_validate_rejects_group_law_violation(capsys, tmp_path):
     assert "group law" in doc["message"]
 
 
+@pytest.mark.parametrize("table", ["action", "action_on_generators"])
+@pytest.mark.parametrize("key", ["01", " 1 ", "+1", "1.0"])
+def test_validate_rejects_a_second_key_for_one_element(capsys, tmp_path, table, key):
+    # "1" and key would both name element 1, and the later key would win
+    path = tmp_path / "twice.json"
+    path.write_text('{"group": {"kind": "cyclic", "n": 2}, "rank": 1, '
+                    f'"relations": [], "{table}": '
+                    f'{{"0": [[1]], "1": [[-1]], "{key}": [[1]]}}}}')
+    code, doc = _run(capsys, "validate", "--module", str(path))
+    assert code == 2
+    assert doc["error"] == "InputError"
+    assert repr(key) in doc["message"]
+
+
 def test_validate_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "nj.json"
     path.write_text("not json")

@@ -22,6 +22,7 @@ from reglab.exactla import (
     _preimage_echelon,
     block_diagonal_lattice,
     dual_hom,
+    hermite_index,
     image_and_preimage,
     integer_kernel,
     invert_unimodular,
@@ -1095,6 +1096,26 @@ def test_orders_and_ranks_come_off_hermite_pivots(case):
     assert order == (None if free else torsion)
     # the same answers from cached divisors
     assert (group.free_rank, group.torsion_order(), group.order()) == (free, torsion, order)
+
+
+def test_hermite_index_is_the_order_of_the_subquotient():
+    # V spanned by integer combinations of U's rows, kept when the ranks agree
+    rng = random.Random(26)
+    seen = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        U = Lattice.from_rows(n, [[rng.randrange(-4, 5) for _ in range(n)]
+                                  for _ in range(rng.randrange(1, n + 2))])
+        combos = [[rng.randrange(-3, 4) for _ in U.basis_rows] for _ in range(U.rank + 1)]
+        V = Lattice.from_rows(n, [[sum(c * u[j] for c, u in zip(cs, U.basis_rows))
+                                   for j in range(n)] for cs in combos])
+        if V.rank == U.rank:
+            seen += 1
+            assert hermite_index(U, V) == subquotient_group(U, V).order()
+    assert seen > 150
+    # 3Z does not lie in 2Z, and the pivot products 3 and 2 do not divide
+    with pytest.raises(ConsistencyError, match="do not divide"):
+        hermite_index(Lattice.from_rows(1, [[2]]), Lattice.from_rows(1, [[3]]))
 
 
 def test_invariant_factors_frozen_examples():

@@ -45,7 +45,8 @@ def test_no_unused_imports():
 
 
 def trusted_constructions(source: str) -> list[int]:
-    """Lines that mention IntMatrix._trusted, the unchecked constructor."""
+    """Lines that mention IntMatrix._trusted or Lattice._trusted, the
+    unchecked constructors."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
 
@@ -63,6 +64,10 @@ def test_only_exactla_skips_the_matrix_checks():
              for path in sorted(folder.glob("*.py")) if path != exactla}
     assert {k: v for k, v in found.items() if v} == {}
     assert trusted_constructions(exactla.read_text())
+    # a Lattice wrapped from rows outside exactla is found as well
+    gmodules = (ROOT / "src" / "reglab" / "gmodules.py").read_text()
+    planted = gmodules + "\n\ndef _wrap(rows):\n    return Lattice._trusted(2, rows, (0, 1))\n"
+    assert trusted_constructions(planted) == [len(planted.splitlines())]
 
 
 def echelon_constructions(source: str) -> list[str]:

@@ -8,6 +8,7 @@ import pytest
 
 from reglab import (
     ConsistencyError,
+    GModule,
     InputError,
     IntMatrix,
     ResourceLimitError,
@@ -36,10 +37,11 @@ from reglab import (
     verify_identity,
 )
 import reglab.exactla as exactla
+import reglab.gmodules as gmodules
 import reglab.regulator as regulator
 from reglab.brauer import BrauerRelation
 from reglab.groups import FiniteGroup
-from reglab.regulator import _check_equivariant, _qindex_homs, _side_offsets
+from reglab.regulator import _check_equivariant, _fixed_qindex, _side_offsets
 
 from oracles import a4, kronecker_qindex_homs, phi_sides, rc_qindex_kronecker
 
@@ -266,16 +268,85 @@ _ORACLE_RELATIONS = {
 @pytest.mark.parametrize("phi_seed", [0, 3])
 @pytest.mark.parametrize("profile", ["torsion_free", "finite", "mixed"])
 @pytest.mark.parametrize("name", sorted(_ORACLE_RELATIONS))
-def test_qindex_homs_match_kronecker_oracle(name, profile, phi_seed):
-    # each q-index on sums of M^H equals the one on P (x) M, not only the ratio
+def test_qindex_homs_match_kronecker_oracle(monkeypatch, name, profile, phi_seed):
+    # each q-index on sums of M^H equals the one on P (x) M, not only the
+    # ratio: the reader's two results inside rc_qindex are recorded
     rel = _ORACLE_RELATIONS[name]()
     M = random_module(rel.group, profile, seed=5, max_rank=8)
     phi = build_phi(rel, phi_seed)
-    forward, backward = _qindex_homs(compress(M).module, phi)
+    read = []
+    monkeypatch.setattr(regulator, "_fixed_qindex",
+                        lambda *args: read.append(_fixed_qindex(*args)) or read[-1])
+    value = rc_qindex(M, rel, phi)
     oracle_forward, oracle_backward = kronecker_qindex_homs(M, phi)
-    assert qindex(forward) == qindex(oracle_forward)
-    assert qindex(backward) == qindex(oracle_backward)
-    assert rc_qindex(M, rel, phi) == rc_pairing(M, rel)
+    assert read == [qindex(oracle_forward), qindex(oracle_backward)]
+    assert value == rc_pairing(M, rel)
+
+
+def test_qindex_refuses_a_map_off_the_fixed_points():
+    # over C2 acting by diag(1, -1), the heads (1, 1) and (1, -1) send Z^2 to
+    # diag(2, 0) and diag(0, 2) on two copies of M^G = Z x 0: an image of
+    # the same rank as the target, with (0, 0, 0, 2) outside it
+    G = FiniteGroup.cyclic(2)
+    M = GModule(G, 2, None, [IntMatrix.identity(2), IntMatrix([[1, 0], [0, -1]])])
+    full = G.full_subgroup()
+    with pytest.raises(ConsistencyError, match="leaves the target fixed points"):
+        _fixed_qindex(M, [[1, 1], [1, -1]], [G.trivial_subgroup()], [full, full])
+
+
+def test_qindex_refuses_a_map_that_drops_a_relation():
+    # the swap does not stabilize 2Z x 0, so it sends the relation (2, 0)
+    # outside the relations; the indices alone would read q = 1
+    G = FiniteGroup.cyclic(2)
+    M = GModule(G, 2, [[2, 0]], [IntMatrix.identity(2), IntMatrix([[0, 1], [1, 0]])])
+    trivial = G.trivial_subgroup()
+    with pytest.raises(ConsistencyError, match="relations into relations"):
+        _fixed_qindex(M, [[0, 1]], [trivial], [trivial])
+
+
+def test_qindex_refuses_a_map_with_an_infinite_cokernel():
+    # the zero map on M^G = Z of the trivial module: image 0 of rank 0
+    # against a target of rank 1, and all of Z as kernel
+    G = FiniteGroup.cyclic(2)
+    full = G.full_subgroup()
+    with pytest.raises(ConsistencyError, match="infinite"):
+        _fixed_qindex(trivial_module(G), [[0]], [full], [full])
+
+
+def test_qindex_route_builds_no_checked_matrix_and_reads_no_coordinates(monkeypatch):
+    # with compress and the fixed points cached by a first call, the two
+    # q-indices are read off the ambient columns alone
+    rel = dihedral_relation(5)
+    M = random_module(rel.group, "mixed", seed=7)
+    phi = build_phi(rel, 0)
+    expected = rc_qindex(M, rel, phi)
+    calls = []
+    init = IntMatrix.__init__
+    coordinate_matrix = exactla.Lattice.coordinate_matrix
+    monkeypatch.setattr(IntMatrix, "__init__",
+                        lambda self, *args, **kw: calls.append("IntMatrix")
+                        or init(self, *args, **kw))
+    monkeypatch.setattr(exactla.Lattice, "coordinate_matrix",
+                        lambda self, vectors: calls.append("coordinate_matrix")
+                        or coordinate_matrix(self, vectors))
+    assert rc_qindex(M, rel, phi) == expected
+    assert calls == []
+
+
+def test_pairing_route_builds_no_torsion_module(monkeypatch):
+    # the pairing reads only the free quotient; the torsion module of the
+    # same compressed module takes one sublattice_action
+    rel = dihedral_relation(3)
+    M = random_module(rel.group, "mixed", seed=3, max_rank=6)
+    calls = []
+    action = gmodules.sublattice_action
+    monkeypatch.setattr(gmodules, "sublattice_action",
+                        lambda *args: calls.append(args) or action(*args))
+    value = rc_pairing(M, rel)
+    assert calls == []
+    dec = torsion_decomposition(compress(M).module)
+    assert len(calls) == 1 and dec.torsion.ambient_rank == 1
+    assert value == qindex_route(M, rel)
 
 
 def test_qindex_route_stays_narrow(monkeypatch):
