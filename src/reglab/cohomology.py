@@ -28,11 +28,16 @@ transposed tables, which are lower maps alone, take a Hermite pass of their
 own. Every map reaches its pass as the list of its columns, which is what
 the echelon reads, summed from the transposed action matrices with no
 matrix built around them.
+
+A map f induced on Tate groups is taken as columns too, the images under f
+of the source cycles block by block, and exactla.map_orders reads its
+kernel off them with no Kronecker matrix, coordinates or GroupHom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import add, sub
 from typing import NamedTuple
@@ -41,16 +46,14 @@ from .arith import euler_phi, valuation
 from .errors import ConsistencyError, DegreeWindowError, InputError
 from .exactla import (
     GroupHom,
-    IntMatrix,
     Lattice,
     PresentedAbelianGroup,
     _Echelon,
-    _hom_orders,
     block_diagonal_lattice,
+    column_preimage,
     image_and_preimage,
-    integer_kernel,
+    map_orders,
     subquotient_group,
-    subquotient_hom,
 )
 from .gmodules import (
     GModule,
@@ -164,7 +167,7 @@ def _resolution(GH: FiniteGroup, length: int):
                 cols.append(col)
         span = _Echelon(h * k)
         gens = []
-        for v in integer_kernel(IntMatrix.from_columns(cols, rows=h * k0)).basis_rows:
+        for v in column_preimage(cols, Lattice.zero(h * k0)).basis_rows:
             if span.contains(v):
                 continue
             for s in range(h):
@@ -389,27 +392,40 @@ def rosen_valuation(M: GModule, H: Subgroup, ell: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
-    """The map on Tate cohomology in the given degree induced by f, carried
-    into the presentations tate works on as project_t @ f @ embed_s."""
+def _induced_columns(f: ModuleHom, H: Subgroup, degree: int):
+    """(src, tgt, columns): the Tate groups of f's source and target in the
+    given degree, and the images of the Hermite basis rows of the source
+    cycles under F = project_t @ f @ embed_s, which carries f into the
+    presentations tate works on, applied block by block."""
     if H.order == 1:
-        triv = PresentedAbelianGroup.free(0)
-        return GroupHom(triv, triv, IntMatrix.zeros(0, 0))
-    GH = restrict(f.source, H).group
-    j = _reduce_degree(GH, degree)
-    src = tate(f.source, H, j)
-    tgt = tate(f.target, H, j)
+        return _trivial_tate(degree), _trivial_tate(degree), []
+    j = _reduce_degree(restrict(f.source, H).group, degree)
+    src, tgt = tate(f.source, H, j), tate(f.target, H, j)
     F, ps, pt = f.matrix, _minimal(f.source), _minimal(f.target)
     if pt:
         F = pt.project @ F
     if ps:
         F = F @ ps.embed
-    W = IntMatrix.identity(len(_complex(GH, j)[0][1])).kron(F)
-    return subquotient_hom(W, (src.numerator, src.group), (tgt.numerator, tgt.group))
+    n = F.cols
+    columns = [list(chain.from_iterable(F.apply(u[i:i + n]) for i in range(0, len(u), n)))
+               for u in src.numerator.basis_rows]
+    return src, tgt, columns
+
+
+def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
+    """The map on Tate cohomology in the given degree induced by f, on the
+    presentations of the two Tate groups."""
+    src, tgt, columns = _induced_columns(f, H, degree)
+    mat = tgt.numerator.coordinate_matrix(columns)
+    if mat is None:
+        raise ConsistencyError("induced map leaves the target cycles")
+    return GroupHom(src.group, tgt.group, mat)
 
 
 def induced_kernel_order(f: ModuleHom, H: Subgroup, degree: int) -> int:
-    n = _hom_orders(induced_hom(f, H, degree))[1]
+    """|ker| of induced_hom, read off its columns by exactla.map_orders."""
+    src, tgt, columns = _induced_columns(f, H, degree)
+    n = map_orders(columns, tgt.numerator, tgt.denominator, src.group.relations)[1]
     if n is None:
         raise ConsistencyError("kernel of an induced map came out infinite")
     return n

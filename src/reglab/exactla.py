@@ -25,12 +25,14 @@ reduces to four primitives implemented here:
   as one Hermite lattice L and nothing else. Orders, free ranks and
   q-indices come off Hermite pivots, since the index of one echelon
   lattice in another of the same rank is the ratio of their pivot
-  products; a q-index is read off the same echelon pass as a preimage. A
-  subquotient U/V of nested Hermite lattices (a Tate group, fixed points,
-  the torsion S/L of Z^n/L) is presented on U's basis, and its relation
-  lattice is read off the two Hermite forms: the coordinates of V's rows
-  are echelon rows already, so reducing above their pivots is their
-  Hermite form, with no second echelon pass,
+  products. Every index reglab reports, a q-index or the kernel of a map
+  induced on Tate cohomology, is read by one reader, map_orders, off the
+  same echelon pass as a preimage. A subquotient U/V of nested Hermite
+  lattices (a Tate group, fixed points, the torsion S/L of Z^n/L) is
+  presented on U's basis, and its relation lattice is read off the two
+  Hermite forms: the coordinates of V's rows are echelon rows already, so
+  reducing above their pivots is their Hermite form, with no second
+  echelon pass,
 * one Smith elimination (_diagonalize), each of its four steps (divisible
   and gcd, on rows and on columns) written once, run only where divisors
   are asked for, with two callers: smith_normal_form carries the row
@@ -1061,44 +1063,31 @@ class GroupHom:
         return f"GroupHom({self.source!r} -> {self.target!r})"
 
 
-def subquotient_hom(W: IntMatrix, src, tgt) -> GroupHom:
-    """The map the ambient matrix W induces from one subquotient to another.
-
-    src and tgt are (lattice, group) pairs, the group presented on the
-    lattice's basis as subquotient_group gives it. W must carry the source
-    lattice into the target one; GroupHom checks the relations.
+def map_orders(columns: list[list[int]], target: Lattice, target_relations: Lattice,
+               source_relations: Lattice) -> tuple[int | None, int | None]:
+    """(|cokernel|, |kernel|), each None when infinite, of the map
+    Z^k / source_relations -> target / target_relations given by its k
+    columns in the target's ambient Z^r: the reader of every index reglab
+    reports. One pass of image_and_preimage gives the image plus the target
+    relations and the preimage P of those relations; once the image is
+    checked to lie in the target and the source relations in P, the orders
+    are [target : image] and [P : source_relations] (hermite_index) where
+    the ranks agree.
     """
-    (U_src, A_src), (U_tgt, A_tgt) = src, tgt
-    mat = U_tgt.coordinate_matrix(W.apply(u) for u in U_src.basis_rows)
-    if mat is None:
-        raise ConsistencyError("induced map leaves the target lattice")
-    return GroupHom(A_src, A_tgt, mat)
-
-
-def _hom_orders(f: GroupHom) -> tuple[int | None, int | None]:
-    """(|cokernel|, |kernel|) of f, each None when infinite.
-
-    Read off the echelon behind preimage_lattice, with no Smith form. Its
-    rows with a pivot among the first b columns (b target generators) span
-    im f + R_B, so |cokernel| is their pivot product when there are b of
-    them. The other rows span the preimage P of R_B, which contains R_A, so
-    |kernel| = [P : R_A] = pivots(R_A) / pivots(P) when the ranks agree.
-    """
-    b = f.target.generator_count
-    # GroupHom holds the matrix's row count to b, the ambient rank of R_B
-    ech = _preimage_echelon(f.matrix.columns(), f.target.relations)
-    RA = f.source.relations
-    split = bisect_left(ech.pivots, b)
-    piv = [row[p] for row, p in zip(ech.rows, ech.pivots)]
-    cok = prod(piv[:split]) if split == b else None
-    ker = (_pivot_product(RA.basis_rows, RA._pivots) // prod(piv[split:])
-           if len(piv) - split == RA.rank else None)
+    image, pre = image_and_preimage(columns, target_relations)
+    if not all(map(target.contains, image.basis_rows)):
+        raise ConsistencyError("induced map leaves the target fixed points or cycles")
+    if not all(map(pre.contains, source_relations.basis_rows)):
+        raise ConsistencyError("induced map does not carry relations into relations")
+    cok = hermite_index(target, image) if image.rank == target.rank else None
+    ker = hermite_index(pre, source_relations) if pre.rank == source_relations.rank else None
     return cok, ker
 
 
 def qindex(f: GroupHom) -> Fraction | None:
     """|cokernel| / |kernel|, or None when either side is infinite."""
-    cok, ker = _hom_orders(f)
+    cok, ker = map_orders(f.matrix.columns(), Lattice.full(f.target.generator_count),
+                          f.target.relations, f.source.relations)
     return None if cok is None or ker is None else Fraction(cok, ker)
 
 

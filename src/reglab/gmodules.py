@@ -441,27 +441,25 @@ class ModuleHom:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: GModule, target: GModule, matrix: IntMatrix,
-                 check: bool = True):
+    def __init__(self, source: GModule, target: GModule, matrix: IntMatrix):
         if source.group != target.group:
             raise InputError("modules live over different groups")
         if matrix.rows != target.ambient_rank or matrix.cols != source.ambient_rank:
             raise ValidationError("hom matrix shape mismatch")
-        if check:
-            LN = target.relations
-            for r in source.relations.basis_rows:
-                if not LN.contains(matrix.apply(r)):
+        LN = target.relations
+        for r in source.relations.basis_rows:
+            if not LN.contains(matrix.apply(r)):
+                raise ValidationError(
+                    f"map does not carry relations into relations (witness {list(r)})"
+                )
+        for s in source.group.full_subgroup().generators():
+            diff = matrix @ source.action[s] - target.action[s] @ matrix
+            for j in range(source.ambient_rank):
+                col = diff.column(j)
+                if any(col) and not LN.contains(col):
                     raise ValidationError(
-                        f"map does not carry relations into relations (witness {list(r)})"
+                        f"map is not equivariant at generator {s}, column {j}"
                     )
-            for s in source.group.full_subgroup().generators():
-                diff = matrix @ source.action[s] - target.action[s] @ matrix
-                for j in range(source.ambient_rank):
-                    col = diff.column(j)
-                    if any(col) and not LN.contains(col):
-                        raise ValidationError(
-                            f"map is not equivariant at generator {s}, column {j}"
-                        )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)

@@ -11,11 +11,11 @@ Two independent computations are kept side by side and must agree:
     G-fixed points, with phi-hat realized by the transpose matrix. By
     Frobenius reciprocity (Z[G/H] (x) M)^G is M^H, so the maps are taken
     between sums of fixed points M^{H_s} -> M^{H_t}, never on P (x) M.
-    One reader, _fixed_qindex, takes each of the two maps as ambient
-    columns, the images of the Hermite basis rows of the source fixed
-    points, and reads both |coker| and |ker| off one image-and-preimage
-    echelon pass as ratios of Hermite pivot products; no matrix of the
-    map and no presented-group hom is built. A relation g Theta' with g
+    _fixed_qindex builds each of the two maps as ambient columns, the
+    images of the Hermite basis rows of the source fixed points, and the
+    one index reader, exactla.map_orders, reads |coker| and |ker| off one
+    image-and-preimage echelon pass; no matrix of the map and no
+    presented-group hom is built. A relation g Theta' with g
     the gcd of its coefficients is taken as C_Theta'^g, since the
     constant is multiplicative in the relation.
 
@@ -37,8 +37,7 @@ from .arith import (_is_probable_prime, factorize, factorize_fraction, fraction_
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
-from .exactla import (IntMatrix, Lattice, _check_width, block_diagonal_lattice,
-                      hermite_index, image_and_preimage)
+from .exactla import IntMatrix, Lattice, _check_width, block_diagonal_lattice, map_orders
 from .gmodules import (
     GModule,
     ModuleHom,
@@ -287,12 +286,11 @@ def _fixed_qindex(Mc: GModule, heads, sources, targets) -> Fraction:
     and o_s the place where source summand s starts. f is read on the
     Hermite basis rows u of U_s, the lattice of M^{H_s}: each image
     A_{r_p} u is computed once and combined into one ambient column per u.
-    image_and_preimage(columns, V_t), V_t the relations of every target
-    summand on the diagonal, gives f U_s + V_t and the preimage P of V_t in
-    U_s coordinates. Once each is checked to lie in the next lattice with
-    the same rank, |coker f| = [U_t : f U_s + V_t] and |ker f| = [P : V_s],
-    V_s the relations of the fixed-point groups, are ratios of pivot
-    products (hermite_index).
+    The columns go to exactla.map_orders with U_t, the lattice of the
+    target fixed points, V_t, the relations of every target summand on the
+    diagonal, and V_s, the relations of the fixed-point groups in U_s
+    coordinates, which reads |coker f| = [U_t : f U_s + V_t] and
+    |ker f| = [P : V_s], P the preimage of V_t, off one echelon pass.
     """
     G, n = Mc.group, Mc.ambient_rank
     fixed = [fixed_points(Mc, H) for H in sources]
@@ -316,17 +314,13 @@ def _fixed_qindex(Mc: GModule, heads, sources, targets) -> Fraction:
             blocks.append(acc)
         columns += [[x for acc in blocks for x in acc[i:i + n]]
                     for i in range(0, n * len(basis), n)]
-    image, pre = image_and_preimage(
-        columns, block_diagonal_lattice([Mc.relations] * len(targets)))
     U_t = block_diagonal_lattice([fixed_points(Mc, H).lattice for H in targets])
+    V_t = block_diagonal_lattice([Mc.relations] * len(targets))
     V_s = block_diagonal_lattice([fp.group.relations for fp in fixed])
-    if not all(map(U_t.contains, image.basis_rows)):
-        raise ConsistencyError("induced map leaves the target fixed points")
-    if not all(map(pre.contains, V_s.basis_rows)):
-        raise ConsistencyError("induced map does not carry relations into relations")
-    if image.rank != U_t.rank or pre.rank != V_s.rank:
+    cok, ker = map_orders(columns, U_t, V_t, V_s)
+    if cok is None or ker is None:
         raise ConsistencyError("q-index of a fixed-point map came out infinite")
-    return Fraction(hermite_index(U_t, image), hermite_index(pre, V_s))
+    return Fraction(cok, ker)
 
 
 def rc_qindex(M: GModule, relation: BrauerRelation, phi: PhiMap) -> Fraction:

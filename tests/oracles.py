@@ -73,7 +73,7 @@ from reglab.cohomology import (
     _complex_data,
     _reduce_degree,
 )
-from reglab.exactla import _Echelon, block_diagonal_lattice, subquotient_hom
+from reglab.exactla import _Echelon, block_diagonal_lattice
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -476,13 +476,14 @@ def _h1_hom(f, H, degree: int) -> ModuleHom:
                               _shift_data(restrict(f.target, H)))
         F0 = pt.project @ f.matrix @ ps.embed
         W = qt.project @ IntMatrix.identity(S.group.order).kron(F0) @ qs.embed
-    return ModuleHom(S, T, W, check=False)
+    return ModuleHom(S, T, W)
 
 
 def _kernel_order(src: TateGroup, tgt: TateGroup, W) -> int:
     """Order of the kernel group of the map W induces from src to tgt."""
-    hom = subquotient_hom(W, (src.numerator, src.group), (tgt.numerator, tgt.group))
-    return kernel_group(hom).order()
+    mat = tgt.numerator.coordinate_matrix(W.apply(u) for u in src.numerator.basis_rows)
+    assert mat is not None, "map does not carry cycles into cycles"
+    return kernel_group(GroupHom(src.group, tgt.group, mat)).order()
 
 
 def _table_tate_group(R, degree: int) -> TateGroup:

@@ -789,6 +789,25 @@ def test_induced_kernel_on_trivial_subgroup_is_one():
     assert induced_kernel_order(f, G.trivial_subgroup(), 0) == 1
 
 
+def test_induced_kernel_order_builds_no_kron_coordinates_or_hom(monkeypatch):
+    # with the Tate groups cached by a first call, each kernel is read off
+    # the induced columns by the one reader alone
+    G = FiniteGroup.dihedral(3)
+    M = random_module(G, "mixed", 9, max_rank=4)
+    f = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(3))
+    cases = [(H, i) for H in subgroup_class_representatives(G) for i in (-1, 0, 1, 2)]
+    expected = [induced_kernel_order(f, H, i) for H, i in cases]
+    assert max(expected) > 1
+    calls = []
+    for owner, name in ((IntMatrix, "kron"), (Lattice, "coordinate_matrix"),
+                        (exactla.GroupHom, "__init__")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _method=method:
+                            calls.append(_name) or _method(*args))
+    assert [induced_kernel_order(f, H, i) for H, i in cases] == expected
+    assert calls == []
+
+
 def test_dihedral_degree_two_matches_the_coinduced_shift():
     # production takes H_1 of the free resolution; the oracle takes H^1 of
     # the coinduced shift

@@ -228,6 +228,41 @@ def test_one_reduction_loop_in_exactla():
     assert reduction_loops(planted) == sorted(ALLOWED_REDUCTION_LOOPS + ["Lattice.contains"])
 
 
+_PIVOT_NAMES = {"hermite_index", "_pivot_product", "_pivots"}
+
+
+def pivot_reads(source: str) -> list[int]:
+    """Lines that mention hermite_index or _pivot_product, or read a
+    ._pivots attribute: indices read off Hermite pivots."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if getattr(node, "id", None) in _PIVOT_NAMES
+                   or getattr(node, "attr", None) in _PIVOT_NAMES
+                   or (isinstance(node, ast.alias) and node.name in _PIVOT_NAMES)})
+
+
+def test_pivot_reads_are_found():
+    source = ("from reglab.exactla import hermite_index\n"
+              "def f(U, V):\n    return hermite_index(U, V)\n"
+              "p = exactla._pivot_product(L.basis_rows, L._pivots)\n"
+              "q = exactla.hermite_index\n"
+              "'hermite_index(U, V)'\npivots = L.pivots\n")
+    assert pivot_reads(source) == [1, 3, 4, 5]
+
+
+def test_only_exactla_reads_hermite_pivots():
+    # every |coker| and |ker| goes through exactla.map_orders, so an index
+    # is read off pivots in one place
+    src = ROOT / "src" / "reglab"
+    found = {path.name: pivot_reads(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "exactla.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert pivot_reads((src / "exactla.py").read_text())
+    # an index read off the pivots in the q-index route is found
+    regulator = (src / "regulator.py").read_text()
+    planted = regulator + "\n\ndef _index(U, V):\n    return hermite_index(U, V)\n"
+    assert pivot_reads(planted) == [len(planted.splitlines())]
+
+
 def _calls_id(node) -> bool:
     return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
                for n in ast.walk(node))

@@ -292,6 +292,11 @@ def test_qindex_refuses_a_map_off_the_fixed_points():
     full = G.full_subgroup()
     with pytest.raises(ConsistencyError, match="leaves the target fixed points"):
         _fixed_qindex(M, [[1, 1], [1, -1]], [G.trivial_subgroup()], [full, full])
+    # the reader itself: Z -> Z^2 onto 0 x Z, against the target Z x 0
+    Lattice = exactla.Lattice
+    with pytest.raises(ConsistencyError, match="leaves the target fixed points"):
+        exactla.map_orders([[0, 1]], Lattice.from_rows(2, [[1, 0]]), Lattice.zero(2),
+                           Lattice.zero(1))
 
 
 def test_qindex_refuses_a_map_that_drops_a_relation():
@@ -302,6 +307,10 @@ def test_qindex_refuses_a_map_that_drops_a_relation():
     trivial = G.trivial_subgroup()
     with pytest.raises(ConsistencyError, match="relations into relations"):
         _fixed_qindex(M, [[0, 1]], [trivial], [trivial])
+    # the reader itself: Z/2 -> Z sending 1 to 1
+    Lattice = exactla.Lattice
+    with pytest.raises(ConsistencyError, match="relations into relations"):
+        exactla.map_orders([[1]], Lattice.full(1), Lattice.zero(1), Lattice.from_rows(1, [[2]]))
 
 
 def test_qindex_refuses_a_map_with_an_infinite_cokernel():
@@ -311,6 +320,13 @@ def test_qindex_refuses_a_map_with_an_infinite_cokernel():
     full = G.full_subgroup()
     with pytest.raises(ConsistencyError, match="infinite"):
         _fixed_qindex(trivial_module(G), [[0]], [full], [full])
+    # the reader itself returns None on each infinite side: the zero map on
+    # Z, Z^2 -> Z onto the first factor, Z -> Z^2 onto it, and 2 on Z
+    Lattice = exactla.Lattice
+    for columns, r, k, orders in (([[0]], 1, 1, (None, None)), ([[1], [0]], 1, 2, (1, None)),
+                                  ([[1, 0]], 2, 1, (None, 1)), ([[2]], 1, 1, (2, 1))):
+        assert exactla.map_orders(columns, Lattice.full(r), Lattice.zero(r),
+                                  Lattice.zero(k)) == orders
 
 
 def test_qindex_route_builds_no_checked_matrix_and_reads_no_coordinates(monkeypatch):
