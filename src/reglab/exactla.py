@@ -27,20 +27,22 @@ reduces to four primitives implemented here:
   lattice in another of the same rank is the ratio of their pivot
   products. Every index reglab reports, a q-index or the kernel of a map
   induced on Tate cohomology, is read by one reader, map_orders, off the
-  same echelon pass as a preimage. A subquotient U/V of nested Hermite
-  lattices (a Tate group, fixed points, the torsion S/L of Z^n/L) is
-  presented on U's basis, and its relation lattice is read off the two
-  Hermite forms: the coordinates of V's rows are echelon rows already, so
-  reducing above their pivots is their Hermite form, with no second
-  echelon pass,
+  same echelon pass as a preimage. The torsion of Z^k/L is that of Z^c
+  over the columns of L's c Hermite rows, a full-rank lattice, so its
+  order and invariant factors need no saturation. A subquotient U/V of
+  nested Hermite lattices (a Tate group, fixed points, the torsion S/L of
+  Z^n/L) is presented on U's basis, and its relation lattice is read off
+  the two Hermite forms: the coordinates of V's rows are echelon rows
+  already, so reducing above their pivots is their Hermite form, with no
+  second echelon pass,
 * one Smith elimination (_diagonalize), each of its four steps (divisible
   and gcd, on rows and on columns) written once, run only where divisors
   are asked for, with two callers: smith_normal_form carries the row
   transform along as an identity block, for the coordinates of Z^n / L
   that drop the generators a unit divisor kills; invariant factors run it
-  modulo the index of the relation lattice in its saturation, which keeps
-  every entry below that index, after dropping the rows with a unit pivot,
-  each of which kills only its own generator.
+  on the full-rank torsion relations modulo their index, which keeps every
+  entry below that index, after dropping the rows with a unit pivot, each
+  of which kills only its own generator.
 
 No floating point; all arithmetic is on Python ints and fractions.Fraction,
 and every result is exact.
@@ -158,9 +160,6 @@ class IntMatrix:
         return cls(zip(*columns, strict=True), cols=len(columns))
 
     # -- access
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -912,29 +911,29 @@ class PresentedAbelianGroup:
         return self.relations.ambient_rank
 
     def _torsion_relations(self) -> Lattice:
-        """The relation lattice L in coordinates of its saturation S,
-        memoised: saturating L takes two integer kernels.
+        """A full-rank lattice whose quotient is the torsion of Z^k / L,
+        memoised: the Hermite form of the k columns of L's c Hermite rows.
 
-        A full-rank lattice whose quotient is the torsion part S/L, so its
-        pivot product is the index [S : L]. When L has full rank, S is Z^k
-        and L is its own coordinate lattice.
+        With those rows C = U D V in Smith form, the column span of C is U
+        times that of diag(d), so Z^c over it is the sum of the Z/d_i, as
+        is the torsion of Z^k over the row span: one echelon pass, with no
+        saturation, gives the torsion order as its pivot product and the
+        invariant factors. When L has full rank it is its own answer.
         """
         if self._torsion is None:
             L = self.relations
-            if L.rank == 0:
-                L = Lattice.zero(0)
-            elif L.rank < self.generator_count:
-                L = torsion_subgroup(L)[1].relations
+            if L.rank < self.generator_count:
+                L = Lattice.from_rows(L.rank, zip(*L.basis_rows))
             object.__setattr__(self, "_torsion", L)
         return self._torsion
 
     def _compute_invariant_factors(self) -> tuple[int, ...]:
-        # The coordinate lattice of L inside S is full rank and in Hermite
-        # form, so row i has its pivot in column i. A unit pivot has zeros
-        # above it, and its row only kills its own generator: drop those rows
-        # with their columns. The rest is eliminated modulo the index [S : L],
-        # which keeps every entry below the index, where a fraction-free
-        # elimination can blow up exponentially.
+        # The torsion relations are full rank and in Hermite form, so row i
+        # has its pivot in column i. A unit pivot has zeros above it, and its
+        # row only kills its own generator: drop those rows with their
+        # columns. The rest is eliminated modulo the torsion order, which
+        # keeps every entry below it, where a fraction-free elimination can
+        # blow up exponentially.
         rows = self._torsion_relations().basis_rows
         keep = [i for i, row in enumerate(rows) if row[i] != 1]
         m = [[rows[i][j] for j in keep] for i in keep]
@@ -962,10 +961,7 @@ class PresentedAbelianGroup:
         return None if self.free_rank else self.torsion_order()
 
     def torsion_order(self) -> int:
-        """The index [S : L], read off Hermite pivots unless the invariant
-        factors are already known."""
-        if self._snf is not None:
-            return prod(self._snf)
+        """The order of the torsion, read off the pivots of its relations."""
         C = self._torsion_relations()
         return _pivot_product(C.basis_rows, C._pivots)
 
@@ -1017,11 +1013,11 @@ def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
     return group
 
 
-def torsion_subgroup(L: Lattice, S: Lattice | None = None) -> tuple[Lattice, PresentedAbelianGroup]:
-    """(S, S/L): the saturation S of L, computed unless given, and the
-    torsion S/L of Z^n/L presented on S's basis as subquotient_group does."""
-    if S is None:
-        S = saturate(L)
+def torsion_subgroup(L: Lattice) -> tuple[Lattice, PresentedAbelianGroup]:
+    """(S, S/L): the saturation S of L and the torsion S/L of Z^n/L,
+    presented on S's basis as subquotient_group does. For the order or the
+    invariant factors alone, PresentedAbelianGroup needs no saturation."""
+    S = saturate(L)
     group = _nested_quotient(S, L)
     if group is None:
         raise ConsistencyError("saturation lost a relation generator")

@@ -25,7 +25,6 @@ from .exactla import (
     saturate,
     smith_coordinates,
     subquotient_group,
-    torsion_subgroup,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup, coset_space, enumerate_subgroups
 
@@ -64,13 +63,8 @@ class GModule:
             self._cache["abgroup"] = PresentedAbelianGroup(self.relations)
         return self._cache["abgroup"]
 
-    def saturated_relations(self) -> Lattice:
-        if "satrel" not in self._cache:
-            self._cache["satrel"] = saturate(self.relations)
-        return self._cache["satrel"]
-
     def is_torsion_free(self) -> bool:
-        return self.saturated_relations() == self.relations
+        return self.abelian_group().torsion_order() == 1
 
     def is_finite(self) -> bool:
         return self.relations.rank == self.ambient_rank
@@ -304,13 +298,12 @@ def compress(M: GModule) -> Presentation:
     the unimodular row transform, and keep only coordinates whose relation
     divisor is not 1. The action is transported through the coordinate maps.
     """
-    if "compress" in M._cache:
-        return M._cache["compress"]
     n = M.ambient_rank
     if M.relations.rank == 0:
-        pres = Presentation(M, IntMatrix.identity(n), IntMatrix.identity(n))
-        M._cache["compress"] = pres
-        return pres
+        # not memoised: held in M's own cache, it would be a reference cycle
+        return Presentation(M, IntMatrix.identity(n), IntMatrix.identity(n))
+    if "compress" in M._cache:
+        return M._cache["compress"]
     project, embed, divisors = smith_coordinates(M.relations)
     k = project.rows
     rel_rows = [[d if j == i else 0 for j in range(k)] for i, d in enumerate(divisors)]
@@ -322,11 +315,22 @@ def compress(M: GModule) -> Presentation:
 
 
 class TorsionDecomposition(NamedTuple):
-    """tors M -> M -> mt M with explicit coordinate maps.
+    """tors M -> M -> mt M with explicit coordinate maps, as blocks of the
+    minimal presentation Mc = compress(M).module.
 
-    tors_basis has the generators of sat(L) as columns (the torsion submodule
-    is sat(L)/L presented on that basis); mt_projection maps ambient
-    coordinates onto the free quotient's coordinates.
+    Mc is Z^t / diag(d) + Z^(k - t) for t the rank of its relations. A
+    torsion class lies in Z^t + 0, so every action matrix of Mc has a zero
+    lower-left block: tors M is Z^t / diag(d) acted on by the upper-left
+    blocks, and mt M is Z^(k - t) acted on by the lower-right ones.
+    tors_basis is the first t columns of compress(M).embed, and
+    mt_projection, the last k - t rows of compress(M).project, maps M's
+    coordinates onto the free quotient's.
+
+    On a module that compress leaves as it is, which every minimal
+    presentation is, the torsion part is sat(L)/L on the basis of sat(L).
+    On any other M the parts come back re-presented: the torsion module has
+    t generators rather than rank sat(L) of them, and the tors_basis
+    columns span sat(L) only together with L.
     """
 
     torsion: GModule
@@ -346,36 +350,28 @@ def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
     return out
 
 
-def _free_quotient(M: GModule) -> Presentation:
-    """The free quotient mt M = Z^n / sat(L) with M's action, compressed,
-    memoised on M: its module and the projection onto its coordinates,
-    with no torsion module built."""
-    if "free quotient" not in M._cache:
-        pres = compress(GModule(M.group, M.ambient_rank, M.saturated_relations(),
-                                M.action))
-        if pres.module.relations.rank != 0:
-            raise ConsistencyError("free quotient still has relations after compression")
-        M._cache["free quotient"] = pres
-    return M._cache["free quotient"]
+def _block(A: IntMatrix, rows: slice, cols: slice) -> IntMatrix:
+    """The block of A in the given rows and columns."""
+    return IntMatrix([row[cols] for row in A.entries[rows]], cols=len(range(A.cols)[cols]))
 
 
 def torsion_decomposition(M: GModule) -> TorsionDecomposition:
-    """Split off tors M = sat(L)/L and the free quotient mt M = M / tors M."""
+    """Split off tors M and the free quotient mt M = M / tors M as blocks
+    of compress(M), memoised on M."""
     if "torsion" in M._cache:
         return M._cache["torsion"]
-    n = M.ambient_rank
-    satL = M.saturated_relations()
-    # torsion submodule on the saturation basis
-    if satL.rank == 0:
-        tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
-        tors_basis = IntMatrix.zeros(n, 0)
-    else:
-        tors = GModule(M.group, satL.rank,
-                       torsion_subgroup(M.relations, satL)[1].relations,
-                       sublattice_action(satL, M.action))
-        tors_basis = satL.basis
-    free = _free_quotient(M)
-    out = TorsionDecomposition(tors, free.module, tors_basis, free.project)
+    pres = compress(M)
+    Mc = pres.module
+    t = Mc.relations.rank
+    tors, free, every = slice(0, t), slice(t, Mc.ambient_rank), slice(None)
+    if any(any(row[tors]) for A in Mc.action for row in A.entries[free]):
+        raise ConsistencyError("an action matrix of the minimal presentation "
+                               "carries torsion onto the free coordinates")
+    torsion = GModule(M.group, t, Lattice(t, (row[tors] for row in Mc.relations.basis_rows)),
+                      [_block(A, tors, tors) for A in Mc.action])
+    mt = GModule(M.group, Mc.ambient_rank - t, None, [_block(A, free, free) for A in Mc.action])
+    out = TorsionDecomposition(torsion, mt, _block(pres.embed, every, tors),
+                               _block(pres.project, free, every))
     M._cache["torsion"] = out
     return out
 

@@ -41,7 +41,6 @@ from .exactla import IntMatrix, Lattice, _check_width, block_diagonal_lattice, m
 from .gmodules import (
     GModule,
     ModuleHom,
-    _free_quotient,
     compress,
     direct_sum,
     dual_module,
@@ -49,6 +48,7 @@ from .gmodules import (
     finite_dual,
     fixed_points,
     permutation_module,
+    torsion_decomposition,
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_representatives
@@ -111,8 +111,10 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
     """Regulator constant straight from the defining product.
 
     Per subgroup class H: the fixed points map onto a sublattice of the free
-    quotient mt(M); the factor is det of the pairing Gram on that sublattice,
-    divided by |H|^rank, divided by the squared order of the fixed torsion.
+    quotient mt(M), the coordinates of Mc = compress(M).module after its
+    torsion ones (torsion_decomposition); the factor is det of the pairing
+    Gram on that sublattice, divided by |H|^rank, divided by the squared
+    order of the fixed torsion.
 
     The result does not depend on which invariant pairing is used.
     """
@@ -120,8 +122,8 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
         raise InputError("module and relation live over different groups")
     _side_rank(relation)
     Mc = compress(M).module
-    free = _free_quotient(Mc)
-    mt, pi = free.module, free.project
+    mt = torsion_decomposition(M).free
+    free = slice(Mc.relations.rank, None)
     gram = invariant_pairing(mt)
     r = mt.ambient_rank
     value = Fraction(1)
@@ -129,7 +131,7 @@ def rc_pairing(M: GModule, relation: BrauerRelation) -> Fraction:
         fp = fixed_points(Mc, H)
         k = fp.rank
         t = fp.torsion_order()
-        image = Lattice.from_rows(r, [pi.apply(row) for row in fp.lattice.basis_rows])
+        image = Lattice.from_rows(r, [row[free] for row in fp.lattice.basis_rows])
         if image.rank != k:
             raise ConsistencyError(
                 "fixed points project to the wrong rank in the free quotient"

@@ -28,6 +28,10 @@ replaced: the columns first to last, then L's rows, each through an
 elimination step.
 subgroups_by_fixpoint keeps the all-pairs closure fixpoint that
 enumerate_subgroups replaced.
+saturated_torsion_decomposition builds tors M and mt M through the
+saturation sat(L) of the relations, the torsion module on its basis and the
+free quotient as compress of Z^n / sat(L), where production slices both off
+compress(M).
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
 a cofactor expansion, where production eliminates. kernel_group and
 cokernel_group present the kernel and cokernel of a GroupHom as groups, the
@@ -63,6 +67,7 @@ from reglab import (
     preimage_lattice,
     qindex,
     restrict,
+    saturate,
     subquotient_group,
     tate,
     tensor_product,
@@ -73,7 +78,8 @@ from reglab.cohomology import (
     _complex_data,
     _reduce_degree,
 )
-from reglab.exactla import _Echelon, block_diagonal_lattice
+from reglab.exactla import _Echelon, block_diagonal_lattice, torsion_subgroup
+from reglab.gmodules import TorsionDecomposition, sublattice_action
 
 
 def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
@@ -604,6 +610,19 @@ def raw_induced_kernel_order(f, H, degree: int) -> int:
     W = IntMatrix.identity(len(_complex(GH, _reduce_degree(GH, degree))[0][1]))
     return _kernel_order(raw_tate(f.source, H, degree), raw_tate(f.target, H, degree),
                          W.kron(f.matrix))
+
+
+def saturated_torsion_decomposition(M) -> TorsionDecomposition:
+    """tors M = sat(L)/L on the basis of sat(L), and mt M as the minimal
+    presentation of Z^n / sat(L) with M's action."""
+    n, satL = M.ambient_rank, saturate(M.relations)
+    if satL.rank == 0:
+        tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
+    else:
+        tors = GModule(M.group, satL.rank, torsion_subgroup(M.relations)[1].relations,
+                       sublattice_action(satL, M.action))
+    free = compress(GModule(M.group, n, satL, M.action))
+    return TorsionDecomposition(tors, free.module, satL.basis, free.project)
 
 
 def _closure_fixpoint(G, elements):

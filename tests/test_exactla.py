@@ -705,9 +705,9 @@ def test_equal_lattices_give_the_identity_presentation(monkeypatch):
         assert group.order() == 1
 
 
-def test_torsion_relations_saturate_once(monkeypatch):
+def test_torsion_relations_need_no_saturation(monkeypatch):
     # a relation lattice of deficient rank: its torsion order, then its
-    # invariant factors, from one saturation
+    # invariant factors, off the lattice of its columns, with no saturation
     calls = []
     real = exactla.saturate
 
@@ -721,13 +721,35 @@ def test_torsion_relations_saturate_once(monkeypatch):
     assert group.torsion_order() == 8
     assert group.invariant_factors == (2, 4)
     assert group.torsion_order() == 8
+    assert calls == []
+    # the saturation route gives the same order and invariant factors
+    _, torsion = torsion_subgroup(group.relations)
+    assert (torsion.torsion_order(), torsion.invariant_factors) == (8, (2, 4))
     assert len(calls) == 1
 
 
-def test_torsion_subgroup_refuses_a_lattice_outside_the_saturation():
-    L = Lattice.from_rows(2, [[2, 0]])
+@_PROPERTY
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k), _small_matrix(k - 1, k))))
+def test_torsion_is_read_off_the_column_lattice(case):
+    # C = U D V in Smith form: the torsion of Z^k over the rows of C is Z^c
+    # over its columns, a full-rank c x c lattice with the same divisors
+    k, rows = case
+    L = Lattice.from_rows(k, rows)
+    group = PresentedAbelianGroup(L)
+    columns = group._torsion_relations()
+    assert (columns.ambient_rank, columns.rank) == (L.rank, L.rank)
+    divisors = tuple(d for d in smith_normal_form(L.basis).divisors if d != 1)
+    assert group.torsion_divisors == divisors
+    assert group.torsion_order() == prod(divisors)
+    assert group.invariant_factors == (1,) * (L.rank - len(divisors)) + divisors
+
+
+def test_torsion_subgroup_refuses_a_lattice_outside_the_saturation(monkeypatch):
+    # a saturation that lost a relation generator is refused, not presented
+    monkeypatch.setattr(exactla, "saturate", lambda L: Lattice.from_rows(2, [[0, 1]]))
     with pytest.raises(ConsistencyError, match="saturation lost"):
-        torsion_subgroup(L, Lattice.from_rows(2, [[0, 1]]))
+        torsion_subgroup(Lattice.from_rows(2, [[2, 0]]))
 
 
 def test_unit_pivots_drop_out_of_the_modular_elimination():

@@ -30,12 +30,12 @@ from reglab import (
     trivial_module,
     validate_module,
 )
-from reglab import exactla
+from reglab import exactla, gmodules
 from reglab.arith import mix_seed
 from reglab.exactla import _Echelon, subquotient_group
-from reglab.errors import InputError
+from reglab.errors import ConsistencyError, InputError
 
-from oracles import fixed_and_norm_bruteforce, zoo
+from oracles import fixed_and_norm_bruteforce, saturated_torsion_decomposition, zoo
 
 
 def diagonal_divisors(M):
@@ -287,10 +287,45 @@ def test_torsion_decomposition_splits_invariants():
         rank, torsion = M.abelian_group().invariants()
         assert dec.free.ambient_rank == rank
         assert dec.torsion.abelian_group().invariants() == (0, torsion)
-        # the torsion basis columns really are the saturation generators
-        sat = M.saturated_relations()
+        # the torsion basis columns lie in the saturation
+        sat = exactla.saturate(M.relations)
         for col in dec.tors_basis.columns():
             assert sat.contains(col)
+
+
+def _module_fields(M):
+    return (M.group, M.ambient_rank, M.relations.basis_rows, M.relations._pivots, M.action)
+
+
+def test_torsion_decomposition_slices_the_minimal_presentation(monkeypatch):
+    # on a minimal presentation, the blocks of compress are what the
+    # saturation builds: the same torsion and free modules, torsion basis
+    # and projection, with no saturation and no sublattice coordinates
+    cases = [compress(random_module(G, profile, seed, max_rank=6)).module
+             for G in zoo() for profile in ("torsion_free", "finite", "mixed")
+             for seed in (5, 6)]
+    refs = [saturated_torsion_decomposition(Mc) for Mc in cases]
+
+    def refused(*args):
+        raise AssertionError("saturation or sublattice coordinates used")
+
+    monkeypatch.setattr(exactla, "saturate", refused)
+    monkeypatch.setattr(gmodules, "sublattice_action", refused)
+    for Mc, ref in zip(cases, refs):
+        dec = torsion_decomposition(Mc)
+        assert _module_fields(dec.torsion) == _module_fields(ref.torsion)
+        assert _module_fields(dec.free) == _module_fields(ref.free)
+        assert dec.tors_basis == ref.tors_basis
+        assert dec.mt_projection == ref.mt_projection
+
+
+def test_torsion_decomposition_refuses_torsion_carried_onto_free_coordinates():
+    # not a module: the generator of Z/2 is sent to a free class, which the
+    # lower-left block of the minimal presentation shows
+    G = FiniteGroup.cyclic(2)
+    M = GModule(G, 2, [[2, 0]], [IntMatrix.identity(2), IntMatrix([[1, 0], [1, -1]])])
+    with pytest.raises(ConsistencyError, match="carries torsion onto the free"):
+        torsion_decomposition(M)
 
 
 def test_dual_of_permutation_module_is_itself():

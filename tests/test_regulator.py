@@ -1,5 +1,6 @@
 """Regulator constants: both computation routes, bounds, identity checks."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -349,20 +350,46 @@ def test_qindex_route_builds_no_checked_matrix_and_reads_no_coordinates(monkeypa
     assert calls == []
 
 
-def test_pairing_route_builds_no_torsion_module(monkeypatch):
-    # the pairing reads only the free quotient; the torsion module of the
-    # same compressed module takes one sublattice_action
+def test_pairing_route_saturates_nothing(monkeypatch):
+    # a cold pairing route takes the free quotient as blocks of the one
+    # minimal presentation it computes; the torsion module of the same
+    # compressed module needs no saturation and no sublattice coordinates
     rel = dihedral_relation(3)
     M = random_module(rel.group, "mixed", seed=3, max_rank=6)
     calls = []
-    action = gmodules.sublattice_action
-    monkeypatch.setattr(gmodules, "sublattice_action",
-                        lambda *args: calls.append(args) or action(*args))
+    for module, name in ((exactla, "saturate"), (gmodules, "saturate"),
+                         (exactla, "smith_normal_form"), (gmodules, "sublattice_action")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
     value = rc_pairing(M, rel)
-    assert calls == []
+    assert calls == ["smith_normal_form"]
+    calls.clear()
     dec = torsion_decomposition(compress(M).module)
-    assert len(calls) == 1 and dec.torsion.ambient_rank == 1
+    assert "saturate" not in calls and "sublattice_action" not in calls
+    assert dec.torsion.ambient_rank == 1
     assert value == qindex_route(M, rel)
+
+
+def test_regulator_call_leaves_no_module_to_the_cycle_collector():
+    # the identity presentation of a module with no relations is not held
+    # in the module's own cache, so a dropped module is freed by its count
+    rel = dihedral_relation(3)
+    M = random_module(rel.group, "torsion_free", seed=2, max_rank=6)
+    assert M.relations.rank == 0
+    gc.collect()
+    gc.disable()
+    try:
+        regulator_constant(M, rel)
+        del M
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, GModule)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
 
 
 def test_qindex_route_stays_narrow(monkeypatch):
