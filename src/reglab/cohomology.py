@@ -50,9 +50,9 @@ from .exactla import (
     PresentedAbelianGroup,
     _Echelon,
     block_diagonal_lattice,
-    column_preimage,
     image_and_preimage,
     map_orders,
+    preimage_lattice,
     subquotient_group,
 )
 from .gmodules import (
@@ -167,7 +167,7 @@ def _resolution(GH: FiniteGroup, length: int):
                 cols.append(col)
         span = _Echelon(h * k)
         gens = []
-        for v in column_preimage(cols, Lattice.zero(h * k0)).basis_rows:
+        for v in preimage_lattice(cols, Lattice.zero(h * k0)).basis_rows:
             if span.contains(v):
                 continue
             for s in range(h):

@@ -11,15 +11,15 @@ reduces to four primitives implemented here:
   _reduce_above_pivots, when a lattice is read off the echelon. One loop,
   _reduce_at_pivots, does every reduction by echelon rows: placing a row,
   membership, coordinates and the Hermite form,
-* preimages of lattices under integer matrices, read off a single echelon
-  pass; an integer kernel is the preimage of the zero lattice, and the
-  same pass, cut at the matrix's row count, also gives the image plus the
-  lattice (image_and_preimage), so a map of a cochain complex yields the
-  cycles of one degree and the boundaries of the next at once. The pass
-  starts from the lattice's Hermite rows, which are an echelon already,
-  and adds the matrix columns last to first: each column is reduced
-  modulo the lattice as it comes in, and each kernel row leads at its own
-  identity coordinate, so no two kernel rows collide,
+* preimages of lattices under integer maps given by their columns, read
+  off a single echelon pass; an integer kernel is the preimage of the zero
+  lattice, and the same pass, cut at the map's row count, also gives the
+  image plus the lattice (image_and_preimage), so a map of a cochain
+  complex yields the cycles of one degree and the boundaries of the next
+  at once. The pass starts from the lattice's Hermite rows, which are an
+  echelon already, and adds the columns last to first: each column is
+  reduced modulo the lattice as it comes in, and each kernel row leads at
+  its own identity coordinate, so no two kernel rows collide,
 * finitely presented abelian groups, maps between them, and the q-index
   |cokernel| / |kernel| of such a map. A presented group is Z^k/L, held
   as one Hermite lattice L and nothing else. Orders, free ranks and
@@ -29,12 +29,13 @@ reduces to four primitives implemented here:
   induced on Tate cohomology, is read by one reader, map_orders, off the
   same echelon pass as a preimage. The torsion of Z^k/L is that of Z^c
   over the columns of L's c Hermite rows, a full-rank lattice, so its
-  order and invariant factors need no saturation. A subquotient U/V of
-  nested Hermite lattices (a Tate group, fixed points, the torsion S/L of
-  Z^n/L) is presented on U's basis, and its relation lattice is read off
-  the two Hermite forms: the coordinates of V's rows are echelon rows
-  already, so reducing above their pivots is their Hermite form, with no
-  second echelon pass,
+  order and invariant factors need no saturation. A map splits into its
+  torsion and free parts as blocks on the Smith coordinates of its source
+  and target (tors_hom, mt_hom), with no saturation either. A subquotient
+  U/V of nested Hermite lattices (a Tate group, fixed points) is presented
+  on U's basis, and its relation lattice is read off the two Hermite
+  forms: the coordinates of V's rows are echelon rows already, so reducing
+  above their pivots is their Hermite form, with no second echelon pass,
 * one Smith elimination (_diagonalize), each of its four steps (divisible
   and gcd, on rows and on columns) written once, run only where divisors
   are asked for, with two callers: smith_normal_form carries the row
@@ -148,17 +149,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls._trusted(((0,) * cols,) * rows, cols)
 
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
-        columns = list(columns)
-        if not columns:
-            if rows is None:
-                raise ValueError("need row count for empty column list")
-            return cls([()] * rows, cols=0)
-        if rows is not None and rows != len(columns[0]):
-            raise ValueError("rows disagrees with the column length")
-        return cls(zip(*columns, strict=True), cols=len(columns))
-
     # -- access
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -224,10 +214,6 @@ class IntMatrix:
             self.cols,
         )
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(k * a for a in row) for row in self.entries),
-                                  self.cols)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted_columns(self.entries, self.cols)
 
@@ -240,11 +226,6 @@ class IntMatrix:
                   for parts in zip(self.entries, *(o.entries for o in others))),
             self.cols + sum(o.cols for o in others),
         )
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return IntMatrix._trusted(self.entries + other.entries, self.cols)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
@@ -411,16 +392,15 @@ class Lattice:
 
     __slots__ = ("ambient_rank", "basis_rows", "_pivots")
 
-    def __init__(self, ambient_rank: int, basis_rows, pivots=None):
+    def __init__(self, ambient_rank: int, basis_rows):
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis_rows", tuple(tuple(r) for r in basis_rows))
-        if pivots is None:
-            pivots = []
-            for row in self.basis_rows:
-                for j, a in enumerate(row):
-                    if a:
-                        pivots.append(j)
-                        break
+        pivots = []
+        for row in self.basis_rows:
+            for j, a in enumerate(row):
+                if a:
+                    pivots.append(j)
+                    break
         object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, *args):
@@ -448,16 +428,6 @@ class Lattice:
         return cls._trusted(ambient_rank, *ech.canonical())
 
     @classmethod
-    def from_columns(cls, matrix_or_cols, ambient_rank: int | None = None) -> "Lattice":
-        if isinstance(matrix_or_cols, IntMatrix):
-            cols = matrix_or_cols.columns()
-            ambient = matrix_or_cols.rows
-        else:
-            cols = [list(c) for c in matrix_or_cols]
-            ambient = ambient_rank if ambient_rank is not None else (len(cols[0]) if cols else 0)
-        return cls.from_rows(ambient, cols)
-
-    @classmethod
     def zero(cls, ambient_rank: int) -> "Lattice":
         return cls(ambient_rank, ())
 
@@ -466,12 +436,6 @@ class Lattice:
         """Z^n; the identity rows are already its Hermite form."""
         return cls._trusted(ambient_rank, IntMatrix.identity(ambient_rank).entries,
                             tuple(range(ambient_rank)))
-
-    @classmethod
-    def scaled(cls, ambient_rank: int, k: int) -> "Lattice":
-        """k * Z^n."""
-        return cls.from_rows(ambient_rank, [[k if i == j else 0 for j in range(ambient_rank)]
-                                            for i in range(ambient_rank)])
 
     @property
     def rank(self) -> int:
@@ -492,11 +456,6 @@ class Lattice:
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec)[0])
-
-    def coordinates(self, vec) -> list[int] | None:
-        """Coefficients of vec in basis_rows order, or None if not a member."""
-        v, coeffs = self._reduce(vec)
-        return None if any(v) else coeffs
 
     def coordinate_matrix(self, vectors) -> IntMatrix | None:
         """The coordinates of the vectors as the columns of a
@@ -589,14 +548,7 @@ def _preimage_echelon(columns: list[list[int]], L: Lattice) -> _Echelon:
     return ech
 
 
-def preimage_lattice(C: IntMatrix, L: Lattice) -> Lattice:
-    """{x in Z^cols : C x in L}, for L a lattice in Z^rows."""
-    if L.ambient_rank != C.rows:
-        raise ValueError("lattice ambient rank must equal matrix row count")
-    return column_preimage(C.columns(), L)
-
-
-def column_preimage(columns: list[list[int]], L: Lattice) -> Lattice:
+def preimage_lattice(columns: list[list[int]], L: Lattice) -> Lattice:
     """{x in Z^n : C x in L} for the map C whose n columns, each a list in
     Z^r with r = L.ambient_rank, are given, as image_and_preimage takes
     them: a caller that builds a map column by column builds no matrix."""
@@ -621,7 +573,7 @@ def image_and_preimage(columns: list[list[int]], L: Lattice) -> tuple[Lattice, L
 
 def integer_kernel(A: IntMatrix) -> Lattice:
     """The full lattice {x in Z^cols : A x = 0}; always saturated."""
-    return preimage_lattice(A, Lattice.zero(A.rows))
+    return preimage_lattice(A.columns(), Lattice.zero(A.rows))
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -976,9 +928,9 @@ class PresentedAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
-    """U/V presented on U's basis, or None when a basis row of V lies
-    outside U.
+def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
+    """U/V for nested lattices V <= U <= Z^n, presented on U's basis: the
+    relation lattice is spanned by the coordinates of V's basis rows.
 
     Both are Hermite forms, so each pivot column of V is one of U's, and the
     coordinates of V's rows in U's basis are echelon rows already: their
@@ -987,6 +939,8 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
     the relation lattice without a second echelon pass. When V equals U the
     relation lattice is all of Z^k.
     """
+    if U.ambient_rank != V.ambient_rank:
+        raise ValueError("not a subquotient: ambient ranks differ")
     k = U.rank
     if V.basis_rows == U.basis_rows:
         return PresentedAbelianGroup(Lattice.full(k))
@@ -994,34 +948,11 @@ def _nested_quotient(U: Lattice, V: Lattice) -> PresentedAbelianGroup | None:
     for vec in V.basis_rows:
         v, c = U._reduce(vec)
         if any(v):
-            return None
+            raise ValueError("not a subquotient: a generator of V lies outside U")
         coords.append(c)
-    pivots = [bisect_left(U._pivots, p) for p in V._pivots]
+    pivots = tuple(bisect_left(U._pivots, p) for p in V._pivots)
     _reduce_above_pivots(coords, pivots)
-    return PresentedAbelianGroup(Lattice(k, coords, pivots))
-
-
-def subquotient_group(U: Lattice, V: Lattice) -> PresentedAbelianGroup:
-    """U/V for nested lattices V <= U <= Z^n, presented on U's basis: the
-    relation lattice is spanned by the coordinates of V's basis rows, and
-    is read off the two Hermite forms (_nested_quotient)."""
-    if U.ambient_rank != V.ambient_rank:
-        raise ValueError("not a subquotient: ambient ranks differ")
-    group = _nested_quotient(U, V)
-    if group is None:
-        raise ValueError("not a subquotient: a generator of V lies outside U")
-    return group
-
-
-def torsion_subgroup(L: Lattice) -> tuple[Lattice, PresentedAbelianGroup]:
-    """(S, S/L): the saturation S of L and the torsion S/L of Z^n/L,
-    presented on S's basis as subquotient_group does. For the order or the
-    invariant factors alone, PresentedAbelianGroup needs no saturation."""
-    S = saturate(L)
-    group = _nested_quotient(S, L)
-    if group is None:
-        raise ConsistencyError("saturation lost a relation generator")
-    return S, group
+    return PresentedAbelianGroup(Lattice._trusted(k, tuple(map(tuple, coords)), pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,25 +1018,44 @@ def qindex(f: GroupHom) -> Fraction | None:
     return None if cok is None or ker is None else Fraction(cok, ker)
 
 
+def _diagonal_group(divisors: tuple[int, ...]) -> PresentedAbelianGroup:
+    """Z^t / diag(divisors), for divisors > 1; diag(d) is its own Hermite form."""
+    t = len(divisors)
+    rows = tuple((0,) * i + (d,) + (0,) * (t - 1 - i) for i, d in enumerate(divisors))
+    return PresentedAbelianGroup(Lattice._trusted(t, rows, tuple(range(t))))
+
+
+def _smith_split(f: GroupHom) -> tuple[GroupHom, GroupHom]:
+    """(tors f, mt f) as blocks of f on the Smith coordinates of its source
+    and target, as torsion_decomposition splits a module.
+
+    There the source is Z^s / diag(d_s) + Z^(k - s) and the target
+    Z^t / diag(d_t) + Z^(m - t). A torsion class lies in Z^s + 0, so the
+    block from the source torsion to the target free coordinates is zero:
+    tors f is the upper-left t x s block and mt f the lower-right block,
+    between free groups.
+    """
+    proj_t, _, d_t = smith_coordinates(f.target.relations)
+    _, embed_s, d_s = smith_coordinates(f.source.relations)
+    F = (proj_t @ f.matrix @ embed_s).entries
+    s, t, k = len(d_s), len(d_t), embed_s.cols
+    if any(any(row[:s]) for row in F[t:]):
+        raise ConsistencyError("the map carries torsion onto free coordinates")
+    tors = IntMatrix._trusted(tuple(row[:s] for row in F[:t]), s)
+    free = IntMatrix._trusted(tuple(row[s:] for row in F[t:]), k - s)
+    return (GroupHom(_diagonal_group(d_s), _diagonal_group(d_t), tors),
+            GroupHom(PresentedAbelianGroup.free(free.cols),
+                     PresentedAbelianGroup.free(free.rows), free))
+
+
 def tors_hom(f: GroupHom) -> GroupHom:
-    """Induced map on torsion subgroups, each presented on a basis of the
-    saturation of its relations."""
-    sat_s, tors_s = torsion_subgroup(f.source.relations)
-    sat_t, tors_t = torsion_subgroup(f.target.relations)
-    mat = sat_t.coordinate_matrix(f.matrix.apply(g) for g in sat_s.basis_rows)
-    if mat is None:
-        raise ValueError("map does not carry torsion into torsion")
-    return GroupHom(tors_s, tors_t, mat)
+    """Induced map on torsion subgroups, between their Smith presentations."""
+    return _smith_split(f)[0]
 
 
 def mt_hom(f: GroupHom) -> GroupHom:
     """Induced map on maximal torsion-free quotients, on free presentations."""
-    # sat(R) has only unit divisors, so smith_coordinates keeps the free part
-    _, sect_s, _ = smith_coordinates(saturate(f.source.relations))
-    proj_t, _, _ = smith_coordinates(saturate(f.target.relations))
-    mat = proj_t @ f.matrix @ sect_s
-    return GroupHom(PresentedAbelianGroup.free(mat.cols),
-                    PresentedAbelianGroup.free(mat.rows), mat)
+    return _smith_split(f)[1]
 
 
 def dual_hom(f: GroupHom) -> GroupHom:

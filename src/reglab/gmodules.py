@@ -20,7 +20,6 @@ from .exactla import (
     Lattice,
     PresentedAbelianGroup,
     block_diagonal_lattice,
-    column_preimage,
     preimage_lattice,
     saturate,
     smith_coordinates,
@@ -255,7 +254,7 @@ def fixed_points(M: GModule, H: Subgroup) -> FixedPointData:
             for j, col in enumerate(M.action[h].columns()):
                 col[j] -= 1
                 columns[j] += col
-        F = column_preimage(columns, block_diagonal_lattice([M.relations] * len(gens)))
+        F = preimage_lattice(columns, block_diagonal_lattice([M.relations] * len(gens)))
     data = FixedPointData(F, subquotient_group(F, M.relations))
     M._cache[key] = data
     return data
@@ -297,13 +296,19 @@ def compress(M: GModule) -> Presentation:
     Diagonalize the relation basis with a Smith form, change coordinates by
     the unimodular row transform, and keep only coordinates whose relation
     divisor is not 1. The action is transported through the coordinate maps.
+    A module already in minimal form, with relations diag(d_1..d_t) + 0 and
+    1 < d_1 | d_2 | ..., is its own answer: the Smith transforms are
+    identities there, and the module keeps its own caches.
     """
-    n = M.ambient_rank
-    if M.relations.rank == 0:
-        # not memoised: held in M's own cache, it would be a reference cycle
-        return Presentation(M, IntMatrix.identity(n), IntMatrix.identity(n))
     if "compress" in M._cache:
         return M._cache["compress"]
+    rows = M.relations.basis_rows
+    divisors = [row[i] for i, row in enumerate(rows)]
+    if (all(sum(map(abs, row)) == d > 1 for row, d in zip(rows, divisors))
+            and all(b % a == 0 for a, b in zip(divisors, divisors[1:]))):
+        # not memoised: held in M's own cache, it would be a reference cycle
+        n = M.ambient_rank
+        return Presentation(M, IntMatrix.identity(n), IntMatrix.identity(n))
     project, embed, divisors = smith_coordinates(M.relations)
     k = project.rows
     rel_rows = [[d if j == i else 0 for j in range(k)] for i, d in enumerate(divisors)]
@@ -540,8 +545,7 @@ def module_hom_lattice(Ms: GModule, Mt: GModule) -> Lattice:
         blocks.append(Mt.relations)
     if not rows:
         return Lattice.full(dim)
-    C = IntMatrix(rows, cols=dim)
-    return preimage_lattice(C, block_diagonal_lattice(blocks))
+    return preimage_lattice([list(col) for col in zip(*rows)], block_diagonal_lattice(blocks))
 
 
 def random_module_hom(Ms: GModule, Mt: GModule, seed: int = 0) -> ModuleHom:

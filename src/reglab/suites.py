@@ -103,7 +103,7 @@ def _suite_dihedral(q_list, trials, seed):
                 reports.append(_identity_report(
                     "DCF", digest, dict(extra, hom_target=module_digest(other)),
                     q=q, hom=f, seed=mseed))
-            tors = torsion_decomposition(compress(M).module).torsion
+            tors = torsion_decomposition(M).torsion
             if tors.abelian_group().order() > 1:
                 reports.append(_identity_report(
                     "FINITE_DIHEDRAL", module_digest(tors), extra,
@@ -284,9 +284,9 @@ def _suite_cohomology_oracles(q_list, trials, seed):
         p = (2, 3)[t % 2]
         mseed = mix_seed(seed, 6, G.order, t)
         M = random_module(G, "finite", seed=mseed)
-        Me = GModule(G, M.ambient_rank,
-                     M.relations + Lattice.scaled(M.ambient_rank, p),
-                     M.action)
+        n = M.ambient_rank
+        pZ = Lattice.from_rows(n, ([p if i == j else 0 for j in range(n)] for i in range(n)))
+        Me = GModule(G, n, M.relations + pZ, M.action)
         if Me.abelian_group().order() == 1:
             continue
         digest = module_digest(Me)

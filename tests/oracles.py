@@ -31,7 +31,8 @@ enumerate_subgroups replaced.
 saturated_torsion_decomposition builds tors M and mt M through the
 saturation sat(L) of the relations, the torsion module on its basis and the
 free quotient as compress of Z^n / sat(L), where production slices both off
-compress(M).
+compress(M). saturated_split splits a GroupHom the same way, where
+production reads tors f and mt f as blocks on Smith coordinates.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
 a cofactor expansion, where production eliminates. kernel_group and
 cokernel_group present the kernel and cokernel of a GroupHom as groups, the
@@ -78,7 +79,7 @@ from reglab.cohomology import (
     _complex_data,
     _reduce_degree,
 )
-from reglab.exactla import _Echelon, block_diagonal_lattice, torsion_subgroup
+from reglab.exactla import _Echelon, block_diagonal_lattice, smith_coordinates
 from reglab.gmodules import TorsionDecomposition, sublattice_action
 
 
@@ -110,7 +111,7 @@ def qindex_bruteforce(divisors_src, divisors_tgt, matrix) -> Fraction:
 
 def kernel_group(f: GroupHom) -> PresentedAbelianGroup:
     """ker f as the preimage of the target relations modulo the source ones."""
-    K = preimage_lattice(f.matrix, f.target.relations)
+    K = preimage_lattice(f.matrix.columns(), f.target.relations)
     return subquotient_group(K, f.source.relations)
 
 
@@ -346,12 +347,8 @@ def _kronecker_fixed_hom(Ms, Mt, W) -> GroupHom:
     """The map Ms^G -> Mt^G induced by the ambient matrix W."""
     src = fixed_points(Ms, Ms.group.full_subgroup())
     tgt = fixed_points(Mt, Mt.group.full_subgroup())
-    cols = []
-    for u in src.lattice.basis_rows:
-        coords = tgt.lattice.coordinates(W.apply(u))
-        assert coords is not None, "map does not preserve fixed points"
-        cols.append(coords)
-    mat = IntMatrix.from_columns(cols, rows=tgt.lattice.rank)
+    mat = tgt.lattice.coordinate_matrix(W.apply(u) for u in src.lattice.basis_rows)
+    assert mat is not None, "map does not preserve fixed points"
     return GroupHom(src.group, tgt.group, mat)
 
 
@@ -419,11 +416,9 @@ def h1_table_data(R):
             rows.extend(block)
             block_count += 1
     C = IntMatrix(rows, cols=w)
-    U = preimage_lattice(C, block_diagonal_lattice([R.relations] * block_count))
+    U = preimage_lattice(C.columns(), block_diagonal_lattice([R.relations] * block_count))
     ident = IntMatrix.identity(n)
-    bnd = R.action[1] - ident
-    for g in range(2, h):
-        bnd = bnd.vstack(R.action[g] - ident)
+    bnd = IntMatrix([row for g in range(1, h) for row in (R.action[g] - ident).entries])
     relblocks = block_diagonal_lattice([R.relations] * (h - 1))
     V = Lattice.from_rows(w, list(bnd.columns()) + list(relblocks.basis_rows))
     return w, U, V
@@ -454,9 +449,7 @@ def _shift_data(R):
     h = GH.order
     rel_rows = list(block_diagonal_lattice([M0.relations] * h).basis_rows)
     # the embedding m -> sum_h  h (x) A_{h^{-1}} m; its columns become relations
-    iota = M0.action[GH.inverse[0]]
-    for a in range(1, h):
-        iota = iota.vstack(M0.action[GH.inverse[a]])
+    iota = IntMatrix([row for a in range(h) for row in M0.action[GH.inverse[a]].entries])
     rel_rows += list(iota.columns())
     Q = GModule(GH, h * n0, Lattice.from_rows(h * n0, rel_rows), _coinduced_action(GH, n0))
     data = (pres0, compress(Q))
@@ -534,7 +527,7 @@ def augmentation_all_tate(M, H) -> TateGroup:
     n, h = R.ambient_rank, R.group.order
     norm = IntMatrix([[sum(R.action[g][i, j] for g in range(h)) for j in range(n)]
                       for i in range(n)], cols=n)
-    U = preimage_lattice(norm, R.relations)
+    U = preimage_lattice(norm.columns(), R.relations)
     ident = IntMatrix.identity(n)
     rows = [col for g in range(1, h) for col in (R.action[g] - ident).columns()]
     V = Lattice.from_rows(n, rows + list(R.relations.basis_rows))
@@ -595,7 +588,7 @@ def two_pass_complex_data(R, j: int):
     map's columns together with L^k, both maps built by ring_matrix."""
     (_, lower), (_, upper), involute = _complex(R.group, j)
     w = len(lower) * R.ambient_rank
-    U = preimage_lattice(ring_matrix(R, upper, involute),
+    U = preimage_lattice(ring_matrix(R, upper, involute).columns(),
                          block_diagonal_lattice([R.relations] * len(upper)))
     L = block_diagonal_lattice([R.relations] * len(lower))
     V = Lattice.from_rows(w, ring_matrix(R, lower, involute).columns()
@@ -619,10 +612,27 @@ def saturated_torsion_decomposition(M) -> TorsionDecomposition:
     if satL.rank == 0:
         tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
     else:
-        tors = GModule(M.group, satL.rank, torsion_subgroup(M.relations)[1].relations,
+        tors = GModule(M.group, satL.rank, subquotient_group(satL, M.relations).relations,
                        sublattice_action(satL, M.action))
     free = compress(GModule(M.group, n, satL, M.action))
     return TorsionDecomposition(tors, free.module, satL.basis, free.project)
+
+
+def saturated_split(f: GroupHom) -> tuple[GroupHom, GroupHom]:
+    """(tors f, mt f) through the saturations S and T of the source and
+    target relations: tors f between S/L_s and T/L_t on the bases of S and
+    T, and mt f on the Smith coordinates of S and T, which keep only the
+    free coordinates since every divisor of a saturated lattice is 1."""
+    S, T = saturate(f.source.relations), saturate(f.target.relations)
+    mat = T.coordinate_matrix(f.matrix.apply(g) for g in S.basis_rows)
+    assert mat is not None, "map does not carry torsion into torsion"
+    tors = GroupHom(subquotient_group(S, f.source.relations),
+                    subquotient_group(T, f.target.relations), mat)
+    _, embed, _ = smith_coordinates(S)
+    project, _, _ = smith_coordinates(T)
+    free = project @ f.matrix @ embed
+    return tors, GroupHom(PresentedAbelianGroup.free(free.cols),
+                          PresentedAbelianGroup.free(free.rows), free)
 
 
 def _closure_fixpoint(G, elements):

@@ -377,7 +377,7 @@ def test_resolution_is_exact_and_small():
         maps = [augmentation(G)] + [z_matrix(G, t) for t in d]
         for lower, upper in zip(maps, maps[1:]):
             assert lower @ upper == IntMatrix.zeros(lower.rows, upper.cols)
-            assert Lattice.from_columns(upper) == integer_kernel(lower), name
+            assert Lattice.from_rows(upper.rows, upper.columns()) == integer_kernel(lower), name
 
 
 def fresh(G):
@@ -773,8 +773,8 @@ def test_induced_composition_in_low_degrees():
     for _ in range(4):
         M = random_module(G, "mixed", rng.randrange(10**6), max_rank=4)
         scalars = (rng.randrange(1, 5), rng.randrange(1, 5))
-        f = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(scalars[0]))
-        g = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(scalars[1]))
+        f = ModuleHom(M, M, IntMatrix([[scalars[0]]]).kron(IntMatrix.identity(M.ambient_rank)))
+        g = ModuleHom(M, M, IntMatrix([[scalars[1]]]).kron(IntMatrix.identity(M.ambient_rank)))
         gf = ModuleHom(M, M, g.matrix @ f.matrix)
         for i in (-1, 0, 1):
             a = induced_hom(gf, full, i)
@@ -785,7 +785,7 @@ def test_induced_composition_in_low_degrees():
 def test_induced_kernel_on_trivial_subgroup_is_one():
     G = FiniteGroup.dihedral(3)
     M = random_module(G, "mixed", 9, max_rank=4)
-    f = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(3))
+    f = ModuleHom(M, M, IntMatrix([[3]]).kron(IntMatrix.identity(M.ambient_rank)))
     assert induced_kernel_order(f, G.trivial_subgroup(), 0) == 1
 
 
@@ -794,7 +794,7 @@ def test_induced_kernel_order_builds_no_kron_coordinates_or_hom(monkeypatch):
     # the induced columns by the one reader alone
     G = FiniteGroup.dihedral(3)
     M = random_module(G, "mixed", 9, max_rank=4)
-    f = ModuleHom(M, M, IntMatrix.identity(M.ambient_rank).scale(3))
+    f = ModuleHom(M, M, IntMatrix([[3]]).kron(IntMatrix.identity(M.ambient_rank)))
     cases = [(H, i) for H in subgroup_class_representatives(G) for i in (-1, 0, 1, 2)]
     expected = [induced_kernel_order(f, H, i) for H, i in cases]
     assert max(expected) > 1

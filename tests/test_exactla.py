@@ -33,7 +33,6 @@ from reglab.exactla import (
     smith_normal_form,
     subquotient_group,
     tors_hom,
-    torsion_subgroup,
 )
 from reglab.errors import ConsistencyError, ResourceLimitError
 
@@ -50,6 +49,7 @@ from oracles import (
     presented_from_divisors,
     qindex_bruteforce,
     qindex_via_groups,
+    saturated_split,
 )
 
 
@@ -80,7 +80,7 @@ def test_smith_transforms_and_chain_random():
         # columns of U @ A span the lattice of diag(divisors)
         diag = [[d if j == i else 0 for j in range(r)]
                 for i, d in enumerate(sf.divisors)]
-        assert Lattice.from_columns(sf.U @ A) == Lattice.from_rows(r, diag)
+        assert _column_lattice(sf.U @ A) == Lattice.from_rows(r, diag)
         assert abs(sf.U.determinant()) == 1
         for d1, d2 in zip(sf.divisors, sf.divisors[1:]):
             assert d1 > 0 and d2 % d1 == 0
@@ -240,7 +240,7 @@ def test_echelon_leaves_the_entries_above_its_pivots_to_canonical():
 def test_lattice_rejects_vectors_of_the_wrong_length():
     for L, vec in ((Lattice.zero(3), [0]), (Lattice.full(2), [1, 0, 0]),
                    (Lattice.from_rows(2, [[2, 0]]), [2])):
-        for read in (L.contains, L.coordinates, lambda v: L.coordinate_matrix([v])):
+        for read in (L.contains, lambda v: L.coordinate_matrix([v])):
             with pytest.raises(ValueError, match="ambient rank"):
                 read(vec)
 
@@ -269,14 +269,14 @@ def test_lattice_readers_match_the_definition_of_coordinates(case):
     n, basis = L.ambient_rank, L.basis_rows
     v = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(n)]
     assert L.contains(v)
-    assert L.coordinates(v) == c
-    assert L.coordinate_matrix([v, [0] * n]) == IntMatrix.from_columns(
-        [c, [0] * L.rank], rows=L.rank)
+    assert L.coordinate_matrix([v, [0] * n]) == IntMatrix(
+        [c, [0] * L.rank], cols=L.rank).transpose()
     u = [a + b for a, b in zip(v, w)]
     member = hermite_form_oracle(list(basis) + [w], n) == [list(b) for b in basis]
     assert L.contains(u) == member
-    coords = L.coordinates(u)
+    coords = L.coordinate_matrix([u])
     if member:
+        coords = coords.column(0)
         assert [sum(ci * b[j] for ci, b in zip(coords, basis)) for j in range(n)] == u
     else:
         assert coords is None
@@ -288,7 +288,7 @@ def test_lattice_membership_and_coordinates():
     assert L.contains([4, 3, 0])
     assert not L.contains([1, 0, 0])
     assert not L.contains([0, 0, 1])
-    coords = L.coordinates([4, 3, 0])
+    coords = L.coordinate_matrix([[4, 3, 0]]).column(0)
     recon = [0, 0, 0]
     for c, row in zip(coords, L.basis_rows):
         for i in range(3):
@@ -301,7 +301,7 @@ def test_coordinate_matrix_shape_and_membership():
     vectors = [[2, 0, 1], [4, 3, 2], [0, 0, 0]]
     C = L.coordinate_matrix(vectors)
     assert (C.rows, C.cols) == (L.rank, len(vectors))
-    assert L.basis @ C == IntMatrix.from_columns(vectors)
+    assert L.basis @ C == IntMatrix(vectors).transpose()
     empty = L.coordinate_matrix([])
     assert (empty.rows, empty.cols) == (L.rank, 0)
     assert L.coordinate_matrix([[2, 0, 1], [1, 0, 0]]) is None
@@ -341,7 +341,7 @@ def test_preimage_lattice_contains_relations_and_maps_in():
         C = IntMatrix([[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)])
         L = Lattice.from_rows(rows, [[rng.randrange(-4, 5) for _ in range(rows)]
                                      for _ in range(rng.randrange(0, 3))])
-        P = preimage_lattice(C, L)
+        P = preimage_lattice(C.columns(), L)
         for row in P.basis_rows:
             assert L.contains(C.apply(row)) or all(v == 0 for v in C.apply(row))
         # kernel of C always sits inside the preimage
@@ -364,6 +364,11 @@ def _map_and_lattice(draw):
     return C, L
 
 
+def _column_lattice(A):
+    """The lattice spanned by the columns of A, in Z^(A.rows)."""
+    return Lattice.from_rows(A.rows, A.columns())
+
+
 def _same_lattice(a, b):
     # pivots too: a lattice built straight from echelon rows must carry the
     # pivots that from_rows would find
@@ -374,7 +379,7 @@ def _same_lattice(a, b):
 @given(_map_and_lattice())
 def test_kernel_and_preimage_match_oracles(case):
     C, L = case
-    assert _same_lattice(preimage_lattice(C, L), preimage_lattice_oracle(C, L))
+    assert _same_lattice(preimage_lattice(C.columns(), L), preimage_lattice_oracle(C, L))
     K = integer_kernel(C)
     assert _same_lattice(K, Lattice.from_rows(C.cols, K.basis_rows))
     for row in K.basis_rows:
@@ -388,7 +393,7 @@ def test_one_pass_gives_the_image_and_the_preimage(case):
     C, L = case
     image, pre = image_and_preimage(C.columns(), L)
     assert _same_lattice(image, Lattice.from_rows(C.rows, C.columns() + list(L.basis_rows)))
-    assert _same_lattice(pre, preimage_lattice(C, L))
+    assert _same_lattice(pre, preimage_lattice(C.columns(), L))
 
 
 def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):
@@ -397,9 +402,9 @@ def test_preimage_width_cap_reaches_the_kernel_width(monkeypatch):
     L = Lattice.from_rows(2, [[2, 0], [0, 3]])
     monkeypatch.setenv("REGLAB_LIMIT_COLS", "6")
     with pytest.raises(ResourceLimitError):
-        preimage_lattice(C, L)
+        preimage_lattice(C.columns(), L)
     monkeypatch.setenv("REGLAB_LIMIT_COLS", "7")
-    assert preimage_lattice(C, L) == preimage_lattice_oracle(C, L)
+    assert preimage_lattice(C.columns(), L) == preimage_lattice_oracle(C, L)
 
 
 def test_preimage_echelon_checks_the_kernel_width_and_its_own(monkeypatch):
@@ -436,9 +441,6 @@ def test_preimage_columns_must_fit_the_lattice():
         _preimage_echelon([[1, 2], [3, 4, 5]], Lattice.zero(2))
     with pytest.raises(ValueError, match="row count"):
         image_and_preimage([[1, 2]], Lattice.zero(3))
-    # no columns to measure: the matrix's own row count is checked
-    with pytest.raises(ValueError, match="row count"):
-        preimage_lattice(IntMatrix.zeros(2, 0), Lattice.zero(3))
 
 
 def test_saturate_properties():
@@ -527,11 +529,11 @@ def test_seeded_preimage_echelon_matches_the_forward_order(case):
             == [row[p] for row, p in zip(ref.rows, ref.pivots)])
     assert ech.canonical() == ref.canonical()
     split = bisect_left(ref.pivots, r)
-    image = Lattice(r, *ref.canonical(0, split, r))
+    image = Lattice(r, ref.canonical(0, split, r)[0])
     pre = _kernel_part(ref, r)
     got_image, got_pre = image_and_preimage(C.columns(), L)
     assert _same_lattice(got_image, image) and _same_lattice(got_pre, pre)
-    assert _same_lattice(preimage_lattice(C, L), pre)
+    assert _same_lattice(preimage_lattice(C.columns(), L), pre)
     kernel = _kernel_part(forward_preimage_echelon(C, Lattice.zero(r)), r)
     assert _same_lattice(integer_kernel(C), kernel)
 
@@ -651,13 +653,13 @@ def test_subquotients_read_their_relations_off_the_hermite_forms(case):
     group = subquotient_group(U, V)
     coords = U.coordinate_matrix(V.basis_rows)
     assert (group.generator_count, group.relations.rank) == (U.rank, V.rank)
-    assert _same_lattice(group.relations, Lattice.from_columns(coords))
+    assert _same_lattice(group.relations, _column_lattice(coords))
     assert group.invariant_factors == smith_normal_form(coords).divisors
     # the torsion of Z^n / V, on the basis of V's saturation
-    S, torsion = torsion_subgroup(V)
-    assert S == saturate(V)
+    S = saturate(V)
+    torsion = subquotient_group(S, V)
     in_S = S.coordinate_matrix(V.basis_rows)
-    assert _same_lattice(torsion.relations, Lattice.from_columns(in_S))
+    assert _same_lattice(torsion.relations, _column_lattice(in_S))
     assert torsion.invariant_factors == smith_normal_form(in_S).divisors
 
 
@@ -681,7 +683,7 @@ def test_subquotient_relations_are_reduced_above_their_pivots():
                                              for _ in range(rng.randrange(1, 5))]])
         coords = U.coordinate_matrix(V.basis_rows)
         assert _same_lattice(subquotient_group(U, V).relations,
-                             Lattice.from_columns(coords))
+                             _column_lattice(coords))
 
 
 def test_equal_lattices_give_the_identity_presentation(monkeypatch):
@@ -691,7 +693,7 @@ def test_equal_lattices_give_the_identity_presentation(monkeypatch):
     cases += [Lattice.from_rows(n, [[rng.randrange(-6, 7) for _ in range(n)]
                                     for _ in range(rng.randrange(0, 5))])
               for n in (rng.randrange(1, 6) for _ in range(20))]
-    expected = [Lattice.from_columns(U.coordinate_matrix(U.basis_rows)) for U in cases]
+    expected = [_column_lattice(U.coordinate_matrix(U.basis_rows)) for U in cases]
 
     def no_coordinates(self, vec):
         raise AssertionError("coordinates taken")
@@ -723,7 +725,7 @@ def test_torsion_relations_need_no_saturation(monkeypatch):
     assert group.torsion_order() == 8
     assert calls == []
     # the saturation route gives the same order and invariant factors
-    _, torsion = torsion_subgroup(group.relations)
+    torsion = subquotient_group(exactla.saturate(group.relations), group.relations)
     assert (torsion.torsion_order(), torsion.invariant_factors) == (8, (2, 4))
     assert len(calls) == 1
 
@@ -745,11 +747,21 @@ def test_torsion_is_read_off_the_column_lattice(case):
     assert group.invariant_factors == (1,) * (L.rank - len(divisors)) + divisors
 
 
-def test_torsion_subgroup_refuses_a_lattice_outside_the_saturation(monkeypatch):
-    # a saturation that lost a relation generator is refused, not presented
-    monkeypatch.setattr(exactla, "saturate", lambda L: Lattice.from_rows(2, [[0, 1]]))
-    with pytest.raises(ConsistencyError, match="saturation lost"):
-        torsion_subgroup(Lattice.from_rows(2, [[2, 0]]))
+def test_smith_split_refuses_torsion_carried_onto_free_coordinates(monkeypatch):
+    # the target's Smith coordinates swapped: the torsion generator of Z/2 + Z
+    # lands on the free coordinate, which is refused, not split
+    group = PresentedAbelianGroup(Lattice.from_rows(2, [[2, 0]]))
+    f = GroupHom(group, group, IntMatrix.identity(2))
+    real = exactla.smith_coordinates
+
+    def swapped(L):
+        project, embed, divisors = real(L)
+        return IntMatrix(project.entries[::-1]), embed, divisors
+
+    monkeypatch.setattr(exactla, "smith_coordinates", swapped)
+    for split in (tors_hom, mt_hom):
+        with pytest.raises(ConsistencyError, match="torsion onto free"):
+            split(f)
 
 
 def test_unit_pivots_drop_out_of_the_modular_elimination():
@@ -809,25 +821,19 @@ def test_matrix_product_matches_the_triple_loop(r, k, c, data):
 
 
 def test_transposes_keep_empty_shapes():
-    assert IntMatrix.from_columns([], rows=3).entries == ((), (), ())
-    three_empty = IntMatrix.from_columns([[], [], []])
+    assert IntMatrix.zeros(0, 3).transpose().entries == ((), (), ())
+    three_empty = IntMatrix.zeros(3, 0).transpose()
     assert (three_empty.rows, three_empty.cols) == (0, 3)
     assert three_empty.columns() == [[], [], []]
     assert IntMatrix.zeros(2, 0).columns() == []
-    assert IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]]).columns() == [[1, 2], [3, 4], [5, 6]]
+    assert IntMatrix([[1, 2], [3, 4], [5, 6]]).transpose().columns() == [[1, 2], [3, 4], [5, 6]]
     with pytest.raises(ValueError):
-        IntMatrix.from_columns([[1, 2], [3]])
+        IntMatrix([[1, 2], [3]])
     # a 0 x n matrix: the preimage of 0 is all of Z^n
     assert integer_kernel(IntMatrix.zeros(0, 3)) == Lattice.full(3)
     for r, c in ((0, 3), (3, 0), (2, 3)):
         T = IntMatrix.zeros(r, c).transpose()
         assert (T.rows, T.cols, len(T.entries)) == (c, r, c)
-
-
-def test_columns_must_have_the_given_row_count():
-    with pytest.raises(ValueError, match="rows"):
-        IntMatrix.from_columns([[1, 2]], rows=3)
-    assert IntMatrix.from_columns([[1, 2]], rows=2).entries == ((1,), (2,))
 
 
 def test_checked_matrix_refuses_floats():
@@ -866,7 +872,7 @@ def test_lattice_matrices_keep_their_shapes():
     # Lattice.basis and coordinate_matrix wrap rows exactla computed itself
     L = Lattice.from_rows(3, [[2, 0, 1], [0, 3, 0]])
     assert L.basis == IntMatrix([[2, 0], [0, 3], [1, 0]])
-    assert Lattice.zero(3).basis == IntMatrix.from_columns([], rows=3)
+    assert Lattice.zero(3).basis == IntMatrix.zeros(3, 0)
     assert L.coordinate_matrix([[4, 3, 2], [2, 0, 1]]) == IntMatrix([[2, 1], [1, 0]])
     assert L.coordinate_matrix([]) == IntMatrix.zeros(2, 0)
     assert L.coordinate_matrix([[1, 0, 0]]) is None
@@ -1013,6 +1019,34 @@ def test_qindex_split_identities_random():
         checked += 1
 
 
+@st.composite
+def _finite_index_homs(draw):
+    """A map Z^k / L_s -> Z^l / L_t, k, l 1..4, whose target relations
+    contain the images of the source ones, plus up to l drawn rows."""
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    F = IntMatrix(draw(_small_matrix(l, k)))
+    src_rel = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                            max_size=k))
+    tgt_rows = [F.apply(r) for r in src_rel] + draw(_small_matrix(draw(st.integers(0, l)), l))
+    return GroupHom(PresentedAbelianGroup(Lattice.from_rows(k, src_rel)),
+                    PresentedAbelianGroup(Lattice.from_rows(l, tgt_rows)), F)
+
+
+@_PROPERTY
+@given(_finite_index_homs())
+def test_smith_split_matches_the_saturation_split(f):
+    # tors f and mt f as Smith blocks: on the torsion divisors and free ranks
+    # of f's two sides, with the q-indices of the split through saturations
+    tors, free = tors_hom(f), mt_hom(f)
+    assert tors.source.invariants() == (0, f.source.torsion_divisors)
+    assert tors.target.invariants() == (0, f.target.torsion_divisors)
+    assert (free.source.invariants(), free.target.invariants()) == (
+        (f.source.free_rank, ()), (f.target.free_rank, ()))
+    ref_tors, ref_free = saturated_split(f)
+    assert qindex(tors) == qindex(ref_tors)
+    assert qindex(free) == qindex(ref_free)
+
+
 def test_qindex_dual_equals_qindex_for_torsion_free():
     rng = random.Random(77)
     checked = 0
@@ -1052,7 +1086,7 @@ def test_invariant_factors_agree_with_smith_transforms():
         mat = IntMatrix([[rng.randrange(-9, 10) for _ in range(cols)]
                          for _ in range(rows)], cols=cols)
         want = smith_normal_form(mat).divisors
-        got = PresentedAbelianGroup(Lattice.from_columns(mat)).invariant_factors
+        got = PresentedAbelianGroup(_column_lattice(mat)).invariant_factors
         assert tuple(got) == tuple(want)
 
 
@@ -1072,7 +1106,7 @@ def test_invariants_match_the_smith_divisors(data, k, deficient):
     rel = IntMatrix(rows, cols=len(rows[0]))
     divisors = smith_normal_form(rel).divisors
     want = (k - len(divisors), tuple(d for d in divisors if d != 1))
-    assert PresentedAbelianGroup(Lattice.from_columns(rel)).invariants() == want
+    assert PresentedAbelianGroup(_column_lattice(rel)).invariants() == want
 
 
 @_PROPERTY
@@ -1083,7 +1117,7 @@ def test_both_smith_routes_match_the_determinantal_divisors(rows, cols, data):
     want = tuple(determinantal_divisors(A))
     mat = IntMatrix(A, cols=cols)
     assert smith_normal_form(mat).divisors == want
-    assert PresentedAbelianGroup(Lattice.from_columns(mat)).invariant_factors == want
+    assert PresentedAbelianGroup(_column_lattice(mat)).invariant_factors == want
 
 
 @st.composite
@@ -1110,7 +1144,7 @@ def _relation_matrices(draw):
 @given(_relation_matrices())
 def test_orders_and_ranks_come_off_hermite_pivots(case):
     rows, cols, A = case
-    group = PresentedAbelianGroup(Lattice.from_columns(IntMatrix(A, cols=cols)))
+    group = PresentedAbelianGroup(_column_lattice(IntMatrix(A, cols=cols)))
     free, torsion, order = group.free_rank, group.torsion_order(), group.order()
     assert group._snf is None  # no Smith elimination ran
     want = determinantal_divisors(A)
@@ -1143,14 +1177,14 @@ def test_hermite_index_is_the_order_of_the_subquotient():
 
 
 def test_invariant_factors_frozen_examples():
-    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[2, 0], [0, 3]])))
+    g = PresentedAbelianGroup(_column_lattice(IntMatrix([[2, 0], [0, 3]])))
     assert g.invariant_factors == (1, 6)
-    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[2, 0], [0, 2], [0, 0]])))
+    g = PresentedAbelianGroup(_column_lattice(IntMatrix([[2, 0], [0, 2], [0, 0]])))
     assert g.invariant_factors == (2, 2)
     assert g.free_rank == 1
-    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[4, 6], [6, 4]])))
+    g = PresentedAbelianGroup(_column_lattice(IntMatrix([[4, 6], [6, 4]])))
     assert g.invariant_factors == (2, 10)
-    g = PresentedAbelianGroup(Lattice.from_columns(IntMatrix([[0]], cols=1)))
+    g = PresentedAbelianGroup(_column_lattice(IntMatrix([[0]], cols=1)))
     assert g.invariant_factors == ()
     assert g.free_rank == 1
 
@@ -1176,6 +1210,6 @@ def test_invariant_factors_large_unimodular_conjugate():
             L[i][k] += c * L[j][k]
             R[k][j] += c * R[k][i]
     M = (IntMatrix(L) @ IntMatrix(D)) @ IntMatrix(R)
-    got = PresentedAbelianGroup(Lattice.from_columns(M)).invariant_factors
+    got = PresentedAbelianGroup(_column_lattice(M)).invariant_factors
     assert got == (1, 2, 6, 12)
-    assert PresentedAbelianGroup(Lattice.from_columns(M)).free_rank == 2
+    assert PresentedAbelianGroup(_column_lattice(M)).free_rank == 2

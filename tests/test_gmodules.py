@@ -106,6 +106,10 @@ def test_validation_accepts_a_group_law_that_holds_only_modulo_relations():
     validate_module(M, all_pairs=True)
 
 
+# the rows of 2 Z^6, the relations of Z[D3]/2
+_EVEN = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+
+
 def _broken_regular_d3(breaks, relations=None):
     """Z[D3] with entry (i, j) of A_g raised by d for each (g, i, j, d)."""
     G = FiniteGroup.dihedral(3)
@@ -125,7 +129,7 @@ def test_validation_names_the_first_failing_pair_and_column():
             validate_module(bad, **kwargs)
     # on Z[D3]/2: A_2 is off by a relation and A_4 by a non-relation, so the
     # pairs (1, 1) and (1, 2) differ only modulo L and (1, 4) is the witness
-    bad = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, 1)], Lattice.scaled(6, 2))
+    bad = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, 1)], _EVEN)
     assert bad.action[1] @ bad.action[1] != bad.action[2]
     for kwargs in ({}, {"all_pairs": True}):
         with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
@@ -136,7 +140,7 @@ def test_validation_names_the_first_failing_pair_and_column():
 def test_validation_accepts_products_off_by_relations_only():
     # on Z[D3]/2 two matrices off by even entries: the stacked products
     # differ from their targets, and every difference lies in L
-    M = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, -2)], Lattice.scaled(6, 2))
+    M = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, -2)], _EVEN)
     G = M.group
     assert any(M.action[s] @ M.action[h] != M.action[G.mul[s][h]]
                for s in G.full_subgroup().generators() for h in range(G.order))
@@ -247,7 +251,7 @@ def test_abelian_group_is_the_subquotient_of_the_full_lattice(monkeypatch):
         raise AssertionError("subquotient pass run")
 
     with monkeypatch.context() as patch:
-        patch.setattr(exactla, "_nested_quotient", no_pass)
+        patch.setattr(gmodules, "subquotient_group", no_pass)
         groups = [M.abelian_group() for M in cases]
     for A, ref in zip(groups, refs):
         assert A.relations == ref.relations
@@ -271,6 +275,28 @@ def test_compress_roundtrip_properties():
         for j in range(M.ambient_rank):
             assert M.relations.contains(diff.column(j))
         assert small.abelian_group().invariants() == M.abelian_group().invariants()
+
+
+def test_compress_returns_a_minimal_presentation_as_it_is(monkeypatch):
+    # diag(d) + 0 with 1 < d_1 | d_2 | ... is its own minimal presentation:
+    # no Smith form runs, and the module comes back with its own caches
+    cases = [(M, compress(M)) for M in (random_module(G, profile, 5, max_rank=6)
+                                        for G in zoo()
+                                        for profile in ("torsion_free", "finite", "mixed"))]
+
+    def refused(L):
+        raise AssertionError("Smith form run")
+
+    monkeypatch.setattr(gmodules, "smith_coordinates", refused)
+    for M, pres in cases:
+        again = compress(pres.module)
+        assert again.module is pres.module is compress(M).module
+        assert again.project == again.embed == IntMatrix.identity(pres.module.ambient_rank)
+    # a broken divisor chain, a unit divisor or an entry off the diagonal
+    for rows in ([[2, 0], [0, 3]], [[1, 0]], [[2, 1]], [[0, 2]]):
+        M = GModule(FiniteGroup.cyclic(1), 2, rows, [IntMatrix.identity(2)])
+        with pytest.raises(AssertionError, match="Smith form run"):
+            compress(M)
 
 
 def test_torsion_decomposition_splits_invariants():
@@ -464,7 +490,7 @@ def test_equivariant_hom_basis_maps_are_equivariant_and_independent():
                 ModuleHom(M1, M2, mat)
                 flat.append([x for row in mat.entries for x in row])
             # linear independence over Z
-            ker = integer_kernel(IntMatrix.from_columns(flat, rows=len(flat[0])))
+            ker = integer_kernel(IntMatrix(flat).transpose())
             assert ker.rank == 0
 
 

@@ -70,15 +70,16 @@ def test_only_exactla_skips_the_matrix_checks():
     assert trusted_constructions(planted) == [len(planted.splitlines())]
 
 
-def echelon_constructions(source: str) -> list[str]:
-    """Where a module calls _Echelon(...): the name of the module-level
-    function or class around each call, or its line at module level."""
+def callers(source: str, name: str) -> list[str]:
+    """Where a module calls name(...), bare or as an attribute: the name of
+    the module-level function or class around each call, or its line at
+    module level."""
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) == "_Echelon"
-                    or getattr(node.func, "attr", None) == "_Echelon"):
+                    getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name):
                 found.append(getattr(top, "name", f"line {node.lineno}"))
     return sorted(set(found))
 
@@ -87,11 +88,11 @@ def test_echelon_constructions_are_found():
     source = ("def f():\n    return _Echelon(3)\n"
               "class A:\n    def g(self):\n        return exactla._Echelon(2)\n"
               "add = _Echelon.add\nx = _Echelon(1)\n'_Echelon(4)'\n")
-    assert echelon_constructions(source) == ["A", "f", "line 7"]
+    assert callers(source, "_Echelon") == ["A", "f", "line 7"]
     # a hand-rolled [A | I] echelon planted beside the one allowed
     cohomology = (ROOT / "src" / "reglab" / "cohomology.py").read_text()
     planted = cohomology + "\n\ndef _kernel(A):\n    return _Echelon(A.rows + A.cols)\n"
-    assert echelon_constructions(planted) == ["_kernel", "_resolution"]
+    assert callers(planted, "_Echelon") == ["_kernel", "_resolution"]
 
 
 # the echelons built outside exactla, each with why it may be
@@ -110,9 +111,25 @@ def test_only_exactla_builds_echelons():
     found = {f"{path.relative_to(ROOT).as_posix()}: {where}"
              for folder in (ROOT / "src" / "reglab", ROOT / "tests")
              for path in sorted(folder.glob("*.py")) if path != exactla
-             for where in echelon_constructions(path.read_text())}
+             for where in callers(path.read_text(), "_Echelon")}
     assert found == ALLOWED_ECHELONS
-    assert echelon_constructions(exactla.read_text())
+    assert callers(exactla.read_text(), "_Echelon")
+
+
+def test_saturate_callers_are_found():
+    regulator = (ROOT / "src" / "reglab" / "regulator.py").read_text()
+    planted = regulator + "\n\ndef _free_part(M):\n    return exactla.saturate(M.relations)\n"
+    assert callers(regulator, "saturate") == []
+    assert callers(planted, "saturate") == ["_free_part"]
+
+
+def test_only_random_module_saturates():
+    # tors and mt of a module or a map are blocks on Smith coordinates; the
+    # torsion-free random profile keeps its saturation for its output bytes
+    found = {f"{path.name}: {where}"
+             for path in sorted((ROOT / "src" / "reglab").glob("*.py"))
+             for where in callers(path.read_text(), "saturate")}
+    assert found == {"gmodules.py: random_module"}
 
 
 def _mentions(node) -> Counter:

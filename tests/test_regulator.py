@@ -104,7 +104,7 @@ def test_pairing_of_trivial_module_is_group_order():
 def test_pairing_of_regular_module_is_order_times_identity():
     G = FiniteGroup.cyclic(4)
     M = permutation_module(G, G.trivial_subgroup())
-    assert invariant_pairing(M) == IntMatrix.identity(4).scale(4)
+    assert invariant_pairing(M) == IntMatrix([[4]]).kron(IntMatrix.identity(4))
 
 
 def test_pairing_is_invariant_under_the_action():
@@ -232,7 +232,7 @@ def test_pairing_scale_does_not_change_the_constant(monkeypatch):
     pairing = regulator.invariant_pairing
     for scale in (2, 3, 7):
         monkeypatch.setattr(regulator, "invariant_pairing",
-                            lambda mt, k=scale: pairing(mt).scale(k))
+                            lambda mt, k=scale: IntMatrix([[k]]).kron(pairing(mt)))
         assert rc_pairing(M, rel) == base
 
 
