@@ -32,6 +32,11 @@ matrix built around them.
 A map f induced on Tate groups is taken as columns too, the images under f
 of the source cycles block by block, and exactla.map_orders reads its
 kernel off them with no Kronecker matrix, coordinates or GroupHom.
+
+A finite module of order prime to |H| has no Tate cohomology, since |H| and
+|M| both annihilate it (Brown, III.10). Once the degree is reduced or
+refused, tate presents such a group as the zero group on Z^0 with no
+cochains, as over the trivial subgroup, and a map induced from or to it is 0.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .arith import euler_phi, valuation
 from .errors import ConsistencyError, DegreeWindowError, InputError
 from .exactla import (
     GroupHom,
+    IntMatrix,
     Lattice,
     PresentedAbelianGroup,
     _Echelon,
@@ -66,7 +72,8 @@ from .groups import FiniteGroup, Subgroup
 
 
 class TateGroup(NamedTuple):
-    """A Tate cohomology group, kept as a subquotient of a cochain lattice."""
+    """A Tate cohomology group, kept as a subquotient of a cochain lattice,
+    or as the zero group on Z^0 where it is known to vanish first."""
 
     degree: int
     reduced_degree: int
@@ -299,9 +306,17 @@ def _complex_data(R: GModule, j: int):
 # ---------------------------------------------------------------------------
 
 
-def _trivial_tate(degree: int) -> TateGroup:
+def _zero_tate(degree: int, reduced_degree: int) -> TateGroup:
+    """The zero group on Z^0, for a Tate group known to vanish."""
     zero = Lattice.zero(0)
-    return TateGroup(degree, degree, 0, zero, zero, PresentedAbelianGroup.free(0))
+    return TateGroup(degree, reduced_degree, 0, zero, zero, PresentedAbelianGroup.free(0))
+
+
+def _vanishes(M: GModule, H: Subgroup) -> bool:
+    """Whether M is finite of order prime to |H|, so that every Tate group
+    of H on M is 0. The order is read off M's own relations, with no
+    minimal presentation."""
+    return M.is_finite() and gcd(M.order(), H.order) == 1
 
 
 def _minimal(M: GModule):
@@ -327,11 +342,18 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     The group is an isomorphism invariant, so it is computed on the minimal
     presentation compress(M).module whenever that drops a coordinate, and
     the lattices of the TateGroup live in the coordinates of that module.
+
+    A group known to vanish before any cochain is built, over the trivial
+    subgroup or, once the degree is reduced or refused, for M finite of
+    order prime to |H| (Brown, III.10), is the zero group on Z^0; numerator
+    and denominator are cycles and boundaries only where cochains are built.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
     if H.order == 1:
-        return _trivial_tate(degree)
+        return _zero_tate(degree, degree)
+    if _vanishes(M, H):
+        return _zero_tate(degree, _reduce_degree(restrict(M, H).group, degree))
     pres = _minimal(M)
     R = restrict(pres.module if pres else M, H)
     j = _reduce_degree(R.group, degree)
@@ -396,11 +418,14 @@ def _induced_columns(f: ModuleHom, H: Subgroup, degree: int):
     """(src, tgt, columns): the Tate groups of f's source and target in the
     given degree, and the images of the Hermite basis rows of the source
     cycles under F = project_t @ f @ embed_s, which carries f into the
-    presentations tate works on, applied block by block."""
+    presentations tate works on, applied block by block. columns is None
+    when a side vanishes before any cochain is built: f induces zero."""
     if H.order == 1:
-        return _trivial_tate(degree), _trivial_tate(degree), []
+        return _zero_tate(degree, degree), _zero_tate(degree, degree), None
     j = _reduce_degree(restrict(f.source, H).group, degree)
     src, tgt = tate(f.source, H, j), tate(f.target, H, j)
+    if _vanishes(f.source, H) or _vanishes(f.target, H):
+        return src, tgt, None
     F, ps, pt = f.matrix, _minimal(f.source), _minimal(f.target)
     if pt:
         F = pt.project @ F
@@ -416,6 +441,9 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
     """The map on Tate cohomology in the given degree induced by f, on the
     presentations of the two Tate groups."""
     src, tgt, columns = _induced_columns(f, H, degree)
+    if columns is None:
+        return GroupHom(src.group, tgt.group,
+                        IntMatrix.zeros(tgt.group.generator_count, src.group.generator_count))
     mat = tgt.numerator.coordinate_matrix(columns)
     if mat is None:
         raise ConsistencyError("induced map leaves the target cycles")
@@ -423,8 +451,11 @@ def induced_hom(f: ModuleHom, H: Subgroup, degree: int) -> GroupHom:
 
 
 def induced_kernel_order(f: ModuleHom, H: Subgroup, degree: int) -> int:
-    """|ker| of induced_hom, read off its columns by exactla.map_orders."""
+    """|ker| of induced_hom, read off its columns by exactla.map_orders; all
+    of the source when a side vanishes."""
     src, tgt, columns = _induced_columns(f, H, degree)
+    if columns is None:
+        return src.order()
     n = map_orders(columns, tgt.numerator, tgt.denominator, src.group.relations)[1]
     if n is None:
         raise ConsistencyError("kernel of an induced map came out infinite")

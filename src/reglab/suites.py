@@ -30,10 +30,9 @@ from .exactla import (
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
+    _smith_split,
     dual_hom,
-    mt_hom,
     qindex,
-    tors_hom,
 )
 from .gmodules import (
     GModule,
@@ -398,8 +397,8 @@ def _suite_qindex(q_list, trials, seed):
         q = qindex(f)
         if q is None:
             continue
-        qt = qindex(tors_hom(f))
-        qm = qindex(mt_hom(f))
+        tors, free = _smith_split(f)
+        qt, qm = qindex(tors), qindex(free)
         qd = qindex(dual_hom(f))
 
         def fr_or_inf(x):

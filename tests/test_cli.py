@@ -235,6 +235,19 @@ def test_too_many_degrees_end_in_a_json_error(tmp_path, degrees):
     assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
 
+def test_cohomology_refuses_a_degree_before_the_groups_are_known_to_vanish(capsys,
+                                                                          tmp_path):
+    # over V4 every Tate group of a module of order 3 is 0, but degree 3 is
+    # outside the window of a group with no period
+    M = random_module(FiniteGroup.product([FiniteGroup.cyclic(2)] * 2), "finite",
+                      seed=7, max_rank=5)
+    assert M.order() == 3
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(module_to_json(M)))
+    code, doc = _run(capsys, "cohomology", "--module", str(path), "--degrees", "3")
+    assert code == 2 and doc["error"] == "DegreeWindowError"
+
+
 def test_cohomology_subgroup_element_out_of_range(capsys, triv_d3):
     code, doc = _run(capsys, "cohomology", "--module", triv_d3,
                      "--subgroup", "9")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from reglab import (
     trivial_module,
 )
 from reglab import exactla
+from reglab.arith import mix_seed
 from reglab.cohomology import (
     _complex,
     _complex_data,
@@ -485,6 +487,7 @@ def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
     monkeypatch.setattr(exactla._Echelon, "__init__", counted_init)
     monkeypatch.setattr(cohomology, "_complex_data", counted_data)
     C = FiniteGroup.cyclic
+    vanishing = 0
     for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(), a4()):
         subgroups = subgroup_class_representatives(G)[1:]
         for H in subgroups:  # the group's tables, built before counting
@@ -498,7 +501,14 @@ def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
             for H in subgroups:
                 for d in (-1, 0, 1, 2):
                     tate(M, H, d).invariants()
-            assert made["all"] == made["passes"] > 0, (G, profile)
+            assert made["all"] == made["passes"], (G, profile)
+            # a finite module of order prime to every |H| builds no cochain
+            if M.is_finite() and all(gcd(M.order(), H.order) == 1 for H in subgroups):
+                vanishing += 1
+                assert made["all"] == 0, (G, profile)
+            else:
+                assert made["all"] > 0, (G, profile)
+    assert vanishing > 0
 
 
 def _ring_tables(GH):
@@ -682,7 +692,15 @@ def test_degree_zero_is_fixed_points_modulo_norms():
                 assert T.order() * M.order() == fixed * coker, (G, H.elements)
                 if H.order > 1:
                     R = restrict(M, H)
-                    assert T.numerator == fixed_points(R, R.group.full_subgroup()).lattice
+                    fixed_lattice = fixed_points(R, R.group.full_subgroup()).lattice
+                    if gcd(M.order(), H.order) > 1:
+                        assert T.numerator == fixed_lattice
+                    else:
+                        # known to vanish: no cochains, and the full
+                        # cochains still have the fixed points as cocycles
+                        assert raw_tate(M, H, 0).numerator == fixed_lattice
+                        assert T.numerator == T.denominator == Lattice.zero(0)
+                        assert (T.ambient_rank, T.group.generator_count) == (0, 0)
 
 
 def test_herbrand_values_and_multiplicativity():
@@ -856,3 +874,126 @@ def test_minimal_presentation_matches_raw_coordinates():
                     assert (induced_kernel_order(f, H, i)
                             == raw_induced_kernel_order(f, H, i)), (name, profile, H, i)
     assert compressed == {"finite", "mixed"}
+
+
+# -- finite modules of order prime to |H|: no cochains, no Tate groups
+
+
+def _count_cochain_work(monkeypatch):
+    """A list that records every compress, cochain complex, subquotient and
+    echelon that tate builds from here on."""
+    import reglab.cohomology as cohomology
+    built = []
+    for name in ("compress", "_complex_data", "subquotient_group"):
+        real = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name, lambda *args, _name=name, _real=real:
+                            built.append(_name) or _real(*args))
+    init = exactla._Echelon.__init__
+    monkeypatch.setattr(exactla._Echelon, "__init__", lambda self, *args:
+                        built.append("_Echelon") or init(self, *args))
+    return built
+
+
+def test_finite_modules_of_order_prime_to_h_have_no_tate_groups(monkeypatch):
+    # |H| and |M| annihilate every Tate group (Brown, III.10). The shortcut
+    # builds nothing; raw_tate's full cochains and, for small M, enumeration
+    # of degree 0 agree that the group is trivial. A pair with a common prime
+    # is still computed on the cochains.
+    built = _count_cochain_work(monkeypatch)
+    seen = {True: 0, False: 0}
+    for G in zoo():
+        for seed in range(8):
+            M = random_module(G, "finite", seed, max_rank=6)
+            for H in subgroup_class_representatives(G)[1:]:
+                GH = restrict(M, H).group
+                coprime = gcd(M.order(), H.order) == 1
+                seen[coprime] += 1
+                if not coprime:
+                    for d in (-1, 0, 1, 2):
+                        assert (tate(M, H, d).invariants()
+                                == raw_tate(M, H, d).invariants()), (G, seed, H, d)
+                    continue
+                degrees = range(-1, 6) if _period(GH) else range(-1, 3)
+                before = len(built)
+                for d in degrees:
+                    T = tate(M, H, d)
+                    assert T.numerator == T.denominator == Lattice.zero(0), (G, seed, H, d)
+                    assert (T.ambient_rank, T.group.generator_count) == (0, 0)
+                    assert (T.degree, T.reduced_degree) == (d, _reduce_degree(GH, d))
+                assert len(built) == before, (G, seed, H, built[before:])
+                for d in degrees:
+                    assert raw_tate(M, H, d).order() == 1, (G, seed, H, d)
+                if M.order() <= 2000:
+                    Mc = compress(M).module
+                    tables = [Mc.action[h].to_lists() for h in H.elements]
+                    fixed, coker = fixed_and_norm_bruteforce(range(H.order), tables,
+                                                             diagonal_divisors(Mc))
+                    assert fixed * coker == M.order(), (G, seed, H)
+    assert min(seen.values()) > 100, seen
+
+
+def test_an_infinite_module_with_torsion_prime_to_h_keeps_its_groups():
+    # Z + Z/3 over C2: the torsion is prime to |H| but the module is not
+    # finite, and H^0 is Z/2 from the free summand
+    G = FiniteGroup.cyclic(2)
+    M = GModule(G, 2, [[0, 3]], [IntMatrix.identity(2)] * 2)
+    full = G.full_subgroup()
+    assert tate(M, full, 0).invariants() == (0, (2,))
+    assert tate(M, full, -1).order() == 1
+
+
+def _suite_hom_pairs(G, count):
+    """(M, N, f) drawn as the dihedral suite's hom branch draws them, at
+    trials t = 0, 4, 8, ...: N is M itself when 8 divides t."""
+    profiles = ("torsion_free", "finite", "mixed")
+    for t in range(0, 4 * count, 4):
+        mseed = mix_seed(0, 1, G.order, t)
+        M = random_module(G, profiles[t % 3], seed=mseed)
+        N = M if t % 8 == 0 else random_module(G, profiles[(t + 1) % 3],
+                                               seed=mix_seed(mseed, 11))
+        yield M, N, random_module_hom(M, N, seed=mseed)
+
+
+def test_maps_induced_from_or_to_a_vanishing_group_are_zero(monkeypatch):
+    # a vanishing source, a vanishing target and both, over C6 and D3:
+    # the kernel is the whole source, as on the full cochains of the oracle,
+    # and induced_hom is the zero map on the two presentations
+    built = _count_cochain_work(monkeypatch)
+    seen = set()
+    for G in (FiniteGroup.cyclic(6), FiniteGroup.dihedral(3)):
+        for M, N, f in _suite_hom_pairs(G, 30):
+            for H in subgroup_class_representatives(G)[1:]:
+                sides = tuple(X.is_finite() and gcd(X.order(), H.order) == 1
+                              for X in (M, N))
+                if not any(sides):
+                    continue
+                seen.add(sides)
+                for d in (-1, 0, 1, 2):
+                    before = len(built)
+                    n = induced_kernel_order(f, H, d)
+                    hom = induced_hom(f, H, d)
+                    if all(sides):
+                        assert len(built) == before, (G, H, d, built[before:])
+                    src, tgt = tate(f.source, H, d), tate(f.target, H, d)
+                    assert n == src.order() == raw_induced_kernel_order(f, H, d)
+                    assert hom.source.invariants() == src.invariants()
+                    assert hom.target.invariants() == tgt.invariants()
+                    assert not any(map(any, hom.matrix.entries))
+                    assert qindex(hom) == Fraction(tgt.order(), src.order())
+    assert seen == {(True, False), (False, True), (True, True)}
+
+
+def test_vanishing_modules_keep_the_degree_rules():
+    # the degree is folded or refused before the group is known to vanish
+    V = V4()
+    M = random_module(V, "finite", 7, max_rank=5)
+    assert M.order() == 3
+    with pytest.raises(DegreeWindowError):
+        tate(M, V.full_subgroup(), 3)
+    for H in subgroup_class_representatives(V)[1:-1]:  # the cyclic ones fold
+        assert tate(M, H, 3).reduced_degree == -1
+    D3 = FiniteGroup.dihedral(3)
+    N = random_module(D3, "finite", 7)
+    assert N.order() == 25
+    T = tate(N, D3.full_subgroup(), 5)
+    assert (T.degree, T.reduced_degree, T.order()) == (5, 1, 1)

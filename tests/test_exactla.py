@@ -1019,6 +1019,17 @@ def test_qindex_split_identities_random():
         checked += 1
 
 
+def test_qindex_suite_splits_each_hom_once(monkeypatch):
+    # one Smith split per trial: the Smith coordinates of each side once
+    from reglab.suites import run_suite
+    calls = []
+    real = exactla.smith_coordinates
+    monkeypatch.setattr(exactla, "smith_coordinates",
+                        lambda L: calls.append(L) or real(L))
+    run_suite("qindex", trials=20, seed=0)
+    assert len(calls) == 2 * 20
+
+
 @st.composite
 def _finite_index_homs(draw):
     """A map Z^k / L_s -> Z^l / L_t, k, l 1..4, whose target relations

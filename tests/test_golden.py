@@ -11,7 +11,10 @@ needed. Together they take well under a second.
 
 The cohomology digest is the sha256 of the stdout of `reglab cohomology
 --degrees -3..6` on a mixed module over D9 (order 18), which spans the
-4-periodic degrees on both sides of the window -1..2.
+4-periodic degrees on both sides of the window -1..2. The vanishing digest
+is that of the same command on a finite module of order 25 over D3, whose
+Tate groups over every subgroup are known to vanish before any cochain is
+built.
 """
 
 import hashlib
@@ -109,3 +112,16 @@ def test_cohomology_digest(tmp_path, capsys):
     assert main(["cohomology", "--module", str(module), "--degrees", "-3..6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COHOMOLOGY_GOLDEN
+
+
+VANISHING_COHOMOLOGY_GOLDEN = "d1385044fea05ada7876c58abec96006dc0f6c7c814c72e81c35e20c46ea7862"
+
+
+def test_vanishing_cohomology_digest(tmp_path, capsys):
+    M = random_module(FiniteGroup.dihedral(3), "finite", seed=7)
+    assert M.order() == 25
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(module_to_json(M)))
+    assert main(["cohomology", "--module", str(module), "--degrees", "-3..6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VANISHING_COHOMOLOGY_GOLDEN
