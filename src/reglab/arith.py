@@ -2,6 +2,12 @@
 
 Everything in this package runs on Python ints and fractions.Fraction; no
 floating point anywhere.
+
+Factoring is trial division only. Every integer reglab factors is small: a
+regulator constant is never factored in general, since it is read at the
+primes of |G| (regulator.RegulatorConstant), so the integers left are group
+orders, the q of a dihedral group, a prime below 2^32 that BOUNDS is asked
+about, and the sides of a check report.
 """
 
 from __future__ import annotations
@@ -44,84 +50,27 @@ def valuation(n: int | Fraction, p: int) -> int:
     return v
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient, by factorization."""
-    result = n
-    for p in factorize(n):
-        result -= result // p
-    return result
-
-
 # --- factorization ---------------------------------------------------------
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with this witness set.
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    # Brent's variant; n odd composite, not a prime power of a small prime.
-    from math import gcd
-
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}. factorize(1) == {}."""
+    """Prime factorization of |n| as {prime: exponent}. factorize(1) == {}.
+
+    Trial division by 2 and then by odd d while d^2 <= n: up to sqrt(n)/2
+    divisions, a few milliseconds for a prime below 2^32.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in range(2, 10000):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
     if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if _is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+        out[n] = 1
     return out
 
 

@@ -41,6 +41,7 @@ from .jsonio import (
     relation_from_json,
 )
 from .regulator import (
+    RegulatorConstant,
     find_identity,
     qindex_route,
     rc_pairing,
@@ -168,16 +169,15 @@ def _cmd_regulator(args) -> int:
     M = _load_module_arg(args.module)
     rel = _load_relation_arg(args.relation)
     if args.method == "pairing":
-        value = rc_pairing(M, rel)
+        rc = RegulatorConstant(rc_pairing(M, rel), M.group.order)
     elif args.method == "qindex":
-        value = qindex_route(M, rel, args.seed)
+        rc = RegulatorConstant(qindex_route(M, rel, args.seed), M.group.order)
     else:
-        value = regulator_constant(M, rel, seed=args.seed).value
-    from .arith import factorize_fraction, fraction_str
+        rc = regulator_constant(M, rel, seed=args.seed)
+    from .arith import fraction_str
     _emit({
-        "value": fraction_str(value),
-        "factorization": {str(p): e
-                          for p, e in factorize_fraction(value).items()},
+        "value": fraction_str(rc.value),
+        "factorization": {str(p): e for p, e in rc.factorization.items()},
         "method": args.method,
         "seed": args.seed,
         "digest": module_digest(M),

@@ -47,7 +47,7 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .arith import euler_phi, valuation
+from .arith import valuation
 from .errors import ConsistencyError, DegreeWindowError, InputError
 from .exactla import (
     GroupHom,
@@ -400,7 +400,7 @@ def rosen_valuation(M: GModule, H: Subgroup, ell: int) -> int:
     v = t * rank_fixed(q)
     for i in range(1, t + 1):
         num = rank_fixed(q // ell**i) - rank_fixed(q // ell**(i - 1))
-        den = euler_phi(ell**i)
+        den = ell**(i - 1) * (ell - 1)  # phi(ell^i)
         if num % den:
             raise ConsistencyError(
                 f"fixed-point rank jump {num} is not divisible by {den}"

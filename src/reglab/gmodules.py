@@ -160,14 +160,13 @@ def direct_sum(M: GModule, N: GModule) -> GModule:
     if M.group != N.group:
         raise InputError("direct sum needs modules over the same group")
     n, m = M.ambient_rank, N.ambient_rank
-    rows = [list(r) + [0] * m for r in M.relations.basis_rows]
-    rows += [[0] * n + list(r) for r in N.relations.basis_rows]
     action = []
     for A, B in zip(M.action, N.action):
         blk = [list(r) + [0] * m for r in A.entries]
         blk += [[0] * n + list(r) for r in B.entries]
         action.append(IntMatrix(blk))
-    return GModule(M.group, n + m, Lattice.from_rows(n + m, rows), action)
+    return GModule(M.group, n + m, block_diagonal_lattice([M.relations, N.relations]),
+                   action)
 
 
 def tensor_product(M: GModule, N: GModule) -> GModule:
@@ -313,7 +312,7 @@ def compress(M: GModule) -> Presentation:
     k = project.rows
     rel_rows = [[d if j == i else 0 for j in range(k)] for i, d in enumerate(divisors)]
     action = [project @ A @ embed for A in M.action]
-    small = GModule(M.group, k, Lattice.from_rows(k, rel_rows), action)
+    small = GModule(M.group, k, Lattice(k, rel_rows), action)  # diag(d) is Hermite
     pres = Presentation(small, project, embed)
     M._cache["compress"] = pres
     return pres
@@ -427,9 +426,7 @@ def finite_dual(M: GModule) -> GModule:
                 row.append(num // divisors[i])
             rows.append(row)
         action.append(IntMatrix(rows))
-    relations = Lattice.from_rows(r, [[divisors[i] if j == i else 0 for j in range(r)]
-                                      for i in range(r)])
-    return GModule(G, r, relations, action)
+    return GModule(G, r, small.relations, action)  # the same diag(d)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Two independent computations are kept side by side and must agree:
     constant is multiplicative in the relation.
 
 regulator_constant runs both and raises if they ever differ, which turns
-every caller into a cross-check of the whole stack.
+every caller into a cross-check of the whole stack. The RegulatorConstant it
+returns raises as well if the value has a prime that does not divide |G|.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from math import gcd
 from operator import add, sub
 from typing import Callable, NamedTuple
 
-from .arith import (_is_probable_prime, factorize, factorize_fraction, fraction_str,
-                    mix_seed, valuation)
+from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
@@ -55,22 +55,37 @@ from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_represent
 
 
 class RegulatorConstant:
-    """A positive rational with its prime factorization."""
+    """A positive rational with its prime factorization, over a group of
+    order group_order.
 
-    __slots__ = ("value",)
+    |H| kills every Tate group Ĥⁱ(H, M), so a regulator constant is made of
+    primes of |G| alone (T. and V. Dokchitser, Regulator constants and the
+    parity conjecture, 2009). The factorization is the valuations at those
+    primes, read once here, and is never a general factoring; a cofactor
+    left over is a value no correct route gives and raises ConsistencyError.
+    """
 
-    def __init__(self, value: Fraction):
+    __slots__ = ("value", "factorization")
+
+    def __init__(self, value: Fraction, group_order: int):
         value = Fraction(value)
         if value <= 0:
             raise ConsistencyError(f"regulator constant {value} is not positive")
+        factorization, rest = {}, value
+        for p in factorize(group_order):
+            e = valuation(value, p)
+            if e:
+                factorization[p] = e
+                rest /= Fraction(p) ** e
+        if rest != 1:
+            raise ConsistencyError(
+                f"regulator constant {value} has the factor {rest}, prime to "
+                f"the group order {group_order}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factorization", factorization)
 
     def __setattr__(self, *args):
         raise AttributeError("RegulatorConstant is immutable")
-
-    @property
-    def factorization(self) -> dict[int, int]:
-        return factorize_fraction(self.value)
 
     def __eq__(self, other):
         if isinstance(other, RegulatorConstant):
@@ -376,7 +391,7 @@ def regulator_constant(M: GModule, relation: BrauerRelation,
             f"pairing {via_pairing} vs q-index {via_qindex} "
             f"(relation {relation!r}, ambient rank {M.ambient_rank}, seed {seed})"
         )
-    out = RegulatorConstant(via_pairing)
+    out = RegulatorConstant(via_pairing, M.group.order)
     M._cache[key] = out
     return out
 
@@ -409,17 +424,21 @@ def _torsion_quotient_order(M: GModule, H: Subgroup, q: int) -> int:
 
 def bounds_report(M: GModule, q: int, ell: int,
                   value: Fraction | None = None) -> BoundsReport:
-    """The valuation bounds at a prime ell dividing q, for the dihedral
-    relation on the order-2q dihedral group.
+    """The valuation bounds at a prime ell, for the dihedral relation on the
+    order-2q dihedral group.
 
     L uses the full-group data, U the rotation-subgroup data; both subtract
-    the rank-computed valuation of the rotation Herbrand quotient.
+    the rank-computed valuation of the rotation Herbrand quotient. At an ell
+    prime to q, L = U = 0, and v = 0 too unless ell = 2, since a regulator
+    constant is made of primes of |G| = 2q. So ell is tested by trial
+    division and must be below 2^32; any other ell, a composite included,
+    raises InputError.
     """
     G = M.group
     if G.order != 2 * q:
         raise InputError("module does not live over the order-2q dihedral group")
-    if not _is_probable_prime(ell):
-        raise InputError(f"bounds need a prime ell, not {ell}")
+    if not 2 <= ell < 2**32 or factorize(ell) != {ell: 1}:
+        raise InputError(f"bounds need a prime ell below 2^32, not {ell}")
     if value is None:
         value = regulator_constant(M, dihedral_relation(q)).value
     full = G.full_subgroup()
@@ -569,12 +588,13 @@ def _dihedral_main(x: _Inputs):
 def _bounds(x: _Inputs):
     """Bounds at every prime of q, or at the given prime alone; without a
     prime, every prime of C must also divide q."""
-    C = regulator_constant(x.module, x.dihedral, seed=x.seed).value
+    rc = regulator_constant(x.module, x.dihedral, seed=x.seed)
+    C = rc.value
     ells = sorted(factorize(x.q)) if x.prime is None else [x.prime]
     reps = [bounds_report(x.module, x.q, ell, value=C) for ell in ells]
     passed = all(rep.ok for rep in reps)
     if x.prime is None:
-        passed = passed and all(x.q % p == 0 for p in factorize_fraction(C))
+        passed = passed and all(x.q % p == 0 for p in rc.factorization)
     return passed, C, C, {"bounds": [
         {"ell": rep.ell, "v": rep.v, "L": rep.L, "U": rep.U, "ok": rep.ok}
         for rep in reps

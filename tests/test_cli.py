@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,20 @@ def test_regulator_trivial_module_is_one_third(capsys, triv_d3, theta_d3,
     assert doc["method"] == method
 
 
+@pytest.mark.parametrize("method", ["pairing", "qindex", "both"])
+def test_regulator_exits_one_on_a_constant_off_the_group_order(
+        capsys, monkeypatch, triv_d3, theta_d3, method):
+    # 11 does not divide |D3| = 6, so no regulator constant over D3 has it
+    monkeypatch.setattr(reglab.cli, "rc_pairing", lambda *args: Fraction(11, 3))
+    monkeypatch.setattr(reglab.cli, "qindex_route", lambda *args: Fraction(11, 3))
+    monkeypatch.setattr(reglab.regulator, "rc_pairing", lambda *args: Fraction(11, 3))
+    monkeypatch.setattr(reglab.regulator, "qindex_route", lambda *args: Fraction(11, 3))
+    code, doc = _run(capsys, "regulator", "--module", triv_d3,
+                     "--relation", theta_d3, "--method", method)
+    assert code == 1
+    assert doc["error"] == "ConsistencyError" and "11" in doc["message"]
+
+
 def test_regulator_seed_independence(capsys, triv_d3, theta_d3):
     values = set()
     for seed in (0, 1, 17):
@@ -430,13 +445,25 @@ def test_check_bounds_with_explicit_prime(capsys, finite_d3):
     assert len(rows) == 1 and rows[0]["ell"] == 3 and rows[0]["ok"]
 
 
-@pytest.mark.parametrize("prime", ["1", "-3", "4", "9"])
+# 318665857834031151167461 = 399165290221 * 798330580441 fools Miller-Rabin
+# on the witnesses 2..37; 4294967311 is the first prime above 2^32
+@pytest.mark.parametrize("prime", ["1", "-3", "4", "9", "318665857834031151167461",
+                                   "4294967311"])
 def test_check_bounds_rejects_a_prime_below_two(capsys, finite_d3, prime):
     path, _ = finite_d3
     code, doc = _run(capsys, "check", "--identity", "BOUNDS",
                      "--module", path, "--prime", prime)
     assert code == 2
     assert doc["error"] == "InputError"
+
+
+def test_check_bounds_takes_the_largest_prime_below_two_to_the_32(capsys, finite_d3):
+    path, _ = finite_d3
+    code, doc = _run(capsys, "check", "--identity", "BOUNDS",
+                     "--module", path, "--prime", "4294967291")
+    assert code == 0
+    assert doc["details"]["bounds"] == [
+        {"ell": 4294967291, "v": 0, "L": 0, "U": 0, "ok": True}]
 
 
 def test_check_rejects_a_prime_for_identities_but_bounds(capsys, triv_d3):

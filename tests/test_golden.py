@@ -15,6 +15,10 @@ The cohomology digest is the sha256 of the stdout of `reglab cohomology
 is that of the same command on a finite module of order 25 over D3, whose
 Tate groups over every subgroup are known to vanish before any cochain is
 built.
+
+The regulator digests are those of the stdout of `reglab regulator` under
+each --method, on the mixed module over D3 at seed 3 (constant 3) with the
+dihedral relation file.
 """
 
 import hashlib
@@ -125,3 +129,24 @@ def test_vanishing_cohomology_digest(tmp_path, capsys):
     assert main(["cohomology", "--module", str(module), "--degrees", "-3..6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VANISHING_COHOMOLOGY_GOLDEN
+
+
+# --method -> stdout sha256 of `reglab regulator` on the mixed D3 module at seed 3
+REGULATOR_GOLDEN = {
+    "pairing": "ef1d7dd8d8dccc33be61377b37a9d18f84178ddc9f0333f2ae700ebb87c29455",
+    "qindex": "672e87bd82141844af0bbeacbbf2b2ec2c1112e5a4d5d74d936acef1e9b45637",
+    "both": "2a5631cd4963606621185e7bba6d7f6e06b46baae22d1e4e0331788fb4c8ff1a",
+}
+
+
+@pytest.mark.parametrize("method", list(REGULATOR_GOLDEN))
+def test_regulator_digest(method, tmp_path, capsys):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(module_to_json(
+        random_module(FiniteGroup.dihedral(3), "mixed", seed=3))))
+    relation = tmp_path / "relation.json"
+    relation.write_text(json.dumps(relation_to_json(dihedral_relation(3))))
+    assert main(["regulator", "--module", str(module), "--relation", str(relation),
+                 "--method", method, "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REGULATOR_GOLDEN[method]

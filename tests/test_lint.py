@@ -132,6 +132,56 @@ def test_only_random_module_saturates():
     assert found == {"gmodules.py: random_module"}
 
 
+def scoped_callers(source: str, name: str) -> list[str]:
+    """Where a module calls name(...), bare or as an attribute: the dotted
+    name of the functions and classes around each call, or its line at
+    module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(".".join(scope) or f"line {child.lineno}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+# the places that factor an integer, each with what it factors
+ALLOWED_FACTORING = {
+    "arith.py: factorize_fraction",  # its numerator and denominator
+    "regulator.py: RegulatorConstant.__init__",  # the group order
+    "regulator.py: bounds_report",  # ell, below 2^32
+    "regulator.py: _bounds",  # q
+    "suites.py: _suite_cohomology_oracles",  # q
+    "regulator.py: check_report",  # report sides, which need not come from a group
+}
+
+
+def test_only_group_data_and_report_sides_are_factored():
+    # a regulator constant is read at the primes of |G| by RegulatorConstant,
+    # never factored in general
+    src = ROOT / "src" / "reglab"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    found = {f"{module}: {where}" for module, source in sources.items()
+             for name in ("factorize", "factorize_fraction")
+             for where in scoped_callers(source, name)}
+    assert found == ALLOWED_FACTORING
+    # the CLI factoring the constant it prints is found
+    anchor = '    from .arith import fraction_str\n'
+    planted = sources["cli.py"].replace(
+        anchor, anchor + "    arith.factorize_fraction(rc.value)\n", 1)
+    assert planted != sources["cli.py"]
+    assert scoped_callers(planted, "factorize_fraction") == ["_cmd_regulator"]
+    assert scoped_callers("class A:\n    def f(self):\n        g(1)\ng(2)\n", "g") == [
+        "A.f", "line 4"]
+
+
 def _mentions(node) -> Counter:
     """How often each name, attribute and imported name occurs under node."""
     found = Counter()

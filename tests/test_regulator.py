@@ -218,6 +218,16 @@ def test_routes_agree_on_random_modules(q, profile):
         assert rc_pairing(M, rel) == rc_qindex(M, rel, build_phi(rel, seed))
 
 
+def test_a_constant_off_the_primes_of_the_group_order_is_refused(monkeypatch):
+    # |H| kills every Tate group, so every constant is made of primes of |G|;
+    # routes that agree on 11/3 over D3 are both wrong
+    rel = dihedral_relation(3)
+    monkeypatch.setattr(regulator, "rc_pairing", lambda *args: Fraction(11, 3))
+    monkeypatch.setattr(regulator, "qindex_route", lambda *args: Fraction(11, 3))
+    with pytest.raises(ConsistencyError, match="11"):
+        regulator_constant(trivial_module(rel.group), rel)
+
+
 def test_routes_agree_over_v4():
     rel = v4_relation()
     for seed in range(3):
