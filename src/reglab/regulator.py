@@ -466,7 +466,8 @@ def check_report(passed: bool, lhs, rhs, details: dict, *, seed: int,
 
     head names the check (identity= or check=) and may add module_digest.
     lhs and rhs are rationals or None; the factorization is that of a
-    positive lhs and empty otherwise.
+    positive lhs and empty otherwise. It is a general factoring, since a
+    side need not come from a group (the qindex suite's do not).
     """
     factorization = {}
     if lhs is not None and Fraction(lhs) > 0:
