@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .gmodules import random_module
+from .gmodules import PROFILES, random_module
 from .groups import Subgroup, subgroup_class_representatives
 from .jsonio import (
     group_from_json,
@@ -305,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-module", help="draw a seeded random module")
     p.add_argument("--group", required=True)
-    p.add_argument("--profile", required=True,
-                   choices=("torsion_free", "finite", "mixed"))
+    p.add_argument("--profile", required=True, choices=PROFILES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output module JSON file")
     p.add_argument("--max-rank", type=int, default=12)

@@ -190,11 +190,10 @@ def _resolution(GH: FiniteGroup, length: int):
 
 
 def _complex(GH: FiniteGroup, j: int):
-    """(lower, upper, involute): reduced degree j is the homology at the
-    middle of M^a -> M^k -> M^b, where lower and upper are (name, table)
-    pairs whose tables of group-ring elements give the columns of the maps
-    through _ring_columns, with g acting as g^{-1} when involute is set. A name
-    stands for one table of GH in every degree.
+    """(lower, upper): reduced degree j is the homology at the middle of
+    M^a -> M^k -> M^b, where lower and upper are (name, table) pairs whose
+    tables of group-ring elements give the columns of the maps through
+    _ring_columns. A name stands for one table of GH in every degree.
 
     Degrees 0 and -1 sit at the negative end of the complete resolution,
     spliced through the norm: degree 0 between [[N]] and d1, degree -1
@@ -203,9 +202,10 @@ def _complex(GH: FiniteGroup, j: int):
     name d1. Degrees j >= 1 lie between d_j and d_{j+1} of Hom_GH(F, M) on
     the free resolution F of _resolution, except degree 2 over groups of
     period 4: there it is H_1 of F (x)_GH M, between the transposes of d2
-    and d1 with the involuted action, which is H^{-2}, isomorphic to H^2
-    naturally in the module by 4-periodicity (Brown, VI.9). Only the maps
-    of degree j are built. Memoised on GH.
+    and d1 with every element g turned into g^{-1}, named d2T* and d1T*,
+    which is H^{-2}, isomorphic to H^2 naturally in the module by
+    4-periodicity (Brown, VI.9). Only the maps of degree j are built.
+    Memoised on GH.
     """
     key = ("complex", j)
     if key in GH._cache:
@@ -214,34 +214,32 @@ def _complex(GH: FiniteGroup, j: int):
         d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
         norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
         d1T = ("d1", d1) if len(d1) == 1 else ("d1T", [[e[0] for e in d1]])
-        out = (norm, ("d1", d1), False) if j == 0 else (d1T, norm, False)
+        out = (norm, ("d1", d1)) if j == 0 else (d1T, norm)
     elif j == 2 and _period(GH) == 4:
-        d2 = _resolution(GH, 2)[1]
-        out = ("d2T", [list(c) for c in zip(*d2)]), _complex(GH, -1)[0], True
+        inverse = GH.inverse
+        tables = ("d2T*", zip(*_resolution(GH, 2)[1])), ("d1T*", _complex(GH, -1)[0][1])
+        out = tuple((name, [[[(a, inverse[g]) for a, g in e] for e in line] for line in table])
+                    for name, table in tables)
     else:
         d = _resolution(GH, j + 1)
-        out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j]), False
+        out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j])
     GH._cache[key] = out
     return out
 
 
-def _ring_columns(R: GModule, table, involute: bool) -> list[list[int]]:
+def _ring_columns(R: GModule, table) -> list[list[int]]:
     """The columns of the block matrix of a table of group-ring elements
     acting on R, each a list, as the preimage echelon reads them: line l
     and entry c of the table give block (l, c), in which sum a_g g becomes
-    sum a_g A_g, or sum a_g A_{g^{-1}} when involuted.
+    sum a_g A_g.
 
     Column j of block column c, read down the lines, is row j of
     sum a_g A_g^T over each line's entry c, so it is summed from the rows
-    of the transposed action matrices, which are memoised on R per
-    involution.
+    of the transposed action matrices, which are memoised on R.
     """
-    key = ("transposed", involute)
-    if key not in R._cache:
-        inverse = R.group.inverse
-        R._cache[key] = [R.action[inverse[g] if involute else g].transpose().entries
-                         for g in range(R.group.order)]
-    AT = R._cache[key]
+    if "transposed" not in R._cache:
+        R._cache["transposed"] = [A.transpose().entries for A in R.action]
+    AT = R._cache["transposed"]
     n = R.ambient_rank
     zero = (0,) * n
     columns = []
@@ -264,16 +262,15 @@ def _ring_columns(R: GModule, table, involute: bool) -> list[list[int]]:
     return columns
 
 
-def _map_pass(R: GModule, named, involute: bool):
+def _map_pass(R: GModule, named):
     """(C M^a + L^b, {c : C c in L^b}) for the block matrix C : M^a -> M^b of
     a named table acting on R, with L the relations of R: one echelon pass
-    through image_and_preimage, memoised on R under the table's name and
-    the involution."""
+    through image_and_preimage, memoised on R under the table's name."""
     name, table = named
-    key = ("pass", name, involute)
+    key = ("pass", name)
     if key not in R._cache:
         L = block_diagonal_lattice([R.relations] * len(table))
-        R._cache[key] = image_and_preimage(_ring_columns(R, table, involute), L)
+        R._cache[key] = image_and_preimage(_ring_columns(R, table), L)
     return R._cache[key]
 
 
@@ -285,19 +282,18 @@ def _complex_data(R: GModule, j: int):
     U is the preimage half of the upper map's pass. On the complete
     resolution the lower map of degree j is the upper map of degree j - 1,
     so V is the image half of that map's pass whenever the lower table is
-    the norm or some d_i. The transposed tables d1T and d2T are no degree's
-    upper map with the same action, so a lower map named by a transpose
-    takes one Hermite pass of its own instead of an unshared preimage pass.
+    the norm or some d_i. The transposed tables d1T and d2T* are no degree's
+    upper map, so a lower map named by a transpose takes one Hermite pass
+    of its own instead of an unshared preimage pass.
     """
-    lower, upper, involute = _complex(R.group, j)
+    lower, upper = _complex(R.group, j)
     w = len(lower[1]) * R.ambient_rank
-    U = _map_pass(R, upper, involute)[1]
-    if lower[0].endswith("T"):
+    U = _map_pass(R, upper)[1]
+    if "T" in lower[0]:
         rel = block_diagonal_lattice([R.relations] * len(lower[1]))
-        V = Lattice.from_rows(w, _ring_columns(R, lower[1], involute)
-                              + list(rel.basis_rows))
+        V = Lattice.from_rows(w, _ring_columns(R, lower[1]) + list(rel.basis_rows))
     else:
-        V = _map_pass(R, lower, involute)[0]
+        V = _map_pass(R, lower)[0]
     return w, U, V
 
 
@@ -419,12 +415,10 @@ def _induced_columns(f: ModuleHom, H: Subgroup, degree: int):
     given degree, and the images of the Hermite basis rows of the source
     cycles under F = project_t @ f @ embed_s, which carries f into the
     presentations tate works on, applied block by block. columns is None
-    when a side vanishes before any cochain is built: f induces zero."""
-    if H.order == 1:
-        return _zero_tate(degree, degree), _zero_tate(degree, degree), None
-    j = _reduce_degree(restrict(f.source, H).group, degree)
-    src, tgt = tate(f.source, H, j), tate(f.target, H, j)
-    if _vanishes(f.source, H) or _vanishes(f.target, H):
+    when tate gave a side as the zero group on Z^0, with no cochains: f
+    induces zero."""
+    src, tgt = tate(f.source, H, degree), tate(f.target, H, degree)
+    if not (src.ambient_rank and tgt.ambient_rank):
         return src, tgt, None
     F, ps, pt = f.matrix, _minimal(f.source), _minimal(f.target)
     if pt:

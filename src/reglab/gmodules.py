@@ -68,9 +68,6 @@ class GModule:
     def is_finite(self) -> bool:
         return self.relations.rank == self.ambient_rank
 
-    def free_rank(self) -> int:
-        return self.ambient_rank - self.relations.rank
-
     def order(self) -> int | None:
         return self.abelian_group().order()
 
@@ -326,21 +323,15 @@ class TorsionDecomposition(NamedTuple):
     torsion class lies in Z^t + 0, so every action matrix of Mc has a zero
     lower-left block: tors M is Z^t / diag(d) acted on by the upper-left
     blocks, and mt M is Z^(k - t) acted on by the lower-right ones.
-    tors_basis is the first t columns of compress(M).embed, and
-    mt_projection, the last k - t rows of compress(M).project, maps M's
-    coordinates onto the free quotient's.
 
     On a module that compress leaves as it is, which every minimal
     presentation is, the torsion part is sat(L)/L on the basis of sat(L).
     On any other M the parts come back re-presented: the torsion module has
-    t generators rather than rank sat(L) of them, and the tors_basis
-    columns span sat(L) only together with L.
+    t generators rather than rank sat(L) of them.
     """
 
     torsion: GModule
     free: GModule
-    tors_basis: IntMatrix
-    mt_projection: IntMatrix
 
 
 def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
@@ -364,18 +355,16 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
     of compress(M), memoised on M."""
     if "torsion" in M._cache:
         return M._cache["torsion"]
-    pres = compress(M)
-    Mc = pres.module
+    Mc = compress(M).module
     t = Mc.relations.rank
-    tors, free, every = slice(0, t), slice(t, Mc.ambient_rank), slice(None)
+    tors, free = slice(0, t), slice(t, Mc.ambient_rank)
     if any(any(row[tors]) for A in Mc.action for row in A.entries[free]):
         raise ConsistencyError("an action matrix of the minimal presentation "
                                "carries torsion onto the free coordinates")
     torsion = GModule(M.group, t, Lattice(t, (row[tors] for row in Mc.relations.basis_rows)),
                       [_block(A, tors, tors) for A in Mc.action])
     mt = GModule(M.group, Mc.ambient_rank - t, None, [_block(A, free, free) for A in Mc.action])
-    out = TorsionDecomposition(torsion, mt, _block(pres.embed, every, tors),
-                               _block(pres.project, free, every))
+    out = TorsionDecomposition(torsion, mt)
     M._cache["torsion"] = out
     return out
 
@@ -471,13 +460,13 @@ class ModuleHom:
 # ---------------------------------------------------------------------------
 
 
-def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup,
-                          H2: Subgroup) -> tuple[IntMatrix, ...]:
+def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> tuple:
     """Z-basis of Hom_{Z[G]}(Z[G/H1], Z[G/H2]), built once per group.
 
     One basis map per H1-orbit on G/H2: send the identity coset to the orbit
     sum and extend equivariantly. Ordered by the smallest point of the orbit,
-    so the basis is deterministic.
+    so the basis is deterministic. Each map is the tuple of the nonzero
+    entries (i, j, a) of its [G:H2] x [G:H1] matrix, in row-major order.
     """
     key = ("hom basis", H1.elements, H2.elements)
     if key in G._cache:
@@ -493,15 +482,11 @@ def equivariant_hom_basis(G: FiniteGroup, H1: Subgroup,
             for x in orbit:
                 seen[x] = True
             orbits.append(orbit)
-    basis = []
-    for orbit in orbits:
-        rows = [[0] * X1.points for _ in range(X2.points)]
-        for p in range(X1.points):
-            rep = X1.representatives[p]
-            for c in orbit:
-                rows[X2.action[rep][c]][p] += 1
-        basis.append(IntMatrix(rows))
-    G._cache[key] = tuple(basis)
+    # coset p sends the orbit to distinct points, so every entry is 0 or 1
+    G._cache[key] = tuple(
+        tuple(sorted((X2.action[X1.representatives[p]][c], p, 1)
+                     for p in range(X1.points) for c in orbit))
+        for orbit in orbits)
     return G._cache[key]
 
 
@@ -589,6 +574,10 @@ def _orbit_lattice_rows(action, vec, scale: int = 1):
     return [[scale * c for c in A.apply(vec)] for A in action]
 
 
+# the random_module profiles; the index of each salts its seed
+PROFILES = ("torsion_free", "finite", "mixed")
+
+
 def random_module(G: FiniteGroup, profile: str, seed: int,
                   max_rank: int = 12) -> GModule:
     """Deterministic pseudo-random module over G.
@@ -600,12 +589,11 @@ def random_module(G: FiniteGroup, profile: str, seed: int,
       mixed: a quotient by an orbit lattice with random scaling, so torsion
         and a free part can coexist.
     """
-    profiles = ("torsion_free", "finite", "mixed")
-    if profile not in profiles:
-        raise InputError(f"unknown profile {profile!r}; expected one of {profiles}")
+    if profile not in PROFILES:
+        raise InputError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     if max_rank < 1:
         raise InputError(f"max_rank must be at least 1, not {max_rank}")
-    salt = profiles.index(profile)
+    salt = PROFILES.index(profile)
     rng = random.Random(mix_seed(seed, salt, G.order))
     reps = [cls[0] for cls in enumerate_subgroups(G)]
     for _attempt in range(64):

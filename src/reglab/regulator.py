@@ -52,6 +52,7 @@ from .gmodules import (
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, coset_space, subgroup_class_representatives
+from .jsonio import module_digest
 
 
 class RegulatorConstant:
@@ -243,17 +244,6 @@ def _check_equivariant(G: FiniteGroup, matrix: IntMatrix, pos, col_offsets,
 _PHI_REDRAWS = 64
 
 
-def _hom_basis_entries(G: FiniteGroup, Hs: Subgroup, Ht: Subgroup) -> tuple:
-    """The nonzero entries (i, j, a) of each matrix of
-    equivariant_hom_basis(G, Hs, Ht), memoised on G beside the basis."""
-    key = ("hom basis entries", Hs.elements, Ht.elements)
-    if key not in G._cache:
-        G._cache[key] = tuple(
-            tuple((i, j, a) for i, row in enumerate(B.entries) for j, a in enumerate(row) if a)
-            for B in equivariant_hom_basis(G, Hs, Ht))
-    return G._cache[key]
-
-
 def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
     """Draw an injective equivariant P1 -> P2 with small random coefficients.
 
@@ -268,7 +258,7 @@ def build_phi(relation: BrauerRelation, seed: int = 0) -> PhiMap:
         raise InputError("relation has no positive or no negative part")
     if n != sum(coset_space(G, H).points for H in neg):
         raise ConsistencyError("relation sides have different ranks")
-    bases = [[_hom_basis_entries(G, Hs, Ht) for Hs in pos] for Ht in neg]
+    bases = [[equivariant_hom_basis(G, Hs, Ht) for Hs in pos] for Ht in neg]
     row_offsets = _side_offsets(G, neg)
     col_offsets = _side_offsets(G, pos)
     rng = random.Random(mix_seed(seed, 0))
@@ -389,7 +379,8 @@ def regulator_constant(M: GModule, relation: BrauerRelation,
         raise ConsistencyError(
             "regulator constant routes disagree: "
             f"pairing {via_pairing} vs q-index {via_qindex} "
-            f"(relation {relation!r}, ambient rank {M.ambient_rank}, seed {seed})"
+            f"(relation {relation!r}, ambient rank {M.ambient_rank}, seed {seed}, "
+            f"module digest {module_digest(M)})"
         )
     out = RegulatorConstant(via_pairing, M.group.order)
     M._cache[key] = out
@@ -422,10 +413,9 @@ def _torsion_quotient_order(M: GModule, H: Subgroup, q: int) -> int:
     return total
 
 
-def bounds_report(M: GModule, q: int, ell: int,
-                  value: Fraction | None = None) -> BoundsReport:
-    """The valuation bounds at a prime ell, for the dihedral relation on the
-    order-2q dihedral group.
+def bounds_report(M: GModule, q: int, ell: int, value: Fraction) -> BoundsReport:
+    """The valuation bounds at a prime ell of value, the regulator constant
+    of M for the dihedral relation on the order-2q dihedral group.
 
     L uses the full-group data, U the rotation-subgroup data; both subtract
     the rank-computed valuation of the rotation Herbrand quotient. At an ell
@@ -439,8 +429,6 @@ def bounds_report(M: GModule, q: int, ell: int,
         raise InputError("module does not live over the order-2q dihedral group")
     if not 2 <= ell < 2**32 or factorize(ell) != {ell: 1}:
         raise InputError(f"bounds need a prime ell below 2^32, not {ell}")
-    if value is None:
-        value = regulator_constant(M, dihedral_relation(q)).value
     full = G.full_subgroup()
     rotations = Subgroup(G, tuple(range(q)), validate=False)
     v = valuation(value, ell)

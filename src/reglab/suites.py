@@ -35,6 +35,7 @@ from .exactla import (
     qindex,
 )
 from .gmodules import (
+    PROFILES,
     GModule,
     compress,
     direct_sum,
@@ -49,8 +50,6 @@ from .gmodules import (
 from .groups import FiniteGroup, Subgroup, subgroup_class_representatives
 from .jsonio import module_digest
 from .regulator import check_report, regulator_constant, run_identity
-
-_PROFILES = ("torsion_free", "finite", "mixed")
 
 
 def _identity_report(identity: str, digest, extra: dict, **inputs) -> dict:
@@ -85,7 +84,7 @@ def _suite_dihedral(q_list, trials, seed):
         G = rel.group
         for t in range(trials):
             mseed = mix_seed(seed, 1, q, t)
-            profile = _PROFILES[t % 3]
+            profile = PROFILES[t % 3]
             M = random_module(G, profile, seed=mseed)
             digest = module_digest(M)
             extra = {"q": q, "trial": t, "profile": profile}
@@ -96,7 +95,7 @@ def _suite_dihedral(q_list, trials, seed):
                 if t % 8 == 0:
                     other = M
                 else:
-                    other = random_module(G, _PROFILES[(t + 1) % 3],
+                    other = random_module(G, PROFILES[(t + 1) % 3],
                                           seed=mix_seed(mseed, 11))
                 f = random_module_hom(M, other, seed=mseed)
                 reports.append(_identity_report(
@@ -161,10 +160,10 @@ def _suite_bounds(q_list, trials, seed):
         G = dihedral_relation(q).group
         for t in range(trials):
             mseed = mix_seed(seed, 4, q, t)
-            M = random_module(G, _PROFILES[t % 3], seed=mseed)
+            M = random_module(G, PROFILES[t % 3], seed=mseed)
             reports.append(_identity_report(
                 "BOUNDS", module_digest(M),
-                {"q": q, "trial": t, "profile": _PROFILES[t % 3]},
+                {"q": q, "trial": t, "profile": PROFILES[t % 3]},
                 q=q, module=M, seed=mseed))
     return reports
 
@@ -265,7 +264,7 @@ def _suite_cohomology_oracles(q_list, trials, seed):
     for t in range(trials):
         G = cyclics[t % len(cyclics)]
         mseed = mix_seed(seed, 5, G.order, t)
-        M = random_module(G, _PROFILES[t % 3], seed=mseed)
+        M = random_module(G, PROFILES[t % 3], seed=mseed)
         digest = module_digest(M)
         for i in (-1, 0):
             a = tate(M, G.full_subgroup(), i)
@@ -307,7 +306,7 @@ def _suite_cohomology_oracles(q_list, trials, seed):
         ells = sorted(factorize(q)) + [2]
         for t in range(trials):
             mseed = mix_seed(seed, 7, q, t)
-            M = random_module(G, _PROFILES[t % 3], seed=mseed)
+            M = random_module(G, PROFILES[t % 3], seed=mseed)
             digest = module_digest(M)
             h = herbrand(M, rotations)
             for ell in ells:

@@ -22,7 +22,9 @@ one degree by two eliminations, a preimage under the upper map and a Hermite
 pass over the lower map's columns, where production reads the boundaries
 off the pass that gives the cycles of the degree below. Its maps come from
 ring_matrix, which builds them row by row from the action matrices, where
-production sums the columns from their transposes.
+production sums the columns from their transposes, and it takes the dihedral
+degree 2 from the transposes of d1 and d2 under g -> g^{-1} acting on the
+matrices, where production inverts the elements of the tables.
 forward_preimage_echelon keeps the row order that _preimage_echelon
 replaced: the columns first to last, then L's rows, each through an
 elimination step.
@@ -31,8 +33,10 @@ enumerate_subgroups replaced.
 saturated_torsion_decomposition builds tors M and mt M through the
 saturation sat(L) of the relations, the torsion module on its basis and the
 free quotient as compress of Z^n / sat(L), where production slices both off
-compress(M). saturated_split splits a GroupHom the same way, where
-production reads tors f and mt f as blocks on Smith coordinates.
+compress(M); it returns the basis of sat(L) and the projection onto the free
+quotient's coordinates beside them. saturated_split splits a GroupHom the
+same way, where production reads tors f and mt f as blocks on Smith
+coordinates.
 determinantal_divisors reads Smith divisors off gcds of minors, each minor
 a cofactor expansion, where production eliminates. kernel_group and
 cokernel_group present the kernel and cokernel of a GroupHom as groups, the
@@ -77,7 +81,9 @@ from reglab.cohomology import (
     TateGroup,
     _complex,
     _complex_data,
+    _period,
     _reduce_degree,
+    _resolution,
 )
 from reglab.exactla import _Echelon, block_diagonal_lattice, smith_coordinates
 from reglab.gmodules import TorsionDecomposition, sublattice_action
@@ -585,8 +591,15 @@ def ring_matrix(R, table, involute: bool) -> IntMatrix:
 def two_pass_complex_data(R, j: int):
     """(w, U, V) of _complex_data, by two eliminations per degree: U the
     preimage of L^b under the upper map, V the Hermite form of the lower
-    map's columns together with L^k, both maps built by ring_matrix."""
-    (_, lower), (_, upper), involute = _complex(R.group, j)
+    map's columns together with L^k, both maps built by ring_matrix. The
+    dihedral degree 2 is built here from d1 and d2, transposed, with
+    g acting as g^{-1}."""
+    GH, involute = R.group, j == 2 and _period(R.group) == 4
+    if involute:
+        d1, d2 = _resolution(GH, 2)
+        lower, upper = [list(c) for c in zip(*d2)], [list(c) for c in zip(*d1)]
+    else:
+        (_, lower), (_, upper) = _complex(GH, j)
     w = len(lower) * R.ambient_rank
     U = preimage_lattice(ring_matrix(R, upper, involute).columns(),
                          block_diagonal_lattice([R.relations] * len(upper)))
@@ -605,9 +618,11 @@ def raw_induced_kernel_order(f, H, degree: int) -> int:
                          W.kron(f.matrix))
 
 
-def saturated_torsion_decomposition(M) -> TorsionDecomposition:
-    """tors M = sat(L)/L on the basis of sat(L), and mt M as the minimal
-    presentation of Z^n / sat(L) with M's action."""
+def saturated_torsion_decomposition(M):
+    """(TorsionDecomposition, basis, projection): tors M = sat(L)/L on the
+    basis of sat(L), and mt M as the minimal presentation of Z^n / sat(L)
+    with M's action; the basis of sat(L) as columns, and the projection of
+    Z^n onto the coordinates of mt M."""
     n, satL = M.ambient_rank, saturate(M.relations)
     if satL.rank == 0:
         tors = GModule(M.group, 0, None, [IntMatrix.zeros(0, 0)] * M.group.order)
@@ -615,7 +630,7 @@ def saturated_torsion_decomposition(M) -> TorsionDecomposition:
         tors = GModule(M.group, satL.rank, subquotient_group(satL, M.relations).relations,
                        sublattice_action(satL, M.action))
     free = compress(GModule(M.group, n, satL, M.action))
-    return TorsionDecomposition(tors, free.module, satL.basis, free.project)
+    return TorsionDecomposition(tors, free.module), satL.basis, free.project
 
 
 def saturated_split(f: GroupHom) -> tuple[GroupHom, GroupHom]:

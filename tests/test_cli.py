@@ -285,6 +285,21 @@ def test_regulator_exits_one_on_a_constant_off_the_group_order(
     assert doc["error"] == "ConsistencyError" and "11" in doc["message"]
 
 
+def test_a_route_disagreement_names_the_module_digest(capsys, monkeypatch, finite_d3,
+                                                     theta_d3):
+    # the message carries the digest validate prints, so the module is found again
+    path, _ = finite_d3
+    _, valid = _run(capsys, "validate", "--module", path)
+    monkeypatch.setattr(reglab.regulator, "rc_pairing", lambda *args: Fraction(1, 3))
+    monkeypatch.setattr(reglab.regulator, "qindex_route", lambda *args: Fraction(3))
+    for argv in (("regulator", "--module", path, "--relation", theta_d3),
+                 ("check", "--identity", "DIHEDRAL_MAIN", "--module", path)):
+        code, doc = _run(capsys, *argv)
+        assert code == 1, argv
+        assert doc["error"] == "ConsistencyError" and "routes disagree" in doc["message"]
+        assert f"module digest {valid['digest']}" in doc["message"], argv
+
+
 def test_regulator_seed_independence(capsys, triv_d3, theta_d3):
     values = set()
     for seed in (0, 1, 17):

@@ -28,6 +28,7 @@ from reglab import (
     permutation_module,
     random_module,
     random_module_hom,
+    regulator_constant,
     restrict,
     rosen_valuation,
     smith_normal_form,
@@ -197,7 +198,8 @@ def test_records_refuse_assignment_and_tate_relabels_the_cached_group(name):
         "TorsionDecomposition": lambda: torsion_decomposition(M),
         "TateGroup": lambda: tate(N, C6.full_subgroup(), 5),
         "PhiMap": lambda: build_phi(dihedral_relation(3)),
-        "BoundsReport": lambda: bounds_report(M, 3, 3),
+        "BoundsReport": lambda: bounds_report(
+            M, 3, 3, regulator_constant(M, dihedral_relation(3)).value),
     }
     record = build[name]()
     assert type(record).__name__ == name
@@ -431,7 +433,7 @@ def test_one_pass_per_map_matches_two_eliminations_per_degree():
 
 def test_each_map_takes_one_pass(monkeypatch):
     # per restricted module over its whole degree window: one preimage
-    # echelon per upper map (the norm, d1, and d2 with d3 or the involuted
+    # echelon per upper map (the norm, d1, and d2 with d3 or the inverted
     # d1^T), and a Hermite pass of its own only for a lower map named by a
     # transpose; asked downwards or upwards, the counts are the same
     passes = {"echelon": 0, "hermite": 0}
@@ -529,10 +531,13 @@ _RING_GROUPS = [G for G in zoo() if G.order > 1]
        st.integers(2, 5), st.booleans(), st.sampled_from(("norm", "d1", "d1T", "d2", "d2T")))
 def test_ring_columns_are_the_columns_of_the_row_built_matrix(index, profile, seed,
                                                               max_rank, involute, name):
+    # g acting as g^{-1} on the matrices is the table with its elements inverted
     G = _RING_GROUPS[index]
     M = random_module(G, profile, seed, max_rank=max_rank)
     table = _ring_tables(G)[name]
-    columns = _ring_columns(M, table, involute)
+    read = ([[[(a, G.inverse[g]) for a, g in e] for e in line] for line in table]
+            if involute else table)
+    columns = _ring_columns(M, read)
     assert columns == ring_matrix(M, table, involute).columns()
     assert all(type(col) is list for col in columns)
 
@@ -609,17 +614,42 @@ def test_tate_table_echelon_entries_stay_bounded(monkeypatch):
 
 def test_dihedral_degree_two_is_h1_at_the_free_end():
     # H_1 sits between the transposes of d2 (F2 -> F1, three generators to
-    # two) and d1 (F1 -> F0, two to one), with the involuted action
+    # two) and d1 (F1 -> F0, two to one), every element g turned into g^{-1}
     for q in (3, 5, 9):
         G = FiniteGroup.dihedral(q)
-        (_, lower), (_, upper), involute = _complex(G, 2)
-        assert (len(lower), len(upper), involute) == (2, 1, True)
+        (lname, lower), (uname, upper) = _complex(G, 2)
+        assert (lname, uname) == ("d2T*", "d1T*")
+        assert (len(lower), len(upper)) == (2, 1)
         assert [len(line) for line in lower] == [3, 3] and len(upper[0]) == 2
+        d1, d2 = _resolution(G, 2)
+        for table, d in ((lower, d2), (upper, d1)):
+            transposed = [list(c) for c in zip(*d)]
+            # the same coefficients, and each element times its original is 1
+            assert [[[a for a, _ in e] for e in line] for line in table] == [
+                [[a for a, _ in e] for e in line] for line in transposed]
+            assert {G.mul[g][h] for line, tline in zip(table, transposed)
+                    for e, f in zip(line, tline) for (_, g), (_, h) in zip(e, f)} == {0}
+
+
+def test_each_restricted_module_keeps_one_transposed_action():
+    # the inverted tables read the same transposed action matrices as the rest
+    for G in (FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), FiniteGroup.cyclic(6),
+              V4(), a4()):
+        for profile in ("torsion_free", "finite", "mixed"):
+            M = random_module(G, profile, 11, max_rank=5)
+            for H in subgroup_class_representatives(G)[1:]:
+                R = restrict(M, H)
+                for d in (-1, 0, 1, 2):
+                    _complex_data(R, _reduce_degree(R.group, d))
+                kept = [k for k in R._cache
+                        if k == "transposed" or (type(k) is tuple and k[0] == "transposed")]
+                assert kept == ["transposed"], (G, H, profile)
 
 
 def test_degree_two_does_not_reuse_the_degree_minus_one_matrix():
-    # both degrees act by the transpose of d1, degree 2 involuted and degree
-    # -1 not; reading -1 first must leave degree 2 as on a fresh module
+    # both degrees act by the transpose of d1, degree 2 with its elements
+    # inverted and degree -1 not; reading -1 first must leave degree 2 as on
+    # a fresh module
     rng = random.Random(7)
     for q in (3, 5):
         G = FiniteGroup.dihedral(q)

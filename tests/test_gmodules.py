@@ -56,7 +56,7 @@ def test_regular_module_validates_all_pairs():
     validate_module(M, all_pairs=True)
     assert M.ambient_rank == 6
     assert M.is_torsion_free()
-    assert M.free_rank() == 6
+    assert M.abelian_group().free_rank == 6
 
 
 def test_coset_module_action_is_coset_permutation():
@@ -313,9 +313,9 @@ def test_torsion_decomposition_splits_invariants():
         rank, torsion = M.abelian_group().invariants()
         assert dec.free.ambient_rank == rank
         assert dec.torsion.abelian_group().invariants() == (0, torsion)
-        # the torsion basis columns lie in the saturation
-        sat = exactla.saturate(M.relations)
-        for col in dec.tors_basis.columns():
+        # the torsion coordinates of compress(M) embed into the saturation
+        sat, pres = exactla.saturate(M.relations), compress(M)
+        for col in pres.embed.columns()[:dec.torsion.ambient_rank]:
             assert sat.contains(col)
 
 
@@ -325,8 +325,10 @@ def _module_fields(M):
 
 def test_torsion_decomposition_slices_the_minimal_presentation(monkeypatch):
     # on a minimal presentation, the blocks of compress are what the
-    # saturation builds: the same torsion and free modules, torsion basis
-    # and projection, with no saturation and no sublattice coordinates
+    # saturation builds: the same torsion and free modules, and the
+    # saturation's basis and projection are the columns and rows of
+    # compress's coordinate maps that the blocks slice, with no saturation
+    # and no sublattice coordinates
     cases = [compress(random_module(G, profile, seed, max_rank=6)).module
              for G in zoo() for profile in ("torsion_free", "finite", "mixed")
              for seed in (5, 6)]
@@ -337,12 +339,13 @@ def test_torsion_decomposition_slices_the_minimal_presentation(monkeypatch):
 
     monkeypatch.setattr(exactla, "saturate", refused)
     monkeypatch.setattr(gmodules, "sublattice_action", refused)
-    for Mc, ref in zip(cases, refs):
+    for Mc, (ref, basis, projection) in zip(cases, refs):
         dec = torsion_decomposition(Mc)
         assert _module_fields(dec.torsion) == _module_fields(ref.torsion)
         assert _module_fields(dec.free) == _module_fields(ref.free)
-        assert dec.tors_basis == ref.tors_basis
-        assert dec.mt_projection == ref.mt_projection
+        pres, t = compress(Mc), Mc.relations.rank
+        assert basis == IntMatrix([row[:t] for row in pres.embed.entries], cols=t)
+        assert projection == IntMatrix(pres.project.entries[t:], cols=pres.project.cols)
 
 
 def test_torsion_decomposition_refuses_torsion_carried_onto_free_coordinates():
@@ -486,9 +489,14 @@ def test_equivariant_hom_basis_maps_are_equivariant_and_independent():
             M1 = permutation_module(G, H1)
             M2 = permutation_module(G, H2)
             flat = []
-            for mat in basis:
-                ModuleHom(M1, M2, mat)
-                flat.append([x for row in mat.entries for x in row])
+            for entries in basis:
+                # the nonzero entries (i, j, a), row-major
+                assert list(entries) == sorted(entries) and all(a for _, _, a in entries)
+                rows = [[0] * M1.ambient_rank for _ in range(M2.ambient_rank)]
+                for i, j, a in entries:
+                    rows[i][j] = a
+                ModuleHom(M1, M2, IntMatrix(rows))
+                flat.append([x for row in rows for x in row])
             # linear independence over Z
             ker = integer_kernel(IntMatrix(flat).transpose())
             assert ker.rank == 0

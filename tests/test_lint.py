@@ -580,3 +580,52 @@ def test_no_frozen_slot_is_written_from_outside_its_class():
     found = {path.name: setattr_outside_classes(path.read_text())
              for path in sorted((ROOT / "src" / "reglab").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def record_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) of every field of the typing.NamedTuple classes a
+    module declares."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and any(
+                "NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None))
+                for b in cls.bases):
+            found += [(cls.name, stmt.target.id) for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def unread_fields(sources: dict[str, str], names: str) -> list[str]:
+    """The record fields of sources that no module of sources reads as an
+    attribute, and that names does not hold as a string."""
+    read = {n.attr for source in sources.values() for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read |= {n.value for n in ast.walk(ast.parse(names))
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return sorted(f"{module}: {cls}.{field}" for module, source in sources.items()
+                  for cls, field in record_fields(source) if field not in read)
+
+
+def test_unread_fields_are_found():
+    sources = {"a": ("from typing import NamedTuple\n"
+                     "class P(NamedTuple):\n    x: int\n    y: int = 0\n    z: int\n"
+                     "    def norm(self):\n        return self.x\n"
+                     "class Q:\n    w: int\n"),
+               "b": "def f(p):\n    p.y = 1\n    return 'z'\n"}
+    assert record_fields(sources["a"]) == [("P", "x"), ("P", "y"), ("P", "z")]
+    assert unread_fields(sources, "getattr(p, 'z')\n") == ["a: P.y"]
+
+
+def test_every_record_field_is_read():
+    # a field only tests read is work for no production path; the layer
+    # trace reads its fields by name
+    src = ROOT / "src" / "reglab"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    names = (ROOT / "bench" / "layertrace.py").read_text()
+    assert unread_fields(sources, names) == []
+    # a field planted into TateGroup and never read is found
+    anchor = "    group: PresentedAbelianGroup\n"
+    planted = sources["cohomology.py"].replace(anchor, anchor + "    cochain_width: int\n", 1)
+    assert planted != sources["cohomology.py"]
+    assert unread_fields({**sources, "cohomology.py": planted}, names) == [
+        "cohomology.py: TateGroup.cochain_width"]

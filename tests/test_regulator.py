@@ -473,14 +473,16 @@ def test_routes_agree_over_d9(profile):
 
 def test_bounds_for_trivial_module_at_three():
     rel = dihedral_relation(3)
-    rep = bounds_report(trivial_module(rel.group), 3, 3)
+    M = trivial_module(rel.group)
+    rep = bounds_report(M, 3, 3, regulator_constant(M, rel).value)
     assert (rep.ell, rep.v, rep.L, rep.U) == (3, -1, 1, 1)
     assert rep.ok
 
 
 def test_bounds_away_from_q_are_zero():
     rel = dihedral_relation(3)
-    rep = bounds_report(trivial_module(rel.group), 3, 5)
+    M = trivial_module(rel.group)
+    rep = bounds_report(M, 3, 5, regulator_constant(M, rel).value)
     assert (rep.v, rep.L, rep.U) == (0, 0, 0)
     assert rep.ok
 
@@ -501,7 +503,7 @@ def test_bounds_hold_on_random_modules():
 def test_bounds_reject_wrong_group():
     rel = dihedral_relation(3)
     with pytest.raises(InputError):
-        bounds_report(trivial_module(rel.group), 5, 5)
+        bounds_report(trivial_module(rel.group), 5, 5, Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
