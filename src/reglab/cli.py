@@ -16,6 +16,7 @@ import sys
 import traceback
 from functools import cache
 
+from .arith import fraction_str
 from .brauer import (
     brauer_relation_lattice,
     is_brauer_relation,
@@ -169,12 +170,11 @@ def _cmd_regulator(args) -> int:
     M = _load_module_arg(args.module)
     rel = _load_relation_arg(args.relation)
     if args.method == "pairing":
-        rc = RegulatorConstant(rc_pairing(M, rel), M.group.order)
+        rc = RegulatorConstant.of(M, rc_pairing(M, rel))
     elif args.method == "qindex":
-        rc = RegulatorConstant(qindex_route(M, rel, args.seed), M.group.order)
+        rc = RegulatorConstant.of(M, qindex_route(M, rel, args.seed))
     else:
         rc = regulator_constant(M, rel, seed=args.seed)
-    from .arith import fraction_str
     _emit({
         "value": fraction_str(rc.value),
         "factorization": {str(p): e for p, e in rc.factorization.items()},
@@ -208,7 +208,7 @@ def _cmd_relations(args) -> int:
 def _cmd_check(args) -> int:
     M = _load_module_arg(args.module)
     fields = find_identity(args.identity).fields()
-    inputs = {"prime": args.prime, "seed": args.seed}
+    inputs = {}
     if "q" in fields:
         inputs["q"] = _dihedral_q(M.group)
     if "module" in fields:
@@ -217,7 +217,7 @@ def _cmd_check(args) -> int:
         inputs["relation"] = _load_relation_arg(args.relation)
     elif "relation" in fields:
         raise InputError(f"{args.identity} needs --relation")
-    report = verify_identity(args.identity, **inputs)
+    report = verify_identity(args.identity, **inputs, prime=args.prime, seed=args.seed)
     report["module_digest"] = module_digest(M)
     _emit(report)
     return 0 if report["status"] == "pass" else 1

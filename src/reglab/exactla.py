@@ -31,11 +31,12 @@ reduces to four primitives implemented here:
   over the columns of L's c Hermite rows, a full-rank lattice, so its
   order and invariant factors need no saturation. A map splits into its
   torsion and free parts as blocks on the Smith coordinates of its source
-  and target (tors_hom, mt_hom), with no saturation either. A subquotient
-  U/V of nested Hermite lattices (a Tate group, fixed points) is presented
-  on U's basis, and its relation lattice is read off the two Hermite
-  forms: the coordinates of V's rows are echelon rows already, so reducing
-  above their pivots is their Hermite form, with no second echelon pass,
+  and target (smith_blocks, smith_split), with no saturation either. A
+  subquotient U/V of nested Hermite lattices (a Tate group, fixed points)
+  is presented on U's basis, and its relation lattice is read off the two
+  Hermite forms: the coordinates of V's rows are echelon rows already, so
+  reducing above their pivots is their Hermite form, with no second
+  echelon pass,
 * one Smith elimination (_diagonalize), each of its four steps (divisible
   and gcd, on rows and on columns) written once, run only where divisors
   are asked for, with two callers: smith_normal_form carries the row
@@ -161,10 +162,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries \
@@ -1025,37 +1022,33 @@ def _diagonal_group(divisors: tuple[int, ...]) -> PresentedAbelianGroup:
     return PresentedAbelianGroup(Lattice._trusted(t, rows, tuple(range(t))))
 
 
-def _smith_split(f: GroupHom) -> tuple[GroupHom, GroupHom]:
-    """(tors f, mt f) as blocks of f on the Smith coordinates of its source
-    and target, as torsion_decomposition splits a module.
+def smith_blocks(F: IntMatrix, s: int, t: int) -> tuple[IntMatrix, IntMatrix]:
+    """The upper-left t x s block of F and its lower-right block.
 
-    There the source is Z^s / diag(d_s) + Z^(k - s) and the target
-    Z^t / diag(d_t) + Z^(m - t). A torsion class lies in Z^s + 0, so the
-    block from the source torsion to the target free coordinates is zero:
-    tors f is the upper-left t x s block and mt f the lower-right block,
-    between free groups.
+    F is a map Z^s / diag(d_s) + Z^(k - s) -> Z^t / diag(d_t) + Z^(m - t) on
+    Smith coordinates. A torsion class lies in Z^s + 0, so the block from
+    the source torsion to the target free coordinates is zero, and a
+    nonzero one raises ConsistencyError: the two blocks are the map on
+    torsion and the map between the free quotients.
     """
+    rows = F.entries
+    if any(any(row[:s]) for row in rows[t:]):
+        raise ConsistencyError("the map carries torsion onto the free coordinates")
+    return (IntMatrix._trusted(tuple(row[:s] for row in rows[:t]), s),
+            IntMatrix._trusted(tuple(row[s:] for row in rows[t:]), F.cols - s))
+
+
+def smith_split(f: GroupHom) -> tuple[GroupHom, GroupHom]:
+    """(tors f, mt f): the induced maps on torsion subgroups, between their
+    Smith presentations, and on maximal torsion-free quotients, between
+    free groups, as smith_blocks of f on the Smith coordinates of its
+    source and target."""
     proj_t, _, d_t = smith_coordinates(f.target.relations)
     _, embed_s, d_s = smith_coordinates(f.source.relations)
-    F = (proj_t @ f.matrix @ embed_s).entries
-    s, t, k = len(d_s), len(d_t), embed_s.cols
-    if any(any(row[:s]) for row in F[t:]):
-        raise ConsistencyError("the map carries torsion onto free coordinates")
-    tors = IntMatrix._trusted(tuple(row[:s] for row in F[:t]), s)
-    free = IntMatrix._trusted(tuple(row[s:] for row in F[t:]), k - s)
+    tors, free = smith_blocks(proj_t @ f.matrix @ embed_s, len(d_s), len(d_t))
     return (GroupHom(_diagonal_group(d_s), _diagonal_group(d_t), tors),
             GroupHom(PresentedAbelianGroup.free(free.cols),
                      PresentedAbelianGroup.free(free.rows), free))
-
-
-def tors_hom(f: GroupHom) -> GroupHom:
-    """Induced map on torsion subgroups, between their Smith presentations."""
-    return _smith_split(f)[0]
-
-
-def mt_hom(f: GroupHom) -> GroupHom:
-    """Induced map on maximal torsion-free quotients, on free presentations."""
-    return _smith_split(f)[1]
 
 
 def dual_hom(f: GroupHom) -> GroupHom:

@@ -22,6 +22,7 @@ from .exactla import (
     block_diagonal_lattice,
     preimage_lattice,
     saturate,
+    smith_blocks,
     smith_coordinates,
     subquotient_group,
 )
@@ -345,11 +346,6 @@ def sublattice_action(S: Lattice, action) -> list[IntMatrix]:
     return out
 
 
-def _block(A: IntMatrix, rows: slice, cols: slice) -> IntMatrix:
-    """The block of A in the given rows and columns."""
-    return IntMatrix([row[cols] for row in A.entries[rows]], cols=len(range(A.cols)[cols]))
-
-
 def torsion_decomposition(M: GModule) -> TorsionDecomposition:
     """Split off tors M and the free quotient mt M = M / tors M as blocks
     of compress(M), memoised on M."""
@@ -357,13 +353,10 @@ def torsion_decomposition(M: GModule) -> TorsionDecomposition:
         return M._cache["torsion"]
     Mc = compress(M).module
     t = Mc.relations.rank
-    tors, free = slice(0, t), slice(t, Mc.ambient_rank)
-    if any(any(row[tors]) for A in Mc.action for row in A.entries[free]):
-        raise ConsistencyError("an action matrix of the minimal presentation "
-                               "carries torsion onto the free coordinates")
-    torsion = GModule(M.group, t, Lattice(t, (row[tors] for row in Mc.relations.basis_rows)),
-                      [_block(A, tors, tors) for A in Mc.action])
-    mt = GModule(M.group, Mc.ambient_rank - t, None, [_block(A, free, free) for A in Mc.action])
+    blocks = [smith_blocks(A, t, t) for A in Mc.action]
+    torsion = GModule(M.group, t, Lattice(t, (row[:t] for row in Mc.relations.basis_rows)),
+                      [tors for tors, _ in blocks])
+    mt = GModule(M.group, Mc.ambient_rank - t, None, [free for _, free in blocks])
     out = TorsionDecomposition(torsion, mt)
     M._cache["torsion"] = out
     return out

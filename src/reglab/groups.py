@@ -302,9 +302,6 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup{self.elements}"
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.elements
-
     def conjugate(self, g: int) -> "Subgroup":
         G = self.group
         return Subgroup(G, (G.conjugate_element(x, g) for x in self.elements),

@@ -40,7 +40,6 @@ from .errors import ConsistencyError, InputError
 from .exactla import IntMatrix, Lattice, _check_width, block_diagonal_lattice, map_orders
 from .gmodules import (
     GModule,
-    ModuleHom,
     compress,
     direct_sum,
     dual_module,
@@ -84,6 +83,14 @@ class RegulatorConstant:
                 f"the group order {group_order}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "factorization", factorization)
+
+    @classmethod
+    def of(cls, M: GModule, value: Fraction) -> "RegulatorConstant":
+        """value over the group of M; a ConsistencyError names M's digest."""
+        try:
+            return cls(value, M.group.order)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{exc} (module digest {module_digest(M)})") from None
 
     def __setattr__(self, *args):
         raise AttributeError("RegulatorConstant is immutable")
@@ -382,7 +389,7 @@ def regulator_constant(M: GModule, relation: BrauerRelation,
             f"(relation {relation!r}, ambient rank {M.ambient_rank}, seed {seed}, "
             f"module digest {module_digest(M)})"
         )
-    out = RegulatorConstant(via_pairing, M.group.order)
+    out = RegulatorConstant.of(M, via_pairing)
     M._cache[key] = out
     return out
 
@@ -471,56 +478,46 @@ def check_report(passed: bool, lhs, rhs, details: dict, *, seed: int,
     }
 
 
-class _Inputs(NamedTuple):
-    q: int | None
-    module: GModule | None
-    relation: BrauerRelation | None
-    hom: ModuleHom | None
-    prime: int | None
-    seed: int
-    dihedral: BrauerRelation | None  # dihedral_relation(q), built once
+def _rcz(q, seed):
+    rel = dihedral_relation(q)
+    C = regulator_constant(trivial_module(rel.group), rel, seed=seed).value
+    rhs = Fraction(1, q)
+    return C == rhs, C, rhs, {"q": q}
 
 
-def _rcz(x: _Inputs):
-    rel = x.dihedral
-    C = regulator_constant(trivial_module(rel.group), rel, seed=x.seed).value
-    rhs = Fraction(1, x.q)
-    return C == rhs, C, rhs, {"q": x.q}
-
-
-def _rczs(x: _Inputs):
-    rel = x.dihedral
+def _rczs(q, seed):
+    rel = dihedral_relation(q)
     G = rel.group
     reps = subgroup_class_representatives(G)
-    rng = random.Random(mix_seed(x.seed, 4))
+    rng = random.Random(mix_seed(seed, 4))
     family = [reps[rng.randrange(len(reps))] for _ in range(rng.randrange(1, 4))]
     M = permutation_module(G, family[0])
     for H in family[1:]:
         M = direct_sum(M, permutation_module(G, H))
-    C = regulator_constant(M, rel, seed=x.seed).value
+    C = regulator_constant(M, rel, seed=seed).value
     rhs = Fraction(1)
-    inside = frozenset(range(x.q))
+    inside = frozenset(range(q))
     for H in family:
         if not set(H.elements) <= inside:
             rhs *= Fraction(2, H.order)
-    return C == rhs, C, rhs, {"q": x.q, "family": [list(H.elements) for H in family]}
+    return C == rhs, C, rhs, {"q": q, "family": [list(H.elements) for H in family]}
 
 
-def _dual1(x: _Inputs):
-    C = regulator_constant(x.module, x.relation, seed=x.seed).value
-    Cd = regulator_constant(dual_module(x.module), x.relation, seed=x.seed).value
-    h0 = theta_product(x.module, x.relation, 0)
+def _dual1(module, relation, seed):
+    C = regulator_constant(module, relation, seed=seed).value
+    Cd = regulator_constant(dual_module(module), relation, seed=seed).value
+    h0 = theta_product(module, relation, 0)
     lhs = C * Cd * h0 * h0
     return lhs == 1, lhs, Fraction(1), {
         "C": fraction_str(C), "C_dual": fraction_str(Cd), "h0": fraction_str(h0),
     }
 
 
-def _finite_dual(x: _Inputs):
-    C = regulator_constant(x.module, x.relation, seed=x.seed).value
-    Cd = regulator_constant(finite_dual(x.module), x.relation, seed=x.seed).value
-    hm1 = theta_product(x.module, x.relation, -1)
-    h0 = theta_product(x.module, x.relation, 0)
+def _finite_dual(module, relation, seed):
+    C = regulator_constant(module, relation, seed=seed).value
+    Cd = regulator_constant(finite_dual(module), relation, seed=seed).value
+    hm1 = theta_product(module, relation, -1)
+    h0 = theta_product(module, relation, 0)
     lhs = C / Cd
     rhs = (hm1 / h0) ** 2
     return lhs == rhs, lhs, rhs, {
@@ -529,31 +526,33 @@ def _finite_dual(x: _Inputs):
     }
 
 
-def _finite_dihedral(x: _Inputs):
-    rel = x.dihedral
+def _finite_dihedral(q, module, seed):
+    rel = dihedral_relation(q)
     G = rel.group
     full = G.full_subgroup()
-    Mc = compress(x.module).module
+    Mc = compress(module).module
     sizes = {name: fixed_points(Mc, H).group.order()
              for name, H in (("1", G.trivial_subgroup()), ("D", full),
-                             ("R", Subgroup(G, tuple(range(x.q)), validate=False)),
-                             ("S", Subgroup(G, (0, x.q), validate=False)))}
+                             ("R", Subgroup(G, tuple(range(q)), validate=False)),
+                             ("S", Subgroup(G, (0, q), validate=False)))}
     lhs = Fraction(sizes["1"] * sizes["D"] ** 2, sizes["R"] * sizes["S"] ** 2)
-    rhs = Fraction(tate(x.module, full, 0).order(), tate(x.module, full, -1).order())
-    C = regulator_constant(x.module, rel, seed=x.seed).value
-    hm1 = theta_product(x.module, rel, -1)
-    h0 = theta_product(x.module, rel, 0)
+    rhs = Fraction(tate(module, full, 0).order(), tate(module, full, -1).order())
+    C = regulator_constant(module, rel, seed=seed).value
+    hm1 = theta_product(module, rel, -1)
+    h0 = theta_product(module, rel, 0)
     return lhs == rhs and C == hm1 / h0, lhs, rhs, {
         "C": fraction_str(C), "hm1_over_h0": fraction_str(hm1 / h0),
         "fixed_orders": sizes,
     }
 
 
-def _dcf(x: _Inputs):
-    rel = x.dihedral
+def _dcf(q, seed, module=None, hom=None):
+    if module is None and hom is None:
+        raise InputError("DCF needs q and a module or a hom")
+    rel = dihedral_relation(q)
     details, products = {}, []
-    for key, obj, theta in (("degree", x.module, theta_product),
-                            ("kernel_degree", x.hom, theta_kernel_product)):
+    for key, obj, theta in (("degree", module, theta_product),
+                            ("kernel_degree", hom, theta_kernel_product)):
         if obj is not None:
             for i in (-1, 0):
                 prod = theta(obj, rel, i) * theta(obj, rel, i + 2)
@@ -562,28 +561,28 @@ def _dcf(x: _Inputs):
     return all(p == 1 for p in products), products[0], Fraction(1), details
 
 
-def _dihedral_main(x: _Inputs):
-    rel = x.dihedral
-    C = regulator_constant(x.module, rel, seed=x.seed).value
-    h0 = theta_product(x.module, rel, 0)
-    h1 = theta_product(x.module, rel, 1)
-    hm1 = theta_product(x.module, rel, -1)
+def _dihedral_main(q, module, seed):
+    rel = dihedral_relation(q)
+    C = regulator_constant(module, rel, seed=seed).value
+    h0 = theta_product(module, rel, 0)
+    h1 = theta_product(module, rel, 1)
+    hm1 = theta_product(module, rel, -1)
     rhs = 1 / (h0 * h1)
     return C == rhs and C == hm1 / h0, C, rhs, {
         "h0": fraction_str(h0), "h1": fraction_str(h1), "hm1": fraction_str(hm1),
     }
 
 
-def _bounds(x: _Inputs):
+def _bounds(q, module, seed, prime=None):
     """Bounds at every prime of q, or at the given prime alone; without a
     prime, every prime of C must also divide q."""
-    rc = regulator_constant(x.module, x.dihedral, seed=x.seed)
+    rc = regulator_constant(module, dihedral_relation(q), seed=seed)
     C = rc.value
-    ells = sorted(factorize(x.q)) if x.prime is None else [x.prime]
-    reps = [bounds_report(x.module, x.q, ell, value=C) for ell in ells]
+    ells = sorted(factorize(q)) if prime is None else [prime]
+    reps = [bounds_report(module, q, ell, value=C) for ell in ells]
     passed = all(rep.ok for rep in reps)
-    if x.prime is None:
-        passed = passed and all(x.q % p == 0 for p in rc.factorization)
+    if prime is None:
+        passed = passed and all(q % p == 0 for p in rc.factorization)
     return passed, C, C, {"bounds": [
         {"ell": rep.ell, "v": rep.v, "L": rep.L, "U": rep.U, "ok": rep.ok}
         for rep in reps
@@ -593,44 +592,34 @@ def _bounds(x: _Inputs):
 class Identity(NamedTuple):
     """One entry of IDENTITIES.
 
-    needs lists the input kinds the identity takes: "q", "module",
-    "dihedral module" (a module over the order-2q dihedral group),
-    "relation" and "hom"; "a|b" means either one will do. module_is names
-    the modules the identity is about ("finite" or "torsion-free"), if it
-    is about some only. optional lists the inputs it takes but can do
-    without ("prime"). check maps the inputs to (passed, lhs, rhs, details).
+    check maps the inputs to (passed, lhs, rhs, details). Its parameters
+    are seed and the inputs the identity takes, among q, module, relation,
+    hom and prime; those without a default are the ones it needs. An
+    identity that takes q takes a module only over the order-2q dihedral
+    group. module_is names the modules the identity is about ("finite" or
+    "torsion-free"), if it is about some only.
     """
 
-    needs: tuple[str, ...]
-    check: Callable[[_Inputs], tuple]
+    check: Callable[..., tuple]
     module_is: str | None = None
-    optional: tuple[str, ...] = ()
 
-    def fields(self) -> set[str]:
-        """The verify_identity arguments among the needs: q, module,
-        relation, hom."""
-        return {_KINDS[k][0] for need in self.needs for k in need.split("|")}
+    def fields(self) -> tuple[str, ...]:
+        """The inputs the identity takes: its checker's parameters but seed."""
+        code = self.check.__code__
+        return tuple(p for p in code.co_varnames[:code.co_argcount] if p != "seed")
 
 
-# input kind -> (the verify_identity argument it arrives in, its name in errors)
-_KINDS = {
-    "q": ("q", "q"),
-    "module": ("module", "a module"),
-    "dihedral module": ("module", "a module"),
-    "relation": ("relation", "a relation"),
-    "hom": ("hom", "a hom"),
-}
 _MODULE_IS = {"finite": GModule.is_finite, "torsion-free": GModule.is_torsion_free}
 
 IDENTITIES = {
-    "RCZ": Identity(("q",), _rcz),
-    "RCZS": Identity(("q",), _rczs),
-    "DUAL1": Identity(("module", "relation"), _dual1, "torsion-free"),
-    "FINITE_DUAL": Identity(("module", "relation"), _finite_dual, "finite"),
-    "FINITE_DIHEDRAL": Identity(("q", "dihedral module"), _finite_dihedral, "finite"),
-    "DCF": Identity(("q", "dihedral module|hom"), _dcf),
-    "DIHEDRAL_MAIN": Identity(("q", "dihedral module"), _dihedral_main),
-    "BOUNDS": Identity(("q", "dihedral module"), _bounds, optional=("prime",)),
+    "RCZ": Identity(_rcz),
+    "RCZS": Identity(_rczs),
+    "DUAL1": Identity(_dual1, "torsion-free"),
+    "FINITE_DUAL": Identity(_finite_dual, "finite"),
+    "FINITE_DIHEDRAL": Identity(_finite_dihedral, "finite"),
+    "DCF": Identity(_dcf),
+    "DIHEDRAL_MAIN": Identity(_dihedral_main),
+    "BOUNDS": Identity(_bounds),
 }
 
 
@@ -642,38 +631,30 @@ def find_identity(identity: str) -> Identity:
     return IDENTITIES[identity]
 
 
-def run_identity(identity: str, *, q: int | None = None,
-                 module: GModule | None = None,
-                 relation: BrauerRelation | None = None,
-                 hom: ModuleHom | None = None, prime: int | None = None,
-                 seed: int = 0) -> tuple:
-    """Check the inputs against the identity's IDENTITIES entry and run its
-    checker; returns (passed, lhs, rhs, details)."""
+def run_identity(identity: str, *, seed: int = 0, **inputs) -> tuple:
+    """Check the inputs against the identity's checker and run it; returns
+    (passed, lhs, rhs, details). An input passed as None is not given."""
     spec = find_identity(identity)
-    given = {"q": q, "module": module, "relation": relation, "hom": hom,
-             "prime": prime}
-    takes = spec.fields() | set(spec.optional)
-    extra = [k for k, v in given.items() if v is not None and k not in takes]
+    inputs = {k: v for k, v in inputs.items() if v is not None}
+    takes = spec.fields()
+    extra = [k for k in inputs if k not in takes]
     if extra:
         raise InputError(f"{identity} takes no {' and no '.join(extra)}")
-    for need in spec.needs:
-        if all(given[_KINDS[k][0]] is None for k in need.split("|")):
-            wanted = (" or ".join(_KINDS[k][1] for k in n.split("|")) for n in spec.needs)
-            raise InputError(f"{identity} needs {' and '.join(wanted)}")
+    code, defaults = spec.check.__code__, spec.check.__defaults__ or ()
+    needs = [k for k in code.co_varnames[:code.co_argcount - len(defaults)] if k != "seed"]
+    if any(k not in inputs for k in needs):
+        wanted = ("q" if k == "q" else f"a {k}" for k in needs)
+        raise InputError(f"{identity} needs {' and '.join(wanted)}")
+    module = inputs.get("module")
     if spec.module_is and not _MODULE_IS[spec.module_is](module):
         raise InputError(f"{identity} is about {spec.module_is} modules")
-    dihedral = dihedral_relation(q) if "q" in spec.fields() else None
-    if (module is not None and any("dihedral module" in n for n in spec.needs)
-            and module.group != dihedral.group):
+    if ("q" in takes and module is not None
+            and module.group != dihedral_relation(inputs["q"]).group):
         raise InputError("module does not live over the dihedral group")
-    return spec.check(_Inputs(q, module, relation, hom, prime, seed, dihedral))
+    return spec.check(seed=seed, **inputs)
 
 
-def verify_identity(identity: str, *, q: int | None = None,
-                    module: GModule | None = None,
-                    relation: BrauerRelation | None = None,
-                    hom: ModuleHom | None = None, prime: int | None = None,
-                    seed: int = 0) -> dict:
+def verify_identity(identity: str, *, seed: int = 0, **inputs) -> dict:
     """Check one exact identity of IDENTITIES and return its report dict.
 
     RCZ and RCZS take q (odd, > 1); RCZS draws its summands from seed.
@@ -681,8 +662,8 @@ def verify_identity(identity: str, *, q: int | None = None,
     relation. FINITE_DIHEDRAL (finite), DIHEDRAL_MAIN and BOUNDS take q and a
     module over the order-2q dihedral group, and DCF takes q and such a
     module or a hom. BOUNDS reports every prime of q, or only prime when it
-    is given. An input the identity does not take raises InputError.
+    is given. An input the identity does not take, a misspelled one
+    included, raises InputError.
     """
-    result = run_identity(identity, q=q, module=module, relation=relation,
-                          hom=hom, prime=prime, seed=seed)
+    result = run_identity(identity, seed=seed, **inputs)
     return check_report(*result, seed=seed, identity=identity)

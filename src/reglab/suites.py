@@ -30,9 +30,9 @@ from .exactla import (
     IntMatrix,
     Lattice,
     PresentedAbelianGroup,
-    _smith_split,
     dual_hom,
     qindex,
+    smith_split,
 )
 from .gmodules import (
     PROFILES,
@@ -396,7 +396,7 @@ def _suite_qindex(q_list, trials, seed):
         q = qindex(f)
         if q is None:
             continue
-        tors, free = _smith_split(f)
+        tors, free = smith_split(f)
         qt, qm = qindex(tors), qindex(free)
         qd = qindex(dual_hom(f))
 

@@ -531,7 +531,7 @@ def augmentation_all_tate(M, H) -> TateGroup:
     H, where production takes only the generators of H."""
     R = restrict(M, H)
     n, h = R.ambient_rank, R.group.order
-    norm = IntMatrix([[sum(R.action[g][i, j] for g in range(h)) for j in range(n)]
+    norm = IntMatrix([[sum(R.action[g].entries[i][j] for g in range(h)) for j in range(n)]
                       for i in range(n)], cols=n)
     U = preimage_lattice(norm.columns(), R.relations)
     ident = IntMatrix.identity(n)

@@ -283,6 +283,9 @@ def test_regulator_exits_one_on_a_constant_off_the_group_order(
                      "--relation", theta_d3, "--method", method)
     assert code == 1
     assert doc["error"] == "ConsistencyError" and "11" in doc["message"]
+    # the message carries the digest validate prints, so the module is found again
+    _, valid = _run(capsys, "validate", "--module", triv_d3)
+    assert doc["message"].endswith(f"(module digest {valid['digest']})")
 
 
 def test_a_route_disagreement_names_the_module_digest(capsys, monkeypatch, finite_d3,

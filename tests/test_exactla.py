@@ -26,13 +26,13 @@ from reglab.exactla import (
     integer_kernel,
     invert_unimodular,
     map_orders,
-    mt_hom,
     preimage_lattice,
     qindex,
     saturate,
+    smith_blocks,
     smith_normal_form,
+    smith_split,
     subquotient_group,
-    tors_hom,
 )
 from reglab.errors import ConsistencyError, ResourceLimitError
 
@@ -759,9 +759,18 @@ def test_smith_split_refuses_torsion_carried_onto_free_coordinates(monkeypatch):
         return IntMatrix(project.entries[::-1]), embed, divisors
 
     monkeypatch.setattr(exactla, "smith_coordinates", swapped)
-    for split in (tors_hom, mt_hom):
-        with pytest.raises(ConsistencyError, match="torsion onto free"):
-            split(f)
+    with pytest.raises(ConsistencyError, match="torsion onto the free"):
+        smith_split(f)
+
+
+def test_smith_blocks_are_the_torsion_and_free_corners():
+    # 2 torsion source and 1 torsion target coordinates: rows 1.. meet
+    # columns 0..1 in the lower-left block, which must be zero
+    F = IntMatrix([[1, 2, 3, 4], [0, 0, 5, 6], [0, 0, 7, 8]])
+    assert smith_blocks(F, 2, 1) == (IntMatrix([[1, 2]]), IntMatrix([[5, 6], [7, 8]]))
+    assert smith_blocks(F, 0, 0) == (IntMatrix([], cols=0), F)
+    with pytest.raises(ConsistencyError, match="torsion onto the free"):
+        smith_blocks(F, 3, 1)
 
 
 def test_unit_pivots_drop_out_of_the_modular_elimination():
@@ -1010,8 +1019,8 @@ def test_qindex_split_identities_random():
         q = qindex(f)
         if q is None:
             continue
-        qt = qindex(tors_hom(f))
-        qm = qindex(mt_hom(f))
+        tors, free = smith_split(f)
+        qt, qm = qindex(tors), qindex(free)
         qd = qindex(dual_hom(f))
         assert qt is not None and qm is not None and qd is not None
         assert q == qt * qm
@@ -1048,7 +1057,7 @@ def _finite_index_homs(draw):
 def test_smith_split_matches_the_saturation_split(f):
     # tors f and mt f as Smith blocks: on the torsion divisors and free ranks
     # of f's two sides, with the q-indices of the split through saturations
-    tors, free = tors_hom(f), mt_hom(f)
+    tors, free = smith_split(f)
     assert tors.source.invariants() == (0, f.source.torsion_divisors)
     assert tors.target.invariants() == (0, f.target.torsion_divisors)
     assert (free.source.invariants(), free.target.invariants()) == (

@@ -173,9 +173,9 @@ def test_only_group_data_and_report_sides_are_factored():
              for where in scoped_callers(source, name)}
     assert found == ALLOWED_FACTORING
     # the CLI factoring the constant it prints is found
-    anchor = '    from .arith import fraction_str\n'
+    anchor = '    _emit({\n        "value": fraction_str(rc.value),\n'
     planted = sources["cli.py"].replace(
-        anchor, anchor + "    arith.factorize_fraction(rc.value)\n", 1)
+        anchor, "    arith.factorize_fraction(rc.value)\n" + anchor, 1)
     assert planted != sources["cli.py"]
     assert scoped_callers(planted, "factorize_fraction") == ["_cmd_regulator"]
     assert scoped_callers("class A:\n    def f(self):\n        g(1)\ng(2)\n", "g") == [
@@ -629,3 +629,51 @@ def test_every_record_field_is_read():
     assert planted != sources["cohomology.py"]
     assert unread_fields({**sources, "cohomology.py": planted}, names) == [
         "cohomology.py: TateGroup.cochain_width"]
+
+
+_IDENTITY_INPUTS = {"q", "module", "relation", "hom", "prime"}
+
+
+def unknown_checker_inputs(source: str) -> list[str]:
+    """What the IDENTITIES checkers of a module take besides seed and the
+    inputs an identity can be given: a parameter of another name, *args,
+    **kwargs, a positional-only or keyword-only parameter (which the
+    checker's parameter list does not show), or a missing seed; as
+    "identity: checker(what)"."""
+    tree = ast.parse(source)
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    table = next(top.value for top in tree.body if isinstance(top, ast.Assign)
+                 and any(getattr(t, "id", None) == "IDENTITIES" for t in top.targets))
+    found = []
+    for key, entry in zip(table.keys, table.values):
+        fn = functions[entry.args[0].id]
+        a = fn.args
+        bad = [p.arg for p in a.args if p.arg not in _IDENTITY_INPUTS | {"seed"}]
+        bad += [f"/{p.arg}" for p in a.posonlyargs] + [f"*, {p.arg}" for p in a.kwonlyargs]
+        bad += [f"*{p.arg}" for p in (a.vararg,) if p] + [f"**{p.arg}" for p in (a.kwarg,) if p]
+        if "seed" not in [p.arg for p in a.args]:
+            bad.append("no seed")
+        found += [f"{key.value}: {fn.name}({b})" for b in bad]
+    return found
+
+
+def test_unknown_checker_inputs_are_found():
+    source = ("def _a(q, seed):\n    pass\n"
+              "def _b(modul, relation, *args, seed, **kwargs):\n    pass\n"
+              "def _c(q, /, module, prime=None):\n    pass\n"
+              "IDENTITIES = {'A': Identity(_a), 'B': Identity(_b, 'finite'),\n"
+              "              'C': Identity(_c)}\n")
+    assert unknown_checker_inputs(source) == [
+        "B: _b(modul)", "B: _b(*, seed)", "B: _b(*args)", "B: _b(**kwargs)",
+        "B: _b(no seed)", "C: _c(/q)", "C: _c(no seed)"]
+
+
+def test_identity_checkers_take_known_inputs():
+    # a checker's parameters are the inputs its identity takes, so a typo in
+    # one is an input that `reglab check` can never supply
+    regulator = (ROOT / "src" / "reglab" / "regulator.py").read_text()
+    assert unknown_checker_inputs(regulator) == []
+    anchor = "def _dual1(module, relation, seed):\n"
+    planted = regulator.replace(anchor, "def _dual1(module, relaton, seed):\n", 1)
+    assert planted != regulator
+    assert unknown_checker_inputs(planted) == ["DUAL1: _dual1(relaton)"]

@@ -607,3 +607,76 @@ def test_verify_rejects_bad_requests():
         verify_identity("RCZ", q=3, prime=3)
     with pytest.raises(InputError, match="takes no module"):
         verify_identity("RCZS", q=3, module=trivial_module(rel5.group))
+
+
+def _identity_inputs():
+    """The objects the rows of _IDENTITY_ERRORS name."""
+    d3, d5 = dihedral_relation(3).group, dihedral_relation(5).group
+    tm = trivial_module(d3)
+    return {"D3": tm, "D3 finite": random_module(d3, "finite", seed=0),
+            "D5": trivial_module(d5), "D5 finite": random_module(d5, "finite", seed=0),
+            "theta": dihedral_relation(3), "hom": ModuleHom(tm, tm, IntMatrix([[6]]))}
+
+
+# every InputError verify_identity raises before a checker runs: per identity,
+# each missing input, each input it does not take, a module of the wrong kind
+# and a module over the wrong dihedral group; a string value names an object
+# of _identity_inputs
+_IDENTITY_ERRORS = [
+    *((name, inputs, message) for name in ("RCZ", "RCZS") for inputs, message in (
+        ({}, f"{name} needs q"),
+        ({"q": 3, "module": "D3"}, f"{name} takes no module"),
+        ({"q": 3, "relation": "theta"}, f"{name} takes no relation"),
+        ({"q": 3, "hom": "hom"}, f"{name} takes no hom"),
+        ({"q": 3, "prime": 3}, f"{name} takes no prime"))),
+    *((name, inputs, message)
+      for name, M, other in (("DUAL1", "D3", "finite"), ("FINITE_DUAL", "D3 finite", "D3"))
+      for inputs, message in (
+        ({"relation": "theta"}, f"{name} needs a module and a relation"),
+        ({"module": M}, f"{name} needs a module and a relation"),
+        ({"module": M, "relation": "theta", "q": 3}, f"{name} takes no q"),
+        ({"module": M, "relation": "theta", "hom": "hom"}, f"{name} takes no hom"),
+        ({"module": M, "relation": "theta", "prime": 3}, f"{name} takes no prime"))),
+    ("DUAL1", {"module": "D3 finite", "relation": "theta"},
+     "DUAL1 is about torsion-free modules"),
+    ("FINITE_DUAL", {"module": "D3", "relation": "theta"},
+     "FINITE_DUAL is about finite modules"),
+    *((name, inputs, message)
+      for name, M, wrong in (("FINITE_DIHEDRAL", "D3 finite", "D5 finite"),
+                             ("DIHEDRAL_MAIN", "D3", "D5"), ("BOUNDS", "D3", "D5"))
+      for inputs, message in (
+        ({"module": M}, f"{name} needs q and a module"),
+        ({"q": 3}, f"{name} needs q and a module"),
+        ({"q": 3, "module": M, "relation": "theta"}, f"{name} takes no relation"),
+        ({"q": 3, "module": M, "hom": "hom"}, f"{name} takes no hom"),
+        ({"q": 3, "module": wrong}, "module does not live over the dihedral group"))),
+    ("FINITE_DIHEDRAL", {"q": 3, "module": "D3", "prime": 3},
+     "FINITE_DIHEDRAL takes no prime"),
+    ("DIHEDRAL_MAIN", {"q": 3, "module": "D3", "prime": 3}, "DIHEDRAL_MAIN takes no prime"),
+    ("FINITE_DIHEDRAL", {"q": 3, "module": "D3"}, "FINITE_DIHEDRAL is about finite modules"),
+    ("DCF", {"module": "D3"}, "DCF needs q"),
+    ("DCF", {"q": 3}, "DCF needs q and a module or a hom"),
+    ("DCF", {"q": 3, "module": "D3", "relation": "theta"}, "DCF takes no relation"),
+    ("DCF", {"q": 3, "module": "D3", "prime": 3}, "DCF takes no prime"),
+    ("DCF", {"q": 3, "module": "D5"}, "module does not live over the dihedral group"),
+]
+
+
+@pytest.mark.parametrize("identity, inputs, message", _IDENTITY_ERRORS)
+def test_verify_identity_error_table(identity, inputs, message):
+    objects = _identity_inputs()
+    given = {k: objects[v] if isinstance(v, str) else v for k, v in inputs.items()}
+    with pytest.raises(InputError) as err:
+        verify_identity(identity, **given)
+    assert str(err.value) == message
+
+
+def test_a_misspelled_input_is_named():
+    rel = dihedral_relation(3)
+    M = trivial_module(rel.group)
+    with pytest.raises(InputError, match="^DUAL1 takes no modul$"):
+        verify_identity("DUAL1", modul=M, relation=rel)
+    with pytest.raises(InputError, match="^RCZ takes no sed$"):
+        verify_identity("RCZ", q=3, sed=1)
+    # an input passed as None is not given
+    assert verify_identity("RCZ", q=3, module=None, prime=None)["status"] == "pass"
