@@ -2,15 +2,14 @@
 
 The package computes, in exact integer/rational arithmetic, the cohomological
 invariants of finitely generated modules over finite group rings: Tate groups
-in degrees -1..2 (extended by periodicity where available), Herbrand
-quotients, Brauer relations of a finite group, and regulator constants
-attached to a relation, by two independent routes that are required to agree.
+in every degree (folded by periodicity where available), Herbrand quotients,
+Brauer relations of a finite group, and regulator constants attached to a
+relation, by two independent routes that are required to agree.
 """
 
 from .arith import factorize, factorize_fraction, valuation, xgcd
 from .errors import (
     ConsistencyError,
-    DegreeWindowError,
     InputError,
     ResourceLimitError,
     ValidationError,

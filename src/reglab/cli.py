@@ -24,7 +24,6 @@ from .brauer import (
 from .cohomology import tate
 from .errors import (
     ConsistencyError,
-    DegreeWindowError,
     InputError,
     ResourceLimitError,
     ValidationError,
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         _emit({"error": "ConsistencyError", "message": str(exc)})
         return 1
-    except (InputError, ValidationError, DegreeWindowError) as exc:
+    except (InputError, ValidationError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2

@@ -1,8 +1,8 @@
 """Tate cohomology of finite groups acting on finitely generated modules.
 
-Degrees -1..2 are computed directly; cyclic groups extend to all degrees with
-period 2 and dihedral groups of twice-odd order with period 4. Everything is
-a subquotient of an explicit cochain lattice, so orders and induced maps are
+Every integer degree is computed; cyclic groups fold degrees by period 2
+and dihedral groups of twice-odd order by period 4. Everything is a
+subquotient of an explicit cochain lattice, so orders and induced maps are
 exact. The cochains are taken on the minimal presentation of the module
 whenever it drops a coordinate, so a TateGroup's lattices live there.
 
@@ -11,32 +11,31 @@ terms of Hom_H(F, M) over a complete resolution F of Z (K. Brown, Cohomology
 of Groups, GTM 87, VI.3). With d1 : m -> ((x - 1)m)_x over the generators x
 of H and N the norm, H^0 is that of M -N-> M -d1-> M^k, fixed points modulo
 norms, and H^{-1} that of M^k -d1^T-> M -N-> M, the norm kernel modulo I_H M,
-which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^1 and H^2 come
-from the free end F -> Z, on a small free resolution built from the group
-table, whose modules of relations are spanned greedily by translates of
-kernel vectors (Brown, III.1) and which is built only as far as the degrees
-asked need. Cyclic groups reduce every degree to -1 or 0. Dihedral groups of
-twice-odd order reduce every degree to -1..2 and take H^2 as H_1 of the same
-resolution's chain complex, which is H^{-2}, isomorphic to H^2 naturally in
-the module by 4-periodicity (Brown, VI.4 and VI.9).
+which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^j for j >= 1
+comes from the free end F -> Z, on a small free resolution built from the
+group table, whose modules of relations are spanned greedily by translates
+of kernel vectors (Brown, III.1) and which is built only as far as the
+degrees asked need, and H^j for j <= -2 is H_{-j-1} of its chain complex.
+Cyclic groups reduce every degree to -1 or 0, and dihedral groups of
+twice-odd order to -1..2, with H^2 read as H^{-2} (Brown, VI.4 and VI.9).
 
 Each upper map takes one echelon pass per module, which gives its preimage
 of the relations, the cycles, and its image plus the relations
 (exactla.image_and_preimage). The lower map of degree j is the upper map of
-degree j - 1, so the same pass gives the boundaries of degree j; only the
-transposed tables, which are lower maps alone, take a Hermite pass of their
-own. Every map reaches its pass as the list of its columns, which is what
-the echelon reads, summed from the transposed action matrices with no
-matrix built around them.
+degree j - 1, so the same pass gives the boundaries of degree j; only a
+lower map named by a transpose takes a Hermite pass of its own. Every map
+reaches its pass as the list of its columns, which is what the echelon
+reads, summed from the transposed action matrices with no matrix built
+around them.
 
 A map f induced on Tate groups is taken as columns too, the images under f
 of the source cycles block by block, and exactla.map_orders reads its
 kernel off them with no Kronecker matrix, coordinates or GroupHom.
 
 A finite module of order prime to |H| has no Tate cohomology, since |H| and
-|M| both annihilate it (Brown, III.10). Once the degree is reduced or
-refused, tate presents such a group as the zero group on Z^0 with no
-cochains, as over the trivial subgroup, and a map induced from or to it is 0.
+|M| both annihilate it (Brown, III.10). Once the degree is reduced, tate
+presents such a group as the zero group on Z^0 with no cochains, as over
+the trivial subgroup, and a map induced from or to it is 0.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .arith import valuation
-from .errors import ConsistencyError, DegreeWindowError, InputError
+from .errors import ConsistencyError, InputError
 from .exactla import (
     GroupHom,
     IntMatrix,
@@ -77,7 +76,6 @@ class TateGroup(NamedTuple):
 
     degree: int
     reduced_degree: int
-    ambient_rank: int
     numerator: Lattice
     denominator: Lattice
     group: PresentedAbelianGroup
@@ -127,16 +125,13 @@ def _period(GH: FiniteGroup):
 
 
 def _reduce_degree(GH: FiniteGroup, i: int) -> int:
+    """i folded by the period of GH, or i itself when GH has none found."""
     period = _period(GH)
     if period == 2:
         return 0 if i % 2 == 0 else -1
     if period == 4:
         return ((i + 1) % 4) - 1
-    if -1 <= i <= 2:
-        return i
-    raise DegreeWindowError(
-        f"degree {i} needs periodic cohomology; this group only supports -1..2"
-    )
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +190,34 @@ def _complex(GH: FiniteGroup, j: int):
     tables of group-ring elements give the columns of the maps through
     _ring_columns. A name stands for one table of GH in every degree.
 
-    Degrees 0 and -1 sit at the negative end of the complete resolution,
-    spliced through the norm: degree 0 between [[N]] and d1, degree -1
-    between the transpose of d1 and [[N]]. Over a cyclic group d1 has one
-    generator, so its transpose is the same one-line table and carries the
-    name d1. Degrees j >= 1 lie between d_j and d_{j+1} of Hom_GH(F, M) on
-    the free resolution F of _resolution, except degree 2 over groups of
-    period 4: there it is H_1 of F (x)_GH M, between the transposes of d2
-    and d1 with every element g turned into g^{-1}, named d2T* and d1T*,
-    which is H^{-2}, isomorphic to H^2 naturally in the module by
-    4-periodicity (Brown, VI.9). Only the maps of degree j are built.
-    Memoised on GH.
+    One rule per sign of j (Brown, VI.3). Degrees j >= 1 lie between d_j and
+    d_{j+1} of Hom_GH(F, M) on the free resolution F of _resolution. Degrees
+    0 and -1 sit at the negative end of the complete resolution, spliced
+    through the norm: degree 0 between [[N]] and d1, degree -1 between the
+    transpose of d1 and [[N]]; over a cyclic group d1 has one generator, so
+    its transpose is the same one-line table and carries the name d1.
+    Degrees j <= -2 are H_{-j-1} of F (x)_GH M, between the transposes of
+    d_{-j} and d_{-j-1} with every element g turned into g^{-1}, named
+    d{-j}T* and d{-j-1}T*; over a group of period 4 degree 2 is read as -2,
+    isomorphic to it naturally in the module (Brown, VI.9). Only the maps of
+    degree j are built. Memoised on GH.
     """
     key = ("complex", j)
     if key in GH._cache:
         return GH._cache[key]
-    if j <= 0:
+    k = -2 if j == 2 and _period(GH) == 4 else j
+    if k >= 1:
+        d = _resolution(GH, k + 1)
+        out = (f"d{k}", d[k - 1]), (f"d{k + 1}", d[k])
+    elif k >= -1:
         d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
         norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
         d1T = ("d1", d1) if len(d1) == 1 else ("d1T", [[e[0] for e in d1]])
-        out = (norm, ("d1", d1)) if j == 0 else (d1T, norm)
-    elif j == 2 and _period(GH) == 4:
-        inverse = GH.inverse
-        tables = ("d2T*", zip(*_resolution(GH, 2)[1])), ("d1T*", _complex(GH, -1)[0][1])
-        out = tuple((name, [[[(a, inverse[g]) for a, g in e] for e in line] for line in table])
-                    for name, table in tables)
+        out = (norm, ("d1", d1)) if k == 0 else (d1T, norm)
     else:
-        d = _resolution(GH, j + 1)
-        out = (f"d{j}", d[j - 1]), (f"d{j + 1}", d[j])
+        d, inverse = _resolution(GH, -k), GH.inverse
+        out = tuple((f"d{i}T*", [[[(a, inverse[g]) for a, g in e] for e in line]
+                                 for line in zip(*d[i - 1])]) for i in (-k, -k - 1))
     GH._cache[key] = out
     return out
 
@@ -275,26 +270,27 @@ def _map_pass(R: GModule, named):
 
 
 def _complex_data(R: GModule, j: int):
-    """(w, U, V) of reduced degree j on M^a -lower-> M^k -upper-> M^b: the
-    width w of M^k, the cycles U = {c : upper c in L^b} and the boundaries
-    V = lower M^a + L^k, with L the relations of R.
+    """(U, V) of reduced degree j on M^a -lower-> M^k -upper-> M^b: the
+    cycles U = {c : upper c in L^b} and the boundaries V = lower M^a + L^k
+    in M^k, with L the relations of R.
 
     U is the preimage half of the upper map's pass. On the complete
     resolution the lower map of degree j is the upper map of degree j - 1,
     so V is the image half of that map's pass whenever the lower table is
-    the norm or some d_i. The transposed tables d1T and d2T* are no degree's
-    upper map, so a lower map named by a transpose takes one Hermite pass
-    of its own instead of an unshared preimage pass.
+    the norm or some d_i. The transpose d1T is no degree's upper map, and
+    d{i}T* only that of degree -i - 1, which is seldom asked, so a lower map
+    named by a transpose takes one Hermite pass of its own instead of a
+    preimage pass.
     """
     lower, upper = _complex(R.group, j)
-    w = len(lower[1]) * R.ambient_rank
     U = _map_pass(R, upper)[1]
     if "T" in lower[0]:
         rel = block_diagonal_lattice([R.relations] * len(lower[1]))
-        V = Lattice.from_rows(w, _ring_columns(R, lower[1]) + list(rel.basis_rows))
+        V = Lattice.from_rows(U.ambient_rank,
+                              _ring_columns(R, lower[1]) + list(rel.basis_rows))
     else:
         V = _map_pass(R, lower)[0]
-    return w, U, V
+    return U, V
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def _complex_data(R: GModule, j: int):
 def _zero_tate(degree: int, reduced_degree: int) -> TateGroup:
     """The zero group on Z^0, for a Tate group known to vanish."""
     zero = Lattice.zero(0)
-    return TateGroup(degree, reduced_degree, 0, zero, zero, PresentedAbelianGroup.free(0))
+    return TateGroup(degree, reduced_degree, zero, zero, PresentedAbelianGroup.free(0))
 
 
 def _vanishes(M: GModule, H: Subgroup) -> bool:
@@ -328,21 +324,19 @@ def _minimal(M: GModule):
 def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     """The Tate cohomology group of H acting on M in the given degree.
 
-    Degrees outside -1..2 are reduced by periodicity when H is cyclic
-    (period 2) or dihedral of twice-odd order (period 4); otherwise they
-    raise DegreeWindowError. Every reduced degree is read off _complex:
-    -1 and 0 from the ends of the complete resolution, 1 and 2 from a small
-    free Z[H]-resolution built from the table, degree 2 as H_1 of it when H
-    is dihedral.
+    Degrees are reduced by periodicity when H is cyclic (period 2) or
+    dihedral of twice-odd order (period 4), and kept over any other H, whose
+    resolution grows with the degree until REGLAB_LIMIT_COLS raises
+    ResourceLimitError. Every reduced degree is read off _complex.
 
     The group is an isomorphism invariant, so it is computed on the minimal
     presentation compress(M).module whenever that drops a coordinate, and
     the lattices of the TateGroup live in the coordinates of that module.
 
     A group known to vanish before any cochain is built, over the trivial
-    subgroup or, once the degree is reduced or refused, for M finite of
-    order prime to |H| (Brown, III.10), is the zero group on Z^0; numerator
-    and denominator are cycles and boundaries only where cochains are built.
+    subgroup or, once the degree is reduced, for M finite of order prime
+    to |H| (Brown, III.10), is the zero group on Z^0; numerator and
+    denominator are cycles and boundaries only where cochains are built.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
@@ -355,8 +349,8 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     j = _reduce_degree(R.group, degree)
     key = ("tate", j)
     if key not in R._cache:
-        w, U, V = _complex_data(R, j)
-        R._cache[key] = TateGroup(j, j, w, U, V, subquotient_group(U, V))
+        U, V = _complex_data(R, j)
+        R._cache[key] = TateGroup(j, j, U, V, subquotient_group(U, V))
     c = R._cache[key]
     return c if c.degree == degree else c._replace(degree=degree)
 
@@ -418,7 +412,7 @@ def _induced_columns(f: ModuleHom, H: Subgroup, degree: int):
     when tate gave a side as the zero group on Z^0, with no cochains: f
     induces zero."""
     src, tgt = tate(f.source, H, degree), tate(f.target, H, degree)
-    if not (src.ambient_rank and tgt.ambient_rank):
+    if not (src.numerator.ambient_rank and tgt.numerator.ambient_rank):
         return src, tgt, None
     F, ps, pt = f.matrix, _minimal(f.source), _minimal(f.target)
     if pt:

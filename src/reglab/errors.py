@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input problems exit 2, resource limits
-exit 3, failed mathematical cross-checks exit 1.
+exit 3, failed mathematical cross-checks exit 1. Every Tate degree is an
+input tate accepts; a degree whose resolution grows wider than
+REGLAB_LIMIT_COLS is a resource limit.
 """
 
 
@@ -23,7 +25,3 @@ class ConsistencyError(AssertionError):
     This is always a bug (or a genuinely false identity); it never indicates
     bad user input, so it is kept distinct from ValidationError.
     """
-
-
-class DegreeWindowError(ValueError):
-    """Tate degree outside the supported window for a non-periodic subgroup."""

@@ -22,9 +22,10 @@ one degree by two eliminations, a preimage under the upper map and a Hermite
 pass over the lower map's columns, where production reads the boundaries
 off the pass that gives the cycles of the degree below. Its maps come from
 ring_matrix, which builds them row by row from the action matrices, where
-production sums the columns from their transposes, and it takes the dihedral
-degree 2 from the transposes of d1 and d2 under g -> g^{-1} acting on the
-matrices, where production inverts the elements of the tables.
+production sums the columns from their transposes, and it takes the degrees
+j <= -2, and the dihedral degree 2 as -2, from the transposes of d_{-j} and
+d_{-j-1} under g -> g^{-1} acting on the matrices, where production inverts
+the elements of the tables.
 forward_preimage_echelon keeps the row order that _preimage_echelon
 replaced: the columns first to last, then L's rows, each through an
 elimination step.
@@ -45,6 +46,10 @@ qindex_via_groups takes the q-index as the orders of those two groups
 through their Smith invariants, and the kernel order oracles of induced
 maps read the kernel group's order, where production reads both orders off
 Hermite pivots.
+validate_module_all_pairs checks stability and the group law for every
+element and every pair, one product at a time, where validate_module takes
+the first element from a generating set and all second elements in one
+product.
 contains_lattice, compose, presented_from_divisors and zoo (the small groups
 the structural tests run over) are tools the tests use.
 """
@@ -76,6 +81,7 @@ from reglab import (
     subquotient_group,
     tate,
     tensor_product,
+    validate_module,
 )
 from reglab.cohomology import (
     TateGroup,
@@ -85,6 +91,7 @@ from reglab.cohomology import (
     _reduce_degree,
     _resolution,
 )
+from reglab.errors import ValidationError
 from reglab.exactla import _Echelon, block_diagonal_lattice, smith_coordinates
 from reglab.gmodules import TorsionDecomposition, sublattice_action
 
@@ -393,7 +400,7 @@ def rc_qindex_kronecker(M, phi) -> Fraction:
 
 
 def h1_table_data(R):
-    """(w, U, V) of H^1 of R over its whole group on the Cayley-table
+    """(U, V) of H^1 of R over its whole group on the Cayley-table
     cochains: one variable c_g per g != 1, and c_{sx} - c_s - A_s c_x in L
     for s in a generating set and every x (enough by induction on word
     length)."""
@@ -427,7 +434,7 @@ def h1_table_data(R):
     bnd = IntMatrix([row for g in range(1, h) for row in (R.action[g] - ident).entries])
     relblocks = block_diagonal_lattice([R.relations] * (h - 1))
     V = Lattice.from_rows(w, list(bnd.columns()) + list(relblocks.basis_rows))
-    return w, U, V
+    return U, V
 
 
 def _coinduced_action(GH, n0: int):
@@ -492,8 +499,8 @@ def _kernel_order(src: TateGroup, tgt: TateGroup, W) -> int:
 
 
 def _table_tate_group(R, degree: int) -> TateGroup:
-    w, U, V = h1_table_data(R)
-    return TateGroup(degree, _reduce_degree(R.group, degree), w, U, V,
+    U, V = h1_table_data(R)
+    return TateGroup(degree, _reduce_degree(R.group, degree), U, V,
                      subquotient_group(U, V))
 
 
@@ -537,7 +544,7 @@ def augmentation_all_tate(M, H) -> TateGroup:
     ident = IntMatrix.identity(n)
     rows = [col for g in range(1, h) for col in (R.action[g] - ident).columns()]
     V = Lattice.from_rows(n, rows + list(R.relations.basis_rows))
-    return TateGroup(-1, -1, n, U, V, subquotient_group(U, V))
+    return TateGroup(-1, -1, U, V, subquotient_group(U, V))
 
 
 def augmentation_all_kernel_order(f, H) -> int:
@@ -564,8 +571,8 @@ def raw_tate(M, H, degree: int) -> TateGroup:
     coordinates, with no minimal presentation."""
     R = restrict(M, H)
     j = _reduce_degree(R.group, degree)
-    w, U, V = _complex_data(R, j)
-    return TateGroup(degree, j, w, U, V, subquotient_group(U, V))
+    U, V = _complex_data(R, j)
+    return TateGroup(degree, j, U, V, subquotient_group(U, V))
 
 
 def ring_matrix(R, table, involute: bool) -> IntMatrix:
@@ -589,15 +596,17 @@ def ring_matrix(R, table, involute: bool) -> IntMatrix:
 
 
 def two_pass_complex_data(R, j: int):
-    """(w, U, V) of _complex_data, by two eliminations per degree: U the
+    """(U, V) of _complex_data, by two eliminations per degree: U the
     preimage of L^b under the upper map, V the Hermite form of the lower
-    map's columns together with L^k, both maps built by ring_matrix. The
-    dihedral degree 2 is built here from d1 and d2, transposed, with
-    g acting as g^{-1}."""
-    GH, involute = R.group, j == 2 and _period(R.group) == 4
+    map's columns together with L^k, both maps built by ring_matrix. A
+    degree j <= -2, or the dihedral degree 2 as -2, is built here from
+    d_{-j} and d_{-j-1}, transposed, with g acting as g^{-1}."""
+    GH = R.group
+    k = -2 if j == 2 and _period(GH) == 4 else j
+    involute = k <= -2
     if involute:
-        d1, d2 = _resolution(GH, 2)
-        lower, upper = [list(c) for c in zip(*d2)], [list(c) for c in zip(*d1)]
+        d = _resolution(GH, -k)
+        lower, upper = ([list(c) for c in zip(*d[i - 1])] for i in (-k, -k - 1))
     else:
         (_, lower), (_, upper) = _complex(GH, j)
     w = len(lower) * R.ambient_rank
@@ -606,7 +615,7 @@ def two_pass_complex_data(R, j: int):
     L = block_diagonal_lattice([R.relations] * len(lower))
     V = Lattice.from_rows(w, ring_matrix(R, lower, involute).columns()
                           + list(L.basis_rows))
-    return w, U, V
+    return U, V
 
 
 def raw_induced_kernel_order(f, H, degree: int) -> int:
@@ -679,6 +688,28 @@ def subgroups_by_fixpoint(G):
                  for g in range(G.order)}
         classed.setdefault(min(orbit), []).append(elems)
     return [tuple(sorted(classed[rep])) for rep in sorted(classed, key=lambda e: (len(e), e))]
+
+
+def validate_module_all_pairs(M) -> None:
+    """validate_module on every element and every pair: the relations L
+    stable under each A_g, then A_s A_h = A_{sh} modulo L for each (s, h) in
+    order, then validate_module's own checks. Raises the ValidationError
+    production words for the first element or pair that fails."""
+    G, L = M.group, M.relations
+    for g in range(G.order):
+        for row in L.basis_rows:
+            if not L.contains(M.action[g].apply(row)):
+                raise ValidationError(
+                    f"action matrix {g} does not stabilize the relation lattice "
+                    f"(witness generator {list(row)})")
+    for s in range(G.order):
+        for h in range(G.order):
+            diff = M.action[s] @ M.action[h] - M.action[G.mul[s][h]]
+            for j, col in enumerate(diff.columns()):
+                if not L.contains(col):
+                    raise ValidationError(
+                        f"group law fails modulo relations at pair ({s}, {h}), column {j}")
+    validate_module(M)
 
 
 def zoo() -> list:

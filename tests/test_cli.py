@@ -236,17 +236,27 @@ def test_too_many_degrees_end_in_a_json_error(tmp_path, degrees):
     assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
 
-def test_cohomology_refuses_a_degree_before_the_groups_are_known_to_vanish(capsys,
-                                                                          tmp_path):
-    # over V4 every Tate group of a module of order 3 is 0, but degree 3 is
-    # outside the window of a group with no period
+def test_cohomology_takes_any_degree_over_a_group_with_no_period(capsys, tmp_path):
+    # over V4 every Tate group of a module of order 3 is 0, in degree 3 too
     M = random_module(FiniteGroup.product([FiniteGroup.cyclic(2)] * 2), "finite",
                       seed=7, max_rank=5)
     assert M.order() == 3
     path = tmp_path / "v4.json"
     path.write_text(json.dumps(module_to_json(M)))
     code, doc = _run(capsys, "cohomology", "--module", str(path), "--degrees", "3")
-    assert code == 2 and doc["error"] == "DegreeWindowError"
+    assert code == 0
+    assert doc["degrees"] == {"3": {"order": 1, "invariants": [0, []]}}
+
+
+def test_cohomology_ends_a_resolution_too_wide_for_the_cap(capsys, tmp_path):
+    # over C2^5 degree 4 reads d4 and d5 of the free resolution, and the
+    # kernel that gives d5 is wider than REGLAB_LIMIT_COLS allows
+    G = FiniteGroup.product([FiniteGroup.cyclic(2)] * 5)
+    path = tmp_path / "c2_5.json"
+    path.write_text(json.dumps(module_to_json(trivial_module(G))))
+    code, doc = _run(capsys, "cohomology", "--module", str(path), "--degrees", "4")
+    assert code == 3 and doc["error"] == "ResourceLimitError"
+    assert "REGLAB_LIMIT_COLS" in doc["message"]
 
 
 def test_cohomology_subgroup_element_out_of_range(capsys, triv_d3):

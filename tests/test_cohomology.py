@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reglab import (
-    DegreeWindowError,
     FiniteGroup,
     GModule,
     IntMatrix,
@@ -21,6 +20,8 @@ from reglab import (
     compress,
     dihedral_relation,
     direct_sum,
+    dual_module,
+    finite_dual,
     fixed_points,
     herbrand,
     induced_hom,
@@ -159,13 +160,53 @@ def test_trivial_module_over_dihedral_groups():
         assert tate(Z, full, 2).invariants() == (0, (2,))
 
 
-def test_degree_window_error_outside_range_for_v4():
-    G = V4()
-    Z = trivial_module(G)
-    with pytest.raises(DegreeWindowError):
-        tate(Z, G.full_subgroup(), 3)
-    with pytest.raises(DegreeWindowError):
-        tate(Z, G.full_subgroup(), -2)
+# Ĥ^j(G, Z) in degrees 1..5 of the groups with no period, pinned; degree 3
+# is the Schur multiplier, and Ĥ^{-j}(G, Z) = Ĥ^j(G, Z) (Brown, VI.7)
+_TRIVIAL_ROWS = {
+    "V4": [(), (2, 2), (2,), (2, 2, 2), (2, 2)],
+    "C2xC4": [(), (2, 4), (2,), (2, 2, 4), (2, 2)],
+    "C2^3": [(), (2, 2, 2), (2, 2, 2), (2,) * 7, (2,) * 8],
+    "D4": [(), (2, 2), (2,), (2, 2, 4), (2, 2)],
+    "D6": [(), (2, 2), (2,), (2, 2, 6), (2, 2)],
+    "A4": [(), (3,), (2,), (6,), ()],
+    "C3xC3": [(), (3, 3), (3,), (3, 3, 3), (3, 3)],
+}
+
+
+def test_trivial_module_rows_in_degrees_minus_five_to_five():
+    C = FiniteGroup.cyclic
+    groups = [(name, G) for name, G, _ in table_groups()]
+    groups.append(("C3xC3", FiniteGroup.product([C(3), C(3)])))
+    for name, G in groups:
+        full = G.full_subgroup()
+        assert _period(restrict(trivial_module(G), full).group) is None, name
+        got = {d: tate(trivial_module(G), full, d) for d in range(-5, 6)}
+        assert got[0].invariants() == (0, (G.order,)), name
+        for j, row in enumerate(_TRIVIAL_ROWS[name], 1):
+            assert got[j].invariants() == got[-j].invariants() == (0, row), (name, j)
+            assert (got[j].degree, got[j].reduced_degree) == (j, j)
+            assert (got[-j].degree, got[-j].reduced_degree) == (-j, -j)
+
+
+@pytest.mark.parametrize("name", ["V4", "C2xC4", "C2^3", "D4", "D6", "A4"])
+def test_tate_duality_in_degrees_two_and_three(name):
+    # |Ĥ^j(H, M*)| = |Ĥ^{-j}(H, M)| for M torsion-free, and
+    # |Ĥ^j(H, M^)| = |Ĥ^{-1-j}(H, M)| for M finite with Pontryagin dual M^
+    # (Brown, VI.7), on the free quotient and the torsion of each module
+    G = dict((n, G) for n, G, _ in table_groups())[name]
+    seen = set()
+    for profile, seed in (("torsion_free", 3), ("finite", 5), ("mixed", 7)):
+        dec = torsion_decomposition(random_module(G, profile, seed, max_rank=4))
+        for M, dual, shift in ((dec.free, dual_module, 0), (dec.torsion, finite_dual, -1)):
+            if not M.ambient_rank:
+                continue
+            seen.add((profile, shift))
+            D = dual(M)
+            for H in subgroup_class_representatives(G):
+                for j in (-3, -2, 2, 3):
+                    assert (tate(D, H, j).order() == tate(M, H, shift - j).order()), (
+                        profile, H.elements, j)
+    assert seen == {("torsion_free", 0), ("finite", -1), ("mixed", 0), ("mixed", -1)}
 
 
 def test_periodicity_of_cyclic_and_dihedral():
@@ -414,7 +455,8 @@ def test_resolution_grows_only_as_far_as_the_degree_reads():
 
 def test_one_pass_per_map_matches_two_eliminations_per_degree():
     # production reads degree j's boundaries off the pass that gives the
-    # cycles of degree j - 1; the oracle eliminates twice in every degree
+    # cycles of degree j - 1; the oracle eliminates twice in every degree,
+    # and past -1..2 over a group with no period it inverts g on the matrices
     C = FiniteGroup.cyclic
     D = FiniteGroup.dihedral
     groups = [C(6), C(9), D(3), D(5), D(9), V4(), FiniteGroup.product([C(2), C(4)]),
@@ -425,17 +467,17 @@ def test_one_pass_per_map_matches_two_eliminations_per_degree():
             M = random_module(G, profile, rng.randrange(10**6), max_rank=6)
             for H in subgroup_class_representatives(G)[1:]:
                 R = restrict(M, H)
-                periodic = [5] if _period(R.group) else []
+                periodic = [5] if _period(R.group) else [-3, -2, 3]
                 for d in [-1, 0, 1, 2] + periodic:
                     j = _reduce_degree(R.group, d)
                     assert _complex_data(R, j) == two_pass_complex_data(R, j), (G, H, d)
 
 
 def test_each_map_takes_one_pass(monkeypatch):
-    # per restricted module over its whole degree window: one preimage
-    # echelon per upper map (the norm, d1, and d2 with d3 or the inverted
-    # d1^T), and a Hermite pass of its own only for a lower map named by a
-    # transpose; asked downwards or upwards, the counts are the same
+    # per restricted module over degrees -1..2: one preimage echelon per
+    # upper map (the norm, d1, and d2 with d3 or the inverted d1^T), and a
+    # Hermite pass of its own only for a lower map named by a transpose;
+    # asked downwards or upwards, the counts are the same
     passes = {"echelon": 0, "hermite": 0}
     echelon, from_rows = exactla._preimage_echelon, Lattice.from_rows.__func__
 
@@ -730,7 +772,7 @@ def test_degree_zero_is_fixed_points_modulo_norms():
                         # cochains still have the fixed points as cocycles
                         assert raw_tate(M, H, 0).numerator == fixed_lattice
                         assert T.numerator == T.denominator == Lattice.zero(0)
-                        assert (T.ambient_rank, T.group.generator_count) == (0, 0)
+                        assert (T.numerator.ambient_rank, T.group.generator_count) == (0, 0)
 
 
 def test_herbrand_values_and_multiplicativity():
@@ -948,7 +990,7 @@ def test_finite_modules_of_order_prime_to_h_have_no_tate_groups(monkeypatch):
                 for d in degrees:
                     T = tate(M, H, d)
                     assert T.numerator == T.denominator == Lattice.zero(0), (G, seed, H, d)
-                    assert (T.ambient_rank, T.group.generator_count) == (0, 0)
+                    assert (T.numerator.ambient_rank, T.group.generator_count) == (0, 0)
                     assert (T.degree, T.reduced_degree) == (d, _reduce_degree(GH, d))
                 assert len(built) == before, (G, seed, H, built[before:])
                 for d in degrees:
@@ -1013,13 +1055,17 @@ def test_maps_induced_from_or_to_a_vanishing_group_are_zero(monkeypatch):
     assert seen == {(True, False), (False, True), (True, True)}
 
 
-def test_vanishing_modules_keep_the_degree_rules():
-    # the degree is folded or refused before the group is known to vanish
+def test_vanishing_modules_keep_the_degree_rules(monkeypatch):
+    # the degree is folded before the group is known to vanish, and a group
+    # with no period keeps it
     V = V4()
     M = random_module(V, "finite", 7, max_rank=5)
     assert M.order() == 3
-    with pytest.raises(DegreeWindowError):
-        tate(M, V.full_subgroup(), 3)
+    built = _count_cochain_work(monkeypatch)
+    T = tate(M, V.full_subgroup(), 3)
+    assert (T.degree, T.reduced_degree, T.order()) == (3, 3, 1)
+    assert T.numerator == T.denominator == Lattice.zero(0)
+    assert built == []
     for H in subgroup_class_representatives(V)[1:-1]:  # the cyclic ones fold
         assert tate(M, H, 3).reduced_degree == -1
     D3 = FiniteGroup.dihedral(3)

@@ -35,7 +35,12 @@ from reglab.arith import mix_seed
 from reglab.exactla import _Echelon, subquotient_group
 from reglab.errors import ConsistencyError, InputError
 
-from oracles import fixed_and_norm_bruteforce, saturated_torsion_decomposition, zoo
+from oracles import (
+    fixed_and_norm_bruteforce,
+    saturated_torsion_decomposition,
+    validate_module_all_pairs,
+    zoo,
+)
 
 
 def diagonal_divisors(M):
@@ -53,7 +58,7 @@ def diagonal_divisors(M):
 def test_regular_module_validates_all_pairs():
     G = FiniteGroup.dihedral(3)
     M = permutation_module(G, G.trivial_subgroup())
-    validate_module(M, all_pairs=True)
+    validate_module_all_pairs(M)
     assert M.ambient_rank == 6
     assert M.is_torsion_free()
     assert M.abelian_group().free_rank == 6
@@ -63,7 +68,7 @@ def test_coset_module_action_is_coset_permutation():
     G = FiniteGroup.dihedral(3)
     sigma = G.subgroup([0, 3])
     M = permutation_module(G, sigma)
-    validate_module(M, all_pairs=True)
+    validate_module_all_pairs(M)
     assert M.ambient_rank == 3
     # the rotation r=1 cycles the three cosets
     A = M.action[1]
@@ -77,7 +82,7 @@ def test_coset_module_action_is_coset_permutation():
 def test_trivial_module_fixed_everywhere():
     G = FiniteGroup.dihedral(5)
     M = trivial_module(G)
-    validate_module(M, all_pairs=True)
+    validate_module_all_pairs(M)
     data = fixed_points(M, G.full_subgroup())
     assert data.rank == 1
     assert data.torsion_order() == 1
@@ -103,7 +108,7 @@ def test_validation_accepts_a_group_law_that_holds_only_modulo_relations():
     M = GModule(G, 1, Lattice.from_rows(1, [[8]]), [IntMatrix([[1]]), IntMatrix([[3]])])
     assert M.action[1] @ M.action[1] != M.action[0]
     validate_module(M)
-    validate_module(M, all_pairs=True)
+    validate_module_all_pairs(M)
 
 
 # the rows of 2 Z^6, the relations of Z[D3]/2
@@ -123,18 +128,18 @@ def test_validation_names_the_first_failing_pair_and_column():
     # A_5 broken at entry (2, 3): A_1 A_3 = A_5 fails first, with h = 3
     bad = _broken_regular_d3([(5, 2, 3, 1)])
     assert bad.group.mul[1][3] == 5
-    for kwargs in ({}, {"all_pairs": True}):
+    for check in (validate_module, validate_module_all_pairs):
         with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
                            r"at pair \(1, 3\), column 3$"):
-            validate_module(bad, **kwargs)
+            check(bad)
     # on Z[D3]/2: A_2 is off by a relation and A_4 by a non-relation, so the
     # pairs (1, 1) and (1, 2) differ only modulo L and (1, 4) is the witness
     bad = _broken_regular_d3([(2, 0, 1, 2), (4, 3, 5, 1)], _EVEN)
     assert bad.action[1] @ bad.action[1] != bad.action[2]
-    for kwargs in ({}, {"all_pairs": True}):
+    for check in (validate_module, validate_module_all_pairs):
         with pytest.raises(ValidationError, match=r"^group law fails modulo relations "
                            r"at pair \(1, 4\), column 5$"):
-            validate_module(bad, **kwargs)
+            check(bad)
 
 
 def test_validation_accepts_products_off_by_relations_only():
@@ -145,7 +150,7 @@ def test_validation_accepts_products_off_by_relations_only():
     assert any(M.action[s] @ M.action[h] != M.action[G.mul[s][h]]
                for s in G.full_subgroup().generators() for h in range(G.order))
     validate_module(M)
-    validate_module(M, all_pairs=True)
+    validate_module_all_pairs(M)
 
 
 def test_validation_rejects_unstable_relations():
@@ -168,7 +173,7 @@ def test_validation_rejects_instability_off_the_generators():
     with pytest.raises(ValidationError):
         validate_module(bad)
     with pytest.raises(ValidationError, match="action matrix 2 does not stabilize"):
-        validate_module(bad, all_pairs=True)
+        validate_module_all_pairs(bad)
 
 
 def test_sign_twist_of_regular_c2():
@@ -178,7 +183,7 @@ def test_sign_twist_of_regular_c2():
     sign = GModule(G, 1, None, [IntMatrix([[1]]), IntMatrix([[-1]])])
     validate_module(sign)
     T = tensor_product(reg, sign)
-    validate_module(T, all_pairs=True)
+    validate_module_all_pairs(T)
     Q = IntMatrix([[1, 0], [0, -1]])
     for g in range(2):
         assert T.action[g] == Q @ reg.action[g] @ Q
@@ -415,7 +420,7 @@ def test_tensor_of_regular_modules_is_free_of_group_rank():
     G = FiniteGroup.cyclic(2)
     reg = permutation_module(G, G.trivial_subgroup())
     T = tensor_product(reg, reg)
-    validate_module(T, all_pairs=True)
+    validate_module_all_pairs(T)
     assert fixed_points(T, G.full_subgroup()).rank == 2
 
 
@@ -423,7 +428,7 @@ def test_direct_sum_blocks():
     G = FiniteGroup.dihedral(3)
     M = permutation_module(G, G.subgroup([0, 3]))
     S = direct_sum(M, trivial_module(G))
-    validate_module(S, all_pairs=True)
+    validate_module_all_pairs(S)
     assert S.ambient_rank == 4
     assert fixed_points(S, G.full_subgroup()).rank == 2
 
@@ -433,7 +438,7 @@ def test_restriction_to_rotation_subgroup():
     rho = G.subgroup([0, 1, 2])
     M = permutation_module(G, G.trivial_subgroup())
     R = restrict(M, rho)
-    validate_module(R, all_pairs=True)
+    validate_module_all_pairs(R)
     assert R.group.order == 3
     assert R.group.element_order(1) == 3
     # Z[D3] restricted to C3 is two copies of Z[C3]

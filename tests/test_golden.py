@@ -11,7 +11,8 @@ needed. Together they take well under a second.
 
 The cohomology digest is the sha256 of the stdout of `reglab cohomology
 --degrees -3..6` on a mixed module over D9 (order 18), which spans the
-4-periodic degrees on both sides of the window -1..2. The vanishing digest
+4-periodic degrees on both sides of -1..2, onto which period 4 folds every
+degree. The vanishing digest
 is that of the same command on a finite module of order 25 over D3, whose
 Tate groups over every subgroup are known to vanish before any cochain is
 built.

@@ -677,3 +677,42 @@ def test_identity_checkers_take_known_inputs():
     planted = regulator.replace(anchor, "def _dual1(module, relaton, seed):\n", 1)
     assert planted != regulator
     assert unknown_checker_inputs(planted) == ["DUAL1: _dual1(relaton)"]
+
+
+def unmapped_errors(errors_source: str, cli_source: str) -> list[str]:
+    """The exception classes errors_source defines that no except clause of
+    cli_source's main names with a handler returning 1, 2 or 3."""
+    classes = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    main = next(node for node in ast.parse(cli_source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    mapped = set()
+    for handler in ast.walk(main):
+        if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+            continue
+        codes = {node.value.value for stmt in handler.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)}
+        if codes & {1, 2, 3}:
+            names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            mapped |= {getattr(n, "id", None) for n in names}
+    return [name for name in classes if name not in mapped]
+
+
+def test_unmapped_errors_are_found():
+    errors = "".join(f"class {name}(Exception):\n    pass\n" for name in "ABCD")
+    cli = ("def main():\n    try:\n        pass\n"
+           "    except A:\n        return 2\n"
+           "    except (B, KeyError) as exc:\n        print(exc)\n        return 3\n"
+           "    except C:\n        return 0\n"
+           "def other():\n    try:\n        pass\n    except D:\n        return 1\n")
+    assert unmapped_errors(errors, cli) == ["C", "D"]
+
+
+def test_every_error_type_has_an_exit_code():
+    # an error type the CLI does not catch ends a run in a traceback, with
+    # no JSON document and exit status 1, as if a check had failed
+    src = ROOT / "src" / "reglab"
+    errors, cli = (src / "errors.py").read_text(), (src / "cli.py").read_text()
+    assert unmapped_errors(errors, cli) == []
+    planted = errors + '\n\nclass BudgetError(RuntimeError):\n    """A run out of time."""\n'
+    assert unmapped_errors(planted, cli) == ["BudgetError"]

@@ -593,22 +593,6 @@ def test_verify_bounds_report_rows():
     ]
 
 
-def test_verify_rejects_bad_requests():
-    with pytest.raises(InputError):
-        verify_identity("NO_SUCH_IDENTITY", q=3)
-    with pytest.raises(InputError):
-        verify_identity("RCZ")
-    with pytest.raises(InputError):
-        verify_identity("DIHEDRAL_MAIN", q=3)
-    rel5 = dihedral_relation(5)
-    with pytest.raises(InputError):
-        verify_identity("DIHEDRAL_MAIN", q=3, module=trivial_module(rel5.group))
-    with pytest.raises(InputError, match="takes no prime"):
-        verify_identity("RCZ", q=3, prime=3)
-    with pytest.raises(InputError, match="takes no module"):
-        verify_identity("RCZS", q=3, module=trivial_module(rel5.group))
-
-
 def _identity_inputs():
     """The objects the rows of _IDENTITY_ERRORS name."""
     d3, d5 = dihedral_relation(3).group, dihedral_relation(5).group
@@ -618,10 +602,10 @@ def _identity_inputs():
             "theta": dihedral_relation(3), "hom": ModuleHom(tm, tm, IntMatrix([[6]]))}
 
 
-# every InputError verify_identity raises before a checker runs: per identity,
-# each missing input, each input it does not take, a module of the wrong kind
-# and a module over the wrong dihedral group; a string value names an object
-# of _identity_inputs
+# every InputError verify_identity raises before a checker runs: an unknown
+# identity and, per identity, each missing input, each input it does not
+# take, a module of the wrong kind and a module over the wrong dihedral
+# group; a string value names an object of _identity_inputs
 _IDENTITY_ERRORS = [
     *((name, inputs, message) for name in ("RCZ", "RCZS") for inputs, message in (
         ({}, f"{name} needs q"),
@@ -659,6 +643,8 @@ _IDENTITY_ERRORS = [
     ("DCF", {"q": 3, "module": "D3", "relation": "theta"}, "DCF takes no relation"),
     ("DCF", {"q": 3, "module": "D3", "prime": 3}, "DCF takes no prime"),
     ("DCF", {"q": 3, "module": "D5"}, "module does not live over the dihedral group"),
+    ("NO_SUCH_IDENTITY", {"q": 3}, "unknown identity 'NO_SUCH_IDENTITY'; expected one of "
+     "RCZ, RCZS, DUAL1, FINITE_DUAL, FINITE_DIHEDRAL, DCF, DIHEDRAL_MAIN, BOUNDS"),
 ]
 
 
