@@ -193,7 +193,7 @@ def test_tate_duality_in_degrees_two_and_three(name):
     # |Ĥ^j(H, M*)| = |Ĥ^{-j}(H, M)| for M torsion-free, and
     # |Ĥ^j(H, M^)| = |Ĥ^{-1-j}(H, M)| for M finite with Pontryagin dual M^
     # (Brown, VI.7), on the free quotient and the torsion of each module
-    G = dict((n, G) for n, G, _ in table_groups())[name]
+    G = {n: G for n, G, _ in table_groups()}[name]
     seen = set()
     for profile, seed in (("torsion_free", 3), ("finite", 5), ("mixed", 7)):
         dec = torsion_decomposition(random_module(G, profile, seed, max_rank=4))
