@@ -6,13 +6,15 @@ floating point anywhere.
 Factoring is trial division only. Every integer reglab factors is small: a
 regulator constant is never factored in general, since it is read at the
 primes of |G| (regulator.RegulatorConstant), so the integers left are group
-orders, the q of a dihedral group, a prime below 2^32 that BOUNDS is asked
-about, and the sides of a check report.
+orders, the q of a dihedral group, an ell below 2^32 checked for being
+prime (check_prime), and the sides of a check report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import InputError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -72,6 +74,12 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+def check_prime(ell: int) -> None:
+    """Raise InputError unless ell is a prime below 2^32."""
+    if not 2 <= ell < 2**32 or factorize(ell) != {ell: 1}:
+        raise InputError(f"need a prime ell below 2^32, not {ell}")
 
 
 def factorize_fraction(x: Fraction) -> dict[int, int]:

@@ -6,24 +6,26 @@ subquotient of an explicit cochain lattice, so orders and induced maps are
 exact. The cochains are taken on the minimal presentation of the module
 whenever it drops a coordinate, so a TateGroup's lattices live there.
 
-Degree conventions: every degree is the homology at the middle of three
+Degree conventions: every degree j is the homology at the middle of three
 terms of Hom_H(F, M) over a complete resolution F of Z (K. Brown, Cohomology
-of Groups, GTM 87, VI.3). With d1 : m -> ((x - 1)m)_x over the generators x
-of H and N the norm, H^0 is that of M -N-> M -d1-> M^k, fixed points modulo
-norms, and H^{-1} that of M^k -d1^T-> M -N-> M, the norm kernel modulo I_H M,
-which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). H^j for j >= 1
-comes from the free end F -> Z, on a small free resolution built from the
-group table, whose modules of relations are spanned greedily by translates
-of kernel vectors (Brown, III.1) and which is built only as far as the
-degrees asked need, and H^j for j <= -2 is H_{-j-1} of its chain complex.
-Cyclic groups reduce every degree to -1 or 0, and dihedral groups of
-twice-odd order to -1..2, with H^2 read as H^{-2} (Brown, VI.4 and VI.9).
+of Groups, GTM 87, VI.3), between the map out of degree j - 1 and the map
+out of degree j, the upper map of j (_upper). For j >= 0 that is d_{j+1}
+of a small free resolution built from the group table, whose d1 sends e_x
+to x - 1 over the generators x of H and whose modules of relations are
+spanned greedily by translates of kernel vectors (Brown, III.1); it is
+built only as far as the degrees asked need. For j = -1 it is the norm N,
+so H^0 is fixed points modulo norms and H^{-1} the norm kernel modulo
+I_H M, which the x - 1 span since gx - 1 = g(x - 1) + (g - 1). For
+j <= -2 it is the transpose of d_{-j-1} with every g turned into g^{-1},
+so H^j is H_{-j-1} of F (x)_H M. Cyclic groups fold every degree to -1
+or 0, so degree -2 reads d1 itself, and dihedral groups of twice-odd order
+fold to -1..2, with H^2 read as H^{-2} (Brown, VI.4 and VI.9).
 
 Each upper map takes one echelon pass per module, which gives its preimage
 of the relations, the cycles, and its image plus the relations
 (exactla.image_and_preimage). The lower map of degree j is the upper map of
 degree j - 1, so the same pass gives the boundaries of degree j; only a
-lower map named by a transpose takes a Hermite pass of its own. Every map
+lower map of degree <= -2 takes a Hermite pass of its own. Every map
 reaches its pass as the list of its columns, which is what the echelon
 reads, summed from the transposed action matrices with no matrix built
 around them.
@@ -46,7 +48,7 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .arith import valuation
+from .arith import check_prime, valuation
 from .errors import ConsistencyError, InputError
 from .exactla import (
     GroupHom,
@@ -154,7 +156,8 @@ def _resolution(GH: FiniteGroup, length: int):
     """
     d = GH._cache.get("resolution")
     if d is None:
-        d = GH._cache["resolution"] = [_complex(GH, 0)[1][1]]  # d1, degree 0's upper map
+        d = GH._cache["resolution"] = [
+            [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]]
     h, mul = GH.order, GH.mul
     while len(d) < length:
         k, k0 = len(d[-1]), len(d[-1][0])
@@ -184,42 +187,27 @@ def _resolution(GH: FiniteGroup, length: int):
     return d[:length]
 
 
-def _complex(GH: FiniteGroup, j: int):
-    """(lower, upper): reduced degree j is the homology at the middle of
-    M^a -> M^k -> M^b, where lower and upper are (name, table) pairs whose
-    tables of group-ring elements give the columns of the maps through
-    _ring_columns. A name stands for one table of GH in every degree.
+def _upper(GH: FiniteGroup, j: int):
+    """(k, table): the map out of the middle term of degree j on the
+    complete resolution (Brown, VI.3), as a table of group-ring elements
+    whose columns _ring_columns gives, and the degree k whose pass it is.
 
-    One rule per sign of j (Brown, VI.3). Degrees j >= 1 lie between d_j and
-    d_{j+1} of Hom_GH(F, M) on the free resolution F of _resolution. Degrees
-    0 and -1 sit at the negative end of the complete resolution, spliced
-    through the norm: degree 0 between [[N]] and d1, degree -1 between the
-    transpose of d1 and [[N]]; over a cyclic group d1 has one generator, so
-    its transpose is the same one-line table and carries the name d1.
-    Degrees j <= -2 are H_{-j-1} of F (x)_GH M, between the transposes of
-    d_{-j} and d_{-j-1} with every element g turned into g^{-1}, named
-    d{-j}T* and d{-j-1}T*; over a group of period 4 degree 2 is read as -2,
-    isomorphic to it naturally in the module (Brown, VI.9). Only the maps of
-    degree j are built. Memoised on GH.
+    For j >= 0 it is d_{j+1} of _resolution, for j = -1 the norm N, and for
+    j <= -2 the transpose of d_{-j-1} with every element g turned into
+    g^{-1}, the map of F (x)_GH M. The lower map of degree j is the upper
+    map of degree j - 1. Over a cyclic group j is folded by period 2 first,
+    so degree -2 reads d1 itself: its one line x - 1 and the inverted
+    x^{-1} - 1 = -x^{-1}(x - 1) have the same cycles and the same image.
     """
-    key = ("complex", j)
-    if key in GH._cache:
-        return GH._cache[key]
-    k = -2 if j == 2 and _period(GH) == 4 else j
-    if k >= 1:
-        d = _resolution(GH, k + 1)
-        out = (f"d{k}", d[k - 1]), (f"d{k + 1}", d[k])
-    elif k >= -1:
-        d1 = [[[(1, x), (-1, 0)]] for x in GH.full_subgroup().generators()]
-        norm = ("norm", [[[(1, g) for g in range(GH.order)]]])
-        d1T = ("d1", d1) if len(d1) == 1 else ("d1T", [[e[0] for e in d1]])
-        out = (norm, ("d1", d1)) if k == 0 else (d1T, norm)
-    else:
-        d, inverse = _resolution(GH, -k), GH.inverse
-        out = tuple((f"d{i}T*", [[[(a, inverse[g]) for a, g in e] for e in line]
-                                 for line in zip(*d[i - 1])]) for i in (-k, -k - 1))
-    GH._cache[key] = out
-    return out
+    if _period(GH) == 2:
+        j = _reduce_degree(GH, j)
+    if j >= 0:
+        return j, _resolution(GH, j + 1)[j]
+    if j == -1:
+        return j, [[[(1, g) for g in range(GH.order)]]]
+    inverse = GH.inverse
+    return j, [[[(a, inverse[g]) for a, g in e] for e in line]
+               for line in zip(*_resolution(GH, -j - 1)[-j - 2])]
 
 
 def _ring_columns(R: GModule, table) -> list[list[int]]:
@@ -257,12 +245,12 @@ def _ring_columns(R: GModule, table) -> list[list[int]]:
     return columns
 
 
-def _map_pass(R: GModule, named):
+def _map_pass(R: GModule, k: int, table):
     """(C M^a + L^b, {c : C c in L^b}) for the block matrix C : M^a -> M^b of
-    a named table acting on R, with L the relations of R: one echelon pass
-    through image_and_preimage, memoised on R under the table's name."""
-    name, table = named
-    key = ("pass", name)
+    the table acting on R, with L the relations of R: one echelon pass
+    through image_and_preimage, memoised on R under the degree k whose
+    upper map the table is."""
+    key = ("pass", k)
     if key not in R._cache:
         L = block_diagonal_lattice([R.relations] * len(table))
         R._cache[key] = image_and_preimage(_ring_columns(R, table), L)
@@ -272,25 +260,26 @@ def _map_pass(R: GModule, named):
 def _complex_data(R: GModule, j: int):
     """(U, V) of reduced degree j on M^a -lower-> M^k -upper-> M^b: the
     cycles U = {c : upper c in L^b} and the boundaries V = lower M^a + L^k
-    in M^k, with L the relations of R.
+    in M^k, with L the relations of R. Over a group of period 4 degree 2
+    is read as -2, isomorphic to it naturally in the module (Brown, VI.9).
 
-    U is the preimage half of the upper map's pass. On the complete
-    resolution the lower map of degree j is the upper map of degree j - 1,
-    so V is the image half of that map's pass whenever the lower table is
-    the norm or some d_i. The transpose d1T is no degree's upper map, and
-    d{i}T* only that of degree -i - 1, which is seldom asked, so a lower map
-    named by a transpose takes one Hermite pass of its own instead of a
-    preimage pass.
+    U is the preimage half of the pass of _upper(GH, j). The lower map is
+    _upper(GH, j - 1), so V is the image half of its pass when it belongs
+    to a degree k >= -1. A lower map of degree k <= -2 is the upper map of
+    a degree that is seldom asked, so it takes one Hermite pass of its own
+    instead of a preimage pass, and the work does not depend on which
+    degrees were asked before.
     """
-    lower, upper = _complex(R.group, j)
-    U = _map_pass(R, upper)[1]
-    if "T" in lower[0]:
-        rel = block_diagonal_lattice([R.relations] * len(lower[1]))
-        V = Lattice.from_rows(U.ambient_rank,
-                              _ring_columns(R, lower[1]) + list(rel.basis_rows))
-    else:
-        V = _map_pass(R, lower)[0]
-    return U, V
+    GH = R.group
+    if j == 2 and _period(GH) == 4:
+        j = -2
+    U = _map_pass(R, *_upper(GH, j))[1]
+    k, lower = _upper(GH, j - 1)
+    if k >= -1:
+        return U, _map_pass(R, k, lower)[0]
+    rel = block_diagonal_lattice([R.relations] * len(lower))
+    return U, Lattice.from_rows(U.ambient_rank,
+                                _ring_columns(R, lower) + list(rel.basis_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +316,7 @@ def tate(M: GModule, H: Subgroup, degree: int) -> TateGroup:
     Degrees are reduced by periodicity when H is cyclic (period 2) or
     dihedral of twice-odd order (period 4), and kept over any other H, whose
     resolution grows with the degree until REGLAB_LIMIT_COLS raises
-    ResourceLimitError. Every reduced degree is read off _complex.
+    ResourceLimitError. Every reduced degree is read off _complex_data.
 
     The group is an isomorphism invariant, so it is computed on the minimal
     presentation compress(M).module whenever that drops a coordinate, and
@@ -369,10 +358,12 @@ def rosen_valuation(M: GModule, H: Subgroup, ell: int) -> int:
         v = t * r(q) - sum_{i=1..t} (r(q/ell^i) - r(q/ell^{i-1})) / phi(ell^i).
 
     Every term in the sum must divide exactly; a remainder means the ranks
-    are inconsistent and raises ConsistencyError.
+    are inconsistent and raises ConsistencyError. An ell that is not a prime
+    below 2^32 raises InputError, as it does in regulator.bounds_report.
     """
     if H.group != M.group:
         raise InputError("subgroup belongs to a different group")
+    check_prime(ell)
     q = H.order
     G = M.group
     gen = next((x for x in H.elements if G.element_order(x) == q), None)

@@ -33,7 +33,7 @@ from math import gcd
 from operator import add, sub
 from typing import Callable, NamedTuple
 
-from .arith import factorize, factorize_fraction, fraction_str, mix_seed, valuation
+from .arith import check_prime, factorize, factorize_fraction, fraction_str, mix_seed, valuation
 from .brauer import BrauerRelation, dihedral_relation, theta_kernel_product, theta_product
 from .cohomology import rosen_valuation, tate
 from .errors import ConsistencyError, InputError
@@ -434,8 +434,7 @@ def bounds_report(M: GModule, q: int, ell: int, value: Fraction) -> BoundsReport
     G = M.group
     if G.order != 2 * q:
         raise InputError("module does not live over the order-2q dihedral group")
-    if not 2 <= ell < 2**32 or factorize(ell) != {ell: 1}:
-        raise InputError(f"bounds need a prime ell below 2^32, not {ell}")
+    check_prime(ell)
     full = G.full_subgroup()
     rotations = Subgroup(G, tuple(range(q)), validate=False)
     v = valuation(value, ell)

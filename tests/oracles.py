@@ -20,12 +20,15 @@ coordinates, where production takes the minimal presentation whenever it
 drops a coordinate. two_pass_complex_data takes the cycles and boundaries of
 one degree by two eliminations, a preimage under the upper map and a Hermite
 pass over the lower map's columns, where production reads the boundaries
-off the pass that gives the cycles of the degree below. Its maps come from
-ring_matrix, which builds them row by row from the action matrices, where
-production sums the columns from their transposes, and it takes the degrees
-j <= -2, and the dihedral degree 2 as -2, from the transposes of d_{-j} and
-d_{-j-1} under g -> g^{-1} acting on the matrices, where production inverts
-the elements of the tables.
+off the pass that gives the cycles of the degree below. Its tables are
+built here from _resolution and the group table (the norm, d_j and their
+transposes), where production reads them off _upper, and its maps come
+from ring_matrix, which builds them row by row from the action matrices,
+where production sums the columns from their transposes. It takes the
+degrees j <= -2, and the dihedral degree 2 as -2, with g -> g^{-1} acting
+on the matrices, where production inverts the elements of the tables, and
+degree -1 on the transpose of d1 with no inversion, where production
+inverts it.
 forward_preimage_echelon keeps the row order that _preimage_echelon
 replaced: the columns first to last, then L's rows, each through an
 elimination step.
@@ -85,7 +88,6 @@ from reglab import (
 )
 from reglab.cohomology import (
     TateGroup,
-    _complex,
     _complex_data,
     _period,
     _reduce_degree,
@@ -595,20 +597,31 @@ def ring_matrix(R, table, involute: bool) -> IntMatrix:
     return IntMatrix(rows, cols=len(table[0]) * n)
 
 
+def _complex_tables(GH, j: int):
+    """(lower, upper, involute): the tables around reduced degree j, built
+    here from _resolution and the group table. Degree 0 sits between the
+    norm and d1, degree -1 between the transpose of d1 and the norm, a
+    degree j >= 1 between d_j and d_{j+1}, and a degree j <= -2, or the
+    dihedral degree 2 as -2, between the transposes of d_{-j} and d_{-j-1}
+    with g acting as g^{-1}."""
+    k = -2 if j == 2 and _period(GH) == 4 else j
+    d = _resolution(GH, max(k + 1, -k, 1))
+    norm = [[[(1, g) for g in range(GH.order)]]]
+    if k >= 1:
+        return d[k - 1], d[k], False
+    if k == 0:
+        return norm, d[0], False
+    if k == -1:
+        return [list(c) for c in zip(*d[0])], norm, False
+    return [list(c) for c in zip(*d[-k - 1])], [list(c) for c in zip(*d[-k - 2])], True
+
+
 def two_pass_complex_data(R, j: int):
     """(U, V) of _complex_data, by two eliminations per degree: U the
     preimage of L^b under the upper map, V the Hermite form of the lower
-    map's columns together with L^k, both maps built by ring_matrix. A
-    degree j <= -2, or the dihedral degree 2 as -2, is built here from
-    d_{-j} and d_{-j-1}, transposed, with g acting as g^{-1}."""
-    GH = R.group
-    k = -2 if j == 2 and _period(GH) == 4 else j
-    involute = k <= -2
-    if involute:
-        d = _resolution(GH, -k)
-        lower, upper = ([list(c) for c in zip(*d[i - 1])] for i in (-k, -k - 1))
-    else:
-        (_, lower), (_, upper) = _complex(GH, j)
+    map's columns together with L^k, both maps built by ring_matrix from the
+    tables of _complex_tables."""
+    lower, upper, involute = _complex_tables(R.group, j)
     w = len(lower) * R.ambient_rank
     U = preimage_lattice(ring_matrix(R, upper, involute).columns(),
                          block_diagonal_lattice([R.relations] * len(upper)))
@@ -622,9 +635,9 @@ def raw_induced_kernel_order(f, H, degree: int) -> int:
     """Kernel order of the map f induces on raw_tate: f itself, block by
     block on the cochains."""
     GH = restrict(f.source, H).group
-    W = IntMatrix.identity(len(_complex(GH, _reduce_degree(GH, degree))[0][1]))
+    lower = _complex_tables(GH, _reduce_degree(GH, degree))[0]
     return _kernel_order(raw_tate(f.source, H, degree), raw_tate(f.target, H, degree),
-                         W.kron(f.matrix))
+                         IntMatrix.identity(len(lower)).kron(f.matrix))
 
 
 def saturated_torsion_decomposition(M):

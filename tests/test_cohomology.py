@@ -39,14 +39,14 @@ from reglab import (
     trivial_module,
 )
 from reglab import exactla
-from reglab.arith import mix_seed
+from reglab.arith import mix_seed, valuation
 from reglab.cohomology import (
-    _complex,
     _complex_data,
     _period,
     _reduce_degree,
     _resolution,
     _ring_columns,
+    _upper,
 )
 from reglab.errors import InputError
 from reglab.exactla import integer_kernel, qindex
@@ -473,11 +473,12 @@ def test_one_pass_per_map_matches_two_eliminations_per_degree():
                     assert _complex_data(R, j) == two_pass_complex_data(R, j), (G, H, d)
 
 
-def test_each_map_takes_one_pass(monkeypatch):
-    # per restricted module over degrees -1..2: one preimage echelon per
-    # upper map (the norm, d1, and d2 with d3 or the inverted d1^T), and a
-    # Hermite pass of its own only for a lower map named by a transpose;
-    # asked downwards or upwards, the counts are the same
+def _map_passes_per_module(monkeypatch, degrees, length):
+    """(G, H, order, period, preimage echelons, Hermite passes) for every
+    restricted module of a mixed module over C6, D3, D5, V4, C2xC4 and A4
+    and every nontrivial subgroup class, each reduced degree asked once,
+    downwards and upwards, with the first length maps of the resolution
+    built before counting."""
     passes = {"echelon": 0, "hermite": 0}
     echelon, from_rows = exactla._preimage_echelon, Lattice.from_rows.__func__
 
@@ -491,23 +492,44 @@ def test_each_map_takes_one_pass(monkeypatch):
 
     monkeypatch.setattr(exactla, "_preimage_echelon", counted_echelon)
     monkeypatch.setattr(Lattice, "from_rows", classmethod(counted_rows))
-    expected = {2: (2, 0), None: (4, 1), 4: (4, 2)}
-    seen = set()
     C = FiniteGroup.cyclic
     for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(),
               FiniteGroup.product([C(2), C(4)]), a4()):
-        for order in ((2, 1, 0, -1), (-1, 0, 1, 2)):
+        for order in (degrees[::-1], degrees):
             M = random_module(G, "mixed", 5, max_rank=5)
             for H in subgroup_class_representatives(G)[1:]:
                 R = restrict(M, H)
-                GH, period = R.group, _period(R.group)
-                for d in order:  # the group's tables, built before counting
-                    _complex(GH, _reduce_degree(GH, d))
+                GH = R.group
+                _resolution(GH, length)  # the group's tables, built before counting
                 passes.update(echelon=0, hermite=0)
-                for d in order:
-                    _complex_data(R, _reduce_degree(GH, d))
-                assert (passes["echelon"], passes["hermite"]) == expected[period], (G, H, order)
-                seen.add(period)
+                for j in dict.fromkeys(_reduce_degree(GH, d) for d in order):
+                    _complex_data(R, j)
+                yield G, H, order, _period(GH), passes["echelon"], passes["hermite"]
+
+
+def test_each_map_takes_one_pass(monkeypatch):
+    # per restricted module over degrees -1..2: one preimage echelon per
+    # upper map (the norm, d1, and d2 with d3 or the inverted d1^T), and a
+    # Hermite pass of its own only for a lower map of degree <= -2;
+    # asked downwards or upwards, the counts are the same
+    expected = {2: (2, 0), None: (4, 1), 4: (4, 2)}
+    seen = set()
+    for G, H, order, period, *counts in _map_passes_per_module(monkeypatch, (-1, 0, 1, 2), 3):
+        assert tuple(counts) == expected[period], (G, H, order)
+        seen.add(period)
+    assert seen == set(expected)
+
+
+def test_each_map_takes_one_pass_in_degrees_minus_three_to_three(monkeypatch):
+    # with no period, the upper maps d2T*, d1T*, N, d1..d4 take one preimage
+    # echelon each, and the lower maps d3T*, d2T*, d1T* of degrees -3..-1 a
+    # Hermite pass each; the periodic groups fold into the window above
+    expected = {2: (2, 0), None: (7, 3), 4: (4, 2)}
+    seen = set()
+    for G, H, order, period, *counts in _map_passes_per_module(
+            monkeypatch, (-3, -2, -1, 0, 1, 2, 3), 4):
+        assert tuple(counts) == expected[period], (G, H, order)
+        seen.add(period)
     assert seen == set(expected)
 
 
@@ -535,9 +557,7 @@ def test_tate_groups_build_no_echelon_beyond_the_map_passes(monkeypatch):
     for G in (C(6), FiniteGroup.dihedral(3), FiniteGroup.dihedral(5), V4(), a4()):
         subgroups = subgroup_class_representatives(G)[1:]
         for H in subgroups:  # the group's tables, built before counting
-            GH = restrict(trivial_module(G), H).group
-            for d in (-1, 0, 1, 2):
-                _complex(GH, _reduce_degree(GH, d))
+            _resolution(restrict(trivial_module(G), H).group, 3)
         for profile in ("torsion_free", "finite", "mixed"):
             M = random_module(G, profile, 7, max_rank=5)
             cohomology._minimal(M)  # the minimal presentation runs a Smith form
@@ -559,7 +579,7 @@ def _ring_tables(GH):
     """The tables the complexes over GH read, by name: the norm, d1, d2 and
     the transposes of d1 and d2."""
     d1, d2 = _resolution(GH, 2)
-    norm = _complex(GH, 0)[0][1]
+    norm = _upper(GH, -1)[1]
     return {"norm": norm, "d1": d1, "d1T": [list(c) for c in zip(*d1)],
             "d2": d2, "d2T": [list(c) for c in zip(*d2)]}
 
@@ -610,9 +630,7 @@ def test_tate_map_passes_build_no_checked_matrix(monkeypatch):
               FiniteGroup.product([C(2), C(4)]), a4()):
         subgroups = subgroup_class_representatives(G)[1:]
         for H in subgroups:  # the group's tables, built before watching
-            GH = restrict(trivial_module(G), H).group
-            for d in (-1, 0, 1, 2):
-                _complex(GH, _reduce_degree(GH, d))
+            _resolution(restrict(trivial_module(G), H).group, 3)
         for profile in ("torsion_free", "finite", "mixed"):
             M = random_module(G, profile, 13, max_rank=5)
             for H in subgroups:
@@ -659,8 +677,8 @@ def test_dihedral_degree_two_is_h1_at_the_free_end():
     # two) and d1 (F1 -> F0, two to one), every element g turned into g^{-1}
     for q in (3, 5, 9):
         G = FiniteGroup.dihedral(q)
-        (lname, lower), (uname, upper) = _complex(G, 2)
-        assert (lname, uname) == ("d2T*", "d1T*")
+        (kl, lower), (ku, upper) = _upper(G, -3), _upper(G, -2)
+        assert (kl, ku) == (-3, -2)
         assert (len(lower), len(upper)) == (2, 1)
         assert [len(line) for line in lower] == [3, 3] and len(upper[0]) == 2
         d1, d2 = _resolution(G, 2)
@@ -671,6 +689,27 @@ def test_dihedral_degree_two_is_h1_at_the_free_end():
                 [[a for a, _ in e] for e in line] for line in transposed]
             assert {G.mul[g][h] for line, tline in zip(table, transposed)
                     for e, f in zip(line, tline) for (_, g), (_, h) in zip(e, f)} == {0}
+        # degree 2 is read as -2
+        R = restrict(trivial_module(G), G.full_subgroup())
+        assert _complex_data(R, 2) == _complex_data(R, -2)
+
+
+def test_complete_resolution_is_a_complex():
+    # on the faithful regular module Z[G], the upper map of degree j after
+    # the upper map of degree j - 1 (the lower map of degree j) is zero:
+    # along the resolution, through the norm splice (d1 N = 0, N d1T* = 0),
+    # at the homology end, and across the cyclic fold
+    for G in _RING_GROUPS:
+        R = permutation_module(G, G.trivial_subgroup())
+        for j in range(-4, 5):
+            upper, lower = (_ring_columns(R, _upper(G, i)[1]) for i in (j, j - 1))
+            assert all(len(col) == len(upper) for col in lower), (G, j)
+            for col in lower:
+                image = [0] * len(upper[0])
+                for x, u in zip(col, upper):
+                    if x:
+                        image = [a + x * b for a, b in zip(image, u)]
+                assert not any(image), (G, j)
 
 
 def test_each_restricted_module_keeps_one_transposed_action():
@@ -831,6 +870,24 @@ def test_rosen_valuation_needs_cyclic_subgroup():
     G = FiniteGroup.dihedral(3)
     with pytest.raises(InputError, match="cyclic"):
         rosen_valuation(trivial_module(G), G.full_subgroup(), 2)
+
+
+def test_rosen_valuation_needs_a_prime_ell():
+    # ell = 1 raised a bare ValueError, and a composite ell sharing a prime
+    # with |H| raised ConsistencyError or gave a wrong value: over C8 on
+    # random_module(C8, "torsion_free", 2, max_rank=8) ell = 4 gave 2, where
+    # v_4 of the Herbrand quotient 64 is 3; at a prime it is the valuation
+    C = FiniteGroup.cyclic
+    for order in (4, 6, 8, 9, 12):
+        G = C(order)
+        full = G.full_subgroup()
+        M = random_module(G, "torsion_free", 2, max_rank=8)
+        for ell in (1, 4, 6, 9):
+            with pytest.raises(InputError, match="prime"):
+                rosen_valuation(M, full, ell)
+        h = herbrand(M, full)
+        for ell in (2, 3, 5):
+            assert rosen_valuation(M, full, ell) == valuation(h, ell), (order, ell)
 
 
 def test_induced_map_of_identity_is_identity():

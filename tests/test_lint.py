@@ -156,7 +156,7 @@ def scoped_callers(source: str, name: str) -> list[str]:
 ALLOWED_FACTORING = {
     "arith.py: factorize_fraction",  # its numerator and denominator
     "regulator.py: RegulatorConstant.__init__",  # the group order
-    "regulator.py: bounds_report",  # ell, below 2^32
+    "arith.py: check_prime",  # ell, below 2^32, for bounds_report and rosen_valuation
     "regulator.py: _bounds",  # q
     "suites.py: _suite_cohomology_oracles",  # q
     "regulator.py: check_report",  # report sides, which need not come from a group
@@ -716,3 +716,26 @@ def test_every_error_type_has_an_exit_code():
     assert unmapped_errors(errors, cli) == []
     planted = errors + '\n\nclass BudgetError(RuntimeError):\n    """A run out of time."""\n'
     assert unmapped_errors(planted, cli) == ["BudgetError"]
+
+
+def imports_from(source: str, module: str) -> set[str]:
+    """The names a module imports from module."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
+# what the oracles may take from production cohomology: the entry point of
+# each degree, the period and its fold, and the resolution; the tables
+# around each degree they build themselves, so the comparison checks _upper
+ALLOWED_ORACLE_COHOMOLOGY = {"TateGroup", "_complex_data", "_period", "_reduce_degree",
+                             "_resolution"}
+
+
+def test_oracles_import_only_allowed_cohomology_internals():
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert imports_from(source, "reglab.cohomology") <= ALLOWED_ORACLE_COHOMOLOGY
+    anchor = "    _complex_data,\n"
+    planted = source.replace(anchor, anchor + "    _upper,\n", 1)
+    assert planted != source
+    assert imports_from(planted, "reglab.cohomology") - ALLOWED_ORACLE_COHOMOLOGY == {"_upper"}
